@@ -104,18 +104,19 @@ def halfpoint_example(delta: RationalLike = HALF) -> Configuration:
 def correlation_example(delta: RationalLike) -> dict:
     """Joint distribution of the two estimates under the extremal configuration.
 
-    Returns the three support points of ``(X, Y)`` with their masses, plus the
-    exact correlation, which works out to ``-delta``: maximal spread forces
-    the estimates to disagree in a precisely anti-correlated way.
+    Returns the three support points of ``(X, Y)`` with their masses, one
+    per positive cell of :func:`extremal_config` in column-major order,
+    plus the exact correlation, which works out to ``-delta``: maximal
+    spread forces the estimates to disagree in a precisely anti-correlated
+    way.
     """
-    d = validate_delta(delta)
-    lo = 1 - d
-    big = (1 - d) / (1 + d)
-    wing = d / (1 + d)
+    cfg = extremal_config(delta)
+    s = compute_stats(cfg)
     points = [
-        ((lo, lo), big),
-        ((Fraction(0), lo), wing),
-        ((lo, Fraction(0)), wing),
+        ((s.x[k], s.y[j]), cell.mass)
+        for k, col in enumerate(cfg.cells)
+        for j, cell in enumerate(col)
+        if cell.mass > 0
     ]
 
     mean_x = sum((px * w for (px, _), w in points), Fraction(0))

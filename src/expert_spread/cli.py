@@ -8,8 +8,11 @@ across thresholds), and ``discretize`` (raw space conversion and grid
 coarsening).
 
 Exit codes: 0 on success, 1 when ``verify`` finds a violation, 2 on usage,
-parse, or file errors. All printed numbers are exact rational strings;
-decimal renderings appear only as companions, never in comparisons.
+parse, or file errors, 3 on an internal error (a failed consistency check,
+a refused transformation, or an impossible reduction state, whose
+diagnostics follow as one JSON line on stderr). All printed numbers are
+exact rational strings; decimal renderings appear only as companions, never
+in comparisons.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ from .config import (
     ConfigError,
     Configuration,
     DomainError,
+    InternalStateError,
+    ReduceContradictionError,
     SearchSpaceError,
+    TransformContractError,
     compute_stats,
     dump_config,
     load_config,
@@ -439,6 +445,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return 2
+    except (InternalStateError, TransformContractError, ReduceContradictionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        if isinstance(exc, ReduceContradictionError):
+            print(json.dumps(exc.diagnostics), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -275,8 +275,94 @@ class Stats:
     d_plus: tuple[tuple[int, int], ...]
     prob_B: Fraction
 
-    def in_b(self, k: int, j: int) -> bool:
-        return self.b_mask[k - 1][j - 1]
+
+def _lattice(cfg: Configuration) -> tuple[list[int], int]:
+    """The cells as integers over the lcm of all their denominators.
+
+    Returns the flat column-major vector with the complement share first and
+    the event share second in each cell, and the common denominator.
+    """
+    masses = [m for col in cfg.cells for c in col for m in (c.ac_mass, c.a_mass)]
+    den = math.lcm(*(m.denominator for m in masses))
+    return [m.numerator * (den // m.denominator) for m in masses], den
+
+
+def _line_sums(
+    parts: Sequence[int], n_cols: int, n_rows: int
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Column totals, column event masses, row totals, row event masses."""
+    col_t = [0] * n_cols
+    col_a = [0] * n_cols
+    row_t = [0] * n_rows
+    row_a = [0] * n_rows
+    i = 0
+    for k in range(n_cols):
+        for j in range(n_rows):
+            c, a = parts[i], parts[i + 1]
+            i += 2
+            col_t[k] += a + c
+            col_a[k] += a
+            row_t[j] += a + c
+            row_a[j] += a
+    return col_t, col_a, row_t, row_a
+
+
+def _spread_kernel(
+    parts: Sequence[int], n_cols: int, n_rows: int, th_num: int, th_den: int
+) -> tuple[list[int], list[int], list[int], list[int], list[int], int]:
+    """The far-apart test on an integer mass vector, the package's only copy.
+
+    ``parts`` is the flat column-major (complement, event) vector of
+    :func:`_lattice`; the threshold is ``th_num/th_den`` with ``th_den > 0``.
+    Returns the four line sums of :func:`_line_sums`, a side per cell in
+    the same column-major order (+1 when the column value exceeds the row
+    value by at least the threshold, -1 when the row value exceeds the
+    column value by at least it, 0 otherwise) and the summed mass of the
+    cells with a non-zero side, in the units of ``parts``.  The values are
+    compared by cross-multiplying, never divided.  A cell on a zero-mass
+    line has no conditional value and gets side 0.
+    """
+    col_t, col_a, row_t, row_a = _line_sums(parts, n_cols, n_rows)
+    sides = []
+    b_num = 0
+    i = 0
+    for k in range(n_cols):
+        ct, ca = col_t[k], col_a[k]
+        for j in range(n_rows):
+            rt = row_t[j]
+            side = 0
+            if ct and rt:
+                gap = (ca * rt - row_a[j] * ct) * th_den
+                bar = th_num * ct * rt
+                if gap >= bar:
+                    side = 1
+                elif -gap >= bar:
+                    side = -1
+                if side:
+                    b_num += parts[i] + parts[i + 1]
+            sides.append(side)
+            i += 2
+    return col_t, col_a, row_t, row_a, sides, b_num
+
+
+def _spread_on_lattice(
+    cfg: Configuration, threshold: Fraction
+) -> tuple[list[int], list[int], list[int], list[int], list[int], int, int]:
+    """Run the kernel on ``cfg`` at ``threshold``, rejecting zero lines.
+
+    Returns the kernel's six results followed by the lattice denominator.
+    """
+    parts, den = _lattice(cfg)
+    result = _spread_kernel(
+        parts, cfg.n_cols, cfg.n_rows, threshold.numerator, threshold.denominator
+    )
+    for what, totals in (("column", result[0]), ("row", result[2])):
+        for i, total in enumerate(totals, 1):
+            if total == 0:
+                raise ConfigError(
+                    f"{what} {i} has zero mass; conditional probability undefined"
+                )
+    return (*result, den)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -287,85 +373,64 @@ def compute_stats(cfg: Configuration) -> Stats:
     column/row order.  Raises :class:`ConfigError` naming the first zero-mass
     column or row, since conditional probabilities are undefined there.
 
+    The cells are scaled once to integers over the lcm of their
+    denominators, and the far-apart test runs on those integers by
+    cross-multiplication in :func:`_spread_kernel`, the same kernel the
+    searches and :func:`expert_spread.discretize.threshold_probability`
+    use; :class:`~fractions.Fraction` objects are built only for the
+    returned fields.
+
     Configurations are immutable, so results are memoised; repeated queries
     against the same configuration are cheap.
     """
-    p = []
-    for k in range(1, cfg.n_cols + 1):
-        mass = sum((cfg.cells[k - 1][j].mass for j in range(cfg.n_rows)), EMPTY)
-        if mass == 0:
-            raise ConfigError(f"column {k} has zero mass; conditional probability undefined")
-        p.append(mass)
-    q = []
-    for j in range(1, cfg.n_rows + 1):
-        mass = sum((cfg.cells[k][j - 1].mass for k in range(cfg.n_cols)), EMPTY)
-        if mass == 0:
-            raise ConfigError(f"row {j} has zero mass; conditional probability undefined")
-        q.append(mass)
-
-    x = [
-        sum((cfg.cells[k][j].a_mass for j in range(cfg.n_rows)), EMPTY) / p[k]
-        for k in range(cfg.n_cols)
-    ]
-    y = [
-        sum((cfg.cells[k][j].a_mass for k in range(cfg.n_cols)), EMPTY) / q[j]
-        for j in range(cfg.n_rows)
-    ]
-
-    threshold = 1 - cfg.delta
-    b_mask = tuple(
-        tuple(abs(x[k] - y[j]) >= threshold for j in range(cfg.n_rows))
-        for k in range(cfg.n_cols)
+    m, n = cfg.n_cols, cfg.n_rows
+    col_t, col_a, row_t, row_a, flat, b_num, den = _spread_on_lattice(
+        cfg, 1 - cfg.delta
     )
+    side = [flat[k * n : (k + 1) * n] for k in range(m)]
 
-    cols_low = [k for k in range(cfg.n_cols) if any(y[j] - x[k] >= threshold for j in range(cfg.n_rows))]
-    cols_high = [k for k in range(cfg.n_cols) if any(x[k] - y[j] >= threshold for j in range(cfg.n_rows))]
-    rows_low = [j for j in range(cfg.n_rows) if any(x[k] - y[j] >= threshold for k in range(cfg.n_cols))]
-    rows_high = [j for j in range(cfg.n_rows) if any(y[j] - x[k] >= threshold for k in range(cfg.n_cols))]
-
-    m_minus_G = max(cols_low) + 1 if cols_low else 0
-    m_plus_G: Union[int, float] = min(cols_high) + 1 if cols_high else math.inf
-    m_minus_H = max(rows_low) + 1 if rows_low else 0
-    m_plus_H: Union[int, float] = min(rows_high) + 1 if rows_high else math.inf
+    # Below, -1 means the row value sits far above the column value (the low
+    # corner) and +1 the mirror; th > 0, so a cell is on at most one side.
+    rows_side = [{side[k][j] for k in range(m)} for j in range(n)]
+    m_minus_G = max((k + 1 for k in range(m) if -1 in side[k]), default=0)
+    m_plus_G: Union[int, float] = min(
+        (k + 1 for k in range(m) if 1 in side[k]), default=math.inf
+    )
+    m_minus_H = max((j + 1 for j in range(n) if 1 in rows_side[j]), default=0)
+    m_plus_H: Union[int, float] = min(
+        (j + 1 for j in range(n) if -1 in rows_side[j]), default=math.inf
+    )
 
     d_minus = []
     d_plus = []
-    for k in range(cfg.n_cols):
-        for j in range(cfg.n_rows):
-            if y[j] - x[k] >= threshold:
-                right_off = k + 1 == cfg.n_cols or y[j] - x[k + 1] < threshold
-                below_off = j == 0 or y[j - 1] - x[k] < threshold
+    for k in range(m):
+        for j in range(n):
+            if side[k][j] == -1:
+                right_off = k + 1 == m or side[k + 1][j] != -1
+                below_off = j == 0 or side[k][j - 1] != -1
                 if right_off and below_off:
                     d_minus.append((k + 1, j + 1))
-            if x[k] - y[j] >= threshold:
-                left_off = k == 0 or x[k - 1] - y[j] < threshold
-                above_off = j + 1 == cfg.n_rows or x[k] - y[j + 1] < threshold
+            elif side[k][j] == 1:
+                left_off = k == 0 or side[k - 1][j] != 1
+                above_off = j + 1 == n or side[k][j + 1] != 1
                 if left_off and above_off:
                     d_plus.append((k + 1, j + 1))
 
-    prob_b = sum(
-        (
-            cfg.cells[k][j].mass
-            for k in range(cfg.n_cols)
-            for j in range(cfg.n_rows)
-            if b_mask[k][j]
-        ),
-        EMPTY,
-    )
-
+    # The memo keeps these tuples alive; built from lists, they are allocated
+    # at their exact size, where tuple(<generator>) may keep spare slots.
     return Stats(
-        p=tuple(p),
-        q=tuple(q),
-        x=tuple(x),
-        y=tuple(y),
-        b_mask=b_mask,
+        p=tuple([Fraction(t, den) for t in col_t]),
+        q=tuple([Fraction(t, den) for t in row_t]),
+        x=tuple([Fraction(a, t) for a, t in zip(col_a, col_t)]),
+        y=tuple([Fraction(a, t) for a, t in zip(row_a, row_t)]),
+        b_mask=tuple([tuple([v != 0 for v in col]) for col in side]),
         m_minus_G=m_minus_G,
         m_plus_G=m_plus_G,
         m_minus_H=m_minus_H,
         m_plus_H=m_plus_H,
-        d_minus=tuple(sorted(d_minus)),
-        d_plus=tuple(sorted(d_plus)),
-        prob_B=prob_b,
+        d_minus=tuple(d_minus),
+        d_plus=tuple(d_plus),
+        prob_B=Fraction(b_num, den),
     )
 
 
@@ -376,41 +441,26 @@ def normalize(cfg: Configuration) -> Configuration:
     equal-valued lines is a transformation, not a normalization.  The spread
     probability is unchanged because sorting merely permutes cells.
     """
-    total = sum((c.mass for col in cfg.cells for c in col), EMPTY)
-    if total != 1:
+    parts, den = _lattice(cfg)
+    if sum(parts) != den:
+        total = Fraction(sum(parts), den)
         raise ConfigError(f"total mass must be exactly 1, got {total}")
-
-    keep_cols = [
-        k
-        for k in range(cfg.n_cols)
-        if sum((cfg.cells[k][j].mass for j in range(cfg.n_rows)), EMPTY) > 0
-    ]
-    keep_rows = [
-        j
-        for j in range(cfg.n_rows)
-        if sum((cfg.cells[k][j].mass for k in range(cfg.n_cols)), EMPTY) > 0
-    ]
-    grid = [[cfg.cells[k][j] for j in keep_rows] for k in keep_cols]
-    n_cols, n_rows = len(keep_cols), len(keep_rows)
-
-    def col_x(col: Sequence[Cell]) -> Fraction:
-        return sum((c.a_mass for c in col), EMPTY) / sum((c.mass for c in col), EMPTY)
-
-    def row_y(j: int, cols: Sequence[Sequence[Cell]]) -> Fraction:
-        return sum((col[j].a_mass for col in cols), EMPTY) / sum(
-            (col[j].mass for col in cols), EMPTY
-        )
-
-    col_order = sorted(range(n_cols), key=lambda k: col_x(grid[k]))
-    grid = [grid[k] for k in col_order]
-    row_order = sorted(range(n_rows), key=lambda j: row_y(j, grid))
-    grid = [[col[j] for j in row_order] for col in grid]
-
+    col_t, col_a, row_t, row_a = _line_sums(parts, cfg.n_cols, cfg.n_rows)
+    col_order = sorted(
+        (k for k in range(cfg.n_cols) if col_t[k]),
+        key=lambda k: Fraction(col_a[k], col_t[k]),
+    )
+    row_order = sorted(
+        (j for j in range(cfg.n_rows) if row_t[j]),
+        key=lambda j: Fraction(row_a[j], row_t[j]),
+    )
     return Configuration(
         delta=cfg.delta,
-        n_cols=n_cols,
-        n_rows=n_rows,
-        cells=tuple(tuple(col) for col in grid),
+        n_cols=len(col_order),
+        n_rows=len(row_order),
+        cells=tuple(
+            [tuple([cfg.cells[k][j] for j in row_order]) for k in col_order]
+        ),
     )
 
 
@@ -428,7 +478,7 @@ def overlap_check(cfg: Configuration, k: int, j: int) -> dict:
             f"cell index ({k},{j}) out of range for a {cfg.n_cols}x{cfg.n_rows} grid"
         )
     s = compute_stats(cfg)
-    applicable = abs(s.x[k - 1] - s.y[j - 1]) >= 1 - cfg.delta
+    applicable = s.b_mask[k - 1][j - 1]
     lhs = cfg.cells[k - 1][j - 1].mass
     rhs = cfg.delta / (1 + cfg.delta) * (s.p[k - 1] + s.q[j - 1])
     return {
@@ -589,6 +639,8 @@ def config_from_json_dict(data: Mapping) -> Configuration:
         raw_cells: Iterable[Mapping] = data["cells"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed configuration document: {exc}") from exc
+    if not isinstance(raw_cells, (list, tuple)):
+        raise ConfigError(f"'cells' must be a list, got {raw_cells!r}")
     masses: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     for entry in raw_cells:
         try:

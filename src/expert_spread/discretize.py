@@ -20,13 +20,14 @@ from .config import (
     ConfigError,
     DomainError,
     RationalLike,
-    compute_stats,
+    _spread_on_lattice,
     make_configuration,
     normalize,
     parse_rational,
     rational_to_str,
     validate_delta,
 )
+from .search import _random_parts
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +128,8 @@ def threshold_probability(cfg: Configuration, threshold: Fraction) -> Fraction:
     right-hand side uses a threshold lowered by 2/n. A non-positive
     threshold makes every cell count, so the result is 1.
     """
-    s = compute_stats(cfg)
-    total = Fraction(0)
-    for k in range(1, cfg.n_cols + 1):
-        for j in range(1, cfg.n_rows + 1):
-            if abs(s.x[k - 1] - s.y[j - 1]) >= threshold:
-                total += cfg.cell(k, j).mass
-    return total
+    *_, b_num, den = _spread_on_lattice(cfg, threshold)
+    return Fraction(b_num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +222,8 @@ def random_space(
     """One seeded random space with deliberately colliding labels."""
     n_atoms = rng.randint(1, max_atoms)
     denom = 2 ** rng.randint(4, 10)
-    cuts = sorted(rng.sample(range(denom + n_atoms - 1), n_atoms - 1)) if n_atoms > 1 else []
-    weights = []
-    prev = -1
-    for c in cuts:
-        weights.append(c - prev - 1)
-        prev = c
-    weights.append(denom + n_atoms - 2 - prev if n_atoms > 1 else denom)
     atoms = []
-    for w in weights:
+    for w in _random_parts(rng, denom, n_atoms):
         a = rng.randint(0, w)
         atoms.append(
             Atom(
@@ -271,6 +260,8 @@ def space_from_json_dict(data: Mapping) -> RawSpace:
         raw_atoms = data["atoms"]
     except (KeyError, TypeError) as exc:
         raise ConfigError("space JSON must be an object with an 'atoms' list") from exc
+    if not isinstance(raw_atoms, (list, tuple)):
+        raise ConfigError("space JSON must be an object with an 'atoms' list")
     atoms = []
     for entry in raw_atoms:
         try:

@@ -15,6 +15,7 @@ reduction on each, and collects every contract violation as data.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -30,6 +31,7 @@ from .config import (
     InternalStateError,
     RationalLike,
     SearchSpaceError,
+    _spread_kernel,
     compute_stats,
     make_configuration,
     normalize,
@@ -38,7 +40,7 @@ from .config import (
 )
 from .bounds import certify_upper_bound, lambda_sharp
 from . import transforms
-from .transforms import TransformTrace, make_trace
+from .transforms import TransformTrace, _corners_occupied, make_trace
 
 DEFAULT_ENUM_CAP = 10**8
 ENUM_CAP_ENV = "EXPERT_SPREAD_ENUM_CAP"
@@ -93,52 +95,12 @@ def search_result_to_json_dict(result: SearchResult) -> dict:
 # second in each cell. The species order matters only through the
 # lexicographic tie-break on maximizers; complement-first makes the
 # reported small-grid witnesses line up with the canonical extremal
-# configuration rather than its event-complement mirror image. All
-# spread-probability evaluations happen in integer arithmetic via
-# cross-multiplication; a Configuration object is only built for the
-# winner.
-
-
-def _prob_b_of_parts(
-    parts: tuple[int, ...] | list[int],
-    n_cols: int,
-    n_rows: int,
-    denom: int,
-    th_num: int,
-    th_den: int,
-) -> Fraction:
-    """Exact spread probability of an integer mass vector.
-
-    Zero-mass columns and rows carry no probability and no conditional
-    value, so their cells are simply skipped; this matches evaluating the
-    configuration with its zero lines dropped.
-    """
-    col_t = [0] * n_cols
-    col_a = [0] * n_cols
-    row_t = [0] * n_rows
-    row_a = [0] * n_rows
-    i = 0
-    for k in range(n_cols):
-        for j in range(n_rows):
-            c, a = parts[i], parts[i + 1]
-            i += 2
-            col_t[k] += a + c
-            col_a[k] += a
-            row_t[j] += a + c
-            row_a[j] += a
-    b_num = 0
-    i = 0
-    for k in range(n_cols):
-        ct, ca = col_t[k], col_a[k]
-        for j in range(n_rows):
-            c, a = parts[i], parts[i + 1]
-            i += 2
-            rt = row_t[j]
-            if ct == 0 or rt == 0:
-                continue
-            if abs(ca * rt - row_a[j] * ct) * th_den >= th_num * ct * rt:
-                b_num += a + c
-    return Fraction(b_num, denom)
+# configuration rather than its event-complement mirror image. This is the
+# layout of the statistics kernel, so every evaluation is one call to it,
+# in integer arithmetic; a Configuration object is only built for the
+# winner. Zero-mass lines carry no conditional value and no probability in
+# the kernel, which matches evaluating the configuration with its zero
+# lines dropped.
 
 
 def _parts_to_config(
@@ -167,12 +129,24 @@ def _checked_eval(
     th_num: int,
     th_den: int,
     lam: Fraction,
-) -> Fraction:
-    prob = _prob_b_of_parts(parts, n_cols, n_rows, denom, th_num, th_den)
-    if prob > lam:
+) -> int:
+    """Spread numerator of ``parts`` over ``denom``, checked against ``lam``."""
+    b_num = _spread_kernel(parts, n_cols, n_rows, th_num, th_den)[-1]
+    if b_num * lam.denominator > lam.numerator * denom:
         raise InternalStateError(
-            f"evaluated spread probability {prob} exceeds the closed-form "
-            f"bound {lam}; the evaluator or the bound is broken"
+            f"evaluated spread probability {Fraction(b_num, denom)} exceeds the "
+            f"closed-form bound {lam}; the evaluator or the bound is broken"
+        )
+    return b_num
+
+
+def _check_winner(cfg: Configuration, b_num: int, denom: int) -> Fraction:
+    """The winner's spread probability, re-derived from its configuration."""
+    prob = Fraction(b_num, denom)
+    if compute_stats(cfg).prob_B != prob:
+        raise InternalStateError(
+            "the winner's configuration statistics disagree with its integer "
+            "evaluation"
         )
     return prob
 
@@ -211,12 +185,18 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
     partition of the space by first-slot value trivially deterministic,
     which is what a parallel reduction over disjoint chunks would merge.
     """
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
+    for bars in itertools.combinations(range(total + slots - 1), slots - 1):
+        yield tuple(_gaps(bars, total))
+
+
+def _gaps(bars: tuple[int, ...] | list[int], total: int) -> list[int]:
+    """The weak composition of ``total`` whose stars-and-bars cuts sit at ``bars``.
+
+    ``bars`` are ascending positions in ``range(total + len(bars))``; part
+    ``i`` counts the stars between cut ``i - 1`` and cut ``i``.
+    """
+    ends = (-1, *bars, total + len(bars))
+    return [b - a - 1 for a, b in zip(ends, ends[1:])]
 
 
 def exhaustive_search(
@@ -246,7 +226,7 @@ def exhaustive_search(
         )
     lam = lambda_sharp(d)
     th = 1 - d
-    best_prob = Fraction(-1)
+    best_prob = -1
     best_parts: Optional[tuple[int, ...]] = None
     evaluated = 0
     for parts in _compositions(denom, slots):
@@ -259,13 +239,9 @@ def exhaustive_search(
             best_parts = parts
     assert best_parts is not None
     cfg = _parts_to_config(best_parts, d, n_cols, n_rows, denom)
-    if compute_stats(cfg).prob_B != best_prob:
-        raise InternalStateError(
-            "fast integer evaluation disagrees with configuration statistics"
-        )
     return SearchResult(
         delta=d,
-        best_prob_B=best_prob,
+        best_prob_B=_check_winner(cfg, best_prob, denom),
         best_config=cfg,
         configs_evaluated=evaluated,
         method="exhaustive",
@@ -283,16 +259,7 @@ _CLIMB_START_QUANTUM = 128
 
 def _random_parts(rng: random.Random, total: int, slots: int) -> list[int]:
     """Uniform weak composition of ``total`` into ``slots`` via stars and bars."""
-    if slots == 1:
-        return [total]
-    cuts = sorted(rng.sample(range(total + slots - 1), slots - 1))
-    parts = []
-    prev = -1
-    for c in cuts:
-        parts.append(c - prev - 1)
-        prev = c
-    parts.append(total + slots - 2 - prev)
-    return parts
+    return _gaps(sorted(rng.sample(range(total + slots - 1), slots - 1)), total)
 
 
 def hill_climb(
@@ -322,7 +289,7 @@ def hill_climb(
     base = iters // restarts
     leftover = iters - base * restarts
 
-    best_prob = Fraction(-1)
+    best_prob = -1
     best_parts: Optional[tuple[int, ...]] = None
     evaluated = 0
     for r in range(restarts):
@@ -360,13 +327,9 @@ def hill_climb(
                 parts[dst] -= amt
     assert best_parts is not None
     cfg = _parts_to_config(best_parts, d, n_cols, n_rows, _CLIMB_DENOM)
-    if compute_stats(cfg).prob_B != best_prob:
-        raise InternalStateError(
-            "fast integer evaluation disagrees with configuration statistics"
-        )
     return SearchResult(
         delta=d,
-        best_prob_B=best_prob,
+        best_prob_B=_check_winner(cfg, best_prob, _CLIMB_DENOM),
         best_config=cfg,
         configs_evaluated=evaluated,
         method="hill_climb",
@@ -394,21 +357,6 @@ def random_configuration(
     denom = 2 ** rng.randint(4, 10)
     parts = _random_parts(rng, denom, 2 * n_cols * n_rows)
     return _parts_to_config(parts, delta, n_cols, n_rows, denom)
-
-
-def _corners_positive(cfg: Configuration) -> bool:
-    s = compute_stats(cfg)
-    th = 1 - cfg.delta
-    low = high = False
-    for k in range(1, cfg.n_cols + 1):
-        for j in range(1, cfg.n_rows + 1):
-            if cfg.cell(k, j).is_empty:
-                continue
-            if s.y[j - 1] - s.x[k - 1] >= th:
-                low = True
-            if s.x[k - 1] - s.y[j - 1] >= th:
-                high = True
-    return low and high
 
 
 class _FuzzRun:
@@ -495,7 +443,7 @@ class _FuzzRun:
             and sa.q == sb.q
         )
         corners_ok = cfg.delta >= HALF or (
-            not _corners_positive(cfg) or _corners_positive(after)
+            not all(_corners_occupied(cfg)) or all(_corners_occupied(after))
         )
         if not (vectors_kept and corners_ok):
             self.out.append(
@@ -514,8 +462,8 @@ class _FuzzRun:
         eps = Fraction(1, self.rng.choice([50, 100, 1000]))
         grown = transforms.augment(cfg, eps)
         trace = make_trace("augment", (eps,), cfg, grown)
-        if trace.prob_B_after <= trace.prob_B_before - eps or not _corners_positive(
-            grown
+        if trace.prob_B_after <= trace.prob_B_before - eps or not all(
+            _corners_occupied(grown)
         ):
             self.out.append(trace)
             return

@@ -87,7 +87,7 @@ def make_trace(
             after.n_cols <= before.n_cols and after.n_rows <= before.n_rows
         ),
         corners_preserved=(
-            not _corner_regions_positive(before) or _corner_regions_positive(after)
+            not all(_corners_occupied(before)) or all(_corners_occupied(after))
         ),
     )
 
@@ -115,27 +115,32 @@ def trace_to_json_dict(trace: TransformTrace) -> dict:
     }
 
 
-def _corner_regions_positive(cfg: Configuration) -> bool:
-    """True when both extreme spread corners carry positive mass.
+def _side(s: Stats, k: int, j: int) -> int:
+    """Which side of the spread region cell ``(k, j)`` (1-based) lies on.
 
-    The low corner is any cell whose row conditional exceeds its column
-    conditional by at least ``1 - delta``; the high corner is the mirror.
-    Configurations in this state can be canonicalized directly, others must
-    be augmented first.
+    -1 in the low corner, where the row conditional exceeds the column
+    conditional by at least ``1 - delta``; +1 in the high corner, its
+    mirror; 0 outside the region.
+    """
+    if not s.b_mask[k - 1][j - 1]:
+        return 0
+    return 1 if s.x[k - 1] > s.y[j - 1] else -1
+
+
+def _corners_occupied(cfg: Configuration) -> tuple[bool, bool]:
+    """Whether the low and the high extreme spread corners carry positive mass.
+
+    Configurations with both corners occupied can be canonicalized
+    directly, others must be augmented first.
     """
     s = compute_stats(cfg)
-    th = 1 - cfg.delta
-    low = False
-    high = False
-    for k in range(cfg.n_cols):
-        for j in range(cfg.n_rows):
-            if cfg.cells[k][j].mass == 0:
-                continue
-            if s.y[j] - s.x[k] >= th:
-                low = True
-            elif s.x[k] - s.y[j] >= th:
-                high = True
-    return low and high
+    sides = {
+        _side(s, k, j)
+        for k in range(1, cfg.n_cols + 1)
+        for j in range(1, cfg.n_rows + 1)
+        if not cfg.cells[k - 1][j - 1].is_empty
+    }
+    return -1 in sides, 1 in sides
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +183,6 @@ def complement_reflect(cfg: Configuration) -> Configuration:
     return Configuration(
         delta=cfg.delta, n_cols=cfg.n_cols, n_rows=cfg.n_rows, cells=cells
     )
-
-
-def _chi(cfg: Configuration) -> Configuration:
-    """Transpose composed with complement reflection (an involution)."""
-    return transpose(complement_reflect(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +310,6 @@ def _staircase_problem(cfg: Configuration, s: Stats) -> Optional[str]:
     cell to its exact step position.  Only meaningful below threshold one
     half, where the two sides of the region cannot overlap.
     """
-    th = 1 - cfg.delta
     sort_problem = _sorted_problem(cfg, s)
     if sort_problem is not None:
         return sort_problem
@@ -327,11 +326,11 @@ def _staircase_problem(cfg: Configuration, s: Stats) -> Optional[str]:
             )
         for k in range(1, mm_g + 1):
             t = mp_h + k - 1
-            if s.y[t - 1] - s.x[k - 1] < th:
+            if _side(s, k, t) != -1:
                 return f"column {k} is not paired with row {t}"
-            if k + 1 <= cfg.n_cols and s.y[t - 1] - s.x[k] >= th:
+            if k + 1 <= cfg.n_cols and _side(s, k + 1, t) == -1:
                 return f"column {k + 1} unexpectedly pairs with row {t}"
-            if t >= 2 and s.y[t - 2] - s.x[k - 1] >= th:
+            if t >= 2 and _side(s, k, t - 1) == -1:
                 return f"column {k} unexpectedly pairs with row {t - 1}"
 
     mm_h = s.m_minus_H
@@ -346,11 +345,11 @@ def _staircase_problem(cfg: Configuration, s: Stats) -> Optional[str]:
             )
         for j in range(1, mm_h + 1):
             t = mp_g + j - 1
-            if s.x[t - 1] - s.y[j - 1] < th:
+            if _side(s, t, j) != 1:
                 return f"row {j} is not paired with column {t}"
-            if j + 1 <= cfg.n_rows and s.x[t - 1] - s.y[j] >= th:
+            if j + 1 <= cfg.n_rows and _side(s, t, j + 1) == 1:
                 return f"row {j + 1} unexpectedly pairs with column {t}"
-            if t >= 2 and s.x[t - 2] - s.y[j - 1] >= th:
+            if t >= 2 and _side(s, t - 1, j) == 1:
                 return f"row {j} unexpectedly pairs with column {t - 1}"
     return None
 
@@ -466,7 +465,7 @@ def purify_border_cell(cfg: Configuration, k: int, j: int) -> Configuration:
         # From threshold one half on, the rising row value could break a
         # high-side pair in the same row; below one half no such pair exists.
         for c in range(cfg.n_cols):
-            if s.x[c] - yj >= th:
+            if _side(s, c + 1, j) == 1:
                 terms.append(qj * (s.x[c] - th - yj))
         alpha = min(terms)
         if alpha <= 0:
@@ -484,7 +483,7 @@ def purify_border_cell(cfg: Configuration, k: int, j: int) -> Configuration:
         # Mirror of the cap above: the falling column value could break a
         # high-side pair in the same column from threshold one half on.
         for r in range(cfg.n_rows):
-            if xk - s.y[r] >= th:
+            if _side(s, k, r + 1) == 1:
                 terms.append(pk * (xk - th - s.y[r]))
         alpha = min(terms)
         if alpha <= 0:
@@ -705,7 +704,7 @@ def empty_corner_rectangles(cfg: Configuration) -> Configuration:
     way the receiving line's conditional moves away from the threshold, so
     the spread region only grows.  Identity from one half on.
     """
-    if not _corner_regions_positive(cfg):
+    if not all(_corners_occupied(cfg)):
         raise ConfigError(
             "both extreme spread corners need positive mass; augment the "
             "configuration first"
@@ -782,7 +781,7 @@ def canonicalize(cfg: Configuration) -> Configuration:
     Requires positive mass in both extreme spread corners
     (:class:`ConfigError` otherwise).
     """
-    if not _corner_regions_positive(cfg):
+    if not all(_corners_occupied(cfg)):
         raise ConfigError(
             "both extreme spread corners need positive mass; augment the "
             "configuration first"
@@ -876,17 +875,7 @@ def augment(cfg: Configuration, epsilon: RationalLike) -> Configuration:
     s = compute_stats(cfg)
     if s.prob_B == 0:
         raise DomainError("cannot augment a configuration with zero spread probability")
-    th = 1 - cfg.delta
-    low = any(
-        cfg.cells[k][j].mass > 0 and s.y[j] - s.x[k] >= th
-        for k in range(cfg.n_cols)
-        for j in range(cfg.n_rows)
-    )
-    high = any(
-        cfg.cells[k][j].mass > 0 and s.x[k] - s.y[j] >= th
-        for k in range(cfg.n_cols)
-        for j in range(cfg.n_rows)
-    )
+    low, high = _corners_occupied(cfg)
     if low and high:
         return cfg
     if not low and not high:
@@ -904,7 +893,7 @@ def augment(cfg: Configuration, epsilon: RationalLike) -> Configuration:
             f"augmentation dropped the spread probability from {s.prob_B} "
             f"to {s_out.prob_B}, more than {eps}"
         )
-    if not _corner_regions_positive(out):
+    if not all(_corners_occupied(out)):
         raise TransformContractError("augmentation failed to occupy both corners")
     return out
 

@@ -121,11 +121,20 @@ def test_correlation_example_is_negative_delta():
         assert sum(w for _, w in points) == 1
         assert all(w > 0 for _, w in points)
         values = {value for value, _ in points}
-        assert values == {
-            (1 - delta, 1 - delta),
-            (F(0), 1 - delta),
-            (1 - delta, F(0)),
-        }
+        assert values == {(delta, delta), (delta, F(1)), (F(1), delta)}
+
+
+def test_correlation_points_are_the_witness_values_on_positive_cells():
+    for delta in (F(1, 4), F(1, 3), F(1, 2), F(9, 10)):
+        cfg = extremal_config(delta)
+        s = compute_stats(cfg)
+        expected = [
+            ((s.x[k - 1], s.y[j - 1]), cfg.cell(k, j).mass)
+            for k in (1, 2)
+            for j in (1, 2)
+            if cfg.cell(k, j).mass > 0
+        ]
+        assert correlation_example(delta)["points"] == expected
 
 
 def test_certificate_on_the_extremal_witness():

@@ -1,19 +1,34 @@
 """End-to-end checks of the command line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+from expert_spread import cli
+from expert_spread.config import (
+    InternalStateError,
+    ReduceContradictionError,
+    TransformContractError,
+)
 
 CLI = [sys.executable, "-m", "expert_spread.cli"]
+# the subprocess imports the same package as this test process
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run_cli(*args, stdin=None):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         CLI + list(args),
         input=stdin,
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -224,3 +239,39 @@ def test_usage_errors_exit_two():
     assert run_cli().returncode == 2
     assert run_cli("no-such-command").returncode == 2
     assert run_cli("search", "1/4", "--denom", "-3").returncode == 2
+
+
+def test_malformed_documents_exit_two(tmp_path):
+    cfg = tmp_path / "cells.json"
+    cfg.write_text(json.dumps({"delta": "1/4", "cols": 1, "rows": 1, "cells": 5}))
+    proc = run_cli("verify", str(cfg))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    space = tmp_path / "atoms.json"
+    space.write_text(json.dumps({"atoms": 5}))
+    proc = run_cli("discretize", "--delta", "1/4", str(space))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        InternalStateError("merge fixpoint is not a staircase"),
+        TransformContractError("augmentation failed to occupy both corners"),
+        ReduceContradictionError("corner-pure-complement", {"column": 2, "row": 3}),
+    ],
+)
+def test_internal_errors_exit_three(monkeypatch, capsys, error):
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "hill_climb", broken)
+    assert cli.main(["search", "1/4"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert lines[0] == f"internal error: {error}"
+    if isinstance(error, ReduceContradictionError):
+        assert json.loads(lines[1]) == {"column": 2, "row": 3}
+    else:
+        assert len(lines) == 1

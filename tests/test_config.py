@@ -231,6 +231,8 @@ def test_json_dict_rejects_garbage():
         config_from_json_dict(
             {"delta": "1/4", "cols": 1, "rows": 1, "cells": [{"col": 1}]}
         )
+    with pytest.raises(ConfigError):
+        config_from_json_dict({"delta": "1/4", "cols": 1, "rows": 1, "cells": 5})
 
 
 def test_random_round_trips():

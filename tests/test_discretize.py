@@ -152,6 +152,8 @@ def test_space_json_rejects_garbage():
         space_from_json_dict({})
     with pytest.raises(ConfigError):
         space_from_json_dict({"atoms": [{"w": "1/2"}]})
+    with pytest.raises(ConfigError):
+        space_from_json_dict({"atoms": 5})
 
 
 def test_random_space_is_seeded():

@@ -16,6 +16,7 @@ from expert_spread.config import (
 )
 from expert_spread.search import (
     SearchSpaceError,
+    _compositions,
     enumeration_cap,
     exhaustive_search,
     fuzz_transforms,
@@ -163,3 +164,28 @@ def test_fuzzer_is_deterministic():
 def test_fuzzer_input_validation():
     with pytest.raises(DomainError):
         fuzz_transforms(F(1, 4), 0, seed=1)
+
+
+def recursive_compositions(total, slots):
+    """Weak compositions in lexicographic order, by recursion on the first slot."""
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in recursive_compositions(total - first, slots - 1):
+            yield (first,) + rest
+
+
+def test_compositions_keep_the_lexicographic_order():
+    for total, slots in ((0, 3), (1, 1), (4, 1), (5, 8), (4, 18), (3, 18), (2, 32)):
+        got = list(_compositions(total, slots))
+        assert got == list(recursive_compositions(total, slots))
+        assert len(got) == math.comb(total + slots - 1, total)
+
+
+def test_compositions_do_not_recurse_per_slot():
+    # a 40x40 grid at denominator 1: more slots than the recursion limit
+    vectors = list(_compositions(1, 3200))
+    assert len(vectors) == 3200
+    assert vectors[0] == (0,) * 3199 + (1,)
+    assert vectors[-1] == (1,) + (0,) * 3199

@@ -19,6 +19,7 @@ from expert_spread.config import (
     make_configuration,
 )
 from expert_spread.search import random_configuration, reduced_shape_problem
+from expert_spread import transforms
 from expert_spread.transforms import (
     absorb_empty_border_cell,
     augment,
@@ -409,6 +410,65 @@ def test_reduce_contract_on_random_inputs():
         cert = certify_upper_bound(result["out"])
         assert after <= cert <= lambda_sharp(F(1, 4))
         done += 1
+
+
+DRIVER_BRANCHES = (
+    "_with_chi",
+    "_three_column_attack",
+    "_middle_cell_attack",
+    "_two_sided_squeeze",
+    "_foothold_sweep",
+)
+
+
+def reduce_counting_branches(monkeypatch, den, n, masses):
+    """Reduce at delta 2/5, counting the driver's attack branches."""
+    calls = dict.fromkeys(DRIVER_BRANCHES, 0)
+    for name in DRIVER_BRANCHES:
+        original = getattr(transforms._ReduceDriver, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(transforms._ReduceDriver, name, counted)
+    cfg = make_configuration(
+        F(2, 5), n, n, {key: (F(a, den), F(ac, den)) for key, (a, ac) in masses.items()}
+    )
+    eps = F(1, 1000)
+    result = reduce(cfg, eps)
+    out = result["out"]
+    before, after = compute_stats(cfg).prob_B, compute_stats(out).prob_B
+    assert reduced_shape_problem(out) is None
+    assert before - after < eps
+    assert after <= certify_upper_bound(out) <= lambda_sharp(F(2, 5))
+    return calls, len(result["trace"])
+
+
+def test_reduce_runs_the_depth_three_attack(monkeypatch):
+    masses = {
+        (1, 2): (0, 1), (1, 3): (0, 1), (2, 1): (0, 9), (2, 3): (1, 0),
+        (3, 1): (0, 4), (3, 4): (1, 0), (4, 1): (1, 0), (4, 2): (2, 0),
+        (4, 3): (2, 0), (4, 4): (1, 0),
+    }
+    calls, steps = reduce_counting_branches(monkeypatch, 23, 4, masses)
+    assert calls["_three_column_attack"] == 1
+    assert calls["_middle_cell_attack"] == 1
+    assert calls["_with_chi"] == 2
+    assert steps == 22
+
+
+def test_reduce_runs_the_two_sided_squeeze(monkeypatch):
+    masses = {
+        (1, 2): (0, 1), (1, 3): (0, 1), (1, 4): (0, 1), (2, 1): (0, 9),
+        (2, 3): (1, 0), (3, 1): (0, 4), (3, 4): (1, 0), (4, 1): (0, 7),
+        (4, 5): (3, 0), (5, 1): (1, 0), (5, 2): (2, 0), (5, 3): (2, 0),
+        (5, 4): (4, 0), (5, 5): (1, 0),
+    }
+    calls, steps = reduce_counting_branches(monkeypatch, 38, 5, masses)
+    assert calls["_two_sided_squeeze"] == 1
+    assert calls["_foothold_sweep"] == 1
+    assert steps == 21
 
 
 def test_trace_serialization():
