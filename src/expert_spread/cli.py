@@ -442,9 +442,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON input: {exc}", file=sys.stderr)
-        return 2
     except (InternalStateError, TransformContractError, ReduceContradictionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         if isinstance(exc, ReduceContradictionError):

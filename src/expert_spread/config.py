@@ -61,6 +61,10 @@ RationalLike = Union[Fraction, int, str]
 
 EMPTY = Fraction(0)
 
+# The largest grid make_configuration allocates, in cells; larger documents
+# are refused before any cell is built.
+MAX_CELLS = 10**6
+
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -126,6 +130,17 @@ def _as_fraction(value: RationalLike, what: str) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ConfigError(f"cannot parse {what} {value!r} as an exact rational") from exc
+
+
+def _json_exact(value: object, what: str) -> object:
+    """Pass a document value on, refusing JSON floats and booleans.
+
+    A float has already lost its exact value when the parser hands it over,
+    and a boolean is not a number; numbers travel as strings or integers.
+    """
+    if isinstance(value, (bool, float)):
+        raise ConfigError(f"{what} must be a string or an integer, got {value!r}")
+    return value
 
 
 def validate_delta(value: RationalLike) -> Fraction:
@@ -205,9 +220,17 @@ def make_configuration(
 ) -> Configuration:
     """Build a configuration from a sparse ``{(col, row): (a, ac)}`` mapping.
 
-    Cells absent from ``masses`` are empty.  Indices are 1-based.
+    Cells absent from ``masses`` are empty.  Indices are 1-based.  A grid
+    of more than :data:`MAX_CELLS` cells raises :class:`ConfigError` before
+    anything is allocated.
     """
     delta_f = validate_delta(delta)
+    if n_cols < 1 or n_rows < 1:
+        raise ConfigError(f"grid must be at least 1x1, got {n_cols}x{n_rows}")
+    if n_cols * n_rows > MAX_CELLS:
+        raise ConfigError(
+            f"a {n_cols}x{n_rows} grid exceeds the limit of {MAX_CELLS} cells"
+        )
     grid = [[Cell() for _ in range(n_rows)] for _ in range(n_cols)]
     for (k, j), (a, ac) in masses.items():
         if not (1 <= k <= n_cols and 1 <= j <= n_rows):
@@ -633,9 +656,9 @@ def config_to_json_dict(cfg: Configuration) -> dict:
 def config_from_json_dict(data: Mapping) -> Configuration:
     """Load a configuration from the file schema, validating shape and mass."""
     try:
-        delta = data["delta"]
-        n_cols = int(data["cols"])
-        n_rows = int(data["rows"])
+        delta = _json_exact(data["delta"], "delta")
+        n_cols = int(_json_exact(data["cols"], "cols"))
+        n_rows = int(_json_exact(data["rows"], "rows"))
         raw_cells: Iterable[Mapping] = data["cells"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed configuration document: {exc}") from exc
@@ -644,14 +667,17 @@ def config_from_json_dict(data: Mapping) -> Configuration:
     masses: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     for entry in raw_cells:
         try:
-            key = (int(entry["col"]), int(entry["row"]))
+            key = (
+                int(_json_exact(entry["col"], "col")),
+                int(_json_exact(entry["row"], "row")),
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed cell entry {entry!r}") from exc
         if key in masses:
             raise ConfigError(f"duplicate cell entry for {key}")
         masses[key] = (
-            parse_rational(entry.get("a", 0)),
-            parse_rational(entry.get("ac", 0)),
+            parse_rational(_json_exact(entry.get("a", 0), "a")),
+            parse_rational(_json_exact(entry.get("ac", 0), "ac")),
         )
     return make_configuration(delta, n_cols, n_rows, masses)
 
@@ -664,6 +690,6 @@ def dump_config(cfg: Configuration, fp: IO[str]) -> None:
 def load_config(fp: IO[str]) -> Configuration:
     try:
         data = json.load(fp)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"configuration file is not valid JSON: {exc}") from exc
     return config_from_json_dict(data)

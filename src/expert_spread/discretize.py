@@ -20,6 +20,7 @@ from .config import (
     ConfigError,
     DomainError,
     RationalLike,
+    _json_exact,
     _spread_on_lattice,
     make_configuration,
     normalize,
@@ -267,8 +268,8 @@ def space_from_json_dict(data: Mapping) -> RawSpace:
         try:
             atoms.append(
                 Atom(
-                    weight=parse_rational(entry["w"]),
-                    a_weight=parse_rational(entry["a"]),
+                    weight=parse_rational(_json_exact(entry["w"], "w")),
+                    a_weight=parse_rational(_json_exact(entry["a"], "a")),
                     g_label=str(entry["g"]),
                     h_label=str(entry["h"]),
                 )
@@ -284,4 +285,8 @@ def dump_space(space: RawSpace, fp: IO[str]) -> None:
 
 
 def load_space(fp: IO[str]) -> RawSpace:
-    return space_from_json_dict(json.load(fp))
+    try:
+        data = json.load(fp)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"space file is not valid JSON: {exc}") from exc
+    return space_from_json_dict(data)

@@ -40,7 +40,7 @@ from .config import (
 )
 from .bounds import certify_upper_bound, lambda_sharp
 from . import transforms
-from .transforms import TransformTrace, _corners_occupied, make_trace
+from .transforms import TransformTrace, _corners_occupied, make_trace, reduced_shape_problem
 
 DEFAULT_ENUM_CAP = 10**8
 ENUM_CAP_ENV = "EXPERT_SPREAD_ENUM_CAP"
@@ -494,28 +494,6 @@ class _FuzzRun:
         )
         if not ok:
             self.out.append(make_trace("reduce", (eps, problem), cfg, out))
-
-
-def reduced_shape_problem(cfg: Configuration) -> Optional[str]:
-    """Check the reduction's two output conditions, literally.
-
-    Returns ``None`` when the low-side count of the column family is at
-    most 1, or equals 2 with an empty top-left deep cell, and the
-    transposed condition holds for the row family; otherwise a short
-    description of the first failure.
-    """
-    s = compute_stats(cfg)
-    if not (
-        s.m_minus_G <= 1
-        or (s.m_minus_G == 2 and cfg.cell(1, cfg.n_rows).is_empty)
-    ):
-        return f"column low-side count {s.m_minus_G} with occupied deep cell"
-    if not (
-        s.m_minus_H <= 1
-        or (s.m_minus_H == 2 and cfg.cell(cfg.n_cols, 1).is_empty)
-    ):
-        return f"row low-side count {s.m_minus_H} with occupied deep cell"
-    return None
 
 
 def fuzz_transforms(delta: RationalLike, n_configs: int, seed: int) -> dict:

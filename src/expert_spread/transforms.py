@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .config import (
     Cell,
@@ -38,6 +38,19 @@ from .config import (
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+
+
+def _rounds(
+    cap: int, loop: str, fail: Callable[[str], Exception] = InternalStateError
+) -> Iterator[int]:
+    """Count the rounds of a loop that must settle within ``cap`` rounds.
+
+    The loop breaks or returns once it settles; asking for round ``cap + 1``
+    raises ``fail`` with a message naming ``loop``.  Every fixpoint loop in
+    this module counts its rounds here.
+    """
+    yield from range(1, cap + 1)
+    raise fail(f"{loop} exceeded its cap of {cap} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +262,10 @@ def merge_rows(cfg: Configuration, j: int) -> Configuration:
 def zigzag_normalize(cfg: Configuration) -> Configuration:
     """Sort, then merge until no legal column or row merge remains.
 
+    Each round sweeps both axes: left to right through the columns with
+    :func:`merge_columns`, then the same sweep on the transpose for the
+    rows.  Rounds repeat until one merges nothing.
+
     Below threshold one half, the fixpoint's spread region forms two
     staircases with unit steps: in the low corner, column ``k`` pairs exactly
     with rows ``t(k)`` and above where ``t`` increases by one per column; the
@@ -257,30 +274,19 @@ def zigzag_normalize(cfg: Configuration) -> Configuration:
     neighbours always merge, so the result is strictly sorted on both axes.
     """
     cfg = normalize(cfg)
-    cap = 16 * (cfg.n_cols + cfg.n_rows) ** 2
-    guard = 0
-    while True:
-        guard += 1
-        if guard > cap:
-            raise InternalStateError("merging did not reach a fixpoint in time")
-        changed = False
-        k = 1
-        while k <= cfg.n_cols - 1:
-            out = merge_columns(cfg, k)
-            if out is cfg:
-                k += 1
-            else:
-                cfg = out
-                changed = True
-        j = 1
-        while j <= cfg.n_rows - 1:
-            out = merge_rows(cfg, j)
-            if out is cfg:
-                j += 1
-            else:
-                cfg = out
-                changed = True
-        if not changed:
+    for _ in _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "merging"):
+        dims = cfg.dims
+        # columns, then rows as the columns of the transpose, then back
+        for _axis in range(2):
+            k = 1
+            while k < cfg.n_cols:
+                out = merge_columns(cfg, k)
+                if out is cfg:
+                    k += 1
+                else:
+                    cfg = out
+            cfg = transpose(cfg)
+        if cfg.dims == dims:
             break
     s = compute_stats(cfg)
     problem = (
@@ -394,24 +400,17 @@ def ensure_positive_border(cfg: Configuration) -> Configuration:
     Empty border cells that resist absorption are tolerated; downstream code
     treats them as already pure.
     """
-    cap = 16 * (cfg.n_cols + cfg.n_rows) ** 2
-    guard = 0
-    while True:
-        guard += 1
-        if guard > cap:
-            raise InternalStateError("border absorption did not terminate in time")
+    for _ in _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "border absorption"):
         cfg = zigzag_normalize(cfg)
         s = compute_stats(cfg)
-        progressed = False
         for k, j in sorted(set(s.d_minus) | set(s.d_plus)):
             if cfg.cell(k, j).mass != 0:
                 continue
             out = absorb_empty_border_cell(cfg, k, j)
             if out is not cfg:
                 cfg = out
-                progressed = True
                 break
-        if not progressed:
+        else:
             return cfg
 
 
@@ -523,24 +522,17 @@ def purify_all_borders(cfg: Configuration) -> Configuration:
     is reset whenever an absorption merges lines, since cell coordinates
     shift; merges strictly shrink the grid, so this still terminates.
     """
-    cap = 16 * (cfg.n_cols + cfg.n_rows) ** 2
-    guard = 0
+    # the cap is sized on the grid as given, before absorption shrinks it
+    rounds = _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "border purification")
     cfg = ensure_positive_border(cfg)
     pinned: set[tuple[int, int]] = set()
-    while True:
-        guard += 1
-        if guard > cap:
-            raise InternalStateError("border purification did not terminate in time")
+    for _ in rounds:
         s = compute_stats(cfg)
-        target = None
-        for pos in sorted(set(s.d_minus) | set(s.d_plus)):
-            if pos in pinned:
-                continue
-            cell = cfg.cell(*pos)
-            if cell.a_mass > 0 and cell.ac_mass > 0:
-                target = pos
+        for target in sorted(set(s.d_minus) | set(s.d_plus)):
+            cell = cfg.cell(*target)
+            if target not in pinned and cell.a_mass > 0 and cell.ac_mass > 0:
                 break
-        if target is None:
+        else:
             return cfg
         out = purify_border_cell(cfg, *target)
         if out is cfg:
@@ -711,18 +703,11 @@ def empty_corner_rectangles(cfg: Configuration) -> Configuration:
         )
     if cfg.delta >= HALF:
         return cfg
-    original = cfg
-    cap = 16 * (cfg.n_cols + cfg.n_rows) ** 2
-    guard = 0
-    changed = False
-    while True:
-        guard += 1
-        if guard > cap:
-            raise InternalStateError("corner evacuation did not terminate in time")
+    for _ in _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "corner evacuation"):
         s = compute_stats(cfg)
         move = _find_corner_move(cfg, s)
         if move is None:
-            break
+            return cfg
         src, dst, species = move
         cell = cfg.cell(*src)
         target = cfg.cell(*dst)
@@ -731,8 +716,6 @@ def empty_corner_rectangles(cfg: Configuration) -> Configuration:
         else:
             new_target = Cell(target.a_mass, target.ac_mass + cell.mass)
         cfg = replace_cells(cfg, {src: Cell(), dst: new_target})
-        changed = True
-    return cfg if changed else original
 
 
 def _find_corner_move(
@@ -769,14 +752,14 @@ def _find_corner_move(
 def canonicalize(cfg: Configuration) -> Configuration:
     """Drive a configuration to its canonical shape.
 
-    Below threshold one half: repeats the cycle merge/sort, purify borders,
-    fill corners, re-sort, evacuate corner rectangles until nothing
-    changes.  The extra sort between filling and evacuation restores value
-    order, which corner filling can disturb; at the fixpoint it is a no-op,
-    so the fixpoints are unchanged.  From one half on the canonical shape
-    is just the sorted merge fixpoint, because purification can be pinned
-    and merges blocked by opposite-side pairs, and chaining the two can
-    cycle forever.
+    Below threshold one half: repeats the cycle purify borders (which
+    merges and sorts first), fill corners, re-sort, evacuate corner
+    rectangles until a cycle changes nothing.  The sort between filling and
+    evacuation restores value order, which corner filling can disturb; at
+    the fixpoint it is a no-op.  From one half on the canonical shape is
+    just the sorted merge fixpoint, because purification can be pinned and
+    merges blocked by opposite-side pairs, and chaining the two can cycle
+    forever.
 
     Requires positive mass in both extreme spread corners
     (:class:`ConfigError` otherwise).
@@ -789,21 +772,14 @@ def canonicalize(cfg: Configuration) -> Configuration:
     if cfg.delta >= HALF:
         cfg = zigzag_normalize(cfg)
     else:
-        cap = 16 * (cfg.n_cols + cfg.n_rows) ** 2
-        guard = 0
-        prev = None
-        while cfg != prev:
-            guard += 1
-            if guard > cap:
-                raise InternalStateError(
-                    "canonicalization did not reach a fixpoint in time"
-                )
+        for _ in _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "canonicalization"):
             prev = cfg
-            cfg = zigzag_normalize(cfg)
             cfg = purify_all_borders(cfg)
             cfg = corner_fill(cfg)
             cfg = zigzag_normalize(cfg)
             cfg = empty_corner_rectangles(cfg)
+            if cfg == prev:
+                break
     if not is_canonical(cfg):
         raise InternalStateError("canonical fixpoint failed its own checks")
     return cfg
@@ -957,6 +933,28 @@ def reduce(cfg: Configuration, epsilon: RationalLike) -> dict:
     return {"out": out, "trace": driver.trace}
 
 
+def reduced_shape_problem(cfg: Configuration) -> Optional[str]:
+    """Check the reduction's two output conditions, literally.
+
+    Returns ``None`` when the low-side count of the column family is at
+    most 1, or equals 2 with an empty top-left deep cell, and the
+    transposed condition holds for the row family; otherwise a short
+    description of the first failure.
+    """
+    s = compute_stats(cfg)
+    if not (
+        s.m_minus_G <= 1
+        or (s.m_minus_G == 2 and cfg.cell(1, cfg.n_rows).is_empty)
+    ):
+        return f"column low-side count {s.m_minus_G} with occupied deep cell"
+    if not (
+        s.m_minus_H <= 1
+        or (s.m_minus_H == 2 and cfg.cell(cfg.n_cols, 1).is_empty)
+    ):
+        return f"row low-side count {s.m_minus_H} with occupied deep cell"
+    return None
+
+
 class _ReduceDriver:
     """Stateful driver alternating attacks on the two spread corners.
 
@@ -1022,17 +1020,12 @@ class _ReduceDriver:
         initial = self._stats().prob_B
         self._step("augment", (rational_to_str(self.eps),), augment(self.cfg, self.eps))
         m0, n0 = self.cfg.dims
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > 4 * (m0 + n0 + 2):
-                raise self._fail("reduction exceeded its round budget")
+        for _ in _rounds(4 * (m0 + n0 + 2), "reduction", self._fail):
             self._phase()
             self._step("transpose", (), transpose(self.cfg))
             self._phase()
             self._step("transpose", (), transpose(self.cfg))
-            s = self._stats()
-            if self._low_side_done(s) and self._transposed_side_done(s):
+            if reduced_shape_problem(self.cfg) is None:
                 break
         final = self._stats().prob_B
         if not (final > initial - self.eps):
@@ -1047,19 +1040,9 @@ class _ReduceDriver:
             return True
         return s.m_minus_G == 2 and self.cfg.cell(1, self.cfg.n_rows).mass == 0
 
-    def _transposed_side_done(self, s: Stats) -> bool:
-        if s.m_minus_H <= 1:
-            return True
-        return s.m_minus_H == 2 and self.cfg.cell(self.cfg.n_cols, 1).mass == 0
-
     def _phase(self) -> None:
-        cap = self.cfg.n_cols + self.cfg.n_rows + 4
-        visits = 0
         prev_sum = None
-        while True:
-            visits += 1
-            if visits > cap:
-                raise self._fail("phase exceeded its visit budget")
+        for _ in _rounds(self.cfg.n_cols + self.cfg.n_rows + 4, "phase", self._fail):
             self._step("canonicalize", (), canonicalize(self.cfg))
             dsum = self.cfg.n_cols + self.cfg.n_rows
             if prev_sum is not None and dsum >= prev_sum:

@@ -242,16 +242,26 @@ def test_usage_errors_exit_two():
 
 
 def test_malformed_documents_exit_two(tmp_path):
-    cfg = tmp_path / "cells.json"
-    cfg.write_text(json.dumps({"delta": "1/4", "cols": 1, "rows": 1, "cells": 5}))
-    proc = run_cli("verify", str(cfg))
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
-    space = tmp_path / "atoms.json"
-    space.write_text(json.dumps({"atoms": 5}))
-    proc = run_cli("discretize", "--delta", "1/4", str(space))
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
+    path = tmp_path / "doc.json"
+    one = {"col": 1, "row": 1, "a": "1", "ac": "0"}
+    for command, text in (
+        ("verify", json.dumps({"delta": "1/4", "cols": 1, "rows": 1, "cells": 5})),
+        ("verify", json.dumps({"delta": 0.1, "cols": 1, "rows": 1, "cells": [one]})),
+        ("verify", b"\xff\xfe"),
+        ("discretize", json.dumps({"atoms": 5})),
+        ("discretize", "not json"),
+        ("discretize", b"\xff\xfe"),
+        ("discretize", "[" * 10**5 + "]" * 10**5),
+    ):
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        args = ["--delta", "1/4"] if command == "discretize" else []
+        proc = run_cli(command, *args, str(path))
+        assert proc.returncode == 2, text
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: ")
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,46 @@ def test_json_dict_rejects_garbage():
         )
     with pytest.raises(ConfigError):
         config_from_json_dict({"delta": "1/4", "cols": 1, "rows": 1, "cells": 5})
+    # numbers travel as strings or integers; JSON floats and booleans are
+    # refused instead of being rounded, truncated or read as 0 and 1
+    good = {
+        "delta": "0.25",
+        "cols": 2,
+        "rows": 1,
+        "cells": [
+            {"col": 1, "row": 1, "a": "1/2", "ac": 0},
+            {"col": 2, "row": 1, "a": 0, "ac": "0.5"},
+        ],
+    }
+    assert config_from_json_dict(good).delta == F(1, 4)
+    for key, value in (("delta", 0.1), ("cols", 2.9), ("rows", True)):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            config_from_json_dict({**good, key: value})
+    for key, value in (("col", 1.7), ("row", True), ("a", 0.5), ("ac", 0.0)):
+        cells = [{**good["cells"][0], key: value}, good["cells"][1]]
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            config_from_json_dict({**good, "cells": cells})
+
+
+def test_oversized_grids_are_refused_before_allocating():
+    # just past the limit first, where a late check costs megabytes, not the
+    # whole memory: only then the 10^10 cells a document may declare
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="exceeds the limit of 1000000 cells"):
+            config_from_json_dict(
+                {"delta": "1/4", "cols": 1001, "rows": 1000, "cells": []}
+            )
+        with pytest.raises(ConfigError, match="at least 1x1"):
+            make_configuration(F(1, 4), 10**6 + 1, -1, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    with pytest.raises(ConfigError, match="exceeds the limit"):
+        config_from_json_dict(
+            {"delta": "1/4", "cols": 100000, "rows": 100000, "cells": []}
+        )
 
 
 def test_random_round_trips():

@@ -154,6 +154,16 @@ def test_space_json_rejects_garbage():
         space_from_json_dict({"atoms": [{"w": "1/2"}]})
     with pytest.raises(ConfigError):
         space_from_json_dict({"atoms": 5})
+    # weights travel as strings or integers, never as JSON floats or booleans
+    good = [
+        {"w": "0.5", "a": 0, "g": "g1", "h": "h1"},
+        {"w": "1/2", "a": "1/4", "g": "g2", "h": "h1"},
+    ]
+    assert space_from_json_dict({"atoms": good}).atoms[0].weight == F(1, 2)
+    for key, value in (("w", 0.5), ("a", False)):
+        atoms = [{**good[0], key: value}, good[1]]
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            space_from_json_dict({"atoms": atoms})
 
 
 def test_random_space_is_seeded():

@@ -15,7 +15,9 @@ from expert_spread.bounds import (
 from expert_spread.config import (
     ConfigError,
     DomainError,
+    InternalStateError,
     compute_stats,
+    config_from_json_dict,
     make_configuration,
 )
 from expert_spread.search import random_configuration, reduced_shape_problem
@@ -413,6 +415,8 @@ def test_reduce_contract_on_random_inputs():
 
 
 DRIVER_BRANCHES = (
+    "_attack",
+    "_corner_sweep",
     "_with_chi",
     "_three_column_attack",
     "_middle_cell_attack",
@@ -421,28 +425,68 @@ DRIVER_BRANCHES = (
 )
 
 
-def reduce_counting_branches(monkeypatch, den, n, masses):
-    """Reduce at delta 2/5, counting the driver's attack branches."""
-    calls = dict.fromkeys(DRIVER_BRANCHES, 0)
+def reduce_counting_branches(monkeypatch, cfg):
+    """Reduce at epsilon 1/1000, recording what each attack branch returned.
+
+    Returns the outcomes per branch and the reduced configuration's
+    certificate and trace length.
+    """
+    outcomes = {name: [] for name in DRIVER_BRANCHES}
     for name in DRIVER_BRANCHES:
         original = getattr(transforms._ReduceDriver, name)
 
         def counted(self, *args, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(self, *args)
+            outcome = _original(self, *args)
+            outcomes[_name].append(outcome)
+            return outcome
 
         monkeypatch.setattr(transforms._ReduceDriver, name, counted)
-    cfg = make_configuration(
-        F(2, 5), n, n, {key: (F(a, den), F(ac, den)) for key, (a, ac) in masses.items()}
-    )
     eps = F(1, 1000)
     result = reduce(cfg, eps)
     out = result["out"]
     before, after = compute_stats(cfg).prob_B, compute_stats(out).prob_B
+    cert = certify_upper_bound(out)
     assert reduced_shape_problem(out) is None
     assert before - after < eps
-    assert after <= certify_upper_bound(out) <= lambda_sharp(F(2, 5))
-    return calls, len(result["trace"])
+    assert after <= cert <= lambda_sharp(cfg.delta)
+    return outcomes, cert, len(result["trace"])
+
+
+def two_fifths_square(den, n, masses):
+    return make_configuration(
+        F(2, 5), n, n, {key: (F(a, den), F(ac, den)) for key, (a, ac) in masses.items()}
+    )
+
+
+def test_reduce_runs_the_depth_two_attack(monkeypatch):
+    # found by a seeded random sweep; the only inputs known to reach the
+    # attack's exit at corner depth two use a threshold gap close to 1/2
+    cfg = config_from_json_dict(
+        {
+            "delta": "49/100",
+            "cols": 4,
+            "rows": 3,
+            "cells": [
+                {"col": 1, "row": 1, "a": "1/16", "ac": "1/32"},
+                {"col": 1, "row": 2, "a": "0", "ac": "3/32"},
+                {"col": 2, "row": 1, "a": "0", "ac": "1/16"},
+                {"col": 2, "row": 2, "a": "1/16", "ac": "0"},
+                {"col": 2, "row": 3, "a": "0", "ac": "1/32"},
+                {"col": 3, "row": 1, "a": "0", "ac": "3/32"},
+                {"col": 3, "row": 2, "a": "1/32", "ac": "3/16"},
+                {"col": 3, "row": 3, "a": "3/16", "ac": "0"},
+                {"col": 4, "row": 1, "a": "1/32", "ac": "0"},
+                {"col": 4, "row": 2, "a": "1/16", "ac": "0"},
+                {"col": 4, "row": 3, "a": "1/16", "ac": "0"},
+            ],
+        }
+    )
+    outcomes, cert, steps = reduce_counting_branches(monkeypatch, cfg)
+    assert outcomes["_attack"] == ["exit"]
+    assert len(outcomes["_corner_sweep"]) == 2
+    assert len(outcomes["_with_chi"]) == 1
+    assert steps == 13
+    assert cert == F(98, 149)
 
 
 def test_reduce_runs_the_depth_three_attack(monkeypatch):
@@ -451,10 +495,12 @@ def test_reduce_runs_the_depth_three_attack(monkeypatch):
         (3, 1): (0, 4), (3, 4): (1, 0), (4, 1): (1, 0), (4, 2): (2, 0),
         (4, 3): (2, 0), (4, 4): (1, 0),
     }
-    calls, steps = reduce_counting_branches(monkeypatch, 23, 4, masses)
-    assert calls["_three_column_attack"] == 1
-    assert calls["_middle_cell_attack"] == 1
-    assert calls["_with_chi"] == 2
+    outcomes, _, steps = reduce_counting_branches(
+        monkeypatch, two_fifths_square(23, 4, masses)
+    )
+    assert len(outcomes["_three_column_attack"]) == 1
+    assert len(outcomes["_middle_cell_attack"]) == 1
+    assert len(outcomes["_with_chi"]) == 2
     assert steps == 22
 
 
@@ -465,10 +511,31 @@ def test_reduce_runs_the_two_sided_squeeze(monkeypatch):
         (4, 5): (3, 0), (5, 1): (1, 0), (5, 2): (2, 0), (5, 3): (2, 0),
         (5, 4): (4, 0), (5, 5): (1, 0),
     }
-    calls, steps = reduce_counting_branches(monkeypatch, 38, 5, masses)
-    assert calls["_two_sided_squeeze"] == 1
-    assert calls["_foothold_sweep"] == 1
+    outcomes, _, steps = reduce_counting_branches(
+        monkeypatch, two_fifths_square(38, 5, masses)
+    )
+    assert len(outcomes["_two_sided_squeeze"]) == 1
+    assert len(outcomes["_foothold_sweep"]) == 1
     assert steps == 21
+
+
+def test_bounded_loops_fail_past_their_cap():
+    rounds = transforms._rounds(3, "settling")
+    assert [next(rounds) for _ in range(3)] == [1, 2, 3]
+    message = "^settling exceeded its cap of 3 rounds$"
+    with pytest.raises(InternalStateError, match=message):
+        next(rounds)
+
+
+def test_reduction_that_never_reaches_its_exit_shape_fails(monkeypatch):
+    # the witness keeps its 2x2 grid through augmentation: a cap of
+    # 4 * (2 + 2 + 2) rounds of four steps each, after the augmentation
+    monkeypatch.setattr(transforms, "reduced_shape_problem", lambda cfg: "never")
+    with pytest.raises(
+        InternalStateError,
+        match=r"^reduction exceeded its cap of 24 rounds \(after 97 steps\)$",
+    ):
+        reduce(extremal_config(F(1, 4)), F(1, 100))
 
 
 def test_trace_serialization():
