@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterable, Mapping, Sequence, Union
 
@@ -64,6 +64,11 @@ EMPTY = Fraction(0)
 # The largest grid make_configuration allocates, in cells; larger documents
 # are refused before any cell is built.
 MAX_CELLS = 10**6
+
+# The most digits a rational string may carry, counting an exponent's value
+# as that many digits; longer strings are refused before they are parsed.
+# Well below the 4300 digits Python converts between int and str.
+MAX_DIGITS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +130,47 @@ class SearchSpaceError(ExpertSpreadError):
 # ---------------------------------------------------------------------------
 
 
+# Exact values too long to print are shown by their size in error messages.
+_SHOWN_CHARS = 40
+_SHOWN_BITS = MAX_DIGITS * 3322 // 1000  # bits of a MAX_DIGITS-digit integer
+
+
+def _shown(value: object) -> str:
+    """``value`` for an error message, abbreviated when it is too long.
+
+    Python refuses to turn an integer of more than 4300 digits into a
+    string, so formatting such an exact value would replace the intended
+    one-line error with a ``ValueError``; it is shown by its size instead.
+    """
+    if isinstance(value, str):
+        if len(value) <= _SHOWN_CHARS:
+            return repr(value)
+        return f"{value[:_SHOWN_CHARS]!r}... ({len(value)} characters)"
+    if isinstance(value, (int, Fraction)):
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        if bits > _SHOWN_BITS:
+            return f"<a rational of about {bits * 30103 // 100000} digits>"
+    return str(value)
+
+
 def _as_fraction(value: RationalLike, what: str) -> Fraction:
     try:
+        if isinstance(value, str):
+            # the mantissa's digits plus the exponent's value; the exponent
+            # is read only when the whole string is short enough for int()
+            digits = sum(map(str.isdigit, value))
+            _, e, exponent = value.upper().partition("E")
+            if e and digits <= MAX_DIGITS:
+                digits += abs(int(exponent)) - sum(map(str.isdigit, exponent))
+            if digits > MAX_DIGITS:
+                raise ConfigError(
+                    f"{what} {_shown(value)} has more than {MAX_DIGITS} digits"
+                )
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ConfigError(f"cannot parse {what} {value!r} as an exact rational") from exc
+        raise ConfigError(
+            f"cannot parse {what} {_shown(value)} as an exact rational"
+        ) from exc
 
 
 def _json_exact(value: object, what: str) -> object:
@@ -147,22 +188,34 @@ def validate_delta(value: RationalLike) -> Fraction:
     """Parse and range-check a spread threshold, which must lie in (0, 1)."""
     delta = _as_fraction(value, "delta")
     if not (0 < delta < 1):
-        raise DomainError(f"delta must lie strictly between 0 and 1, got {delta}")
+        raise DomainError(f"delta must lie strictly between 0 and 1, got {_shown(delta)}")
     return delta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
-    """One grid cell: exact masses inside and outside the tracked event."""
+    """One grid cell: exact masses inside and outside the tracked event.
+
+    Each mass is an ``int`` or a :class:`~fractions.Fraction`; anything else,
+    ``bool`` included, raises :class:`ConfigError`.
+    """
 
     a_mass: Fraction = EMPTY
     ac_mass: Fraction = EMPTY
 
     def __post_init__(self) -> None:
-        if self.a_mass < 0 or self.ac_mass < 0:
-            raise ConfigError(
-                f"cell masses must be non-negative, got a={self.a_mass}, ac={self.ac_mass}"
-            )
+        for mass in (self.a_mass, self.ac_mass):
+            if isinstance(mass, bool) or not isinstance(mass, (int, Fraction)):
+                raise ConfigError(
+                    f"cell masses must be ints or Fractions, got {type(mass).__name__}"
+                )
+            # a rational's sign is its numerator's; reading it skips the
+            # slower Fraction comparison
+            if mass.numerator < 0:
+                raise ConfigError(
+                    f"cell masses must be non-negative, got a={_shown(self.a_mass)}, "
+                    f"ac={_shown(self.ac_mass)}"
+                )
 
     @property
     def mass(self) -> Fraction:
@@ -173,7 +226,7 @@ class Cell:
         return self.a_mass == 0 and self.ac_mass == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """An immutable grid of cells with a per-configuration spread threshold.
 
@@ -181,23 +234,43 @@ class Configuration:
     the public API).  Total mass must be exactly 1.  Zero-mass columns or rows
     are tolerated here so that loaders can accept them; :func:`normalize`
     removes them and :func:`compute_stats` rejects them.
+
+    Construction scales the masses once to integers over the lcm of their
+    denominators (see :func:`_lattice`), checks that they sum to that
+    denominator, and hashes the delta, the dimensions and that integer
+    vector; the denominator is left out, as it is the vector's sum.  The
+    hash is kept and the vector dropped, so ``hash(cfg)`` costs a slot
+    read; equal configurations have equal cells and hence the same vector,
+    so the hash agrees with ``==``.
     """
 
     delta: Fraction
     n_cols: int
     n_rows: int
     cells: tuple[tuple[Cell, ...], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.delta < 1):
-            raise DomainError(f"delta must lie strictly between 0 and 1, got {self.delta}")
+            raise DomainError(
+                f"delta must lie strictly between 0 and 1, got {_shown(self.delta)}"
+            )
         if self.n_cols < 1 or self.n_rows < 1:
             raise ConfigError(f"grid must be at least 1x1, got {self.n_cols}x{self.n_rows}")
         if len(self.cells) != self.n_cols or any(len(col) != self.n_rows for col in self.cells):
             raise ConfigError("cells array shape does not match n_cols x n_rows")
-        total = sum((c.mass for col in self.cells for c in col), EMPTY)
-        if total != 1:
-            raise ConfigError(f"total mass must be exactly 1, got {total}")
+        parts, den = _lattice(self)
+        total = sum(parts)
+        if total != den:
+            raise ConfigError(
+                f"total mass must be exactly 1, got {_shown(Fraction(total, den))}"
+            )
+        object.__setattr__(
+            self, "_hash", hash((self.delta, self.n_cols, self.n_rows, tuple(parts)))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def cell(self, k: int, j: int) -> Cell:
         """Return the cell in column ``k``, row ``j`` (1-based)."""
@@ -231,7 +304,8 @@ def make_configuration(
         raise ConfigError(
             f"a {n_cols}x{n_rows} grid exceeds the limit of {MAX_CELLS} cells"
         )
-    grid = [[Cell() for _ in range(n_rows)] for _ in range(n_cols)]
+    empty = Cell()  # cells are immutable, so absent ones can share it
+    grid = [[empty] * n_rows for _ in range(n_cols)]
     for (k, j), (a, ac) in masses.items():
         if not (1 <= k <= n_cols and 1 <= j <= n_rows):
             raise ConfigError(
@@ -306,8 +380,9 @@ def _lattice(cfg: Configuration) -> tuple[list[int], int]:
     the event share second in each cell, and the common denominator.
     """
     masses = [m for col in cfg.cells for c in col for m in (c.ac_mass, c.a_mass)]
-    den = math.lcm(*(m.denominator for m in masses))
-    return [m.numerator * (den // m.denominator) for m in masses], den
+    dens = [m.denominator for m in masses]
+    den = math.lcm(*dens)
+    return [m.numerator * (den // d) for m, d in zip(masses, dens)], den
 
 
 def _line_sums(
@@ -403,8 +478,10 @@ def compute_stats(cfg: Configuration) -> Stats:
     use; :class:`~fractions.Fraction` objects are built only for the
     returned fields.
 
-    Configurations are immutable, so results are memoised; repeated queries
-    against the same configuration are cheap.
+    Configurations are immutable, so results are memoised.  The memo keys
+    on the hash each :class:`Configuration` computed from its integer
+    masses when it was built, so a repeated query costs a slot read and
+    one equality test instead of re-hashing every ``Fraction``.
     """
     m, n = cfg.n_cols, cfg.n_rows
     col_t, col_a, row_t, row_a, flat, b_num, den = _spread_on_lattice(
@@ -464,10 +541,7 @@ def normalize(cfg: Configuration) -> Configuration:
     equal-valued lines is a transformation, not a normalization.  The spread
     probability is unchanged because sorting merely permutes cells.
     """
-    parts, den = _lattice(cfg)
-    if sum(parts) != den:
-        total = Fraction(sum(parts), den)
-        raise ConfigError(f"total mass must be exactly 1, got {total}")
+    parts, _ = _lattice(cfg)
     col_t, col_a, row_t, row_a = _line_sums(parts, cfg.n_cols, cfg.n_rows)
     col_order = sorted(
         (k for k in range(cfg.n_cols) if col_t[k]),
@@ -688,8 +762,9 @@ def dump_config(cfg: Configuration, fp: IO[str]) -> None:
 
 
 def load_config(fp: IO[str]) -> Configuration:
+    # ValueError covers the decode errors and a JSON integer too long for int()
     try:
         data = json.load(fp)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"configuration file is not valid JSON: {exc}") from exc
     return config_from_json_dict(data)

@@ -21,6 +21,7 @@ from .config import (
     DomainError,
     RationalLike,
     _json_exact,
+    _shown,
     _spread_on_lattice,
     make_configuration,
     normalize,
@@ -47,11 +48,11 @@ class Atom:
 
     def __post_init__(self) -> None:
         if self.weight < 0:
-            raise ConfigError(f"atom weight must be non-negative, got {self.weight}")
+            raise ConfigError(f"atom weight must be non-negative, got {_shown(self.weight)}")
         if not 0 <= self.a_weight <= self.weight:
             raise ConfigError(
                 f"atom event share must lie in [0, weight], got "
-                f"{self.a_weight} with weight {self.weight}"
+                f"{_shown(self.a_weight)} with weight {_shown(self.weight)}"
             )
 
 
@@ -67,7 +68,7 @@ class RawSpace:
     def __post_init__(self) -> None:
         total = sum((atom.weight for atom in self.atoms), Fraction(0))
         if total != 1:
-            raise ConfigError(f"atom weights must sum to 1, got {total}")
+            raise ConfigError(f"atom weights must sum to 1, got {_shown(total)}")
 
 
 def make_space(atoms: list[tuple[RationalLike, RationalLike, str, str]]) -> RawSpace:
@@ -287,6 +288,6 @@ def dump_space(space: RawSpace, fp: IO[str]) -> None:
 def load_space(fp: IO[str]) -> RawSpace:
     try:
         data = json.load(fp)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"space file is not valid JSON: {exc}") from exc
     return space_from_json_dict(data)

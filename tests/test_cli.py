@@ -248,6 +248,9 @@ def test_malformed_documents_exit_two(tmp_path):
         ("verify", json.dumps({"delta": "1/4", "cols": 1, "rows": 1, "cells": 5})),
         ("verify", json.dumps({"delta": 0.1, "cols": 1, "rows": 1, "cells": [one]})),
         ("verify", b"\xff\xfe"),
+        # past the digit limit, as a string and as a JSON integer too long for int()
+        ("verify", json.dumps({"delta": "1/4", "cols": 1, "rows": 1, "cells": [{**one, "ac": "1e-5000"}]})),
+        ("verify", '{"delta": "1/4", "cols": 1, "rows": 1, "cells": [{"col": 1, "row": 1, "a": 1%s}]}' % ("0" * 5000)),
         ("discretize", json.dumps({"atoms": 5})),
         ("discretize", "not json"),
         ("discretize", b"\xff\xfe"),

@@ -30,6 +30,7 @@ from expert_spread.config import (
     separation_violations,
     validate_delta,
 )
+from expert_spread.transforms import complement_reflect, transpose
 
 F = Fraction
 
@@ -147,6 +148,12 @@ def test_parse_rational():
     for bad in ("", "x", "1/0", None):
         with pytest.raises(ConfigError):
             parse_rational(bad)
+    # digits and exponent are counted before parsing: Fraction itself takes
+    # seconds on the first of these and builds a 33-million-bit denominator
+    assert parse_rational("1e-999") == F(1, 10**999)
+    for huge in ("1e-10000000", "1e-1000", "1" * 1001, "1/" + "3" * 1001):
+        with pytest.raises(ConfigError, match="has more than 1000 digits"):
+            parse_rational(huge)
 
 
 def test_construction_validation():
@@ -160,6 +167,26 @@ def test_construction_validation():
         make_configuration(F(1, 4), 1, 1, {(1, 1): (0, F(1, 2))})
     with pytest.raises((ConfigError, DomainError)):
         make_configuration(0, 1, 1, {(1, 1): (0, 1)})
+    # masses are exact rationals: a float, a bool or a string is refused when
+    # the cell is built, not when statistics first read its denominator
+    for bad in (0.5, True, "1/2", None):
+        with pytest.raises(ConfigError, match="^cell masses must be ints or Fractions"):
+            Cell(bad, F(1, 2))
+        with pytest.raises(ConfigError, match="^cell masses must be ints or Fractions"):
+            Cell(F(1, 2), bad)
+    assert Cell(1, 0) == Cell(F(1), F(0))
+
+
+def test_errors_abbreviate_values_too_long_to_print():
+    # the API takes exact values past the parser's digit limit; formatting
+    # one into a message must not raise Python's 4300-digit ValueError
+    tiny = F(1, 10**5000)
+    with pytest.raises(ConfigError, match="got <a rational of about 5000 digits>$"):
+        make_configuration(F(1, 4), 1, 1, {(1, 1): (0, tiny)})
+    with pytest.raises(ConfigError, match="non-negative"):
+        make_configuration(F(1, 4), 1, 2, {(1, 1): (0, 1 + tiny), (1, 2): (-tiny, 0)})
+    with pytest.raises(DomainError, match="about 5000 digits"):
+        validate_delta(1 + tiny)
 
 
 def test_stats_reject_empty_lines():
@@ -298,3 +325,41 @@ def test_random_round_trips():
             continue  # a random draw may leave some line empty
         wire = json.loads(json.dumps(config_to_json_dict(cfg)))
         assert config_from_json_dict(wire) == cfg
+
+
+def test_equal_rebuilds_share_hash_and_memo_entry():
+    rng = random.Random(4)
+    deltas = (F(1, 4), F(2, 5), F(3, 4))
+    distinct = set()
+    for _ in range(60):
+        n_cols, n_rows = rng.randint(1, 6), rng.randint(1, 6)
+        denom = rng.choice((12, 30, 64, 97, 360))
+        cuts = sorted(rng.randint(0, denom) for _ in range(2 * n_cols * n_rows - 1))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
+        masses = {
+            (k + 1, j + 1): (F(parts[2 * (k * n_rows + j)], denom), F(parts[2 * (k * n_rows + j) + 1], denom))
+            for k in range(n_cols)
+            for j in range(n_rows)
+        }
+        for delta in deltas:
+            a = normalize(make_configuration(delta, n_cols, n_rows, masses))
+            distinct.add(a)
+            rebuilds = (
+                transpose(transpose(a)),
+                complement_reflect(complement_reflect(a)),
+                config_from_json_dict(json.loads(json.dumps(config_to_json_dict(a)))),
+                replace_cells(a, {(1, 1): a.cell(1, 1)}),
+            )
+            compute_stats(a)
+            for b in rebuilds:
+                assert b is not a
+                assert b == a
+                assert hash(b) == hash(a)
+                hits = compute_stats.cache_info().hits
+                assert compute_stats(b) is compute_stats(a)
+                assert compute_stats.cache_info().hits == hits + 2
+    # the same grid at another delta is another key, not a collision
+    assert len({hash(cfg) for cfg in distinct}) == len(distinct)
+    # slots keep the per-instance footprint flat, hash included
+    for cfg in (a, a.cell(1, 1)):
+        assert not hasattr(cfg, "__dict__")
