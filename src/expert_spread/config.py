@@ -445,10 +445,11 @@ def _spread_kernel(
 
 def _spread_on_lattice(
     cfg: Configuration, threshold: Fraction
-) -> tuple[list[int], list[int], list[int], list[int], list[int], int, int]:
+) -> tuple[list[int], list[int], list[int], list[int], list[int], int, int, list[int]]:
     """Run the kernel on ``cfg`` at ``threshold``, rejecting zero lines.
 
-    Returns the kernel's six results followed by the lattice denominator.
+    Returns the kernel's six results followed by the lattice denominator
+    and the lattice vector itself.
     """
     parts, den = _lattice(cfg)
     result = _spread_kernel(
@@ -460,7 +461,7 @@ def _spread_on_lattice(
                 raise ConfigError(
                     f"{what} {i} has zero mass; conditional probability undefined"
                 )
-    return (*result, den)
+    return (*result, den, parts)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -484,7 +485,7 @@ def compute_stats(cfg: Configuration) -> Stats:
     one equality test instead of re-hashing every ``Fraction``.
     """
     m, n = cfg.n_cols, cfg.n_rows
-    col_t, col_a, row_t, row_a, flat, b_num, den = _spread_on_lattice(
+    col_t, col_a, row_t, row_a, flat, b_num, den, _ = _spread_on_lattice(
         cfg, 1 - cfg.delta
     )
     side = [flat[k * n : (k + 1) * n] for k in range(m)]
@@ -605,6 +606,12 @@ def separation_check(cfg: Configuration, k: int, j: int) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": lhs >= rhs}
 
 
+# The three scans below run on the integer lattice of _spread_on_lattice:
+# with P, Q a column's and a row's totals, ca, ra their event masses and c a
+# cell's mass, all over one denominator, and delta = dn/dd, each inequality
+# is multiplied out by its positive denominators and compared exactly.
+
+
 def pitman_inclusion_violations(cfg: Configuration) -> list[tuple[int, int]]:
     """List cells breaking the far-apart inclusion, empty when all pass.
 
@@ -615,45 +622,60 @@ def pitman_inclusion_violations(cfg: Configuration) -> list[tuple[int, int]]:
     """
     if cfg.delta >= Fraction(1, 2):
         return []
-    s = compute_stats(cfg)
-    threshold = 1 - cfg.delta
+    col_t, col_a, row_t, row_a, sides, _, _, _ = _spread_on_lattice(cfg, 1 - cfg.delta)
+    dn, dd = cfg.delta.numerator, cfg.delta.denominator
+    up = dd - dn  # 1 - delta = up/dd
     bad = []
-    for k in range(1, cfg.n_cols + 1):
-        for j in range(1, cfg.n_rows + 1):
-            if not s.b_mask[k - 1][j - 1]:
-                continue
-            xk, yj = s.x[k - 1], s.y[j - 1]
-            low_high = xk <= cfg.delta and yj >= threshold
-            high_low = yj <= cfg.delta and xk >= threshold
-            if not (low_high or high_low):
-                bad.append((k, j))
+    i = 0
+    for k in range(cfg.n_cols):
+        p, ca = col_t[k], col_a[k]
+        for j in range(cfg.n_rows):
+            if sides[i]:
+                q, ra = row_t[j], row_a[j]
+                low_high = ca * dd <= dn * p and ra * dd >= up * q
+                high_low = ra * dd <= dn * q and ca * dd >= up * p
+                if not (low_high or high_low):
+                    bad.append((k + 1, j + 1))
+            i += 1
     return bad
 
 
 def overlap_violations(cfg: Configuration) -> list[tuple[int, int]]:
-    """List cells where the intersection bound fails, empty when all pass."""
-    s = compute_stats(cfg)
-    rate = cfg.delta / (1 + cfg.delta)
+    """List cells where the intersection bound fails, empty when all pass.
+
+    A far-apart cell fails when ``c > delta/(1+delta) * (P+Q)``, tested as
+    ``c*(dd+dn) > dn*(P+Q)``.
+    """
+    col_t, _, row_t, _, sides, _, _, parts = _spread_on_lattice(cfg, 1 - cfg.delta)
+    dn, dd = cfg.delta.numerator, cfg.delta.denominator
     bad = []
-    for k in range(1, cfg.n_cols + 1):
-        for j in range(1, cfg.n_rows + 1):
-            if not s.b_mask[k - 1][j - 1]:
-                continue
-            if cfg.cells[k - 1][j - 1].mass > rate * (s.p[k - 1] + s.q[j - 1]):
-                bad.append((k, j))
+    i = 0
+    for k in range(cfg.n_cols):
+        for j in range(cfg.n_rows):
+            c = parts[2 * i] + parts[2 * i + 1]
+            if sides[i] and c * (dd + dn) > dn * (col_t[k] + row_t[j]):
+                bad.append((k + 1, j + 1))
+            i += 1
     return bad
 
 
 def separation_violations(cfg: Configuration) -> list[tuple[int, int]]:
-    """List pairs where the separation inequality fails, empty when all pass."""
-    s = compute_stats(cfg)
+    """List pairs where the separation inequality fails, empty when all pass.
+
+    A pair fails when ``(P+Q-2c)/(P+Q-c) < |ca/P - ra/Q|``, tested as
+    ``(P+Q-2c)*P*Q < |ca*Q - ra*P|*(P+Q-c)``; ``P+Q-c >= Q > 0``.
+    """
+    col_t, col_a, row_t, row_a, _, _, _, parts = _spread_on_lattice(cfg, 1 - cfg.delta)
     bad = []
-    for k in range(1, cfg.n_cols + 1):
-        for j in range(1, cfg.n_rows + 1):
-            c = cfg.cells[k - 1][j - 1].mass
-            union = s.p[k - 1] + s.q[j - 1] - c
-            if (s.p[k - 1] + s.q[j - 1] - 2 * c) < abs(s.x[k - 1] - s.y[j - 1]) * union:
-                bad.append((k, j))
+    i = 0
+    for k in range(cfg.n_cols):
+        p, ca = col_t[k], col_a[k]
+        for j in range(cfg.n_rows):
+            q, ra = row_t[j], row_a[j]
+            c = parts[2 * i] + parts[2 * i + 1]
+            if (p + q - 2 * c) * p * q < abs(ca * q - ra * p) * (p + q - c):
+                bad.append((k + 1, j + 1))
+            i += 1
     return bad
 
 

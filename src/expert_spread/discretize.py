@@ -10,10 +10,11 @@ moving every conditional by at most 1/n. Both steps are exact.
 from __future__ import annotations
 
 import json
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Mapping
+from typing import IO, Mapping, Sequence
 
 from .config import (
     Configuration,
@@ -39,7 +40,11 @@ from .search import _random_parts
 
 @dataclass(frozen=True)
 class Atom:
-    """One elementary outcome: total weight, event share, two labels."""
+    """One elementary outcome: total weight, event share, two labels.
+
+    Each weight is an ``int`` or a :class:`~fractions.Fraction`; anything
+    else, ``bool`` included, raises :class:`ConfigError`.
+    """
 
     weight: Fraction
     a_weight: Fraction
@@ -47,13 +52,51 @@ class Atom:
     h_label: str
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ConfigError(f"atom weight must be non-negative, got {_shown(self.weight)}")
-        if not 0 <= self.a_weight <= self.weight:
+        w, a = self.weight, self.a_weight
+        for value in (w, a):
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise ConfigError(
+                    f"atom weights must be ints or Fractions, got {type(value).__name__}"
+                )
+        # signs are the numerators'; a <= w is cross-multiplied
+        if w.numerator < 0:
+            raise ConfigError(f"atom weight must be non-negative, got {_shown(w)}")
+        if a.numerator < 0 or a.numerator * w.denominator > w.numerator * a.denominator:
             raise ConfigError(
                 f"atom event share must lie in [0, weight], got "
-                f"{_shown(self.a_weight)} with weight {_shown(self.weight)}"
+                f"{_shown(a)} with weight {_shown(w)}"
             )
+
+
+def _group(
+    atoms: Sequence[Atom],
+) -> tuple[int, list[tuple[int, int]], dict[str, list[int]], dict[str, list[int]]]:
+    """The atoms as integers over the lcm of their denominators, summed per label.
+
+    Returns the common denominator, each atom's (weight, event mass) in
+    those units, and per column label and per row label the summed
+    ``[weight, event mass]``, in dicts ordered by first appearance; labels
+    carried only by zero-weight atoms are kept with zero sums.
+    """
+    # a list, not a generator: star-arguments from a generator build an
+    # over-sized tuple and shrink it, which leaves one tuple per call in the
+    # interpreter's free lists (up to 2000 of each size) until a full collection
+    den = math.lcm(*[v.denominator for atom in atoms for v in (atom.weight, atom.a_weight)])
+    parts = []
+    cols: dict[str, list[int]] = {}
+    rows: dict[str, list[int]] = {}
+    for atom in atoms:
+        w = atom.weight.numerator * (den // atom.weight.denominator)
+        a = atom.a_weight.numerator * (den // atom.a_weight.denominator)
+        parts.append((w, a))
+        for sums, label in ((cols, atom.g_label), (rows, atom.h_label)):
+            line = sums.get(label)
+            if line is None:
+                sums[label] = [w, a]
+            else:
+                line[0] += w
+                line[1] += a
+    return den, parts, cols, rows
 
 
 @dataclass(frozen=True)
@@ -61,14 +104,26 @@ class RawSpace:
     """A finite labeled probability space.
 
     Atoms may repeat label pairs freely; weights must sum to one exactly.
+    Construction groups the atoms once (see :func:`_group`): every weight
+    is scaled to an integer over the lcm of the denominators, the total is
+    checked as ``sum(weights) == den`` on every construction, and the
+    per-label sums are kept for :func:`label_values`,
+    :func:`spread_probability`, :func:`to_configuration` and
+    :func:`grid_coarsen`.
     """
 
     atoms: tuple[Atom, ...]
+    _grouped: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        total = sum((atom.weight for atom in self.atoms), Fraction(0))
-        if total != 1:
-            raise ConfigError(f"atom weights must sum to 1, got {_shown(total)}")
+        grouped = _group(self.atoms)
+        den, parts, _, _ = grouped
+        total = sum(w for w, _ in parts)
+        if total != den:
+            raise ConfigError(
+                f"atom weights must sum to 1, got {_shown(Fraction(total, den))}"
+            )
+        object.__setattr__(self, "_grouped", grouped)
 
 
 def make_space(atoms: list[tuple[RationalLike, RationalLike, str, str]]) -> RawSpace:
@@ -93,33 +148,34 @@ def make_space(atoms: list[tuple[RationalLike, RationalLike, str, str]]) -> RawS
 def label_values(space: RawSpace) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
     """Exact conditional event probability per column label and row label.
 
-    Labels whose atoms carry zero total weight have no conditional value
-    and are omitted.
+    Each value is a label's summed event mass over its summed weight, both
+    integers from the space's grouping. Labels whose atoms carry zero total
+    weight have no conditional value and are omitted.
     """
-    g_w: dict[str, Fraction] = {}
-    g_a: dict[str, Fraction] = {}
-    h_w: dict[str, Fraction] = {}
-    h_a: dict[str, Fraction] = {}
-    for atom in space.atoms:
-        g_w[atom.g_label] = g_w.get(atom.g_label, Fraction(0)) + atom.weight
-        g_a[atom.g_label] = g_a.get(atom.g_label, Fraction(0)) + atom.a_weight
-        h_w[atom.h_label] = h_w.get(atom.h_label, Fraction(0)) + atom.weight
-        h_a[atom.h_label] = h_a.get(atom.h_label, Fraction(0)) + atom.a_weight
-    x = {g: g_a[g] / w for g, w in g_w.items() if w > 0}
-    y = {h: h_a[h] / w for h, w in h_w.items() if w > 0}
+    _, _, cols, rows = space._grouped
+    x = {g: Fraction(a, w) for g, (w, a) in cols.items() if w}
+    y = {h: Fraction(a, w) for h, (w, a) in rows.items() if w}
     return x, y
 
 
 def spread_probability(space: RawSpace, threshold: Fraction) -> Fraction:
-    """Mass of atoms whose two conditional forecasts differ by >= threshold."""
-    x, y = label_values(space)
-    total = Fraction(0)
-    for atom in space.atoms:
-        if atom.weight == 0:
+    """Mass of atoms whose two conditional forecasts differ by >= threshold.
+
+    Each atom is tested on its labels' integer sums by cross-multiplying,
+    one test per atom, so the cost stays linear in the atoms however many
+    label pairs they span.
+    """
+    den, parts, cols, rows = space._grouped
+    th_num, th_den = threshold.numerator, threshold.denominator
+    total = 0
+    for atom, (w, _) in zip(space.atoms, parts):
+        if not w:
             continue
-        if abs(x[atom.g_label] - y[atom.h_label]) >= threshold:
-            total += atom.weight
-    return total
+        gw, ga = cols[atom.g_label]
+        hw, ha = rows[atom.h_label]
+        if abs(ga * hw - ha * gw) * th_den >= th_num * gw * hw:
+            total += w
+    return Fraction(total, den)
 
 
 def threshold_probability(cfg: Configuration, threshold: Fraction) -> Fraction:
@@ -130,13 +186,21 @@ def threshold_probability(cfg: Configuration, threshold: Fraction) -> Fraction:
     right-hand side uses a threshold lowered by 2/n. A non-positive
     threshold makes every cell count, so the result is 1.
     """
-    *_, b_num, den = _spread_on_lattice(cfg, threshold)
+    *_, b_num, den, _ = _spread_on_lattice(cfg, threshold)
     return Fraction(b_num, den)
 
 
 # ---------------------------------------------------------------------------
 # Conversion and coarsening
 # ---------------------------------------------------------------------------
+
+
+def _configuration(
+    d: Fraction, n_cols: int, n_rows: int, cells: dict[tuple[int, int], list[int]], den: int
+) -> Configuration:
+    """Normalize the grid of integer ``[a, ac]`` cells over ``den``."""
+    masses = {key: (Fraction(a, den), Fraction(c, den)) for key, (a, c) in cells.items()}
+    return normalize(make_configuration(d, n_cols, n_rows, masses))
 
 
 def to_configuration(space: RawSpace, delta: RationalLike) -> Configuration:
@@ -150,67 +214,77 @@ def to_configuration(space: RawSpace, delta: RationalLike) -> Configuration:
     d = validate_delta(delta)
     if not space.atoms:
         raise ConfigError("cannot build a configuration from an empty label set")
-    g_order: list[str] = []
-    h_order: list[str] = []
-    for atom in space.atoms:
-        if atom.g_label not in g_order:
-            g_order.append(atom.g_label)
-        if atom.h_label not in h_order:
-            h_order.append(atom.h_label)
-    g_index = {g: i + 1 for i, g in enumerate(g_order)}
-    h_index = {h: i + 1 for i, h in enumerate(h_order)}
-    masses: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-    for atom in space.atoms:
+    den, parts, cols, rows = space._grouped
+    g_index = {g: i for i, g in enumerate(cols, 1)}
+    h_index = {h: i for i, h in enumerate(rows, 1)}
+    cells: dict[tuple[int, int], list[int]] = {}
+    for atom, (w, a) in zip(space.atoms, parts):
         key = (g_index[atom.g_label], h_index[atom.h_label])
-        a0, c0 = masses.get(key, (Fraction(0), Fraction(0)))
-        masses[key] = (a0 + atom.a_weight, c0 + atom.weight - atom.a_weight)
-    cfg = make_configuration(d, len(g_order), len(h_order), masses)
-    return normalize(cfg)
-
-
-def _bin_of(value: Fraction, n: int) -> int:
-    """Half-open 1/n bins, with the top value 1 in bin n."""
-    scaled = n * value
-    return scaled.numerator // scaled.denominator
+        cell = cells.setdefault(key, [0, 0])
+        cell[0] += a
+        cell[1] += w - a
+    return _configuration(d, len(cols), len(rows), cells, den)
 
 
 def grid_coarsen(space: RawSpace, n: int, delta: RationalLike) -> dict:
     """Bin both experts' conditionals onto a 1/n grid.
 
-    Column labels with the same floor(n * X) merge into one column, row
-    labels likewise by floor(n * Y); the merged conditionals are the
+    A label with summed weight ``w`` and event mass ``a`` (integers from the
+    space's grouping) falls in bin ``(n * a) // w``: half-open 1/n bins,
+    with the top value 1 in bin n. Column labels sharing a bin merge into
+    one column, row labels likewise; the merged conditionals are the
     weight-averaged originals, so no conditional moves by 1/n or more.
-    Returns the coarsened configuration under ``"cfg"`` and the largest
-    observed moves under ``"report"``.
+    Coarse cells and bin totals are summed as integers in one pass over the
+    atoms. Returns the coarsened configuration under ``"cfg"`` and the
+    largest observed moves under ``"report"``.
     """
     d = validate_delta(delta)
     if n < 2:
         raise DomainError(f"grid resolution must be at least 2, got {n}")
     if not space.atoms:
         raise ConfigError("cannot coarsen an empty label set")
-    x, y = label_values(space)
-    relabeled = []
-    for atom in space.atoms:
-        if atom.weight == 0:
+    den, parts, cols, rows = space._grouped
+    g_bin = {g: (n * a) // w for g, (w, a) in cols.items() if w}
+    h_bin = {h: (n * a) // w for h, (w, a) in rows.items() if w}
+    # bin -> [line index, weight, event mass], indexed by first appearance
+    g_bins: dict[int, list[int]] = {}
+    h_bins: dict[int, list[int]] = {}
+    cells: dict[tuple[int, int], list[int]] = {}
+    for atom, (w, a) in zip(space.atoms, parts):
+        if not w:
             continue
-        gb = _bin_of(x[atom.g_label], n)
-        hb = _bin_of(y[atom.h_label], n)
-        relabeled.append(Atom(atom.weight, atom.a_weight, f"{gb:04d}", f"{hb:04d}"))
-    coarse_space = RawSpace(atoms=tuple(relabeled))
-    cfg = to_configuration(coarse_space, d)
-    xc, yc = label_values(coarse_space)
-    max_x_shift = max(
-        (abs(value - xc[f"{_bin_of(value, n):04d}"]) for value in x.values()),
-        default=Fraction(0),
-    )
-    max_y_shift = max(
-        (abs(value - yc[f"{_bin_of(value, n):04d}"]) for value in y.values()),
-        default=Fraction(0),
-    )
+        g_total = g_bins.setdefault(g_bin[atom.g_label], [len(g_bins) + 1, 0, 0])
+        g_total[1] += w
+        g_total[2] += a
+        h_total = h_bins.setdefault(h_bin[atom.h_label], [len(h_bins) + 1, 0, 0])
+        h_total[1] += w
+        h_total[2] += a
+        cell = cells.setdefault((g_total[0], h_total[0]), [0, 0])
+        cell[0] += a
+        cell[1] += w - a
     return {
-        "cfg": cfg,
-        "report": {"max_x_shift": max_x_shift, "max_y_shift": max_y_shift},
+        "cfg": _configuration(d, len(g_bins), len(h_bins), cells, den),
+        "report": {
+            "max_x_shift": _max_shift(cols, g_bin, g_bins),
+            "max_y_shift": _max_shift(rows, h_bin, h_bins),
+        },
     }
+
+
+def _max_shift(
+    sums: dict[str, list[int]], bin_of: dict[str, int], bins: dict[int, list[int]]
+) -> Fraction:
+    """The largest move of a label's conditional onto its bin's.
+
+    A label with sums ``w, a`` in a bin with totals ``W, A`` moves by
+    ``|a/w - A/W| = |a*W - A*w| / (w*W)``.
+    """
+    moves = []
+    for label, b in bin_of.items():
+        w, a = sums[label]
+        _, bin_w, bin_a = bins[b]
+        moves.append(Fraction(abs(a * bin_w - bin_a * w), w * bin_w))
+    return max(moves, default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from expert_spread.bounds import extremal_config
-from expert_spread.config import ConfigError, DomainError, compute_stats
+from expert_spread.config import (
+    ConfigError,
+    DomainError,
+    compute_stats,
+    make_configuration,
+    normalize,
+)
 from expert_spread.discretize import (
     Atom,
     RawSpace,
@@ -25,6 +31,80 @@ from expert_spread.discretize import (
 )
 
 F = Fraction
+
+DELTAS = (F(1, 10), F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(3, 4))
+
+
+# ---------------------------------------------------------------------------
+# The Fraction reference: label values, spread, conversion and coarsening as
+# they were computed before the integer grouping, one atom at a time.
+# ---------------------------------------------------------------------------
+
+
+def reference_label_values(space):
+    g_w, g_a, h_w, h_a = {}, {}, {}, {}
+    for atom in space.atoms:
+        g_w[atom.g_label] = g_w.get(atom.g_label, F(0)) + atom.weight
+        g_a[atom.g_label] = g_a.get(atom.g_label, F(0)) + atom.a_weight
+        h_w[atom.h_label] = h_w.get(atom.h_label, F(0)) + atom.weight
+        h_a[atom.h_label] = h_a.get(atom.h_label, F(0)) + atom.a_weight
+    x = {g: g_a[g] / w for g, w in g_w.items() if w > 0}
+    y = {h: h_a[h] / w for h, w in h_w.items() if w > 0}
+    return x, y
+
+
+def reference_spread_probability(space, threshold):
+    x, y = reference_label_values(space)
+    total = F(0)
+    for atom in space.atoms:
+        if atom.weight == 0:
+            continue
+        if abs(x[atom.g_label] - y[atom.h_label]) >= threshold:
+            total += atom.weight
+    return total
+
+
+def reference_to_configuration(space, delta):
+    g_order, h_order = [], []
+    for atom in space.atoms:
+        if atom.g_label not in g_order:
+            g_order.append(atom.g_label)
+        if atom.h_label not in h_order:
+            h_order.append(atom.h_label)
+    g_index = {g: i + 1 for i, g in enumerate(g_order)}
+    h_index = {h: i + 1 for i, h in enumerate(h_order)}
+    masses = {}
+    for atom in space.atoms:
+        key = (g_index[atom.g_label], h_index[atom.h_label])
+        a0, c0 = masses.get(key, (F(0), F(0)))
+        masses[key] = (a0 + atom.a_weight, c0 + atom.weight - atom.a_weight)
+    return normalize(make_configuration(delta, len(g_order), len(h_order), masses))
+
+
+def reference_bin_of(value, n):
+    scaled = n * value
+    return scaled.numerator // scaled.denominator
+
+
+def reference_grid_coarsen(space, n, delta):
+    x, y = reference_label_values(space)
+    relabeled = []
+    for atom in space.atoms:
+        if atom.weight == 0:
+            continue
+        gb = reference_bin_of(x[atom.g_label], n)
+        hb = reference_bin_of(y[atom.h_label], n)
+        relabeled.append(Atom(atom.weight, atom.a_weight, f"{gb:04d}", f"{hb:04d}"))
+    coarse_space = RawSpace(atoms=tuple(relabeled))
+    cfg = reference_to_configuration(coarse_space, delta)
+    xc, yc = reference_label_values(coarse_space)
+    max_x_shift = max(
+        (abs(v - xc[f"{reference_bin_of(v, n):04d}"]) for v in x.values()), default=F(0)
+    )
+    max_y_shift = max(
+        (abs(v - yc[f"{reference_bin_of(v, n):04d}"]) for v in y.values()), default=F(0)
+    )
+    return {"cfg": cfg, "report": {"max_x_shift": max_x_shift, "max_y_shift": max_y_shift}}
 
 
 def witness_space():
@@ -45,6 +125,12 @@ def test_atom_validation():
         Atom(F(1, 2), F(3, 4), "g", "h")
     with pytest.raises(ConfigError):
         Atom(F(1, 2), F(-1, 4), "g", "h")
+    assert Atom(1, F(1, 2), "g", "h").weight == 1
+    # weights are ints or Fractions; anything else is refused at construction
+    for bad in (0.5, True, False, "1/2", None):
+        for weights in ((bad, F(0)), (F(1, 2), bad)):
+            with pytest.raises(ConfigError, match="^atom weights must be ints or Fractions"):
+                Atom(*weights, "g", "h")
 
 
 def test_space_validation():
@@ -170,3 +256,80 @@ def test_random_space_is_seeded():
     assert random_space(random.Random(8)) == random_space(random.Random(8))
     total = sum(a.weight for a in random_space(random.Random(9)).atoms)
     assert total == 1
+
+
+def with_zero_atoms(rng, space):
+    """``space`` with up to three zero-weight atoms inserted at random places.
+
+    Each carries an existing label or a fresh one, so some labels are
+    carried only by zero-weight atoms.
+    """
+    atoms = list(space.atoms)
+    for _ in range(rng.randint(0, 3)):
+        g = rng.choice((atoms[0].g_label, f"gz{rng.randint(1, 2)}"))
+        h = rng.choice((atoms[-1].h_label, f"hz{rng.randint(1, 2)}"))
+        atoms.insert(rng.randint(0, len(atoms)), Atom(F(0), F(0), g, h))
+    return RawSpace(atoms=tuple(atoms))
+
+
+def test_discretize_matches_the_fraction_reference():
+    rng = random.Random(20191203)
+    zero_only_labels = 0
+    gap_thresholds = 0
+    for draw in range(2000):
+        space = with_zero_atoms(rng, random_space(rng))
+        delta = DELTAS[draw % len(DELTAS)]
+        x, y = label_values(space)
+        expected = reference_label_values(space)
+        assert (list(x.items()), list(y.items())) == tuple(
+            list(values.items()) for values in expected
+        )
+        labels = {a.g_label for a in space.atoms} | {a.h_label for a in space.atoms}
+        zero_only_labels += len(labels) > len(x) + len(y)
+        gaps = sorted({abs(xv - yv) for xv in x.values() for yv in y.values()})
+        gaps = rng.sample(gaps, min(3, len(gaps)))
+        gap_thresholds += len(gaps)
+        for threshold in (F(0), F(-1, 2), 1 - delta, *gaps):
+            assert spread_probability(space, threshold) == reference_spread_probability(
+                space, threshold
+            )
+        assert to_configuration(space, delta) == reference_to_configuration(space, delta)
+        for n in (2, 3, 4, 16, 64):
+            assert grid_coarsen(space, n, delta) == reference_grid_coarsen(space, n, delta)
+    assert zero_only_labels > 300
+    assert gap_thresholds > 4000
+
+
+def test_label_indexing_is_linear():
+    """Each label lookup goes through a dict, never a scan of the labels seen.
+
+    Column labels are all distinct; every atom's row label is a fresh but
+    equal string, so each dict lookup of it costs one comparison. A list
+    scan would need about n**2 / 2 comparisons for n column labels, and
+    the budget of eight per label stops it long before that.
+    """
+    counts = {}
+    for n_labels in (5_000, 20_000):
+        seen = [0]
+
+        class Label(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                seen[0] += 1
+                if seen[0] > 8 * n_labels:
+                    raise AssertionError(f"more than {8 * n_labels} label comparisons")
+                return str.__eq__(self, other)
+
+        atoms = tuple(
+            Atom(F(1, n_labels), F(i % 3, 2 * n_labels), Label(f"g{i}"), Label("h"))
+            for i in range(n_labels)
+        )
+        space = RawSpace(atoms=atoms)
+        label_values(space)
+        spread_probability(space, F(3, 4))
+        assert to_configuration(space, F(1, 4)).dims == (n_labels, 1)
+        grid_coarsen(space, 4, F(1, 4))
+        counts[n_labels] = seen[0]
+    # four times the labels, fewer than five times the comparisons
+    assert 0 < counts[20_000] < 5 * counts[5_000]

@@ -1,4 +1,4 @@
-"""The integer spread kernel against the original Fraction statistics."""
+"""The integer spread kernel against the original Fraction statistics and scans."""
 
 import math
 import random
@@ -13,7 +13,11 @@ from expert_spread.config import (
     Stats,
     compute_stats,
     make_configuration,
+    overlap_violations,
+    pitman_inclusion_violations,
+    separation_violations,
 )
+from expert_spread.transforms import transpose
 from expert_spread.discretize import threshold_probability
 
 F = Fraction
@@ -84,6 +88,59 @@ def reference_threshold_probability(cfg, threshold):
         ),
         F(0),
     )
+
+
+def reference_pitman_inclusion_violations(cfg):
+    """The far-apart inclusion scan in Fraction arithmetic on the statistics."""
+    if cfg.delta >= F(1, 2):
+        return []
+    s = compute_stats(cfg)
+    threshold = 1 - cfg.delta
+    bad = []
+    for k in range(1, cfg.n_cols + 1):
+        for j in range(1, cfg.n_rows + 1):
+            if not s.b_mask[k - 1][j - 1]:
+                continue
+            xk, yj = s.x[k - 1], s.y[j - 1]
+            low_high = xk <= cfg.delta and yj >= threshold
+            high_low = yj <= cfg.delta and xk >= threshold
+            if not (low_high or high_low):
+                bad.append((k, j))
+    return bad
+
+
+def reference_overlap_violations(cfg):
+    """The intersection-bound scan in Fraction arithmetic on the statistics."""
+    s = compute_stats(cfg)
+    rate = cfg.delta / (1 + cfg.delta)
+    bad = []
+    for k in range(1, cfg.n_cols + 1):
+        for j in range(1, cfg.n_rows + 1):
+            if not s.b_mask[k - 1][j - 1]:
+                continue
+            if cfg.cells[k - 1][j - 1].mass > rate * (s.p[k - 1] + s.q[j - 1]):
+                bad.append((k, j))
+    return bad
+
+
+def reference_separation_violations(cfg):
+    """The separation scan in Fraction arithmetic on the statistics."""
+    s = compute_stats(cfg)
+    bad = []
+    for k in range(1, cfg.n_cols + 1):
+        for j in range(1, cfg.n_rows + 1):
+            c = cfg.cells[k - 1][j - 1].mass
+            union = s.p[k - 1] + s.q[j - 1] - c
+            if (s.p[k - 1] + s.q[j - 1] - 2 * c) < abs(s.x[k - 1] - s.y[j - 1]) * union:
+                bad.append((k, j))
+    return bad
+
+
+SCANS = (
+    (overlap_violations, reference_overlap_violations),
+    (separation_violations, reference_separation_violations),
+    (pitman_inclusion_violations, reference_pitman_inclusion_violations),
+)
 
 
 def random_grid(rng):
@@ -158,3 +215,74 @@ def test_threshold_probability_matches_the_reference():
             assert threshold_probability(cfg, threshold) == expected
         assert threshold_probability(cfg, th) == compute_stats(cfg).prob_B
         checked += 1
+
+
+def compare_scans(cfg):
+    """``"ok"`` or ``"zero line"`` after checking the three scans agree.
+
+    On a zero line every scan must raise the reference's error, except
+    that the inclusion scan returns ``[]`` from ``delta >= 1/2`` before it
+    looks at the grid.
+    """
+    try:
+        compute_stats(cfg)
+    except ConfigError as exc:
+        for scan, reference in SCANS:
+            if scan is pitman_inclusion_violations and cfg.delta >= F(1, 2):
+                assert scan(cfg) == reference(cfg) == []
+                continue
+            with pytest.raises(ConfigError) as got:
+                scan(cfg)
+            assert str(got.value) == str(exc)
+        return "zero line"
+    for scan, reference in SCANS:
+        assert scan(cfg) == reference(cfg), scan.__name__
+    return "ok"
+
+
+def test_verify_scans_match_the_fraction_reference():
+    rng = random.Random(20191202)
+    outcomes = {"ok": 0, "zero line": 0}
+    high_delta_zero_lines = 0
+    while outcomes["ok"] < 3000:
+        cfg = random_grid(rng)
+        outcome = compare_scans(cfg)
+        outcomes[outcome] += 1
+        high_delta_zero_lines += outcome == "zero line" and cfg.delta >= F(1, 2)
+    assert outcomes["zero line"] > 100
+    assert high_delta_zero_lines > 20
+
+
+def edge_grid(delta):
+    """A column at 0 and a row at exactly ``1 - delta``: a far-apart cell on the bound.
+
+    The row holds complement ``m`` from the first column and event mass
+    ``(1 - delta) / delta * m`` from the second, so its value is ``1 - delta``.
+    """
+    m = delta / 2
+    event = (1 - delta) / delta * m
+    return make_configuration(
+        delta, 2, 2, {(1, 1): (0, 1 - m - event), (1, 2): (0, m), (2, 2): (event, 0)}
+    )
+
+
+def test_verify_scans_match_on_their_equality_cases():
+    """Witness, worked example and edge grids meet each inequality with equality."""
+    worked = make_configuration(
+        F(1, 4), 2, 2, {(1, 1): (0, F(1, 2)), (1, 2): (F(1, 4), 0), (2, 1): (F(1, 4), 0)}
+    )
+    cases = [worked, transpose(worked)]
+    for delta in DELTAS:
+        cases += [extremal_config(delta), edge_grid(delta)]
+        cases += [transpose(cases[-2]), transpose(cases[-1])]
+    for cfg in cases:
+        assert compare_scans(cfg) == "ok"
+        for scan, _ in SCANS:
+            assert scan(cfg) == []
+    # the witness's off-diagonal cells meet overlap and separation with
+    # equality, and its low column sits exactly at delta
+    s = compute_stats(extremal_config(F(1, 4)))
+    assert s.x[0] == F(1, 4) and s.b_mask[0][1]
+    # the edge grid's far-apart cell has a row exactly at 1 - delta
+    s = compute_stats(edge_grid(F(1, 4)))
+    assert (s.x[0], s.y[1]) == (0, F(3, 4)) and s.b_mask[0][1]
