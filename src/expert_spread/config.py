@@ -316,7 +316,7 @@ def make_configuration(
         delta=delta_f,
         n_cols=n_cols,
         n_rows=n_rows,
-        cells=tuple(tuple(col) for col in grid),
+        cells=tuple([tuple(col) for col in grid]),
     )
 
 
@@ -335,7 +335,7 @@ def replace_cells(
         delta=cfg.delta,
         n_cols=cfg.n_cols,
         n_rows=cfg.n_rows,
-        cells=tuple(tuple(col) for col in grid),
+        cells=tuple([tuple(col) for col in grid]),
     )
 
 

@@ -212,8 +212,6 @@ def to_configuration(space: RawSpace, delta: RationalLike) -> Configuration:
     with their zero lines.
     """
     d = validate_delta(delta)
-    if not space.atoms:
-        raise ConfigError("cannot build a configuration from an empty label set")
     den, parts, cols, rows = space._grouped
     g_index = {g: i for i, g in enumerate(cols, 1)}
     h_index = {h: i for i, h in enumerate(rows, 1)}
@@ -241,8 +239,6 @@ def grid_coarsen(space: RawSpace, n: int, delta: RationalLike) -> dict:
     d = validate_delta(delta)
     if n < 2:
         raise DomainError(f"grid resolution must be at least 2, got {n}")
-    if not space.atoms:
-        raise ConfigError("cannot coarsen an empty label set")
     den, parts, cols, rows = space._grouped
     g_bin = {g: (n * a) // w for g, (w, a) in cols.items() if w}
     h_bin = {h: (n * a) // w for h, (w, a) in rows.items() if w}

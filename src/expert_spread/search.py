@@ -15,6 +15,7 @@ reduction on each, and collects every contract violation as data.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -31,7 +32,7 @@ from .config import (
     InternalStateError,
     RationalLike,
     SearchSpaceError,
-    _spread_kernel,
+    _line_sums,
     compute_stats,
     make_configuration,
     normalize,
@@ -121,22 +122,46 @@ def _parts_to_config(
     return normalize(make_configuration(delta, n_cols, n_rows, masses))
 
 
-def _checked_eval(
-    parts: tuple[int, ...] | list[int],
-    n_cols: int,
+def _bound_broken(b_num: int, denom: int, lam: Fraction) -> InternalStateError:
+    """The error for an evaluation of ``b_num/denom`` above the bound ``lam``."""
+    return InternalStateError(
+        f"evaluated spread probability {Fraction(b_num, denom)} exceeds the "
+        f"closed-form bound {lam}; the evaluator or the bound is broken"
+    )
+
+
+def _spread_units(
+    parts: list[int],
     n_rows: int,
-    denom: int,
+    col_t: list[int],
+    col_a: list[int],
+    row_t: list[int],
+    row_a: list[int],
     th_num: int,
     th_den: int,
-    lam: Fraction,
 ) -> int:
-    """Spread numerator of ``parts`` over ``denom``, checked against ``lam``."""
-    b_num = _spread_kernel(parts, n_cols, n_rows, th_num, th_den)[-1]
-    if b_num * lam.denominator > lam.numerator * denom:
-        raise InternalStateError(
-            f"evaluated spread probability {Fraction(b_num, denom)} exceeds the "
-            f"closed-form bound {lam}; the evaluator or the bound is broken"
-        )
+    """The spread numerator of :func:`_spread_kernel`, from line sums kept by the caller.
+
+    ``parts`` is the flat column-major vector and the four lists are its
+    line sums, which both searches update as they move instead of summing
+    them again. A cell counts when it has mass and its column and row
+    values differ by at least the threshold, the kernel's non-zero side;
+    a cell with mass lies on two lines with mass.
+    """
+    b_num = 0
+    i = 0
+    for ct, ca in zip(col_t, col_a):
+        ct_den = ct * th_den
+        ca_den = ca * th_den
+        ct_num = ct * th_num
+        for j in range(n_rows):
+            mass = parts[i] + parts[i + 1]
+            i += 2
+            if mass:
+                rt = row_t[j]
+                gap = ca_den * rt - row_a[j] * ct_den
+                if (gap if gap >= 0 else -gap) >= ct_num * rt:
+                    b_num += mass
     return b_num
 
 
@@ -181,9 +206,7 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
 
     Lexicographically ascending in the flat slot order, so a search that
     updates its argmax only on strict improvement reports the
-    lexicographically smallest maximizer. The same order also makes a
-    partition of the space by first-slot value trivially deterministic,
-    which is what a parallel reduction over disjoint chunks would merge.
+    lexicographically smallest maximizer.
     """
     for bars in itertools.combinations(range(total + slots - 1), slots - 1):
         yield tuple(_gaps(bars, total))
@@ -199,6 +222,43 @@ def _gaps(bars: tuple[int, ...] | list[int], total: int) -> list[int]:
     return [b - a - 1 for a, b in zip(ends, ends[1:])]
 
 
+def _raise_column(
+    parts: list[int], o: int, width: int, room: int, after: int, strict: bool
+) -> bool:
+    """Move the column ``parts[o:o + width]`` up to the next one that can be completed.
+
+    Columns compare lexicographically. The column takes its total from
+    ``room`` and leaves the rest to ``after`` more columns, each at or
+    above it. A column with first slot ``a`` and total ``t`` has no column
+    above it with total below ``min(t, a + 1)``, and every total from there
+    up is reachable, so it can be completed exactly when
+    ``t <= max(room - after * (a + 1), room // (after + 1))``. The column
+    becomes the smallest such column at or above its value, or strictly
+    above it with ``strict``; returns False, the column then unspecified,
+    when none is left.
+    """
+    end = o + width
+    first = parts[o]
+    cap = max(room - after * (first + 1), room // (after + 1))
+    total = sum(parts[o:end])
+    if not strict and total <= cap:
+        return True
+    # the smallest column above raises the last slot it can by one and
+    # clears the slots after it; ``total`` runs over the prefix sums
+    for i in range(end - 1, o, -1):
+        if total < cap:
+            parts[i] += 1
+            parts[i + 1 : end] = [0] * (end - i - 1)
+            return True
+        total -= parts[i]
+    first += 1
+    if first > max(room - after * (first + 1), room // (after + 1)):
+        return False
+    parts[o] = first
+    parts[o + 1 : end] = [0] * (width - 1)
+    return True
+
+
 def exhaustive_search(
     delta: RationalLike, n_cols: int, n_rows: int, denom: int
 ) -> SearchResult:
@@ -210,6 +270,17 @@ def exhaustive_search(
     requests. The returned witness is the lexicographically smallest
     maximizer in column-major (complement, event) slot order, with zero
     lines dropped.
+
+    The spread probability does not change when columns are permuted, so
+    the vectors are covered by column classes: each multiset of columns is
+    scored once, as its non-decreasing arrangement, the lexicographically
+    smallest vector of the class, and stands for ``n_cols! / prod(mult!)``
+    vectors. The arrangements are walked in ascending flat order by an
+    explicit stack with one column per level (:func:`_raise_column`), each
+    level keeping the row sums of the columns before it, so a strict
+    improvement still picks the smallest maximizer over all vectors. The
+    weights must sum to the vector count, which is reported as
+    ``configs_evaluated``.
     """
     d = validate_delta(delta)
     _validate_dims(n_cols, n_rows)
@@ -225,25 +296,74 @@ def exhaustive_search(
             f"{ENUM_CAP_ENV}"
         )
     lam = lambda_sharp(d)
+    lam_num, lam_den = lam.numerator * denom, lam.denominator
     th = 1 - d
+    th_num, th_den = th.numerator, th.denominator
+    width = 2 * n_rows
+    last = n_cols - 1
+    parts = [0] * slots
+    col_t = [0] * n_cols
+    col_a = [0] * n_cols
+    room = [denom] * n_cols
+    # rows[k]: row totals and row event masses of the columns before k
+    rows = [([0] * n_rows, [0] * n_rows)] * (n_cols + 1)
+    run = [1] * n_cols
+    weight = [1] * n_cols
+    covered = 0
     best_prob = -1
     best_parts: Optional[tuple[int, ...]] = None
-    evaluated = 0
-    for parts in _compositions(denom, slots):
-        evaluated += 1
-        prob = _checked_eval(
-            parts, n_cols, n_rows, denom, th.numerator, th.denominator, lam
+    k = 0
+    found = _raise_column(parts, 0, width, denom, last, False)
+    while True:
+        if not found:
+            k -= 1
+            if k < 0:
+                break
+            found = _raise_column(parts, k * width, width, room[k], last - k, True)
+            continue
+        o = k * width
+        if k == last:
+            # the last column takes all that is left: the smallest column
+            # with total at most room[k], its last slot topped up, is the
+            # smallest with total exactly room[k]
+            parts[o + width - 1] += room[k] - sum(parts[o : o + width])
+        column = parts[o : o + width]
+        comp, event = column[::2], column[1::2]
+        col_a[k] = sum(event)
+        col_t[k] = sum(comp) + col_a[k]
+        base_t, base_a = rows[k]
+        rows[k + 1] = (
+            [t + c + a for t, c, a in zip(base_t, comp, event)],
+            [t + a for t, a in zip(base_a, event)],
         )
+        run[k] = run[k - 1] + 1 if k and column == parts[o - width : o] else 1
+        weight[k] = (weight[k - 1] if k else 1) * (k + 1) // run[k]
+        if k < last:
+            room[k + 1] = room[k] - col_t[k]
+            k += 1
+            parts[o + width : o + 2 * width] = column
+            found = _raise_column(parts, o + width, width, room[k], last - k, False)
+            continue
+        row_t, row_a = rows[n_cols]
+        prob = _spread_units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den)
+        if prob * lam_den > lam_num:
+            raise _bound_broken(prob, denom, lam)
+        covered += weight[k]
         if prob > best_prob:
             best_prob = prob
-            best_parts = parts
+            best_parts = tuple(parts)
+        found = _raise_column(parts, o, width, room[k], 0, True)
+    if covered != count:
+        raise InternalStateError(
+            f"the column classes cover {covered} mass vectors, not {count}"
+        )
     assert best_parts is not None
     cfg = _parts_to_config(best_parts, d, n_cols, n_rows, denom)
     return SearchResult(
         delta=d,
         best_prob_B=_check_winner(cfg, best_prob, denom),
         best_config=cfg,
-        configs_evaluated=evaluated,
+        configs_evaluated=count,
         method="exhaustive",
         seed=None,
     )
@@ -274,6 +394,11 @@ def hill_climb(
     is kept exactly when the spread probability does not decrease. ``iters``
     counts evaluations, so ``iters=1`` scores the initial configuration and
     stops.
+
+    A restart keeps its line sums and the sorted list of its positive slots
+    as running state: a move changes two slots, so it updates one column
+    and one row sum per slot, and a rejected move reverts them. Each
+    evaluation is one pass of :func:`_spread_units` over those sums.
     """
     d = validate_delta(delta)
     _validate_dims(n_cols, n_rows)
@@ -282,8 +407,12 @@ def hill_climb(
     rng = random.Random(seed)
     slots = 2 * n_cols * n_rows
     lam = lambda_sharp(d)
+    lam_num, lam_den = lam.numerator * _CLIMB_DENOM, lam.denominator
     th = 1 - d
     th_num, th_den = th.numerator, th.denominator
+    # slot i lies in column i // per_col and row (i // 2) % n_rows; odd
+    # slots hold event mass
+    per_col = 2 * n_rows
 
     restarts = max(1, min(8, iters // 1250))
     base = iters // restarts
@@ -297,7 +426,11 @@ def hill_climb(
         if budget == 0:
             continue
         parts = _random_parts(rng, _CLIMB_DENOM, slots)
-        cur = _checked_eval(parts, n_cols, n_rows, _CLIMB_DENOM, th_num, th_den, lam)
+        col_t, col_a, row_t, row_a = _line_sums(parts, n_cols, n_rows)
+        positive = [i for i in range(slots) if parts[i] > 0]
+        cur = _spread_units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den)
+        if cur * lam_den > lam_num:
+            raise _bound_broken(cur, _CLIMB_DENOM, lam)
         evaluated += 1
         if cur > best_prob:
             best_prob = cur
@@ -305,26 +438,53 @@ def hill_climb(
         moves = budget - 1
         for step in range(moves):
             quantum = max(1, _CLIMB_START_QUANTUM >> ((8 * step) // max(1, moves)))
-            positive = [i for i in range(slots) if parts[i] > 0]
             src = rng.choice(positive)
             dst = rng.randrange(slots - 1)
             if dst >= src:
                 dst += 1
             amt = min(quantum, parts[src])
+            sk, sj = src // per_col, (src >> 1) % n_rows
+            dk, dj = dst // per_col, (dst >> 1) % n_rows
+            col_t[sk] -= amt
+            row_t[sj] -= amt
+            col_t[dk] += amt
+            row_t[dj] += amt
+            if src & 1:
+                col_a[sk] -= amt
+                row_a[sj] -= amt
+            if dst & 1:
+                col_a[dk] += amt
+                row_a[dj] += amt
             parts[src] -= amt
             parts[dst] += amt
-            prob = _checked_eval(
-                parts, n_cols, n_rows, _CLIMB_DENOM, th_num, th_den, lam
+            prob = _spread_units(
+                parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den
             )
+            if prob * lam_den > lam_num:
+                raise _bound_broken(prob, _CLIMB_DENOM, lam)
             evaluated += 1
             if prob >= cur:
                 cur = prob
                 if prob > best_prob:
                     best_prob = prob
                     best_parts = tuple(parts)
+                if not parts[src]:
+                    positive.remove(src)
+                if parts[dst] == amt:
+                    bisect.insort(positive, dst)
             else:
                 parts[src] += amt
                 parts[dst] -= amt
+                col_t[sk] += amt
+                row_t[sj] += amt
+                col_t[dk] -= amt
+                row_t[dj] -= amt
+                if src & 1:
+                    col_a[sk] += amt
+                    row_a[sj] += amt
+                if dst & 1:
+                    col_a[dk] -= amt
+                    row_a[dj] -= amt
     assert best_parts is not None
     cfg = _parts_to_config(best_parts, d, n_cols, n_rows, _CLIMB_DENOM)
     return SearchResult(

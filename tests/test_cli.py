@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,35 @@ def test_verify_reads_files(tmp_path):
     path = tmp_path / "cfg.json"
     run_cli("extremal", "2/5", "--out", str(path))
     assert run_cli("verify", str(path)).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "name, broken, field, shown",
+    [
+        ("overlap_violations", lambda cfg: [(1, 2)], "overlap_violations", [[1, 2]]),
+        ("separation_violations", lambda cfg: [(2, 1)], "separation_violations", [[2, 1]]),
+        (
+            "pitman_inclusion_violations",
+            lambda cfg: [(1, 1)],
+            "pitman_inclusion_violations",
+            [[1, 1]],
+        ),
+        ("lambda_sharp", lambda delta: Fraction(1, 3), "bound_respected", False),
+    ],
+)
+def test_verify_exits_one_on_a_violation(
+    tmp_path, monkeypatch, capsys, name, broken, field, shown
+):
+    # each check guards a proved inequality, so a violation is forced by
+    # breaking the check itself
+    path = tmp_path / "cfg.json"
+    assert cli.main(["extremal", "2/5", "--out", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, name, broken)
+    assert cli.main(["verify", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report[field] == shown
+    assert report["ok"] is False
 
 
 def test_verify_error_exits(tmp_path):

@@ -136,6 +136,9 @@ def test_atom_validation():
 def test_space_validation():
     with pytest.raises(ConfigError):
         make_space([])
+    # no space without atoms, so conversion and coarsening never see one
+    with pytest.raises(ConfigError, match="atom weights must sum to 1, got 0"):
+        RawSpace(atoms=())
     with pytest.raises(ConfigError):
         make_space([(F(1, 2), 0, "g", "h")])
 

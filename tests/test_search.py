@@ -7,9 +7,12 @@ from fractions import Fraction
 import pytest
 
 from expert_spread.bounds import extremal_config, lambda_sharp
+from expert_spread import search
 from expert_spread.config import (
     ConfigError,
     DomainError,
+    InternalStateError,
+    _spread_kernel,
     compute_stats,
     make_configuration,
     normalize,
@@ -17,6 +20,8 @@ from expert_spread.config import (
 from expert_spread.search import (
     SearchSpaceError,
     _compositions,
+    _parts_to_config,
+    _random_parts,
     enumeration_cap,
     exhaustive_search,
     fuzz_transforms,
@@ -189,3 +194,200 @@ def test_compositions_do_not_recurse_per_slot():
     assert len(vectors) == 3200
     assert vectors[0] == (0,) * 3199 + (1,)
     assert vectors[-1] == (1,) + (0,) * 3199
+
+
+# ---------------------------------------------------------------------------
+# The reference: both searches as they were before column classes and
+# running line sums, every vector scored by the full kernel.
+# ---------------------------------------------------------------------------
+
+
+def reference_exhaustive(delta, n_cols, n_rows, denom):
+    """Best spread numerator, vector count and winner, one kernel call per vector."""
+    th = 1 - delta
+    best_prob, best_parts, evaluated = -1, None, 0
+    for parts in _compositions(denom, 2 * n_cols * n_rows):
+        evaluated += 1
+        prob = _spread_kernel(parts, n_cols, n_rows, th.numerator, th.denominator)[-1]
+        if prob > best_prob:
+            best_prob, best_parts = prob, parts
+    cfg = _parts_to_config(best_parts, delta, n_cols, n_rows, denom)
+    return F(best_prob, denom), evaluated, cfg
+
+
+def reference_hill_climb(delta, n_cols, n_rows, iters, seed):
+    """The climb rebuilding its positive slots and line sums after every move."""
+    rng = random.Random(seed)
+    slots = 2 * n_cols * n_rows
+    th = 1 - delta
+
+    def spread(parts):
+        return _spread_kernel(parts, n_cols, n_rows, th.numerator, th.denominator)[-1]
+
+    restarts = max(1, min(8, iters // 1250))
+    base = iters // restarts
+    leftover = iters - base * restarts
+    best_prob, best_parts, evaluated = -1, None, 0
+    for r in range(restarts):
+        budget = base + (leftover if r == 0 else 0)
+        if budget == 0:
+            continue
+        parts = _random_parts(rng, 1024, slots)
+        cur = spread(parts)
+        evaluated += 1
+        if cur > best_prob:
+            best_prob, best_parts = cur, tuple(parts)
+        moves = budget - 1
+        for step in range(moves):
+            quantum = max(1, 128 >> ((8 * step) // max(1, moves)))
+            positive = [i for i in range(slots) if parts[i] > 0]
+            src = rng.choice(positive)
+            dst = rng.randrange(slots - 1)
+            if dst >= src:
+                dst += 1
+            amt = min(quantum, parts[src])
+            parts[src] -= amt
+            parts[dst] += amt
+            prob = spread(parts)
+            evaluated += 1
+            if prob >= cur:
+                cur = prob
+                if prob > best_prob:
+                    best_prob, best_parts = prob, tuple(parts)
+            else:
+                parts[src] += amt
+                parts[dst] -= amt
+    cfg = _parts_to_config(best_parts, delta, n_cols, n_rows, 1024)
+    return F(best_prob, 1024), evaluated, cfg
+
+
+SEARCH_DELTAS = (F(1, 10), F(1, 4), F(1, 3), F(2, 5), F(3, 4))
+
+
+def column_classes(n_cols, n_rows, denom):
+    """Multisets of ``n_cols`` columns of ``2 * n_rows`` slots with ``denom`` units in all.
+
+    Counted by total: ``math.comb(t + w - 1, w - 1)`` columns hold ``t``
+    units, and ``s`` of them are chosen with repetition in
+    ``math.comb(kinds + s - 1, s)`` ways.
+    """
+    width = 2 * n_rows
+    # ways[s][u]: multisets of s columns holding u units, over the totals so far
+    ways = [[0] * (denom + 1) for _ in range(n_cols + 1)]
+    ways[0][0] = 1
+    for t in range(denom + 1):
+        kinds = math.comb(t + width - 1, width - 1)
+        grown = [row[:] for row in ways]
+        for s in range(n_cols + 1):
+            for u in range(denom + 1):
+                if not ways[s][u]:
+                    continue
+                for extra in range(1, n_cols - s + 1):
+                    if u + extra * t > denom:
+                        break
+                    grown[s + extra][u + extra * t] += ways[s][u] * math.comb(
+                        kinds + extra - 1, extra
+                    )
+        ways = grown
+    return ways[n_cols][denom]
+
+
+def test_exhaustive_matches_the_reference(monkeypatch):
+    scored = []
+    units = search._spread_units
+
+    def counting(*args):
+        scored.append(1)
+        return units(*args)
+
+    monkeypatch.setattr(search, "_spread_units", counting)
+    cases = 0
+    for n_cols in range(1, 4):
+        for n_rows in range(1, 4):
+            for denom in range(1, 6):
+                if math.comb(denom + 2 * n_cols * n_rows - 1, denom) > 30_000:
+                    continue
+                for delta in SEARCH_DELTAS:
+                    scored.clear()
+                    got = exhaustive_search(delta, n_cols, n_rows, denom)
+                    want = reference_exhaustive(delta, n_cols, n_rows, denom)
+                    assert (got.best_prob_B, got.configs_evaluated, got.best_config) == want
+                    # each column class is scored exactly once
+                    assert len(scored) == column_classes(n_cols, n_rows, denom)
+                    cases += 1
+    assert cases == 225
+
+
+def test_hill_climb_matches_the_reference():
+    cases = 0
+    for n_cols in range(1, 6):
+        for n_rows in range(1, 3):
+            for iters in (1, 2, 7, 1249, 1250, 2600):
+                for seed in range(3):
+                    delta = SEARCH_DELTAS[(n_cols + n_rows + iters + seed) % 5]
+                    got = hill_climb(delta, n_cols, n_rows, iters, seed)
+                    want = reference_hill_climb(delta, n_cols, n_rows, iters, seed)
+                    assert (got.best_prob_B, got.configs_evaluated, got.best_config) == want
+                    cases += 1
+    assert cases == 180
+
+
+def test_column_classes_count():
+    # the criterion-2 grids and the counts quoted for them
+    assert column_classes(3, 3, 6) == 17_689
+    assert column_classes(2, 2, 8) == 3_235
+    assert column_classes(1, 2, 5) == math.comb(8, 5)
+
+
+def test_spread_is_invariant_under_line_permutations():
+    rng = random.Random(606)
+    for _ in range(400):
+        n_cols, n_rows = rng.randint(1, 5), rng.randint(1, 5)
+        denom = 2 ** rng.randint(2, 8)
+        parts = _random_parts(rng, denom, 2 * n_cols * n_rows)
+        th = 1 - rng.choice(SEARCH_DELTAS)
+        cols = rng.sample(range(n_cols), n_cols)
+        rows = rng.sample(range(n_rows), n_rows)
+        moved = []
+        for k in cols:
+            for j in rows:
+                i = 2 * (k * n_rows + j)
+                moved += parts[i : i + 2]
+        spread = _spread_kernel(parts, n_cols, n_rows, th.numerator, th.denominator)
+        shuffled = _spread_kernel(moved, n_cols, n_rows, th.numerator, th.denominator)
+        assert shuffled[-1] == spread[-1]
+
+
+@pytest.mark.parametrize("n_cols, n_rows, denom", [(40, 40, 1), (2, 1600, 1), (1, 1, 2000)])
+def test_exhaustive_does_not_recurse_per_column(n_cols, n_rows, denom):
+    result = exhaustive_search(F(1, 4), n_cols, n_rows, denom)
+    assert result.configs_evaluated == math.comb(denom + 2 * n_cols * n_rows - 1, denom)
+    assert result.best_prob_B == 0
+
+
+@pytest.mark.parametrize("search_run", [
+    lambda: exhaustive_search(F(1, 4), 2, 2, 5),
+    lambda: hill_climb(F(1, 4), 2, 2, 400, seed=0),
+])
+def test_searches_check_every_evaluation_against_the_bound(monkeypatch, search_run):
+    # the bound is a theorem, so only a bound broken on purpose, just below
+    # the best value the search reaches, can trip the check
+    best = search_run().best_prob_B
+    assert best > 0
+    monkeypatch.setattr(search, "lambda_sharp", lambda delta: best - F(1, 10**9))
+    with pytest.raises(InternalStateError, match="exceeds the closed-form bound"):
+        search_run()
+
+
+def test_exhaustive_checks_that_its_classes_cover_every_vector(monkeypatch):
+    raise_column = search._raise_column
+
+    def skipping(parts, o, width, room, after, strict):
+        # a last column moved on twice leaves one class unscored
+        if strict and not after:
+            raise_column(parts, o, width, room, after, strict)
+        return raise_column(parts, o, width, room, after, strict)
+
+    monkeypatch.setattr(search, "_raise_column", skipping)
+    with pytest.raises(InternalStateError, match="cover .* mass vectors, not 792"):
+        exhaustive_search(F(1, 4), 2, 2, 5)
