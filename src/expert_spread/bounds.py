@@ -143,11 +143,12 @@ def certify_upper_bound(cfg: Configuration) -> Fraction:
     and never exceeds the sharp bound.
     """
     s = compute_stats(cfg)
+    parts, n = cfg._parts, cfg.n_rows
     positive = [
-        (k, j)
-        for k in range(1, cfg.n_cols + 1)
-        for j in range(1, cfg.n_rows + 1)
-        if s.b_mask[k - 1][j - 1] and cfg.cell(k, j).mass > 0
+        (k + 1, j + 1)
+        for k, col in enumerate(s.b_mask)
+        for j, b in enumerate(col)
+        if b and (parts[2 * (k * n + j)] or parts[2 * (k * n + j) + 1])
     ]
     by_col: dict[int, list[int]] = {}
     by_row: dict[int, list[int]] = {}

@@ -9,8 +9,12 @@ conditional probability of the event (``x`` per column, ``y`` per row) and the
 probability that the two opinions differ by at least ``1 - delta``, written
 ``prob_B`` throughout.
 
-All arithmetic is exact via :class:`fractions.Fraction`.  Floats are not used
-anywhere in this module.
+All arithmetic is exact.  A configuration stores its masses as integers
+over one common denominator, and the statistics, the normalization and the
+verify scans compare those integers by cross-multiplying; rationals
+(:class:`fractions.Fraction`) are built only where the API hands values out:
+the :class:`Stats` fields, :class:`Cell` masses, files and error messages.
+Floats are not used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Mapping, Sequence, Union
 
@@ -192,6 +196,12 @@ def validate_delta(value: RationalLike) -> Fraction:
     return delta
 
 
+def _negative_masses(a: Fraction, ac: Fraction) -> ConfigError:
+    return ConfigError(
+        f"cell masses must be non-negative, got a={_shown(a)}, ac={_shown(ac)}"
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class Cell:
     """One grid cell: exact masses inside and outside the tracked event.
@@ -212,10 +222,7 @@ class Cell:
             # a rational's sign is its numerator's; reading it skips the
             # slower Fraction comparison
             if mass.numerator < 0:
-                raise ConfigError(
-                    f"cell masses must be non-negative, got a={_shown(self.a_mass)}, "
-                    f"ac={_shown(self.ac_mass)}"
-                )
+                raise _negative_masses(self.a_mass, self.ac_mass)
 
     @property
     def mass(self) -> Fraction:
@@ -226,58 +233,168 @@ class Cell:
         return self.a_mass == 0 and self.ac_mass == 0
 
 
-@dataclass(frozen=True, slots=True)
+_EMPTY_CELL = Cell()
+
+
+def _lattice(masses: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Exact masses as integers over the lcm of all their denominators."""
+    dens = [m.denominator for m in masses]
+    den = math.lcm(*dens)
+    return [m.numerator * (den // d) for m, d in zip(masses, dens)], den
+
+
+_set = object.__setattr__
+
+
 class Configuration:
     """An immutable grid of cells with a per-configuration spread threshold.
 
-    ``cells[k - 1][j - 1]`` is the cell in column ``k``, row ``j`` (1-based in
-    the public API).  Total mass must be exactly 1.  Zero-mass columns or rows
-    are tolerated here so that loaders can accept them; :func:`normalize`
-    removes them and :func:`compute_stats` rejects them.
+    ``cell(k, j)`` and ``cells[k - 1][j - 1]`` are the cell in column ``k``,
+    row ``j`` (1-based in the public API).  Total mass must be exactly 1.
+    Zero-mass columns or rows are tolerated here so that loaders can accept
+    them; :func:`normalize` removes them and :func:`compute_stats` rejects
+    them.
 
-    Construction scales the masses once to integers over the lcm of their
-    denominators (see :func:`_lattice`), checks that they sum to that
-    denominator, and hashes the delta, the dimensions and that integer
-    vector; the denominator is left out, as it is the vector's sum.  The
-    hash is kept and the vector dropped, so ``hash(cfg)`` costs a slot
-    read; equal configurations have equal cells and hence the same vector,
-    so the hash agrees with ``==``.
+    A configuration stores its masses as integers: one flat column-major
+    tuple holding the complement share and then the event share of each
+    cell, over one denominator, in lowest terms (the gcd of the denominator
+    and every entry is 1).  So equal grids store equal tuples, and equality
+    and the hash compare and hash ``(delta, dims, tuple)``; the hash is kept
+    in a slot.  ``cells`` is built from the integers on first access and
+    then kept; the transforms never read it.  Construction from ``cells``
+    checks the shape and that the masses sum to exactly 1; the package's
+    own transforms build from integers, checking signs and the sum there.
     """
 
-    delta: Fraction
-    n_cols: int
-    n_rows: int
-    cells: tuple[tuple[Cell, ...], ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("delta", "n_cols", "n_rows", "_parts", "_den", "_hash", "_cells")
 
-    def __post_init__(self) -> None:
-        if not (0 < self.delta < 1):
-            raise DomainError(
-                f"delta must lie strictly between 0 and 1, got {_shown(self.delta)}"
-            )
-        if self.n_cols < 1 or self.n_rows < 1:
-            raise ConfigError(f"grid must be at least 1x1, got {self.n_cols}x{self.n_rows}")
-        if len(self.cells) != self.n_cols or any(len(col) != self.n_rows for col in self.cells):
+    def __init__(
+        self,
+        delta: Fraction,
+        n_cols: int,
+        n_rows: int,
+        cells: tuple[tuple[Cell, ...], ...],
+    ) -> None:
+        if n_cols < 1 or n_rows < 1:
+            raise ConfigError(f"grid must be at least 1x1, got {n_cols}x{n_rows}")
+        if len(cells) != n_cols or any(len(col) != n_rows for col in cells):
             raise ConfigError("cells array shape does not match n_cols x n_rows")
-        parts, den = _lattice(self)
+        parts, den = _lattice([m for col in cells for c in col for m in (c.ac_mass, c.a_mass)])
+        self._init(delta, n_cols, n_rows, parts, den, cells)
+
+    @classmethod
+    def _from_parts(
+        cls, delta: Fraction, n_cols: int, n_rows: int, parts: Sequence[int], den: int
+    ) -> Configuration:
+        """Build from a flat column-major ``(ac, a)`` integer vector over ``den``.
+
+        The vector need not be in lowest terms; it is reduced here.
+        """
+        cfg = cls.__new__(cls)
+        cfg._init(delta, n_cols, n_rows, parts, den, None)
+        return cfg
+
+    def _init(
+        self,
+        delta: Fraction,
+        n_cols: int,
+        n_rows: int,
+        parts: Sequence[int],
+        den: int,
+        cells: tuple[tuple[Cell, ...], ...] | None,
+    ) -> None:
+        """Check and store; both constructors end here."""
+        # a rational's sign is its numerator's, and its denominator is positive
+        if not 0 < delta.numerator < delta.denominator:
+            raise DomainError(
+                f"delta must lie strictly between 0 and 1, got {_shown(delta)}"
+            )
+        if n_cols < 1 or n_rows < 1 or len(parts) != 2 * n_cols * n_rows:
+            raise ConfigError(
+                f"{len(parts)} masses do not fill a {n_cols}x{n_rows} grid"
+            )
+        if min(parts) < 0:
+            i = next(i for i, v in enumerate(parts) if v < 0) & ~1
+            raise _negative_masses(Fraction(parts[i + 1], den), Fraction(parts[i], den))
         total = sum(parts)
         if total != den:
             raise ConfigError(
                 f"total mass must be exactly 1, got {_shown(Fraction(total, den))}"
             )
-        object.__setattr__(
-            self, "_hash", hash((self.delta, self.n_cols, self.n_rows, tuple(parts)))
+        g = math.gcd(den, *parts)
+        parts = tuple(parts) if g == 1 else tuple([v // g for v in parts])
+        _set(self, "delta", delta)
+        _set(self, "n_cols", n_cols)
+        _set(self, "n_rows", n_rows)
+        _set(self, "_parts", parts)
+        _set(self, "_den", den // g)
+        _set(self, "_hash", hash((delta.numerator, delta.denominator, n_cols, parts)))
+        _set(self, "_cells", cells)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Configuration:
+            return NotImplemented
+        # the tuple fixes n_rows once n_cols is known; a Fraction is stored
+        # in lowest terms, so equal deltas have equal terms
+        return (
+            self._parts == other._parts
+            and self.n_cols == other.n_cols
+            and self.delta.numerator == other.delta.numerator
+            and self.delta.denominator == other.delta.denominator
         )
 
     def __hash__(self) -> int:
         return self._hash
 
-    def cell(self, k: int, j: int) -> Cell:
-        """Return the cell in column ``k``, row ``j`` (1-based)."""
+    def __reduce__(self) -> tuple:
+        # copies and pickles rebuild through the checked integer constructor
+        return (
+            Configuration._from_parts,
+            (self.delta, self.n_cols, self.n_rows, self._parts, self._den),
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Configuration(delta={self.delta!r}, n_cols={self.n_cols!r}, "
+            f"n_rows={self.n_rows!r}, cells={self.cells!r})"
+        )
+
+    @property
+    def cells(self) -> tuple[tuple[Cell, ...], ...]:
+        """The grid as columns of :class:`Cell` objects, built once on demand."""
+        cells = self._cells
+        if cells is None:
+            parts, den, n = self._parts, self._den, self.n_rows
+            flat = [
+                Cell(Fraction(parts[i + 1], den), Fraction(parts[i], den))
+                if parts[i] or parts[i + 1]
+                else _EMPTY_CELL
+                for i in range(0, len(parts), 2)
+            ]
+            cells = tuple([tuple(flat[k * n : (k + 1) * n]) for k in range(self.n_cols)])
+            _set(self, "_cells", cells)
+        return cells
+
+    def _index(self, k: int, j: int) -> int:
+        """Where cell ``(k, j)`` (1-based) starts in the integer tuple.
+
+        Its complement share sits there and its event share one further.
+        """
         if not (1 <= k <= self.n_cols and 1 <= j <= self.n_rows):
             raise ConfigError(
                 f"cell index ({k},{j}) out of range for a {self.n_cols}x{self.n_rows} grid"
             )
+        return 2 * ((k - 1) * self.n_rows + j - 1)
+
+    def cell(self, k: int, j: int) -> Cell:
+        """Return the cell in column ``k``, row ``j`` (1-based)."""
+        self._index(k, j)
         return self.cells[k - 1][j - 1]
 
     @property
@@ -304,39 +421,34 @@ def make_configuration(
         raise ConfigError(
             f"a {n_cols}x{n_rows} grid exceeds the limit of {MAX_CELLS} cells"
         )
-    empty = Cell()  # cells are immutable, so absent ones can share it
-    grid = [[empty] * n_rows for _ in range(n_cols)]
+    flat = [EMPTY] * (2 * n_cols * n_rows)
     for (k, j), (a, ac) in masses.items():
         if not (1 <= k <= n_cols and 1 <= j <= n_rows):
             raise ConfigError(
                 f"cell index ({k},{j}) out of range for a {n_cols}x{n_rows} grid"
             )
-        grid[k - 1][j - 1] = Cell(_as_fraction(a, "a mass"), _as_fraction(ac, "ac mass"))
-    return Configuration(
-        delta=delta_f,
-        n_cols=n_cols,
-        n_rows=n_rows,
-        cells=tuple([tuple(col) for col in grid]),
-    )
+        a_f, ac_f = _as_fraction(a, "a mass"), _as_fraction(ac, "ac mass")
+        if a_f.numerator < 0 or ac_f.numerator < 0:
+            raise _negative_masses(a_f, ac_f)
+        i = 2 * ((k - 1) * n_rows + j - 1)
+        flat[i], flat[i + 1] = ac_f, a_f
+    parts, den = _lattice(flat)
+    return Configuration._from_parts(delta_f, n_cols, n_rows, parts, den)
 
 
 def replace_cells(
     cfg: Configuration, updates: Mapping[tuple[int, int], Cell]
 ) -> Configuration:
     """Return a copy of ``cfg`` with the given cells replaced (1-based keys)."""
-    grid = [list(col) for col in cfg.cells]
-    for (k, j), cell in updates.items():
-        if not (1 <= k <= cfg.n_cols and 1 <= j <= cfg.n_rows):
-            raise ConfigError(
-                f"cell index ({k},{j}) out of range for a {cfg.n_cols}x{cfg.n_rows} grid"
-            )
-        grid[k - 1][j - 1] = cell
-    return Configuration(
-        delta=cfg.delta,
-        n_cols=cfg.n_cols,
-        n_rows=cfg.n_rows,
-        cells=tuple([tuple(col) for col in grid]),
-    )
+    at = [cfg._index(k, j) for k, j in updates]
+    new, new_den = _lattice([m for c in updates.values() for m in (c.ac_mass, c.a_mass)])
+    den = math.lcm(cfg._den, new_den)
+    scale, new_scale = den // cfg._den, den // new_den
+    parts = [v * scale for v in cfg._parts]
+    for n, i in enumerate(at):
+        parts[i] = new[2 * n] * new_scale
+        parts[i + 1] = new[2 * n + 1] * new_scale
+    return Configuration._from_parts(cfg.delta, cfg.n_cols, cfg.n_rows, parts, den)
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +483,6 @@ class Stats:
     d_minus: tuple[tuple[int, int], ...]
     d_plus: tuple[tuple[int, int], ...]
     prob_B: Fraction
-
-
-def _lattice(cfg: Configuration) -> tuple[list[int], int]:
-    """The cells as integers over the lcm of all their denominators.
-
-    Returns the flat column-major vector with the complement share first and
-    the event share second in each cell, and the common denominator.
-    """
-    masses = [m for col in cfg.cells for c in col for m in (c.ac_mass, c.a_mass)]
-    dens = [m.denominator for m in masses]
-    den = math.lcm(*dens)
-    return [m.numerator * (den // d) for m, d in zip(masses, dens)], den
 
 
 def _line_sums(
@@ -444,63 +544,61 @@ def _spread_kernel(
 
 
 def _spread_on_lattice(
-    cfg: Configuration, threshold: Fraction
-) -> tuple[list[int], list[int], list[int], list[int], list[int], int, int, list[int]]:
-    """Run the kernel on ``cfg`` at ``threshold``, rejecting zero lines.
+    cfg: Configuration, th_num: int, th_den: int
+) -> tuple[list[int], list[int], list[int], list[int], list[int], int, int, tuple[int, ...]]:
+    """Run the kernel on ``cfg`` at threshold ``th_num/th_den``, rejecting zero lines.
 
-    Returns the kernel's six results followed by the lattice denominator
-    and the lattice vector itself.
+    Returns the kernel's six results followed by the configuration's
+    denominator and its integer tuple.
     """
-    parts, den = _lattice(cfg)
-    result = _spread_kernel(
-        parts, cfg.n_cols, cfg.n_rows, threshold.numerator, threshold.denominator
-    )
+    parts = cfg._parts
+    result = _spread_kernel(parts, cfg.n_cols, cfg.n_rows, th_num, th_den)
     for what, totals in (("column", result[0]), ("row", result[2])):
         for i, total in enumerate(totals, 1):
             if total == 0:
                 raise ConfigError(
                     f"{what} {i} has zero mass; conditional probability undefined"
                 )
-    return (*result, den, parts)
+    return (*result, cfg._den, parts)
+
+
+class _GridStats:
+    """The statistics of one configuration on its integer lattice.
+
+    ``col_t``/``col_a``/``row_t``/``row_a`` are the line totals and event
+    masses over ``den``; ``side[k][j]`` is the kernel's side of the 0-based
+    cell (+1 when the column value sits far above the row value, -1 for the
+    mirror, 0 outside the spread region).  The remaining fields are those of
+    :class:`Stats`, ``prob_B`` being the only rational.  ``occupied`` says
+    whether the low and the high side of the spread region carry positive
+    mass; ``stats`` holds the :class:`Stats` once :func:`compute_stats` has
+    built it.
+    """
+
+    __slots__ = (
+        "den", "col_t", "col_a", "row_t", "row_a", "side", "b_mask", "b_num",
+        "prob_B", "m_minus_G", "m_plus_G", "m_minus_H", "m_plus_H", "d_minus",
+        "d_plus", "occupied", "stats",
+    )
 
 
 @functools.lru_cache(maxsize=8192)
-def compute_stats(cfg: Configuration) -> Stats:
-    """Compute all derived statistics of a configuration.
-
-    The configuration need not be sorted; values are reported in the given
-    column/row order.  Raises :class:`ConfigError` naming the first zero-mass
-    column or row, since conditional probabilities are undefined there.
-
-    The cells are scaled once to integers over the lcm of their
-    denominators, and the far-apart test runs on those integers by
-    cross-multiplication in :func:`_spread_kernel`, the same kernel the
-    searches and :func:`expert_spread.discretize.threshold_probability`
-    use; :class:`~fractions.Fraction` objects are built only for the
-    returned fields.
-
-    Configurations are immutable, so results are memoised.  The memo keys
-    on the hash each :class:`Configuration` computed from its integer
-    masses when it was built, so a repeated query costs a slot read and
-    one equality test instead of re-hashing every ``Fraction``.
-    """
+def _grid_stats(cfg: Configuration) -> _GridStats:
+    """The memoised integer statistics of ``cfg``; see :func:`compute_stats`."""
     m, n = cfg.n_cols, cfg.n_rows
-    col_t, col_a, row_t, row_a, flat, b_num, den, _ = _spread_on_lattice(
-        cfg, 1 - cfg.delta
-    )
-    side = [flat[k * n : (k + 1) * n] for k in range(m)]
+    dn, dd = cfg.delta.numerator, cfg.delta.denominator
+    col_t, col_a, row_t, row_a, flat, b_num, den, parts = _spread_on_lattice(cfg, dd - dn, dd)
+    side = tuple([tuple(flat[k * n : (k + 1) * n]) for k in range(m)])
+    occupied = {v for i, v in enumerate(flat) if v and (parts[2 * i] or parts[2 * i + 1])}
 
     # Below, -1 means the row value sits far above the column value (the low
     # corner) and +1 the mirror; th > 0, so a cell is on at most one side.
     rows_side = [{side[k][j] for k in range(m)} for j in range(n)]
-    m_minus_G = max((k + 1 for k in range(m) if -1 in side[k]), default=0)
-    m_plus_G: Union[int, float] = min(
-        (k + 1 for k in range(m) if 1 in side[k]), default=math.inf
-    )
-    m_minus_H = max((j + 1 for j in range(n) if 1 in rows_side[j]), default=0)
-    m_plus_H: Union[int, float] = min(
-        (j + 1 for j in range(n) if -1 in rows_side[j]), default=math.inf
-    )
+    g = _GridStats()
+    g.m_minus_G = max((k + 1 for k in range(m) if -1 in side[k]), default=0)
+    g.m_plus_G = min((k + 1 for k in range(m) if 1 in side[k]), default=math.inf)
+    g.m_minus_H = max((j + 1 for j in range(n) if 1 in rows_side[j]), default=0)
+    g.m_plus_H = min((j + 1 for j in range(n) if -1 in rows_side[j]), default=math.inf)
 
     d_minus = []
     d_plus = []
@@ -517,22 +615,64 @@ def compute_stats(cfg: Configuration) -> Stats:
                 if left_off and above_off:
                     d_plus.append((k + 1, j + 1))
 
-    # The memo keeps these tuples alive; built from lists, they are allocated
-    # at their exact size, where tuple(<generator>) may keep spare slots.
-    return Stats(
-        p=tuple([Fraction(t, den) for t in col_t]),
-        q=tuple([Fraction(t, den) for t in row_t]),
-        x=tuple([Fraction(a, t) for a, t in zip(col_a, col_t)]),
-        y=tuple([Fraction(a, t) for a, t in zip(row_a, row_t)]),
-        b_mask=tuple([tuple([v != 0 for v in col]) for col in side]),
-        m_minus_G=m_minus_G,
-        m_plus_G=m_plus_G,
-        m_minus_H=m_minus_H,
-        m_plus_H=m_plus_H,
-        d_minus=tuple(d_minus),
-        d_plus=tuple(d_plus),
-        prob_B=Fraction(b_num, den),
-    )
+    g.den, g.col_t, g.col_a, g.row_t, g.row_a = den, col_t, col_a, row_t, row_a
+    g.side = side
+    g.b_mask = tuple([tuple([v != 0 for v in col]) for col in side])
+    g.b_num = b_num
+    g.prob_B = Fraction(b_num, den)
+    g.d_minus = tuple(d_minus)
+    g.d_plus = tuple(d_plus)
+    g.occupied = (-1 in occupied, 1 in occupied)
+    g.stats = None
+    return g
+
+
+def compute_stats(cfg: Configuration) -> Stats:
+    """Compute all derived statistics of a configuration.
+
+    The configuration need not be sorted; values are reported in the given
+    column/row order.  Raises :class:`ConfigError` naming the first zero-mass
+    column or row, since conditional probabilities are undefined there.
+
+    The far-apart test runs on the configuration's integer tuple by
+    cross-multiplication in :func:`_spread_kernel`, the same kernel the
+    searches and :func:`expert_spread.discretize.threshold_probability`
+    use; :class:`~fractions.Fraction` objects are built only for the
+    returned fields, once per memo entry.
+
+    Configurations are immutable, so results are memoised.  The memo keys
+    on the hash each :class:`Configuration` keeps in a slot, and an equal
+    key is confirmed by comparing integer tuples.  The transforms read the
+    same memo's integer statistics without building the fields, so
+    ``compute_stats.cache_info()`` and ``compute_stats.cache_clear()``
+    report and clear that one memo.
+    """
+    g = _grid_stats(cfg)
+    stats = g.stats
+    if stats is None:
+        den = g.den
+        # The memo keeps these tuples alive; built from lists, they are
+        # allocated at their exact size, where tuple(<generator>) may keep
+        # spare slots.
+        stats = g.stats = Stats(
+            p=tuple([Fraction(t, den) for t in g.col_t]),
+            q=tuple([Fraction(t, den) for t in g.row_t]),
+            x=tuple([Fraction(a, t) for a, t in zip(g.col_a, g.col_t)]),
+            y=tuple([Fraction(a, t) for a, t in zip(g.row_a, g.row_t)]),
+            b_mask=g.b_mask,
+            m_minus_G=g.m_minus_G,
+            m_plus_G=g.m_plus_G,
+            m_minus_H=g.m_minus_H,
+            m_plus_H=g.m_plus_H,
+            d_minus=g.d_minus,
+            d_plus=g.d_plus,
+            prob_B=g.prob_B,
+        )
+    return stats
+
+
+compute_stats.cache_info = _grid_stats.cache_info  # type: ignore[attr-defined]
+compute_stats.cache_clear = _grid_stats.cache_clear  # type: ignore[attr-defined]
 
 
 def normalize(cfg: Configuration) -> Configuration:
@@ -540,25 +680,26 @@ def normalize(cfg: Configuration) -> Configuration:
 
     Sorting is stable, so equal-valued columns keep their input order; merging
     equal-valued lines is a transformation, not a normalization.  The spread
-    probability is unchanged because sorting merely permutes cells.
+    probability is unchanged because sorting merely permutes cells.  Values
+    are compared by cross-multiplying the integer line sums.
     """
-    parts, _ = _lattice(cfg)
-    col_t, col_a, row_t, row_a = _line_sums(parts, cfg.n_cols, cfg.n_rows)
+    m, n, parts = cfg.n_cols, cfg.n_rows, cfg._parts
+    col_t, col_a, row_t, row_a = _line_sums(parts, m, n)
     col_order = sorted(
-        (k for k in range(cfg.n_cols) if col_t[k]),
-        key=lambda k: Fraction(col_a[k], col_t[k]),
+        (k for k in range(m) if col_t[k]),
+        key=functools.cmp_to_key(lambda k, l: col_a[k] * col_t[l] - col_a[l] * col_t[k]),
     )
     row_order = sorted(
-        (j for j in range(cfg.n_rows) if row_t[j]),
-        key=lambda j: Fraction(row_a[j], row_t[j]),
+        (j for j in range(n) if row_t[j]),
+        key=functools.cmp_to_key(lambda j, i: row_a[j] * row_t[i] - row_a[i] * row_t[j]),
     )
-    return Configuration(
-        delta=cfg.delta,
-        n_cols=len(col_order),
-        n_rows=len(row_order),
-        cells=tuple(
-            [tuple([cfg.cells[k][j] for j in row_order]) for k in col_order]
-        ),
+    out = []
+    for k in col_order:
+        base = 2 * k * n
+        for j in row_order:
+            out += parts[base + 2 * j : base + 2 * j + 2]
+    return Configuration._from_parts(
+        cfg.delta, len(col_order), len(row_order), out, cfg._den
     )
 
 
@@ -571,13 +712,10 @@ def overlap_check(cfg: Configuration, k: int, j: int) -> dict:
     ``rhs`` (the bound), ``applicable`` and ``holds``; the check holds
     vacuously when not applicable.
     """
-    if not (1 <= k <= cfg.n_cols and 1 <= j <= cfg.n_rows):
-        raise ConfigError(
-            f"cell index ({k},{j}) out of range for a {cfg.n_cols}x{cfg.n_rows} grid"
-        )
+    i = cfg._index(k, j)
     s = compute_stats(cfg)
     applicable = s.b_mask[k - 1][j - 1]
-    lhs = cfg.cells[k - 1][j - 1].mass
+    lhs = Fraction(cfg._parts[i] + cfg._parts[i + 1], cfg._den)
     rhs = cfg.delta / (1 + cfg.delta) * (s.p[k - 1] + s.q[j - 1])
     return {
         "lhs": lhs,
@@ -594,12 +732,9 @@ def separation_check(cfg: Configuration, k: int, j: int) -> dict:
     conditioned on at least one occurring, is at least ``|x_k - y_j|``.  This
     holds for every pair of positive-mass lines, with no threshold condition.
     """
-    if not (1 <= k <= cfg.n_cols and 1 <= j <= cfg.n_rows):
-        raise ConfigError(
-            f"cell index ({k},{j}) out of range for a {cfg.n_cols}x{cfg.n_rows} grid"
-        )
+    i = cfg._index(k, j)
     s = compute_stats(cfg)
-    c = cfg.cells[k - 1][j - 1].mass
+    c = Fraction(cfg._parts[i] + cfg._parts[i + 1], cfg._den)
     union = s.p[k - 1] + s.q[j - 1] - c
     lhs = (s.p[k - 1] + s.q[j - 1] - 2 * c) / union
     rhs = abs(s.x[k - 1] - s.y[j - 1])
@@ -620,11 +755,11 @@ def pitman_inclusion_violations(cfg: Configuration) -> list[tuple[int, int]]:
     or above ``1 - delta``.  For ``delta >= 1/2`` the property is not claimed
     and the check passes vacuously.
     """
-    if cfg.delta >= Fraction(1, 2):
-        return []
-    col_t, col_a, row_t, row_a, sides, _, _, _ = _spread_on_lattice(cfg, 1 - cfg.delta)
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
+    if 2 * dn >= dd:
+        return []
     up = dd - dn  # 1 - delta = up/dd
+    col_t, col_a, row_t, row_a, sides, _, _, _ = _spread_on_lattice(cfg, up, dd)
     bad = []
     i = 0
     for k in range(cfg.n_cols):
@@ -646,8 +781,8 @@ def overlap_violations(cfg: Configuration) -> list[tuple[int, int]]:
     A far-apart cell fails when ``c > delta/(1+delta) * (P+Q)``, tested as
     ``c*(dd+dn) > dn*(P+Q)``.
     """
-    col_t, _, row_t, _, sides, _, _, parts = _spread_on_lattice(cfg, 1 - cfg.delta)
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
+    col_t, _, row_t, _, sides, _, _, parts = _spread_on_lattice(cfg, dd - dn, dd)
     bad = []
     i = 0
     for k in range(cfg.n_cols):
@@ -665,7 +800,8 @@ def separation_violations(cfg: Configuration) -> list[tuple[int, int]]:
     A pair fails when ``(P+Q-2c)/(P+Q-c) < |ca/P - ra/Q|``, tested as
     ``(P+Q-2c)*P*Q < |ca*Q - ra*P|*(P+Q-c)``; ``P+Q-c >= Q > 0``.
     """
-    col_t, col_a, row_t, row_a, _, _, _, parts = _spread_on_lattice(cfg, 1 - cfg.delta)
+    dn, dd = cfg.delta.numerator, cfg.delta.denominator
+    col_t, col_a, row_t, row_a, _, _, _, parts = _spread_on_lattice(cfg, dd - dn, dd)
     bad = []
     i = 0
     for k in range(cfg.n_cols):
@@ -727,18 +863,18 @@ def rational_to_decimal(value: Fraction, sig_digits: int = 15) -> str:
 
 def config_to_json_dict(cfg: Configuration) -> dict:
     """Serialize to the configuration file schema (empty cells omitted)."""
+    parts, den, n = cfg._parts, cfg._den, cfg.n_rows
     cells = []
-    for k in range(1, cfg.n_cols + 1):
-        for j in range(1, cfg.n_rows + 1):
-            cell = cfg.cells[k - 1][j - 1]
-            if cell.is_empty:
-                continue
+    for i in range(0, len(parts), 2):
+        ac, a = parts[i], parts[i + 1]
+        if ac or a:
+            k, j = divmod(i // 2, n)
             cells.append(
                 {
-                    "col": k,
-                    "row": j,
-                    "a": rational_to_str(cell.a_mass),
-                    "ac": rational_to_str(cell.ac_mass),
+                    "col": k + 1,
+                    "row": j + 1,
+                    "a": str(Fraction(a, den)),
+                    "ac": str(Fraction(ac, den)),
                 }
             )
     return {

@@ -24,7 +24,6 @@ from .config import (
     _json_exact,
     _shown,
     _spread_on_lattice,
-    make_configuration,
     normalize,
     parse_rational,
     rational_to_str,
@@ -186,7 +185,7 @@ def threshold_probability(cfg: Configuration, threshold: Fraction) -> Fraction:
     right-hand side uses a threshold lowered by 2/n. A non-positive
     threshold makes every cell count, so the result is 1.
     """
-    *_, b_num, den, _ = _spread_on_lattice(cfg, threshold)
+    *_, b_num, den, _ = _spread_on_lattice(cfg, threshold.numerator, threshold.denominator)
     return Fraction(b_num, den)
 
 
@@ -199,8 +198,11 @@ def _configuration(
     d: Fraction, n_cols: int, n_rows: int, cells: dict[tuple[int, int], list[int]], den: int
 ) -> Configuration:
     """Normalize the grid of integer ``[a, ac]`` cells over ``den``."""
-    masses = {key: (Fraction(a, den), Fraction(c, den)) for key, (a, c) in cells.items()}
-    return normalize(make_configuration(d, n_cols, n_rows, masses))
+    parts = [0] * (2 * n_cols * n_rows)
+    for (k, j), (a, ac) in cells.items():
+        i = 2 * ((k - 1) * n_rows + j - 1)
+        parts[i], parts[i + 1] = ac, a
+    return normalize(Configuration._from_parts(d, n_cols, n_rows, parts, den))
 
 
 def to_configuration(space: RawSpace, delta: RationalLike) -> Configuration:

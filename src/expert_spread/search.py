@@ -16,13 +16,12 @@ reduction on each, and collects every contract violation as data.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .config import (
     Configuration,
@@ -34,7 +33,6 @@ from .config import (
     SearchSpaceError,
     _line_sums,
     compute_stats,
-    make_configuration,
     normalize,
     rational_to_str,
     validate_delta,
@@ -111,15 +109,7 @@ def _parts_to_config(
     n_rows: int,
     denom: int,
 ) -> Configuration:
-    masses = {}
-    i = 0
-    for k in range(1, n_cols + 1):
-        for j in range(1, n_rows + 1):
-            c, a = parts[i], parts[i + 1]
-            i += 2
-            if a or c:
-                masses[(k, j)] = (Fraction(a, denom), Fraction(c, denom))
-    return normalize(make_configuration(delta, n_cols, n_rows, masses))
+    return normalize(Configuration._from_parts(delta, n_cols, n_rows, parts, denom))
 
 
 def _bound_broken(b_num: int, denom: int, lam: Fraction) -> InternalStateError:
@@ -199,17 +189,6 @@ def enumeration_cap() -> int:
         raise ConfigError(
             f"{ENUM_CAP_ENV} must be an integer, got {raw!r}"
         ) from exc
-
-
-def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """All weak compositions of ``total`` into ``slots`` parts.
-
-    Lexicographically ascending in the flat slot order, so a search that
-    updates its argmax only on strict improvement reports the
-    lexicographically smallest maximizer.
-    """
-    for bars in itertools.combinations(range(total + slots - 1), slots - 1):
-        yield tuple(_gaps(bars, total))
 
 
 def _gaps(bars: tuple[int, ...] | list[int], total: int) -> list[int]:
@@ -576,8 +555,8 @@ class _FuzzRun:
             self._judge("merge_rows", (j,), transforms.merge_rows(cfg, j))
         s = compute_stats(cfg)
         for k, j in list(s.d_minus) + list(s.d_plus):
-            cell = cfg.cell(k, j)
-            if cell.a_mass > 0 and cell.ac_mass > 0:
+            i = cfg._index(k, j)
+            if cfg._parts[i] > 0 and cfg._parts[i + 1] > 0:
                 self._judge(
                     "purify_border_cell", (k, j),
                     transforms.purify_border_cell(cfg, k, j),

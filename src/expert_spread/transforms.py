@@ -18,26 +18,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Optional
 
 from .config import (
-    Cell,
     Configuration,
     ConfigError,
     DomainError,
     InternalStateError,
     RationalLike,
     ReduceContradictionError,
-    Stats,
     TransformContractError,
+    _grid_stats,
+    _GridStats,
     compute_stats,
     normalize,
     rational_to_str,
-    replace_cells,
 )
-
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
 
 
 def _rounds(
@@ -85,23 +81,21 @@ class TransformTrace:
 def make_trace(
     name: str, params: tuple, before: Configuration, after: Configuration
 ) -> TransformTrace:
-    """Build a trace entry by recomputing both configurations' statistics."""
-    sb = compute_stats(before)
-    sa = compute_stats(after)
+    """Build a trace entry from both configurations' memoised statistics."""
+    gb = _grid_stats(before)
+    ga = _grid_stats(after)
     return TransformTrace(
         name=name,
         params=tuple(params),
-        prob_B_before=sb.prob_B,
-        prob_B_after=sa.prob_B,
+        prob_B_before=gb.prob_B,
+        prob_B_after=ga.prob_B,
         dims_before=before.dims,
         dims_after=after.dims,
-        prob_b_nondecreasing=sa.prob_B >= sb.prob_B,
+        prob_b_nondecreasing=ga.b_num * gb.den >= gb.b_num * ga.den,
         dims_nonincreasing=(
             after.n_cols <= before.n_cols and after.n_rows <= before.n_rows
         ),
-        corners_preserved=(
-            not all(_corners_occupied(before)) or all(_corners_occupied(after))
-        ),
+        corners_preserved=not all(gb.occupied) or all(ga.occupied),
     )
 
 
@@ -128,16 +122,54 @@ def trace_to_json_dict(trace: TransformTrace) -> dict:
     }
 
 
-def _side(s: Stats, k: int, j: int) -> int:
+# ---------------------------------------------------------------------------
+# Reading the integer lattice
+# ---------------------------------------------------------------------------
+#
+# A configuration's masses are the integers of its ``_parts`` tuple over its
+# ``_den``: column-major, the complement share of each cell first and its
+# event share second.  Its statistics come from the memoised ``_grid_stats``:
+# integer line sums over the same denominator and a side per cell.  Values
+# are compared by cross-multiplying line sums; rationals appear only where a
+# caller's epsilon is compared, in trace values and in messages.
+
+
+def _cell(cfg: Configuration, k: int, j: int) -> tuple[int, int]:
+    """The event and complement mass of cell ``(k, j)`` (1-based), over ``cfg._den``."""
+    i = cfg._index(k, j)
+    return cfg._parts[i + 1], cfg._parts[i]
+
+
+def _a(cfg: Configuration, k: int, j: int) -> int:
+    return cfg._parts[cfg._index(k, j) + 1]
+
+
+def _ac(cfg: Configuration, k: int, j: int) -> int:
+    return cfg._parts[cfg._index(k, j)]
+
+
+def _mass(cfg: Configuration, k: int, j: int) -> int:
+    i = cfg._index(k, j)
+    return cfg._parts[i] + cfg._parts[i + 1]
+
+
+def _rational(cfg: Configuration, units: int) -> str:
+    """A mass in ``cfg``'s units as a rational string, for diagnostics."""
+    return rational_to_str(Fraction(units, cfg._den))
+
+
+def _below_half(cfg: Configuration) -> bool:
+    return 2 * cfg.delta.numerator < cfg.delta.denominator
+
+
+def _side(g: _GridStats, k: int, j: int) -> int:
     """Which side of the spread region cell ``(k, j)`` (1-based) lies on.
 
     -1 in the low corner, where the row conditional exceeds the column
     conditional by at least ``1 - delta``; +1 in the high corner, its
     mirror; 0 outside the region.
     """
-    if not s.b_mask[k - 1][j - 1]:
-        return 0
-    return 1 if s.x[k - 1] > s.y[j - 1] else -1
+    return g.side[k - 1][j - 1]
 
 
 def _corners_occupied(cfg: Configuration) -> tuple[bool, bool]:
@@ -146,14 +178,16 @@ def _corners_occupied(cfg: Configuration) -> tuple[bool, bool]:
     Configurations with both corners occupied can be canonicalized
     directly, others must be augmented first.
     """
-    s = compute_stats(cfg)
-    sides = {
-        _side(s, k, j)
-        for k in range(1, cfg.n_cols + 1)
-        for j in range(1, cfg.n_rows + 1)
-        if not cfg.cells[k - 1][j - 1].is_empty
-    }
-    return -1 in sides, 1 in sides
+    return _grid_stats(cfg).occupied
+
+
+def _least(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """The smallest of the rationals ``num/den`` (``den > 0``), as given."""
+    best_n, best_d = terms[0]
+    for num, den in terms[1:]:
+        if num * best_d < best_n * den:
+            best_n, best_d = num, den
+    return best_n, best_d
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +201,13 @@ def transpose(cfg: Configuration) -> Configuration:
     The spread probability is symmetric in the two partitions, so it is
     unchanged; the dimensions swap.
     """
-    cells = tuple(
-        tuple(cfg.cells[k][j] for k in range(cfg.n_cols)) for j in range(cfg.n_rows)
-    )
-    return Configuration(
-        delta=cfg.delta, n_cols=cfg.n_rows, n_rows=cfg.n_cols, cells=cells
-    )
+    n = cfg.n_rows
+    parts = cfg._parts
+    ac, a = parts[0::2], parts[1::2]
+    out = [0] * len(parts)
+    out[0::2] = [v for j in range(n) for v in ac[j::n]]
+    out[1::2] = [v for j in range(n) for v in a[j::n]]
+    return Configuration._from_parts(cfg.delta, n, cfg.n_cols, out, cfg._den)
 
 
 def complement_reflect(cfg: Configuration) -> Configuration:
@@ -182,19 +217,10 @@ def complement_reflect(cfg: Configuration) -> Configuration:
     ascending order, and the two species in every cell trade places.  The
     absolute gap between any column and row conditional is unchanged, hence
     so is the spread probability; the low and high corners trade places.
+    Both at once are the reversal of the integer tuple.
     """
-    cells = tuple(
-        tuple(
-            Cell(
-                a_mass=cfg.cells[cfg.n_cols - 1 - k][cfg.n_rows - 1 - j].ac_mass,
-                ac_mass=cfg.cells[cfg.n_cols - 1 - k][cfg.n_rows - 1 - j].a_mass,
-            )
-            for j in range(cfg.n_rows)
-        )
-        for k in range(cfg.n_cols)
-    )
-    return Configuration(
-        delta=cfg.delta, n_cols=cfg.n_cols, n_rows=cfg.n_rows, cells=cells
+    return Configuration._from_parts(
+        cfg.delta, cfg.n_cols, cfg.n_rows, cfg._parts[::-1], cfg._den
     )
 
 
@@ -220,51 +246,63 @@ def merge_columns(cfg: Configuration, k: int) -> Configuration:
         raise ConfigError(
             f"cannot merge columns {k} and {k + 1} of a {cfg.n_cols}-column grid"
         )
-    s = compute_stats(cfg)
-    for j in range(1, cfg.n_rows + 1):
-        b1 = s.b_mask[k - 1][j - 1]
-        b2 = s.b_mask[k][j - 1]
-        if b1 and b2 and (s.x[k - 1] > s.y[j - 1]) == (s.x[k] > s.y[j - 1]):
-            continue
-        spread_mass = ZERO
-        if b1:
-            spread_mass += cfg.cells[k - 1][j - 1].mass
-        if b2:
-            spread_mass += cfg.cells[k][j - 1].mass
-        if spread_mass != 0:
-            return cfg
-    merged = tuple(
-        Cell(
-            a_mass=cfg.cells[k - 1][j].a_mass + cfg.cells[k][j].a_mass,
-            ac_mass=cfg.cells[k - 1][j].ac_mass + cfg.cells[k][j].ac_mass,
-        )
-        for j in range(cfg.n_rows)
-    )
-    cells = cfg.cells[: k - 1] + (merged,) + cfg.cells[k + 1 :]
-    return Configuration(
-        delta=cfg.delta, n_cols=cfg.n_cols - 1, n_rows=cfg.n_rows, cells=cells
+    g = _grid_stats(cfg)
+    n, parts = cfg.n_rows, cfg._parts
+    lo, mid, hi = 2 * (k - 1) * n, 2 * k * n, 2 * (k + 1) * n  # the two columns' cells
+    left, right = g.side[k - 1], g.side[k]
+    if _blocked(parts, ((left[j], lo + 2 * j, right[j], mid + 2 * j) for j in range(n))):
+        return cfg
+    merged = [u + v for u, v in zip(parts[lo:mid], parts[mid:hi])]
+    return Configuration._from_parts(
+        cfg.delta, cfg.n_cols - 1, n, parts[:lo] + tuple(merged) + parts[hi:], cfg._den
     )
 
 
 def merge_rows(cfg: Configuration, j: int) -> Configuration:
-    """Row analogue of :func:`merge_columns`, via transposition."""
+    """Row analogue of :func:`merge_columns`.
+
+    Transposing turns the side of every cell into its opposite, so the
+    same-side test of :func:`merge_columns` on the transpose is the same
+    test on the rows here.
+    """
     if not (1 <= j <= cfg.n_rows - 1):
         raise ConfigError(
             f"cannot merge rows {j} and {j + 1} of a {cfg.n_rows}-row grid"
         )
-    t = transpose(cfg)
-    merged = merge_columns(t, j)
-    if merged is t:
+    g = _grid_stats(cfg)
+    n, parts = cfg.n_rows, cfg._parts
+    starts = [2 * (k * n + j - 1) for k in range(cfg.n_cols)]  # row j's cells
+    if _blocked(parts, ((col[j - 1], i, col[j], i + 2) for col, i in zip(g.side, starts))):
         return cfg
-    return transpose(merged)
+    out: list[int] = []
+    for k, i in enumerate(starts):
+        out += parts[2 * k * n : i]
+        out += (parts[i] + parts[i + 2], parts[i + 1] + parts[i + 3])
+        out += parts[i + 4 : 2 * (k + 1) * n]
+    return Configuration._from_parts(cfg.delta, cfg.n_cols, n - 1, out, cfg._den)
+
+
+def _blocked(parts: tuple[int, ...], facing: Iterator[tuple[int, int, int, int]]) -> bool:
+    """Whether pooling two lines could lose spread mass.
+
+    ``facing`` gives, for each pair of cells the merge pools, the side and
+    the index of each.  A pair is safe when both cells lie in the spread
+    region on the same side, or when neither carries spread mass.
+    """
+    for s1, i1, s2, i2 in facing:
+        if s1 and s1 == s2:
+            continue
+        if (s1 and (parts[i1] or parts[i1 + 1])) or (s2 and (parts[i2] or parts[i2 + 1])):
+            return True
+    return False
 
 
 def zigzag_normalize(cfg: Configuration) -> Configuration:
     """Sort, then merge until no legal column or row merge remains.
 
     Each round sweeps both axes: left to right through the columns with
-    :func:`merge_columns`, then the same sweep on the transpose for the
-    rows.  Rounds repeat until one merges nothing.
+    :func:`merge_columns`, then bottom to top through the rows with
+    :func:`merge_rows`.  Rounds repeat until one merges nothing.
 
     Below threshold one half, the fixpoint's spread region forms two
     staircases with unit steps: in the low corner, column ``k`` pairs exactly
@@ -276,39 +314,35 @@ def zigzag_normalize(cfg: Configuration) -> Configuration:
     cfg = normalize(cfg)
     for _ in _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "merging"):
         dims = cfg.dims
-        # columns, then rows as the columns of the transpose, then back
-        for _axis in range(2):
-            k = 1
-            while k < cfg.n_cols:
-                out = merge_columns(cfg, k)
+        for merge, axis in ((merge_columns, 0), (merge_rows, 1)):
+            i = 1
+            while i < cfg.dims[axis]:
+                out = merge(cfg, i)
                 if out is cfg:
-                    k += 1
+                    i += 1
                 else:
                     cfg = out
-            cfg = transpose(cfg)
         if cfg.dims == dims:
             break
-    s = compute_stats(cfg)
+    g = _grid_stats(cfg)
     problem = (
-        _staircase_problem(cfg, s) if cfg.delta < HALF else _sorted_problem(cfg, s)
+        _staircase_problem(cfg, g) if _below_half(cfg) else _sorted_problem(cfg, g)
     )
     if problem is not None:
         raise InternalStateError(f"merge fixpoint is not a staircase: {problem}")
     return cfg
 
 
-def _sorted_problem(cfg: Configuration, s: Stats) -> Optional[str]:
+def _sorted_problem(cfg: Configuration, g: _GridStats) -> Optional[str]:
     """Explain why the configuration is not strictly value-sorted, or ``None``."""
-    for i in range(cfg.n_cols - 1):
-        if not s.x[i] < s.x[i + 1]:
-            return f"columns {i + 1} and {i + 2} are not strictly sorted"
-    for i in range(cfg.n_rows - 1):
-        if not s.y[i] < s.y[i + 1]:
-            return f"rows {i + 1} and {i + 2} are not strictly sorted"
+    for what, a, t in (("columns", g.col_a, g.col_t), ("rows", g.row_a, g.row_t)):
+        for i in range(len(t) - 1):
+            if not a[i] * t[i + 1] < a[i + 1] * t[i]:
+                return f"{what} {i + 1} and {i + 2} are not strictly sorted"
     return None
 
 
-def _staircase_problem(cfg: Configuration, s: Stats) -> Optional[str]:
+def _staircase_problem(cfg: Configuration, g: _GridStats) -> Optional[str]:
     """Explain why the spread region is not in staircase form, or ``None``.
 
     Checks strict sorting, the dimension identities tying each corner's depth
@@ -316,12 +350,12 @@ def _staircase_problem(cfg: Configuration, s: Stats) -> Optional[str]:
     cell to its exact step position.  Only meaningful below threshold one
     half, where the two sides of the region cannot overlap.
     """
-    sort_problem = _sorted_problem(cfg, s)
+    sort_problem = _sorted_problem(cfg, g)
     if sort_problem is not None:
         return sort_problem
 
-    mm_g = s.m_minus_G
-    mp_h = s.m_plus_H
+    mm_g = g.m_minus_G
+    mp_h = g.m_plus_H
     if mm_g > 0:
         if not isinstance(mp_h, int):
             return "low corner exists on one axis only"
@@ -332,15 +366,15 @@ def _staircase_problem(cfg: Configuration, s: Stats) -> Optional[str]:
             )
         for k in range(1, mm_g + 1):
             t = mp_h + k - 1
-            if _side(s, k, t) != -1:
+            if _side(g, k, t) != -1:
                 return f"column {k} is not paired with row {t}"
-            if k + 1 <= cfg.n_cols and _side(s, k + 1, t) == -1:
+            if k + 1 <= cfg.n_cols and _side(g, k + 1, t) == -1:
                 return f"column {k + 1} unexpectedly pairs with row {t}"
-            if t >= 2 and _side(s, k, t - 1) == -1:
+            if t >= 2 and _side(g, k, t - 1) == -1:
                 return f"column {k} unexpectedly pairs with row {t - 1}"
 
-    mm_h = s.m_minus_H
-    mp_g = s.m_plus_G
+    mm_h = g.m_minus_H
+    mp_g = g.m_plus_G
     if mm_h > 0:
         if not isinstance(mp_g, int):
             return "high corner exists on one axis only"
@@ -351,11 +385,11 @@ def _staircase_problem(cfg: Configuration, s: Stats) -> Optional[str]:
             )
         for j in range(1, mm_h + 1):
             t = mp_g + j - 1
-            if _side(s, t, j) != 1:
+            if _side(g, t, j) != 1:
                 return f"row {j} is not paired with column {t}"
-            if j + 1 <= cfg.n_rows and _side(s, t, j + 1) == 1:
+            if j + 1 <= cfg.n_rows and _side(g, t, j + 1) == 1:
                 return f"row {j + 1} unexpectedly pairs with column {t}"
-            if t >= 2 and _side(s, t - 1, j) == 1:
+            if t >= 2 and _side(g, t - 1, j) == 1:
                 return f"row {j} unexpectedly pairs with column {t - 1}"
     return None
 
@@ -374,18 +408,18 @@ def absorb_empty_border_cell(cfg: Configuration, k: int, i: int) -> Configuratio
     merge is still value-checked, so this is the identity whenever no legal
     direction exists.  Out-of-range indices raise :class:`ConfigError`.
     """
-    cell = cfg.cell(k, i)
-    s = compute_stats(cfg)
-    if not s.b_mask[k - 1][i - 1] or cell.mass != 0:
+    mass = _mass(cfg, k, i)
+    b = _grid_stats(cfg).b_mask
+    if not b[k - 1][i - 1] or mass != 0:
         return cfg
     attempts: list[Callable[[], Configuration]] = []
-    if k + 1 <= cfg.n_cols and not s.b_mask[k][i - 1]:
+    if k + 1 <= cfg.n_cols and not b[k][i - 1]:
         attempts.append(lambda: merge_columns(cfg, k))
-    if k - 1 >= 1 and not s.b_mask[k - 2][i - 1]:
+    if k - 1 >= 1 and not b[k - 2][i - 1]:
         attempts.append(lambda: merge_columns(cfg, k - 1))
-    if i + 1 <= cfg.n_rows and not s.b_mask[k - 1][i]:
+    if i + 1 <= cfg.n_rows and not b[k - 1][i]:
         attempts.append(lambda: merge_rows(cfg, i))
-    if i - 1 >= 1 and not s.b_mask[k - 1][i - 2]:
+    if i - 1 >= 1 and not b[k - 1][i - 2]:
         attempts.append(lambda: merge_rows(cfg, i - 1))
     for attempt in attempts:
         out = attempt()
@@ -402,9 +436,9 @@ def ensure_positive_border(cfg: Configuration) -> Configuration:
     """
     for _ in _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "border absorption"):
         cfg = zigzag_normalize(cfg)
-        s = compute_stats(cfg)
-        for k, j in sorted(set(s.d_minus) | set(s.d_plus)):
-            if cfg.cell(k, j).mass != 0:
+        g = _grid_stats(cfg)
+        for k, j in sorted(set(g.d_minus) | set(g.d_plus)):
+            if _mass(cfg, k, j) != 0:
                 continue
             out = absorb_empty_border_cell(cfg, k, j)
             if out is not cfg:
@@ -437,70 +471,95 @@ def purify_border_cell(cfg: Configuration, k: int, j: int) -> Configuration:
     result is either pure or exhibits a value tie with a neighbouring line;
     a final check verifies no spread pair was lost and raises
     :class:`TransformContractError` if one was.
+
+    Each cap is a rational number of the configuration's mass units, kept
+    as an integer pair ``(num, den)``; the moved amount is the least of
+    them, and the grid is rescaled by its denominator to move it.
     """
-    cfg.cell(k, j)
-    s = compute_stats(cfg)
+    a, ac = _cell(cfg, k, j)
+    g = _grid_stats(cfg)
     pos = (k, j)
-    if pos in s.d_plus:
+    if pos in g.d_plus:
         ref = complement_reflect(cfg)
         out = purify_border_cell(ref, cfg.n_cols + 1 - k, cfg.n_rows + 1 - j)
         if out is ref:
             return cfg
         return complement_reflect(out)
-    if pos not in s.d_minus:
+    if pos not in g.d_minus:
         raise ConfigError(f"cell ({k}, {j}) is not on the border of the spread region")
-
-    cell = cfg.cell(k, j)
-    if cell.a_mass == 0 or cell.ac_mass == 0:
+    if a == 0 or ac == 0:
         return cfg
 
-    th = 1 - cfg.delta
-    pk, qj = s.p[k - 1], s.q[j - 1]
-    xk, yj = s.x[k - 1], s.y[j - 1]
-    if pk >= qj:
-        x_cap = cfg.delta if k == cfg.n_cols else min(s.x[k], cfg.delta)
-        y_cap = Fraction(1) if j == cfg.n_rows else min(s.y[j], Fraction(1))
-        terms = [pk * (x_cap - xk), qj * (y_cap - yj), cell.ac_mass]
+    dn, dd = cfg.delta.numerator, cfg.delta.denominator
+    up = dd - dn  # the threshold 1 - delta is up/dd
+    col_t, col_a, row_t, row_a = g.col_t, g.col_a, g.row_t, g.row_a
+    # with x = A/P and y = R/Q the two lines' values, p = P and q = Q their
+    # masses in units, a cap p*(x' - x) is (P*x' - A), and so on
+    P, A = col_t[k - 1], col_a[k - 1]
+    Q, R = row_t[j - 1], row_a[j - 1]
+    if P >= Q:
+        # x' = min(next column value, delta); y' = the next row value, or 1
+        if k < cfg.n_cols and col_a[k] * dd < dn * col_t[k]:
+            x_cap = (col_a[k], col_t[k])
+        else:
+            x_cap = (dn, dd)
+        y_cap = (row_a[j], row_t[j]) if j < cfg.n_rows else (1, 1)
+        terms = [
+            (P * x_cap[0] - A * x_cap[1], x_cap[1]),
+            (Q * y_cap[0] - R * y_cap[1], y_cap[1]),
+            (ac, 1),
+        ]
         # From threshold one half on, the rising row value could break a
         # high-side pair in the same row; below one half no such pair exists.
         for c in range(cfg.n_cols):
-            if _side(s, c + 1, j) == 1:
-                terms.append(qj * (s.x[c] - th - yj))
-        alpha = min(terms)
-        if alpha <= 0:
+            if g.side[c][j - 1] == 1:
+                # q * (x_c - th - y)
+                terms.append(
+                    (Q * (col_a[c] * dd - up * col_t[c]) - R * col_t[c] * dd, col_t[c] * dd)
+                )
+        num, den = _least(terms)
+        if num <= 0:
             return cfg
-        new_cell = Cell(cell.a_mass + alpha, cell.ac_mass - alpha)
+        shift = num  # event mass gained, in units of 1/(den * cfg._den)
     else:
-        x_prev = s.x[k - 2] if k >= 2 else ZERO
+        # x_prev is the previous column value, or 0
+        xp = (col_a[k - 2], col_t[k - 2]) if k >= 2 else (0, 1)
         terms = [
-            pk * (xk - x_prev),
-            qj * (yj - th - x_prev),
-            cell.a_mass,
+            (A * xp[1] - P * xp[0], xp[1]),  # p * (x - x_prev)
+            (R * dd * xp[1] - Q * (up * xp[1] + xp[0] * dd), dd * xp[1]),  # q * (y - th - x_prev)
+            (a, 1),
         ]
         if j >= 2:
-            terms.append(qj * (yj - s.y[j - 2]))
+            terms.append((R * row_t[j - 2] - Q * row_a[j - 2], row_t[j - 2]))  # q * (y - y_prev)
         # Mirror of the cap above: the falling column value could break a
         # high-side pair in the same column from threshold one half on.
         for r in range(cfg.n_rows):
-            if _side(s, k, r + 1) == 1:
-                terms.append(pk * (xk - th - s.y[r]))
-        alpha = min(terms)
-        if alpha <= 0:
+            if g.side[k - 1][r] == 1:
+                # p * (x - th - y_r)
+                terms.append(
+                    (A * dd * row_t[r] - P * (up * row_t[r] + row_a[r] * dd), dd * row_t[r])
+                )
+        num, den = _least(terms)
+        if num <= 0:
             return cfg
-        new_cell = Cell(cell.a_mass - alpha, cell.ac_mass + alpha)
+        shift = -num
 
-    out = replace_cells(cfg, {pos: new_cell})
+    parts = [v * den for v in cfg._parts]
+    i = cfg._index(k, j)
+    parts[i] -= shift
+    parts[i + 1] += shift
+    out = Configuration._from_parts(cfg.delta, cfg.n_cols, cfg.n_rows, parts, cfg._den * den)
     _check_spread_pairs_kept(cfg, out)
     return out
 
 
 def _check_spread_pairs_kept(before: Configuration, after: Configuration) -> None:
     """Verify every column/row pair in the spread region stayed there."""
-    sb = compute_stats(before)
-    sa = compute_stats(after)
-    for k in range(before.n_cols):
-        for j in range(before.n_rows):
-            if sb.b_mask[k][j] and not sa.b_mask[k][j]:
+    kept = _grid_stats(after).b_mask
+    for k, col in enumerate(_grid_stats(before).b_mask):
+        for j, b in enumerate(col):
+            if b and not kept[k][j]:
+                sb, sa = compute_stats(before), compute_stats(after)
                 raise TransformContractError(
                     f"column {k + 1} and row {j + 1} left the spread region "
                     f"(gap {abs(sb.x[k] - sb.y[j])} fell to {abs(sa.x[k] - sa.y[j])})"
@@ -527,16 +586,15 @@ def purify_all_borders(cfg: Configuration) -> Configuration:
     cfg = ensure_positive_border(cfg)
     pinned: set[tuple[int, int]] = set()
     for _ in rounds:
-        s = compute_stats(cfg)
-        for target in sorted(set(s.d_minus) | set(s.d_plus)):
-            cell = cfg.cell(*target)
-            if target not in pinned and cell.a_mass > 0 and cell.ac_mass > 0:
+        g = _grid_stats(cfg)
+        for target in sorted(set(g.d_minus) | set(g.d_plus)):
+            if target not in pinned and all(_cell(cfg, *target)):
                 break
         else:
             return cfg
         out = purify_border_cell(cfg, *target)
         if out is cfg:
-            if cfg.delta < HALF:
+            if _below_half(cfg):
                 raise InternalStateError(
                     f"purification stalled on impure border cell {target}"
                 )
@@ -573,8 +631,8 @@ def diagonal_swap(
     """
     k1, j1 = c1
     k2, j2 = c2
-    cfg.cell(k1, j1)
-    cfg.cell(k2, j2)
+    cfg._index(k1, j1)
+    cfg._index(k2, j2)
     if not (k1 < k2 and j2 < j1):
         raise ConfigError(
             f"swap sources must run from upper-left to lower-right, got {c1} and {c2}"
@@ -593,10 +651,10 @@ def _diagonal_swap_any(
     k2, j2 = c2
     if k1 == k2 or j1 == j2:
         raise ConfigError("swap sources must differ in both column and row")
-    s = compute_stats(cfg)
+    b = _grid_stats(cfg).b_mask
 
     def in_b(k: int, j: int) -> bool:
-        return s.b_mask[k - 1][j - 1]
+        return b[k - 1][j - 1]
 
     kl, kr = min(k1, k2), max(k1, k2)
     jb, jt = min(j1, j2), max(j1, j2)
@@ -618,32 +676,18 @@ def _diagonal_swap_any(
     if not pattern_ok:
         return cfg
 
-    cell1 = cfg.cell(k1, j1)
-    cell2 = cfg.cell(k2, j2)
-    if complement:
-        amount = min(cell1.ac_mass, cell2.ac_mass)
-    else:
-        amount = min(cell1.a_mass, cell2.a_mass)
+    # the moved species sits at a cell's index, or one further for the event
+    species = 0 if complement else 1
+    src1, src2 = cfg._index(k1, j1) + species, cfg._index(k2, j2) + species
+    amount = min(cfg._parts[src1], cfg._parts[src2])
     if amount == 0:
         return cfg
-
-    t1 = cfg.cell(k1, j2)
-    t2 = cfg.cell(k2, j1)
-    if complement:
-        updates: Mapping[tuple[int, int], Cell] = {
-            (k1, j1): Cell(cell1.a_mass, cell1.ac_mass - amount),
-            (k2, j2): Cell(cell2.a_mass, cell2.ac_mass - amount),
-            (k1, j2): Cell(t1.a_mass, t1.ac_mass + amount),
-            (k2, j1): Cell(t2.a_mass, t2.ac_mass + amount),
-        }
-    else:
-        updates = {
-            (k1, j1): Cell(cell1.a_mass - amount, cell1.ac_mass),
-            (k2, j2): Cell(cell2.a_mass - amount, cell2.ac_mass),
-            (k1, j2): Cell(t1.a_mass + amount, t1.ac_mass),
-            (k2, j1): Cell(t2.a_mass + amount, t2.ac_mass),
-        }
-    return replace_cells(cfg, updates)
+    parts = list(cfg._parts)
+    parts[src1] -= amount
+    parts[src2] -= amount
+    parts[cfg._index(k1, j2) + species] += amount
+    parts[cfg._index(k2, j1) + species] += amount
+    return Configuration._from_parts(cfg.delta, cfg.n_cols, cfg.n_rows, parts, cfg._den)
 
 
 # ---------------------------------------------------------------------------
@@ -662,26 +706,27 @@ def corner_fill(cfg: Configuration) -> Configuration:
     From one half on the spread bands cover everything and this is the
     identity.
     """
-    if cfg.delta >= HALF:
+    if not _below_half(cfg):
         return cfg
-    s = compute_stats(cfg)
-    updates: dict[tuple[int, int], Cell] = {}
+    g = _grid_stats(cfg)
+    parts = list(cfg._parts)
+    changed = False
     for k in range(1, cfg.n_cols + 1):
         for j in range(1, cfg.n_rows + 1):
-            cell = cfg.cell(k, j)
-            in_low_block = k > s.m_minus_G and j > s.m_minus_H
-            in_high_block = k < s.m_plus_G and j < s.m_plus_H
-            if in_high_block:
-                new = Cell(ZERO, cell.mass)
-            elif in_low_block:
-                new = Cell(cell.mass, ZERO)
+            if k < g.m_plus_G and j < g.m_plus_H:
+                pure = 0  # in the high block: all complement
+            elif k > g.m_minus_G and j > g.m_minus_H:
+                pure = 1  # in the low block: all event
             else:
                 continue
-            if new != cell:
-                updates[(k, j)] = new
-    if not updates:
+            i = cfg._index(k, j)
+            if parts[i + 1 - pure]:
+                parts[i + pure] += parts[i + 1 - pure]
+                parts[i + 1 - pure] = 0
+                changed = True
+    if not changed:
         return cfg
-    return replace_cells(cfg, updates)
+    return Configuration._from_parts(cfg.delta, cfg.n_cols, cfg.n_rows, parts, cfg._den)
 
 
 def empty_corner_rectangles(cfg: Configuration) -> Configuration:
@@ -701,46 +746,48 @@ def empty_corner_rectangles(cfg: Configuration) -> Configuration:
             "both extreme spread corners need positive mass; augment the "
             "configuration first"
         )
-    if cfg.delta >= HALF:
+    if not _below_half(cfg):
         return cfg
     for _ in _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "corner evacuation"):
-        s = compute_stats(cfg)
-        move = _find_corner_move(cfg, s)
+        move = _find_corner_move(cfg, _grid_stats(cfg))
         if move is None:
             return cfg
         src, dst, species = move
-        cell = cfg.cell(*src)
-        target = cfg.cell(*dst)
-        if species == "a":
-            new_target = Cell(target.a_mass + cell.mass, target.ac_mass)
-        else:
-            new_target = Cell(target.a_mass, target.ac_mass + cell.mass)
-        cfg = replace_cells(cfg, {src: Cell(), dst: new_target})
+        parts = list(cfg._parts)
+        i, d = cfg._index(*src), cfg._index(*dst)
+        parts[d + species] += parts[i] + parts[i + 1]
+        parts[i] = parts[i + 1] = 0
+        cfg = Configuration._from_parts(cfg.delta, cfg.n_cols, cfg.n_rows, parts, cfg._den)
 
 
 def _find_corner_move(
-    cfg: Configuration, s: Stats
-) -> Optional[tuple[tuple[int, int], tuple[int, int], str]]:
-    """Locate the first evacuation move, scanning the low rectangle first."""
-    th = 1 - cfg.delta
-    if isinstance(s.m_plus_H, int):
-        for k in range(1, s.m_minus_G + 1):
-            for j in range(s.m_plus_H, cfg.n_rows + 1):
-                cell = cfg.cell(k, j)
-                if s.b_mask[k - 1][j - 1] or cell.mass == 0:
+    cfg: Configuration, g: _GridStats
+) -> Optional[tuple[tuple[int, int], tuple[int, int], int]]:
+    """Locate the first evacuation move, scanning the low rectangle first.
+
+    Returns the source cell, the receiving cell and the species it receives:
+    0 for complement, 1 for event mass.
+    """
+    dn, dd = cfg.delta.numerator, cfg.delta.denominator
+    up = dd - dn  # the threshold 1 - delta is up/dd
+    if isinstance(g.m_plus_H, int):
+        for k in range(1, g.m_minus_G + 1):
+            for j in range(g.m_plus_H, cfg.n_rows + 1):
+                a, ac = _cell(cfg, k, j)
+                if g.b_mask[k - 1][j - 1] or a + ac == 0:
                     continue
-                if cell.a_mass < th * cell.mass:
-                    return ((k, j), (k, 1), "ac")
-                return ((k, j), (cfg.n_cols, j), "a")
-    if isinstance(s.m_plus_G, int):
-        for j in range(1, s.m_minus_H + 1):
-            for k in range(s.m_plus_G, cfg.n_cols + 1):
-                cell = cfg.cell(k, j)
-                if s.b_mask[k - 1][j - 1] or cell.mass == 0:
+                if a * dd < up * (a + ac):
+                    return ((k, j), (k, 1), 0)
+                return ((k, j), (cfg.n_cols, j), 1)
+    if isinstance(g.m_plus_G, int):
+        for j in range(1, g.m_minus_H + 1):
+            for k in range(g.m_plus_G, cfg.n_cols + 1):
+                a, ac = _cell(cfg, k, j)
+                if g.b_mask[k - 1][j - 1] or a + ac == 0:
                     continue
-                if cell.ac_mass < th * cell.mass:
-                    return ((k, j), (k, cfg.n_rows), "a")
-                return ((k, j), (1, j), "ac")
+                if ac * dd < up * (a + ac):
+                    return ((k, j), (k, cfg.n_rows), 1)
+                return ((k, j), (1, j), 0)
     return None
 
 
@@ -769,7 +816,7 @@ def canonicalize(cfg: Configuration) -> Configuration:
             "both extreme spread corners need positive mass; augment the "
             "configuration first"
         )
-    if cfg.delta >= HALF:
+    if not _below_half(cfg):
         cfg = zigzag_normalize(cfg)
     else:
         for _ in _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "canonicalization"):
@@ -796,33 +843,32 @@ def is_canonical(cfg: Configuration) -> bool:
     legitimately blocked there by opposite-side pairs.
     """
     try:
-        s = compute_stats(cfg)
+        g = _grid_stats(cfg)
     except ConfigError:
         return False
-    if cfg.delta >= HALF:
-        return _sorted_problem(cfg, s) is None
-    if _staircase_problem(cfg, s) is not None:
+    if not _below_half(cfg):
+        return _sorted_problem(cfg, g) is None
+    if _staircase_problem(cfg, g) is not None:
         return False
-    for pos in set(s.d_minus) | set(s.d_plus):
-        cell = cfg.cell(*pos)
-        if cell.a_mass > 0 and cell.ac_mass > 0:
+    for pos in set(g.d_minus) | set(g.d_plus):
+        if all(_cell(cfg, *pos)):
             return False
     for k in range(1, cfg.n_cols + 1):
         for j in range(1, cfg.n_rows + 1):
-            if s.b_mask[k - 1][j - 1]:
+            if g.b_mask[k - 1][j - 1]:
                 continue
-            cell = cfg.cell(k, j)
-            if k <= s.m_minus_G and cell.a_mass > 0:
+            a, ac = _cell(cfg, k, j)
+            if k <= g.m_minus_G and a > 0:
                 return False
-            if j <= s.m_minus_H and cell.a_mass > 0:
+            if j <= g.m_minus_H and a > 0:
                 return False
-            if k >= s.m_plus_G and cell.ac_mass > 0:
+            if k >= g.m_plus_G and ac > 0:
                 return False
-            if j >= s.m_plus_H and cell.ac_mass > 0:
+            if j >= g.m_plus_H and ac > 0:
                 return False
-            if k <= s.m_minus_G and j >= s.m_plus_H and cell.mass > 0:
+            if k <= g.m_minus_G and j >= g.m_plus_H and a + ac > 0:
                 return False
-            if k >= s.m_plus_G and j <= s.m_minus_H and cell.mass > 0:
+            if k >= g.m_plus_G and j <= g.m_minus_H and a + ac > 0:
                 return False
     return True
 
@@ -848,10 +894,10 @@ def augment(cfg: Configuration, epsilon: RationalLike) -> Configuration:
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError(f"epsilon must be positive, got {eps}")
-    s = compute_stats(cfg)
-    if s.prob_B == 0:
+    g = _grid_stats(cfg)
+    if g.b_num == 0:
         raise DomainError("cannot augment a configuration with zero spread probability")
-    low, high = _corners_occupied(cfg)
+    low, high = g.occupied
     if low and high:
         return cfg
     if not low and not high:
@@ -863,42 +909,40 @@ def augment(cfg: Configuration, epsilon: RationalLike) -> Configuration:
         out = complement_reflect(_augment_missing_high(reflected, eps))
     else:
         out = _augment_missing_high(cfg, eps)
-    s_out = compute_stats(out)
-    if not (s_out.prob_B > s.prob_B - eps):
+    g_out = _grid_stats(out)
+    if not (g_out.prob_B > g.prob_B - eps):
         raise TransformContractError(
-            f"augmentation dropped the spread probability from {s.prob_B} "
-            f"to {s_out.prob_B}, more than {eps}"
+            f"augmentation dropped the spread probability from {g.prob_B} "
+            f"to {g_out.prob_B}, more than {eps}"
         )
-    if not all(_corners_occupied(out)):
+    if not all(g_out.occupied):
         raise TransformContractError("augmentation failed to occupy both corners")
     return out
 
 
 def _augment_missing_high(cfg: Configuration, eps: Fraction) -> Configuration:
-    """Add the slivers when the high corner is the empty one."""
-    s = compute_stats(cfg)
-    d = cfg.delta
-    eps1 = min(HALF, eps / s.prob_B)
-    scale = 1 - eps1 / 2 - eps1 * d / 4
-    m, n = cfg.n_cols, cfg.n_rows
-    grid = [
-        [
-            Cell(scale * cfg.cells[k][j].a_mass, scale * cfg.cells[k][j].ac_mass)
-            for j in range(n)
-        ]
-        + [Cell()]
-        for k in range(m)
-    ]
-    grid[0][n] = Cell(ZERO, eps1 / 2)
-    new_col = [Cell() for _ in range(n + 1)]
-    new_col[n] = Cell(eps1 * d / 4, ZERO)
-    grid.append(new_col)
-    built = Configuration(
-        delta=d,
-        n_cols=m + 1,
-        n_rows=n + 1,
-        cells=tuple(tuple(col) for col in grid),
-    )
+    """Add the slivers when the high corner is the empty one.
+
+    With ``e = min(1/2, eps / prob_B)`` the grid is scaled by
+    ``1 - e/2 - e*delta/4``, the new row's cell in the first column gets
+    complement mass ``e/2`` and the new corner cell event mass
+    ``e*delta/4``.  All three share the denominator ``4*dd*e_den`` (for
+    ``delta = dn/dd``), so the new grid is integral over ``den`` times it.
+    """
+    g = _grid_stats(cfg)
+    dn, dd = cfg.delta.numerator, cfg.delta.denominator
+    e_num, e_den = eps.numerator * g.den, eps.denominator * g.b_num
+    if 2 * e_num > e_den:
+        e_num, e_den = 1, 2
+    whole = 4 * dd * e_den
+    scale = whole - 2 * dd * e_num - dn * e_num
+    m, n, den = cfg.n_cols, cfg.n_rows, g.den
+    out: list[int] = []
+    for k in range(m):
+        out += [v * scale for v in cfg._parts[2 * k * n : 2 * (k + 1) * n]]
+        out += (2 * dd * e_num * den if k == 0 else 0, 0)
+    out += [0] * (2 * n) + [0, dn * e_num * den]
+    built = Configuration._from_parts(cfg.delta, m + 1, n + 1, out, den * whole)
     return normalize(built)
 
 
@@ -923,10 +967,10 @@ def reduce(cfg: Configuration, epsilon: RationalLike) -> dict:
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError(f"epsilon must be positive, got {eps}")
-    if cfg.delta >= HALF:
+    if not _below_half(cfg):
         raise DomainError(f"reduction requires delta < 1/2, got {cfg.delta}")
     start = normalize(cfg)
-    if compute_stats(start).prob_B == 0:
+    if _grid_stats(start).b_num == 0:
         raise DomainError("cannot reduce a configuration with zero spread probability")
     driver = _ReduceDriver(start, eps)
     out = driver.run()
@@ -941,17 +985,17 @@ def reduced_shape_problem(cfg: Configuration) -> Optional[str]:
     transposed condition holds for the row family; otherwise a short
     description of the first failure.
     """
-    s = compute_stats(cfg)
+    g = _grid_stats(cfg)
     if not (
-        s.m_minus_G <= 1
-        or (s.m_minus_G == 2 and cfg.cell(1, cfg.n_rows).is_empty)
+        g.m_minus_G <= 1
+        or (g.m_minus_G == 2 and _mass(cfg, 1, cfg.n_rows) == 0)
     ):
-        return f"column low-side count {s.m_minus_G} with occupied deep cell"
+        return f"column low-side count {g.m_minus_G} with occupied deep cell"
     if not (
-        s.m_minus_H <= 1
-        or (s.m_minus_H == 2 and cfg.cell(cfg.n_cols, 1).is_empty)
+        g.m_minus_H <= 1
+        or (g.m_minus_H == 2 and _mass(cfg, cfg.n_cols, 1) == 0)
     ):
-        return f"row low-side count {s.m_minus_H} with occupied deep cell"
+        return f"row low-side count {g.m_minus_H} with occupied deep cell"
     return None
 
 
@@ -980,14 +1024,14 @@ class _ReduceDriver:
         self.trace.append(make_trace(name, params, self.cfg, after))
         self.cfg = after
 
-    def _stats(self) -> Stats:
-        return compute_stats(self.cfg)
+    def _stats(self) -> _GridStats:
+        return _grid_stats(self.cfg)
 
     def _fail(self, message: str) -> InternalStateError:
         return InternalStateError(f"{message} (after {len(self.trace)} steps)")
 
     def _contradiction(self, state: str, extra: Optional[dict] = None) -> None:
-        s = self._stats()
+        s = compute_stats(self.cfg)
         diagnostics = {
             "delta": rational_to_str(self.cfg.delta),
             "dims": list(self.cfg.dims),
@@ -1008,11 +1052,13 @@ class _ReduceDriver:
         strictly shrinks the grid.  Swaps never change values; only
         purifications can trigger this.
         """
-        s = self._stats()
-        tie = any(s.x[i] == s.x[i + 1] for i in range(self.cfg.n_cols - 1)) or any(
-            s.y[i] == s.y[i + 1] for i in range(self.cfg.n_rows - 1)
+        g = self._stats()
+        tie = any(
+            a[i] * t[i + 1] == a[i + 1] * t[i]
+            for a, t in ((g.col_a, g.col_t), (g.row_a, g.row_t))
+            for i in range(len(t) - 1)
         )
-        return tie or s.b_mask != self._mask0
+        return tie or g.b_mask != self._mask0
 
     # -- outer loop ---------------------------------------------------------
 
@@ -1035,10 +1081,10 @@ class _ReduceDriver:
             )
         return self.cfg
 
-    def _low_side_done(self, s: Stats) -> bool:
+    def _low_side_done(self, s: _GridStats) -> bool:
         if s.m_minus_G <= 1:
             return True
-        return s.m_minus_G == 2 and self.cfg.cell(1, self.cfg.n_rows).mass == 0
+        return s.m_minus_G == 2 and _mass(self.cfg, 1, self.cfg.n_rows) == 0
 
     def _phase(self) -> None:
         prev_sum = None
@@ -1057,7 +1103,7 @@ class _ReduceDriver:
 
     # -- one attack from the canonical state --------------------------------
 
-    def _attack(self, s: Stats) -> str:
+    def _attack(self, s: _GridStats) -> str:
         mm = s.m_minus_G
         if mm < 2:
             raise self._fail("attack started with a trivial low corner")
@@ -1068,7 +1114,7 @@ class _ReduceDriver:
         if self._with_chi(self._corner_sweep) == "jump":
             return "jump"
         if mm == 2:
-            if self.cfg.cell(1, self.cfg.n_rows).mass != 0:
+            if _mass(self.cfg, 1, self.cfg.n_rows) != 0:
                 raise self._fail("expected an empty extreme cell at depth two")
             return "exit"
         return self._three_column_attack()
@@ -1110,31 +1156,31 @@ class _ReduceDriver:
         self._step("purify_border_cell", (mm, mH), after)
         if self._jump_now():
             return "jump"
-        corner = self.cfg.cell(mm, mH)
-        if corner.mass == 0 or (corner.a_mass > 0 and corner.ac_mass > 0):
+        corner_a, corner_ac = _cell(self.cfg, mm, mH)
+        if corner_a + corner_ac == 0 or (corner_a > 0 and corner_ac > 0):
             raise self._fail("corner purification left an unusable corner")
-        if all(self.cfg.cell(mm, j).ac_mass == 0 for j in range(1, mH)):
+        if all(_ac(self.cfg, mm, j) == 0 for j in range(1, mH)):
             self._contradiction(
                 "deep-column-complement-exhausted",
-                {"column": mm, "corner_a": rational_to_str(corner.a_mass)},
+                {"column": mm, "corner_a": _rational(self.cfg, corner_a)},
             )
-        if any(self.cfg.cell(k, mH).ac_mass > 0 for k in range(1, mm)):
+        if any(_ac(self.cfg, k, mH) > 0 for k in range(1, mm)):
             raise self._fail("sweep dichotomy failed on the top row")
-        if corner.a_mass == 0:
+        if corner_a == 0:
             self._contradiction(
                 "corner-pure-complement", {"column": mm, "row": mH}
             )
-        if any(self.cfg.cell(k, mH).ac_mass > 0 for k in range(1, mG + 1)):
+        if any(_ac(self.cfg, k, mH) > 0 for k in range(1, mG + 1)):
             raise self._fail("top row still carries complement mass after the sweep")
         return "ok"
 
     def _three_column_attack(self) -> str:
         """Attack a depth-three low corner through its middle border cell."""
         mH = self.cfg.n_rows
-        mid = self.cfg.cell(2, mH - 1)
-        if mid.mass == 0 or (mid.a_mass > 0 and mid.ac_mass > 0):
+        mid_a, mid_ac = _cell(self.cfg, 2, mH - 1)
+        if mid_a + mid_ac == 0 or (mid_a > 0 and mid_ac > 0):
             raise self._fail("middle border cell is not pure and positive")
-        if mid.a_mass == 0:
+        if mid_a == 0:
             return self._middle_cell_attack()
         return self._with_chi(self._middle_cell_attack)
 
@@ -1156,48 +1202,50 @@ class _ReduceDriver:
         for k in range(4, mG + 1):
             after = diagonal_swap(self.cfg, (2, mH), (k, mH - 1), complement=False)
             self._step("diagonal_swap", ((2, mH), (k, mH - 1), "plain"), after)
-        a_top = self.cfg.cell(2, mH).a_mass
-        a_mid = self.cfg.cell(2, mH - 1).a_mass
+        a_top = _a(self.cfg, 2, mH)
+        a_mid = _a(self.cfg, 2, mH - 1)
         if a_top > 0:
-            if any(self.cfg.cell(k, mH - 1).a_mass > 0 for k in range(4, mG + 1)):
+            if any(_a(self.cfg, k, mH - 1) > 0 for k in range(4, mG + 1)):
                 raise self._fail("event sweep dichotomy failed on the middle row")
             if a_mid == 0:
                 self._contradiction(
                     "middle-row-event-exhausted",
-                    {"a_top": rational_to_str(a_top)},
+                    {"a_top": _rational(self.cfg, a_top)},
                 )
         after = purify_border_cell(self.cfg, 2, mH - 1)
         self._step("purify_border_cell", (2, mH - 1), after)
         if self._jump_now():
             return "jump"
-        mid = self.cfg.cell(2, mH - 1)
-        if mid.mass == 0 or (mid.a_mass > 0 and mid.ac_mass > 0):
+        mid_a, mid_ac = _cell(self.cfg, 2, mH - 1)
+        if mid_a + mid_ac == 0 or (mid_a > 0 and mid_ac > 0):
             raise self._fail("middle cell purification failed")
-        if mid.a_mass == 0:
+        if mid_a == 0:
             self._contradiction("middle-cell-pure-complement", {})
         for j in range(1, mp_h):
             after = diagonal_swap(self.cfg, (1, mp_h + 1), (2, j), complement=True)
             self._step("diagonal_swap", ((1, mp_h + 1), (2, j), "complement"), after)
-        ac_first = self.cfg.cell(1, mp_h + 1).ac_mass
+        # kept as text: the purification below may change the denominator
+        ac_first = _ac(self.cfg, 1, mp_h + 1)
+        ac_first_text = _rational(self.cfg, ac_first)
         if ac_first > 0:
-            if any(self.cfg.cell(2, j).ac_mass > 0 for j in range(1, mp_h)):
+            if any(_ac(self.cfg, 2, j) > 0 for j in range(1, mp_h)):
                 raise self._fail("complement sweep dichotomy failed on column two")
         after = purify_border_cell(self.cfg, 2, mH - 1)
         self._step("purify_border_cell", (2, mH - 1), after)
         if self._jump_now():
             return "jump"
-        mid = self.cfg.cell(2, mH - 1)
-        if mid.a_mass > 0 and mid.ac_mass > 0:
+        mid_a, mid_ac = _cell(self.cfg, 2, mH - 1)
+        if mid_a > 0 and mid_ac > 0:
             raise self._fail("second purification left the middle cell impure")
         s2 = self._stats()
         extra = {
-            "middle_a": rational_to_str(mid.a_mass),
-            "middle_ac": rational_to_str(mid.ac_mass),
-            "ac_first": rational_to_str(ac_first),
+            "middle_a": _rational(self.cfg, mid_a),
+            "middle_ac": _rational(self.cfg, mid_ac),
+            "ac_first": ac_first_text,
         }
         if ac_first == 0:
             self._contradiction("first-column-complement-exhausted", extra)
-        if s2.x[1] == 1:
+        if s2.col_a[1] == s2.col_t[1]:
             self._contradiction("second-column-saturated", extra)
         self._contradiction("depth-three-deadlock", extra)
         return "jump"  # unreachable; _contradiction always raises
@@ -1226,10 +1274,10 @@ class _ReduceDriver:
         mp_h = s.m_plus_H
         kinds = []
         for i in range(1, mm + 1):
-            cell = self.cfg.cell(i, mp_h + i - 1)
-            if cell.mass == 0 or (cell.a_mass > 0 and cell.ac_mass > 0):
+            a, ac = _cell(self.cfg, i, mp_h + i - 1)
+            if a + ac == 0 or (a > 0 and ac > 0):
                 raise self._fail("staircase cell is not pure and positive")
-            kinds.append("a" if cell.ac_mass == 0 else "ac")
+            kinds.append("a" if ac == 0 else "ac")
         if kinds[0] != "ac" or kinds[1] != "a" or kinds[-2] != "ac" or kinds[-1] != "a":
             raise self._fail("staircase footholds are not in the expected state")
         trans = next(
@@ -1254,9 +1302,9 @@ class _ReduceDriver:
             self._step(
                 "diagonal_swap", ((k + 1, j + 1), (k, j1), "complement"), after
             )
-        upper = self.cfg.cell(k + 1, j + 1)
-        if upper.ac_mass == 0:
-            if upper.a_mass != 0:
+        upper_a, upper_ac = _cell(self.cfg, k + 1, j + 1)
+        if upper_ac == 0:
+            if upper_a != 0:
                 raise self._fail("transition cell should be complement-pure")
             after = absorb_empty_border_cell(self.cfg, k + 1, j + 1)
             if after is self.cfg:
@@ -1264,7 +1312,7 @@ class _ReduceDriver:
             self._step("absorb_empty_border_cell", (k + 1, j + 1), after)
             return "jump"
         if any(
-            self.cfg.cell(k, j1).ac_mass > 0
+            _ac(self.cfg, k, j1) > 0
             for j1 in range(1, mH + 1)
             if j1 not in (j, j + 1)
         ):
@@ -1275,9 +1323,9 @@ class _ReduceDriver:
                 continue
             after = _diagonal_swap_any(self.cfg, (k, j), (c, j + 1), complement=False)
             self._step("diagonal_swap", ((k, j), (c, j + 1), "plain"), after)
-        lower = self.cfg.cell(k, j)
-        if lower.a_mass == 0:
-            if lower.ac_mass != 0:
+        lower_a, lower_ac = _cell(self.cfg, k, j)
+        if lower_a == 0:
+            if lower_ac != 0:
                 raise self._fail("transition cell should be event-pure")
             after = absorb_empty_border_cell(self.cfg, k, j)
             if after is self.cfg:
@@ -1285,7 +1333,7 @@ class _ReduceDriver:
             self._step("absorb_empty_border_cell", (k, j), after)
             return "jump"
         if any(
-            self.cfg.cell(c, j + 1).a_mass > 0
+            _a(self.cfg, c, j + 1) > 0
             for c in range(1, mG + 1)
             if c not in (k, k + 1)
         ):
@@ -1314,18 +1362,18 @@ class _ReduceDriver:
         self._step("purify_border_cell", (mm - 1, mH - 1), after)
         if self._jump_now():
             return "jump"
-        near = self.cfg.cell(mm - 1, mH - 1)
-        if near.mass == 0 or (near.a_mass > 0 and near.ac_mass > 0):
+        near_a, near_ac = _cell(self.cfg, mm - 1, mH - 1)
+        if near_a + near_ac == 0 or (near_a > 0 and near_ac > 0):
             raise self._fail("near-corner purification failed")
-        if near.ac_mass == 0:
-            if all(self.cfg.cell(mm - 1, j).ac_mass == 0 for j in range(1, mp_h)):
+        if near_ac == 0:
+            if all(_ac(self.cfg, mm - 1, j) == 0 for j in range(1, mp_h)):
                 self._contradiction(
                     "near-column-complement-exhausted", {"column": mm - 1}
                 )
-            if any(self.cfg.cell(k, mH - 1).ac_mass > 0 for k in range(1, mm - 1)):
+            if any(_ac(self.cfg, k, mH - 1) > 0 for k in range(1, mm - 1)):
                 raise self._fail("near sweep dichotomy failed")
             raise self._fail("expected a row-value tie after the near sweep")
-        if self.cfg.cell(mm, mH).ac_mass != 0 or near.a_mass != 0:
+        if _ac(self.cfg, mm, mH) != 0 or near_a != 0:
             raise self._fail("footholds are not in the expected pure state")
         return "footholds"
 
@@ -1349,33 +1397,31 @@ class _ReduceDriver:
         share at least its row conditional, which sits above ``1 - delta``:
         two shares summing beyond one.
         """
-        s = self._stats()
-        cell = self.cfg.cell(k, j)
-        if cell.mass == 0:
+        g = self._stats()
+        a, ac = _cell(self.cfg, k, j)
+        mass = a + ac
+        if mass == 0:
             raise self._fail("overloaded cell lost its mass")
-        col_ac = sum(
-            (self.cfg.cell(k, r).ac_mass for r in range(1, self.cfg.n_rows + 1)),
-            ZERO,
-        )
-        row_a = sum(
-            (self.cfg.cell(c, j).a_mass for c in range(1, self.cfg.n_cols + 1)),
-            ZERO,
-        )
-        if col_ac != cell.ac_mass or row_a != cell.a_mass:
+        col_ac = sum(_ac(self.cfg, k, r) for r in range(1, self.cfg.n_rows + 1))
+        row_a = sum(_a(self.cfg, c, j) for c in range(1, self.cfg.n_cols + 1))
+        if col_ac != ac or row_a != a:
             raise self._fail("overloaded cell does not dominate its lines")
-        if s.x[k - 1] > self.cfg.delta or s.y[j - 1] < 1 - self.cfg.delta:
+        dn, dd = self.cfg.delta.numerator, self.cfg.delta.denominator
+        P, A = g.col_t[k - 1], g.col_a[k - 1]
+        Q, R = g.row_t[j - 1], g.row_a[j - 1]
+        # x = A/P above delta, or y = R/Q below 1 - delta
+        if A * dd > dn * P or R * dd < (dd - dn) * Q:
             raise self._fail("overloaded cell's lines left their value bands")
-        share_ac = cell.ac_mass / cell.mass
-        share_a = cell.a_mass / cell.mass
-        if share_ac < 1 - s.x[k - 1] or share_a < s.y[j - 1]:
+        # the shares ac/mass and a/mass against 1 - x and y
+        if ac * P < (P - A) * mass or a * Q < R * mass:
             raise self._fail("overloaded cell's shares fell short of their bounds")
-        if share_ac + share_a <= 1:
+        if ac + a <= mass:
             raise self._fail("overloaded cell is not actually impossible")
         self._contradiction(
             "transition-cell-overloaded",
             {
                 "cell": [k, j],
-                "complement_share": rational_to_str(share_ac),
-                "event_share": rational_to_str(share_a),
+                "complement_share": rational_to_str(Fraction(ac, mass)),
+                "event_share": rational_to_str(Fraction(a, mass)),
             },
         )

@@ -1,9 +1,12 @@
 """Statistics, validation, and serialization of grid configurations."""
 
+import copy
 import json
 import math
+import pickle
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ import pytest
 from expert_spread.config import (
     Cell,
     ConfigError,
+    Configuration,
     DomainError,
     compute_stats,
     config_from_json_dict,
@@ -363,3 +367,30 @@ def test_equal_rebuilds_share_hash_and_memo_entry():
     # slots keep the per-instance footprint flat, hash included
     for cfg in (a, a.cell(1, 1)):
         assert not hasattr(cfg, "__dict__")
+
+
+def test_configurations_are_frozen_and_copy_through_the_lattice():
+    cfg = quarter_witness()
+    with pytest.raises(FrozenInstanceError):
+        cfg.delta = F(1, 3)
+    with pytest.raises(FrozenInstanceError):
+        del cfg.n_cols
+    for twin in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg)):
+        assert twin == cfg and hash(twin) == hash(cfg)
+        assert twin.cells == cfg.cells
+
+
+def test_the_integer_constructor_checks_its_input():
+    build = Configuration._from_parts
+    # four slots over 8, in lowest terms after dividing by 2
+    cfg = build(F(1, 4), 1, 2, [2, 2, 0, 4], 8)
+    assert (cfg._parts, cfg._den) == ((1, 1, 0, 2), 4)
+    assert cfg == make_configuration(F(1, 4), 1, 2, {(1, 1): ("1/4", "1/4"), (1, 2): ("1/2", 0)})
+    with pytest.raises(ConfigError, match="^cell masses must be non-negative, got a=1/2, ac=-1/4$"):
+        build(F(1, 4), 1, 2, [4, 2, -2, 4], 8)
+    with pytest.raises(ConfigError, match="^total mass must be exactly 1, got 7/8$"):
+        build(F(1, 4), 1, 2, [2, 2, 0, 3], 8)
+    with pytest.raises(ConfigError, match="^3 masses do not fill a 1x2 grid$"):
+        build(F(1, 4), 1, 2, [2, 2, 4], 8)
+    with pytest.raises(DomainError, match="^delta must lie strictly between 0 and 1"):
+        build(F(1), 1, 2, [2, 2, 0, 4], 8)

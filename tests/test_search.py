@@ -1,5 +1,6 @@
 """Exhaustive enumeration, hill climbing, and the transformation fuzzer."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from expert_spread.config import (
 )
 from expert_spread.search import (
     SearchSpaceError,
-    _compositions,
+    _gaps,
     _parts_to_config,
     _random_parts,
     enumeration_cap,
@@ -169,6 +170,17 @@ def test_fuzzer_is_deterministic():
 def test_fuzzer_input_validation():
     with pytest.raises(DomainError):
         fuzz_transforms(F(1, 4), 0, seed=1)
+
+
+def _compositions(total, slots):
+    """All weak compositions of ``total`` into ``slots`` parts.
+
+    Lexicographically ascending in the flat slot order, so a search that
+    updates its argmax only on strict improvement reports the
+    lexicographically smallest maximizer.
+    """
+    for bars in itertools.combinations(range(total + slots - 1), slots - 1):
+        yield tuple(_gaps(bars, total))
 
 
 def recursive_compositions(total, slots):

@@ -1,5 +1,7 @@
 """Mass-moving transformations: contracts, hand oracles, and regressions."""
 
+import hashlib
+import io
 import json
 import random
 from fractions import Fraction
@@ -18,7 +20,9 @@ from expert_spread.config import (
     InternalStateError,
     compute_stats,
     config_from_json_dict,
+    dump_config,
     make_configuration,
+    normalize,
 )
 from expert_spread.search import random_configuration, reduced_shape_problem
 from expert_spread import transforms
@@ -458,10 +462,13 @@ def two_fifths_square(den, n, masses):
     )
 
 
-def test_reduce_runs_the_depth_two_attack(monkeypatch):
-    # found by a seeded random sweep; the only inputs known to reach the
-    # attack's exit at corner depth two use a threshold gap close to 1/2
-    cfg = config_from_json_dict(
+def depth_two_input():
+    """A gap 49/100 input whose attack exits at corner depth two.
+
+    Found by a seeded random sweep; the only inputs known to reach that
+    exit use a threshold gap close to 1/2.
+    """
+    return config_from_json_dict(
         {
             "delta": "49/100",
             "cols": 4,
@@ -481,6 +488,10 @@ def test_reduce_runs_the_depth_two_attack(monkeypatch):
             ],
         }
     )
+
+
+def test_reduce_runs_the_depth_two_attack(monkeypatch):
+    cfg = depth_two_input()
     outcomes, cert, steps = reduce_counting_branches(monkeypatch, cfg)
     assert outcomes["_attack"] == ["exit"]
     assert len(outcomes["_corner_sweep"]) == 2
@@ -489,31 +500,37 @@ def test_reduce_runs_the_depth_two_attack(monkeypatch):
     assert cert == F(98, 149)
 
 
-def test_reduce_runs_the_depth_three_attack(monkeypatch):
+def depth_three_input():
+    """A gap 2/5 square whose attack enters the depth-three branch."""
     masses = {
         (1, 2): (0, 1), (1, 3): (0, 1), (2, 1): (0, 9), (2, 3): (1, 0),
         (3, 1): (0, 4), (3, 4): (1, 0), (4, 1): (1, 0), (4, 2): (2, 0),
         (4, 3): (2, 0), (4, 4): (1, 0),
     }
-    outcomes, _, steps = reduce_counting_branches(
-        monkeypatch, two_fifths_square(23, 4, masses)
-    )
+    return two_fifths_square(23, 4, masses)
+
+
+def test_reduce_runs_the_depth_three_attack(monkeypatch):
+    outcomes, _, steps = reduce_counting_branches(monkeypatch, depth_three_input())
     assert len(outcomes["_three_column_attack"]) == 1
     assert len(outcomes["_middle_cell_attack"]) == 1
     assert len(outcomes["_with_chi"]) == 2
     assert steps == 22
 
 
-def test_reduce_runs_the_two_sided_squeeze(monkeypatch):
+def depth_four_input():
+    """A gap 2/5 square whose attack enters the two-sided squeeze."""
     masses = {
         (1, 2): (0, 1), (1, 3): (0, 1), (1, 4): (0, 1), (2, 1): (0, 9),
         (2, 3): (1, 0), (3, 1): (0, 4), (3, 4): (1, 0), (4, 1): (0, 7),
         (4, 5): (3, 0), (5, 1): (1, 0), (5, 2): (2, 0), (5, 3): (2, 0),
         (5, 4): (4, 0), (5, 5): (1, 0),
     }
-    outcomes, _, steps = reduce_counting_branches(
-        monkeypatch, two_fifths_square(38, 5, masses)
-    )
+    return two_fifths_square(38, 5, masses)
+
+
+def test_reduce_runs_the_two_sided_squeeze(monkeypatch):
+    outcomes, _, steps = reduce_counting_branches(monkeypatch, depth_four_input())
     assert len(outcomes["_two_sided_squeeze"]) == 1
     assert len(outcomes["_foothold_sweep"]) == 1
     assert steps == 21
@@ -554,3 +571,62 @@ def test_trace_serialization():
             "corners_preserved",
         }
         json.dumps(wire)
+
+
+def seeded_reduce_inputs():
+    """The pinned driver inputs, then 30 seeded positive-spread grids up to 6x6.
+
+    The seeded grids cycle through gaps 1/4, 1/3 and 2/5; masses are a
+    uniform composition over a power-of-two denominator, and draws without
+    spread are redrawn.
+    """
+    inputs = [depth_two_input(), depth_three_input(), depth_four_input()]
+    rng = random.Random(7)
+    deltas = (F(1, 4), F(1, 3), F(2, 5))
+    while len(inputs) < 33:
+        delta = deltas[len(inputs) % 3]
+        n_cols, n_rows = rng.randint(1, 6), rng.randint(1, 6)
+        denom = 2 ** rng.randint(4, 10)
+        cuts = sorted(rng.randint(0, denom) for _ in range(2 * n_cols * n_rows - 1))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
+        masses = {
+            (k + 1, j + 1): (F(parts[2 * (k * n_rows + j) + 1], denom), F(parts[2 * (k * n_rows + j)], denom))
+            for k in range(n_cols)
+            for j in range(n_rows)
+        }
+        cfg = normalize(make_configuration(delta, n_cols, n_rows, masses))
+        if compute_stats(cfg).prob_B > 0:
+            inputs.append(cfg)
+    return inputs
+
+
+# The SHA-256 of every trace line and reduced file below, as the rational
+# implementation of the transforms wrote them; any change to a step, its
+# parameters, its recorded values or the output changes it.
+REDUCE_TRACE_DIGEST = "e2485f3a106521757a4ded8d8fc749f10acfc7d4e85ba56b241b1400a18adf9e"
+
+
+def test_reduce_traces_are_pinned():
+    digest = hashlib.sha256()
+    for cfg in seeded_reduce_inputs():
+        result = reduce(cfg, F(1, 1000))
+        for trace in result["trace"]:
+            line = json.dumps(trace_to_json_dict(trace), sort_keys=True)
+            digest.update(line.encode() + b"\n")
+        buf = io.StringIO()
+        dump_config(result["out"], buf)
+        digest.update(buf.getvalue().encode())
+    assert digest.hexdigest() == REDUCE_TRACE_DIGEST
+
+
+def test_trace_flags_a_spread_drop_of_one_cross_unit():
+    # spreads 1/5 and 1/6, whose cross products 6 and 5 differ by one
+    higher = make_configuration(
+        F(1, 4), 2, 2, {(1, 2): (F(1, 5), 0), (2, 1): (0, F(1, 5)), (2, 2): (F(3, 5), 0)}
+    )
+    lower = make_configuration(
+        F(1, 4), 2, 2, {(1, 2): (F(1, 6), 0), (2, 1): (F(1, 3), 0), (2, 2): (0, F(1, 2))}
+    )
+    assert (compute_stats(higher).prob_B, compute_stats(lower).prob_B) == (F(1, 5), F(1, 6))
+    assert not transforms.make_trace("step", (), higher, lower).prob_b_nondecreasing
+    assert transforms.make_trace("step", (), lower, higher).prob_b_nondecreasing
