@@ -255,11 +255,16 @@ def exhaustive_search(
     scored once, as its non-decreasing arrangement, the lexicographically
     smallest vector of the class, and stands for ``n_cols! / prod(mult!)``
     vectors. The arrangements are walked in ascending flat order by an
-    explicit stack with one column per level (:func:`_raise_column`), each
-    level keeping the row sums of the columns before it, so a strict
-    improvement still picks the smallest maximizer over all vectors. The
-    weights must sum to the vector count, which is reported as
-    ``configs_evaluated``.
+    explicit stack with one column per level, each level keeping the row
+    sums of the columns before it, so a strict improvement still picks the
+    smallest maximizer over all vectors. Every column but the last moves by
+    :func:`_raise_column`. The last column holds all the mass left, and
+    walks in place through the compositions of it, from the first at or
+    above the column before: most steps move one unit from the last event
+    slot to the complement slot beside it, the others empty the last
+    positive slot into its predecessor and the last slot, so a step
+    changes three slots and their line sums. The weights must sum to the
+    vector count, which is reported as ``configs_evaluated``.
     """
     d = validate_delta(delta)
     _validate_dims(n_cols, n_rows)
@@ -291,6 +296,10 @@ def exhaustive_search(
     covered = 0
     best_prob = -1
     best_parts: Optional[tuple[int, ...]] = None
+    # the last column's last two slots: the last row's complement and event
+    top = slots - 1
+    below = top - 1
+    j_last = n_rows - 1
     k = 0
     found = _raise_column(parts, 0, width, denom, last, False)
     while True:
@@ -305,7 +314,7 @@ def exhaustive_search(
             # the last column takes all that is left: the smallest column
             # with total at most room[k], its last slot topped up, is the
             # smallest with total exactly room[k]
-            parts[o + width - 1] += room[k] - sum(parts[o : o + width])
+            parts[top] += room[k] - sum(parts[o:])
         column = parts[o : o + width]
         comp, event = column[::2], column[1::2]
         col_a[k] = sum(event)
@@ -323,15 +332,58 @@ def exhaustive_search(
             parts[o + width : o + 2 * width] = column
             found = _raise_column(parts, o + width, width, room[k], last - k, False)
             continue
+        # The last column walks in place through every composition of
+        # room[k] in ascending order. Only the first can equal the column
+        # before it, so the ones after it weigh weight[k] * run[k].
         row_t, row_a = rows[n_cols]
-        prob = _spread_units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den)
-        if prob * lam_den > lam_num:
-            raise _bound_broken(prob, denom, lam)
-        covered += weight[k]
-        if prob > best_prob:
-            best_prob = prob
-            best_parts = tuple(parts)
-        found = _raise_column(parts, o, width, room[k], 0, True)
+        w, w_after = weight[k], weight[k] * run[k]
+        # q: the last positive slot before ``top``, or ``o - 1`` for none
+        q = top - 1
+        while q >= o and not parts[q]:
+            q -= 1
+        while True:
+            prob = _spread_units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den)
+            if prob * lam_den > lam_num:
+                raise _bound_broken(prob, denom, lam)
+            covered += w
+            w = w_after
+            if prob > best_prob:
+                best_prob = prob
+                best_parts = tuple(parts)
+            s = parts[top]
+            if s:
+                # the common step: one unit from the last event slot to
+                # the complement slot beside it
+                parts[top] = s - 1
+                parts[below] += 1
+                col_a[k] -= 1
+                row_a[j_last] -= 1
+                q = below
+                continue
+            if q <= o:
+                break
+            # otherwise slot q, holding s units, empties: q - 1 gains one
+            # and the last slot takes the other s - 1
+            s = parts[q]
+            parts[q] = 0
+            j = (q - o) >> 1
+            row_t[j] -= s
+            if q & 1:
+                row_a[j] -= s
+                col_a[k] -= s
+            q -= 1
+            parts[q] += 1
+            j = (q - o) >> 1
+            row_t[j] += 1
+            if q & 1:
+                row_a[j] += 1
+                col_a[k] += 1
+            s -= 1
+            parts[top] = s
+            row_t[j_last] += s
+            row_a[j_last] += s
+            col_a[k] += s
+        found = False
     if covered != count:
         raise InternalStateError(
             f"the column classes cover {covered} mass vectors, not {count}"
@@ -377,21 +429,29 @@ def hill_climb(
     A restart keeps its line sums and the sorted list of its positive slots
     as running state: a move changes two slots, so it updates one column
     and one row sum per slot, and a rejected move reverts them. Each
-    evaluation is one pass of :func:`_spread_units` over those sums.
+    evaluation is one pass of :func:`_spread_units` over those sums. The
+    source slot is drawn as ``rng.choice`` draws from the positive slots
+    and the target offset as ``rng.randrange(slots - 1)`` does, by
+    rejection sampling on ``rng.getrandbits``, so a seed gives the same run
+    as those calls would.
     """
     d = validate_delta(delta)
     _validate_dims(n_cols, n_rows)
     if iters < 1:
         raise DomainError(f"iters must be at least 1, got {iters}")
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     slots = 2 * n_cols * n_rows
     lam = lambda_sharp(d)
     lam_num, lam_den = lam.numerator * _CLIMB_DENOM, lam.denominator
     th = 1 - d
     th_num, th_den = th.numerator, th.denominator
-    # slot i lies in column i // per_col and row (i // 2) % n_rows; odd
-    # slots hold event mass
-    per_col = 2 * n_rows
+    # slot i lies in column col_of[i] and row row_of[i]; odd slots hold
+    # event mass
+    col_of = [i // (2 * n_rows) for i in range(slots)]
+    row_of = [(i >> 1) % n_rows for i in range(slots)]
+    others = slots - 1
+    others_bits = others.bit_length()
 
     restarts = max(1, min(8, iters // 1250))
     base = iters // restarts
@@ -416,14 +476,28 @@ def hill_climb(
             best_parts = tuple(parts)
         moves = budget - 1
         for step in range(moves):
-            quantum = max(1, _CLIMB_START_QUANTUM >> ((8 * step) // max(1, moves)))
-            src = rng.choice(positive)
-            dst = rng.randrange(slots - 1)
+            # step < moves, so the quantum runs from 128 down to 1
+            quantum = _CLIMB_START_QUANTUM >> (8 * step // moves)
+            # k random bits, drawn again while they name no element, with
+            # k the bit length of the element count, as Random._randbelow
+            n = len(positive)
+            bits = n.bit_length()
+            src = getrandbits(bits)
+            while src >= n:
+                src = getrandbits(bits)
+            src = positive[src]
+            dst = getrandbits(others_bits)
+            while dst >= others:
+                dst = getrandbits(others_bits)
             if dst >= src:
                 dst += 1
-            amt = min(quantum, parts[src])
-            sk, sj = src // per_col, (src >> 1) % n_rows
-            dk, dj = dst // per_col, (dst >> 1) % n_rows
+            amt = parts[src]
+            if amt > quantum:
+                amt = quantum
+            sk = col_of[src]
+            sj = row_of[src]
+            dk = col_of[dst]
+            dj = row_of[dst]
             col_t[sk] -= amt
             row_t[sj] -= amt
             col_t[dk] += amt

@@ -463,9 +463,9 @@ def purify_border_cell(cfg: Configuration, k: int, j: int) -> Configuration:
     complement mass turns into event mass, capped so the column conditional
     stays below both its right neighbour and the threshold ``delta`` and the
     row conditional stays below its upper neighbour; otherwise event mass
-    turns into complement mass with the mirrored caps, including one that
-    keeps the cell's own pair inside the spread region.  High-corner border
-    cells are handled by conjugating with :func:`complement_reflect`.
+    turns into complement mass with the mirrored caps, of which the one on
+    the threshold is implied by the one on the previous column.  High-corner
+    border cells are handled by conjugating with :func:`complement_reflect`.
 
     On strictly sorted configurations the moved amount is positive and the
     result is either pure or exhibits a value tie with a neighbouring line;
@@ -522,11 +522,12 @@ def purify_border_cell(cfg: Configuration, k: int, j: int) -> Configuration:
             return cfg
         shift = num  # event mass gained, in units of 1/(den * cfg._den)
     else:
-        # x_prev is the previous column value, or 0
+        # x_prev is the previous column value, or 0; no cap q * (y - th - x_prev)
+        # is needed, as y - th >= x on a low border cell and q > p make it at
+        # least p * (x - x_prev) whenever that is positive
         xp = (col_a[k - 2], col_t[k - 2]) if k >= 2 else (0, 1)
         terms = [
             (A * xp[1] - P * xp[0], xp[1]),  # p * (x - x_prev)
-            (R * dd * xp[1] - Q * (up * xp[1] + xp[0] * dd), dd * xp[1]),  # q * (y - th - x_prev)
             (a, 1),
         ]
         if j >= 2:

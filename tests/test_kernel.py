@@ -11,12 +11,15 @@ from expert_spread.bounds import extremal_config
 from expert_spread.config import (
     ConfigError,
     Stats,
+    _line_sums,
+    _spread_kernel,
     compute_stats,
     make_configuration,
     overlap_violations,
     pitman_inclusion_violations,
     separation_violations,
 )
+from expert_spread.search import _random_parts, _spread_units
 from expert_spread.transforms import transpose
 from expert_spread.discretize import threshold_probability
 
@@ -196,6 +199,42 @@ def test_kernel_matches_at_exact_ties_and_without_spread():
     flat = make_configuration(F(1, 4), 3, 2, halves)
     assert compare(flat) == "ok"
     assert compute_stats(flat).m_plus_G == math.inf
+
+
+def has_spread_tie(parts, n_rows, col_t, col_a, row_t, row_a, th):
+    """Whether a cell with mass has column and row values exactly ``th`` apart."""
+    return any(
+        True
+        for k, (ct, ca) in enumerate(zip(col_t, col_a))
+        for j, (rt, ra) in enumerate(zip(row_t, row_a))
+        if parts[2 * (k * n_rows + j)] + parts[2 * (k * n_rows + j) + 1]
+        and abs(ca * rt - ra * ct) * th.denominator == th.numerator * ct * rt
+    )
+
+
+def test_search_spread_units_match_the_kernel():
+    """The searches' spread numerator, from line sums they keep, is the kernel's."""
+    rng = random.Random(8128)
+    cases = [(cfg._parts, cfg.n_cols, cfg.n_rows, 1 - cfg.delta)
+             for cfg in map(extremal_config, DELTAS)]
+    for _ in range(3000):
+        n_cols, n_rows = rng.randint(1, 6), rng.randint(1, 6)
+        th = 1 - rng.choice(DELTAS)
+        # a denominator that is a multiple of the threshold's makes exact
+        # ties common
+        denom = th.denominator * rng.randint(1, 4)
+        parts = _random_parts(rng, denom, 2 * n_cols * n_rows)
+        cases.append((parts, n_cols, n_rows, th))
+    zero_lines = ties = 0
+    for parts, n_cols, n_rows, th in cases:
+        sums = _line_sums(parts, n_cols, n_rows)
+        want = _spread_kernel(parts, n_cols, n_rows, th.numerator, th.denominator)[-1]
+        got = _spread_units(parts, n_rows, *sums, th.numerator, th.denominator)
+        assert got == want
+        zero_lines += 0 in sums[0] or 0 in sums[2]
+        ties += has_spread_tie(parts, n_rows, *sums, th)
+    assert zero_lines > 1000
+    assert ties > 300
 
 
 def test_threshold_probability_matches_the_reference():

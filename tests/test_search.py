@@ -341,7 +341,15 @@ def test_hill_climb_matches_the_reference():
                     want = reference_hill_climb(delta, n_cols, n_rows, iters, seed)
                     assert (got.best_prob_B, got.configs_evaluated, got.best_config) == want
                     cases += 1
-    assert cases == 180
+    # the benchmark's climb grids, whose positive lists run up to 32 slots
+    for n_cols, n_rows in ((3, 3), (4, 4), (2, 4), (4, 3)):
+        for seed in range(3):
+            delta = SEARCH_DELTAS[(n_cols + n_rows + seed) % 5]
+            got = hill_climb(delta, n_cols, n_rows, 1250, seed)
+            want = reference_hill_climb(delta, n_cols, n_rows, 1250, seed)
+            assert (got.best_prob_B, got.configs_evaluated, got.best_config) == want
+            cases += 1
+    assert cases == 192
 
 
 def test_column_classes_count():
@@ -395,8 +403,9 @@ def test_exhaustive_checks_that_its_classes_cover_every_vector(monkeypatch):
     raise_column = search._raise_column
 
     def skipping(parts, o, width, room, after, strict):
-        # a last column moved on twice leaves one class unscored
-        if strict and not after:
+        # a column before the last moved on twice leaves the classes that
+        # start with the column it skips unscored
+        if strict and after:
             raise_column(parts, o, width, room, after, strict)
         return raise_column(parts, o, width, room, after, strict)
 
