@@ -508,7 +508,7 @@ def _line_sums(
 def _spread_kernel(
     parts: Sequence[int], n_cols: int, n_rows: int, th_num: int, th_den: int
 ) -> tuple[list[int], list[int], list[int], list[int], list[int], int]:
-    """The far-apart test on an integer mass vector, the package's only copy.
+    """The far-apart test on an integer mass vector, giving every cell's side.
 
     ``parts`` is the flat column-major (complement, event) vector of
     :func:`_lattice`; the threshold is ``th_num/th_den`` with ``th_den > 0``.
@@ -519,6 +519,13 @@ def _spread_kernel(
     cells with a non-zero side, in the units of ``parts``.  The values are
     compared by cross-multiplying, never divided.  A cell on a zero-mass
     line has no conditional value and gets side 0.
+
+    This is the memo's kernel: absorption, the borders and the merges read
+    the side of empty cells too.  The searches need only the numerator over
+    occupied cells, from line sums they keep as they move; that is
+    :func:`_spread_units`.  The two are kept apart because building sides
+    inside the search loops made them about 14% slower, and
+    ``test_search_spread_units_match_the_kernel`` ties them.
     """
     col_t, col_a, row_t, row_a = _line_sums(parts, n_cols, n_rows)
     sides = []
@@ -543,23 +550,39 @@ def _spread_kernel(
     return col_t, col_a, row_t, row_a, sides, b_num
 
 
-def _spread_on_lattice(
-    cfg: Configuration, th_num: int, th_den: int
-) -> tuple[list[int], list[int], list[int], list[int], list[int], int, int, tuple[int, ...]]:
-    """Run the kernel on ``cfg`` at threshold ``th_num/th_den``, rejecting zero lines.
+def _spread_units(
+    parts: Sequence[int],
+    n_rows: int,
+    col_t: Sequence[int],
+    col_a: Sequence[int],
+    row_t: Sequence[int],
+    row_a: Sequence[int],
+    th_num: int,
+    th_den: int,
+) -> int:
+    """The spread numerator of :func:`_spread_kernel`, from line sums kept by the caller.
 
-    Returns the kernel's six results followed by the configuration's
-    denominator and its integer tuple.
+    ``parts`` is the flat column-major vector and the four lists are its
+    line sums, which both searches update as they move instead of summing
+    them again. A cell counts when it has mass and its column and row
+    values differ by at least the threshold, the kernel's non-zero side;
+    a cell with mass lies on two lines with mass.
     """
-    parts = cfg._parts
-    result = _spread_kernel(parts, cfg.n_cols, cfg.n_rows, th_num, th_den)
-    for what, totals in (("column", result[0]), ("row", result[2])):
-        for i, total in enumerate(totals, 1):
-            if total == 0:
-                raise ConfigError(
-                    f"{what} {i} has zero mass; conditional probability undefined"
-                )
-    return (*result, cfg._den, parts)
+    b_num = 0
+    i = 0
+    for ct, ca in zip(col_t, col_a):
+        ct_den = ct * th_den
+        ca_den = ca * th_den
+        ct_num = ct * th_num
+        for j in range(n_rows):
+            mass = parts[i] + parts[i + 1]
+            i += 2
+            if mass:
+                rt = row_t[j]
+                gap = ca_den * rt - row_a[j] * ct_den
+                if (gap if gap >= 0 else -gap) >= ct_num * rt:
+                    b_num += mass
+    return b_num
 
 
 class _GridStats:
@@ -587,7 +610,14 @@ def _grid_stats(cfg: Configuration) -> _GridStats:
     """The memoised integer statistics of ``cfg``; see :func:`compute_stats`."""
     m, n = cfg.n_cols, cfg.n_rows
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
-    col_t, col_a, row_t, row_a, flat, b_num, den, parts = _spread_on_lattice(cfg, dd - dn, dd)
+    parts = cfg._parts
+    col_t, col_a, row_t, row_a, flat, b_num = _spread_kernel(parts, m, n, dd - dn, dd)
+    for what, totals in (("column", col_t), ("row", row_t)):
+        for i, total in enumerate(totals, 1):
+            if total == 0:
+                raise ConfigError(
+                    f"{what} {i} has zero mass; conditional probability undefined"
+                )
     side = tuple([tuple(flat[k * n : (k + 1) * n]) for k in range(m)])
     occupied = {v for i, v in enumerate(flat) if v and (parts[2 * i] or parts[2 * i + 1])}
 
@@ -615,11 +645,11 @@ def _grid_stats(cfg: Configuration) -> _GridStats:
                 if left_off and above_off:
                     d_plus.append((k + 1, j + 1))
 
-    g.den, g.col_t, g.col_a, g.row_t, g.row_a = den, col_t, col_a, row_t, row_a
+    g.den, g.col_t, g.col_a, g.row_t, g.row_a = cfg._den, col_t, col_a, row_t, row_a
     g.side = side
     g.b_mask = tuple([tuple([v != 0 for v in col]) for col in side])
     g.b_num = b_num
-    g.prob_B = Fraction(b_num, den)
+    g.prob_B = Fraction(b_num, cfg._den)
     g.d_minus = tuple(d_minus)
     g.d_plus = tuple(d_plus)
     g.occupied = (-1 in occupied, 1 in occupied)
@@ -635,10 +665,13 @@ def compute_stats(cfg: Configuration) -> Stats:
     column or row, since conditional probabilities are undefined there.
 
     The far-apart test runs on the configuration's integer tuple by
-    cross-multiplication in :func:`_spread_kernel`, the same kernel the
-    searches and :func:`expert_spread.discretize.threshold_probability`
-    use; :class:`~fractions.Fraction` objects are built only for the
-    returned fields, once per memo entry.
+    cross-multiplication in :func:`_spread_kernel`, which gives every
+    cell's side; :class:`~fractions.Fraction` objects are built only for
+    the returned fields, once per memo entry.  The searches and
+    :func:`expert_spread.discretize.threshold_probability` count only the
+    spread numerator over occupied cells, from line sums the caller keeps,
+    with :func:`_spread_units`; see :func:`_spread_kernel` for why the two
+    are kept apart.
 
     Configurations are immutable, so results are memoised.  The memo keys
     on the hash each :class:`Configuration` keeps in a slot, and an equal
@@ -741,8 +774,8 @@ def separation_check(cfg: Configuration, k: int, j: int) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": lhs >= rhs}
 
 
-# The three scans below run on the integer lattice of _spread_on_lattice:
-# with P, Q a column's and a row's totals, ca, ra their event masses and c a
+# The three scans below read the integer statistics of _grid_stats: with
+# P, Q a column's and a row's totals, ca, ra their event masses and c a
 # cell's mass, all over one denominator, and delta = dn/dd, each inequality
 # is multiplied out by its positive denominators and compared exactly.
 
@@ -759,19 +792,17 @@ def pitman_inclusion_violations(cfg: Configuration) -> list[tuple[int, int]]:
     if 2 * dn >= dd:
         return []
     up = dd - dn  # 1 - delta = up/dd
-    col_t, col_a, row_t, row_a, sides, _, _, _ = _spread_on_lattice(cfg, up, dd)
+    g = _grid_stats(cfg)
     bad = []
-    i = 0
-    for k in range(cfg.n_cols):
-        p, ca = col_t[k], col_a[k]
-        for j in range(cfg.n_rows):
-            if sides[i]:
-                q, ra = row_t[j], row_a[j]
+    for k, col in enumerate(g.side):
+        p, ca = g.col_t[k], g.col_a[k]
+        for j, side in enumerate(col):
+            if side:
+                q, ra = g.row_t[j], g.row_a[j]
                 low_high = ca * dd <= dn * p and ra * dd >= up * q
                 high_low = ra * dd <= dn * q and ca * dd >= up * p
                 if not (low_high or high_low):
                     bad.append((k + 1, j + 1))
-            i += 1
     return bad
 
 
@@ -782,15 +813,15 @@ def overlap_violations(cfg: Configuration) -> list[tuple[int, int]]:
     ``c*(dd+dn) > dn*(P+Q)``.
     """
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
-    col_t, _, row_t, _, sides, _, _, parts = _spread_on_lattice(cfg, dd - dn, dd)
+    g = _grid_stats(cfg)
+    parts, n = cfg._parts, cfg.n_rows
     bad = []
-    i = 0
-    for k in range(cfg.n_cols):
-        for j in range(cfg.n_rows):
-            c = parts[2 * i] + parts[2 * i + 1]
-            if sides[i] and c * (dd + dn) > dn * (col_t[k] + row_t[j]):
+    for k, col in enumerate(g.side):
+        for j, side in enumerate(col):
+            i = 2 * (k * n + j)
+            c = parts[i] + parts[i + 1]
+            if side and c * (dd + dn) > dn * (g.col_t[k] + g.row_t[j]):
                 bad.append((k + 1, j + 1))
-            i += 1
     return bad
 
 
@@ -800,18 +831,15 @@ def separation_violations(cfg: Configuration) -> list[tuple[int, int]]:
     A pair fails when ``(P+Q-2c)/(P+Q-c) < |ca/P - ra/Q|``, tested as
     ``(P+Q-2c)*P*Q < |ca*Q - ra*P|*(P+Q-c)``; ``P+Q-c >= Q > 0``.
     """
-    dn, dd = cfg.delta.numerator, cfg.delta.denominator
-    col_t, col_a, row_t, row_a, _, _, _, parts = _spread_on_lattice(cfg, dd - dn, dd)
+    g = _grid_stats(cfg)
+    parts, n = cfg._parts, cfg.n_rows
     bad = []
-    i = 0
-    for k in range(cfg.n_cols):
-        p, ca = col_t[k], col_a[k]
-        for j in range(cfg.n_rows):
-            q, ra = row_t[j], row_a[j]
-            c = parts[2 * i] + parts[2 * i + 1]
+    for k, (p, ca) in enumerate(zip(g.col_t, g.col_a)):
+        for j, (q, ra) in enumerate(zip(g.row_t, g.row_a)):
+            i = 2 * (k * n + j)
+            c = parts[i] + parts[i + 1]
             if (p + q - 2 * c) * p * q < abs(ca * q - ra * p) * (p + q - c):
                 bad.append((k + 1, j + 1))
-            i += 1
     return bad
 
 

@@ -21,9 +21,10 @@ from .config import (
     ConfigError,
     DomainError,
     RationalLike,
+    _grid_stats,
     _json_exact,
     _shown,
-    _spread_on_lattice,
+    _spread_units,
     normalize,
     parse_rational,
     rational_to_str,
@@ -185,8 +186,12 @@ def threshold_probability(cfg: Configuration, threshold: Fraction) -> Fraction:
     right-hand side uses a threshold lowered by 2/n. A non-positive
     threshold makes every cell count, so the result is 1.
     """
-    *_, b_num, den, _ = _spread_on_lattice(cfg, threshold.numerator, threshold.denominator)
-    return Fraction(b_num, den)
+    g = _grid_stats(cfg)
+    b_num = _spread_units(
+        cfg._parts, cfg.n_rows, g.col_t, g.col_a, g.row_t, g.row_a,
+        threshold.numerator, threshold.denominator,
+    )
+    return Fraction(b_num, g.den)
 
 
 # ---------------------------------------------------------------------------

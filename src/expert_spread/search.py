@@ -32,6 +32,7 @@ from .config import (
     RationalLike,
     SearchSpaceError,
     _line_sums,
+    _spread_units,
     compute_stats,
     normalize,
     rational_to_str,
@@ -95,11 +96,11 @@ def search_result_to_json_dict(result: SearchResult) -> dict:
 # lexicographic tie-break on maximizers; complement-first makes the
 # reported small-grid witnesses line up with the canonical extremal
 # configuration rather than its event-complement mirror image. This is the
-# layout of the statistics kernel, so every evaluation is one call to it,
-# in integer arithmetic; a Configuration object is only built for the
-# winner. Zero-mass lines carry no conditional value and no probability in
-# the kernel, which matches evaluating the configuration with its zero
-# lines dropped.
+# layout of the statistics kernel, so every evaluation is one call to
+# config._spread_units, the kernel's numerator over occupied cells, in
+# integer arithmetic; a Configuration object is only built for the winner.
+# Zero-mass lines carry no conditional value and no probability there,
+# which matches evaluating the configuration with its zero lines dropped.
 
 
 def _parts_to_config(
@@ -118,41 +119,6 @@ def _bound_broken(b_num: int, denom: int, lam: Fraction) -> InternalStateError:
         f"evaluated spread probability {Fraction(b_num, denom)} exceeds the "
         f"closed-form bound {lam}; the evaluator or the bound is broken"
     )
-
-
-def _spread_units(
-    parts: list[int],
-    n_rows: int,
-    col_t: list[int],
-    col_a: list[int],
-    row_t: list[int],
-    row_a: list[int],
-    th_num: int,
-    th_den: int,
-) -> int:
-    """The spread numerator of :func:`_spread_kernel`, from line sums kept by the caller.
-
-    ``parts`` is the flat column-major vector and the four lists are its
-    line sums, which both searches update as they move instead of summing
-    them again. A cell counts when it has mass and its column and row
-    values differ by at least the threshold, the kernel's non-zero side;
-    a cell with mass lies on two lines with mass.
-    """
-    b_num = 0
-    i = 0
-    for ct, ca in zip(col_t, col_a):
-        ct_den = ct * th_den
-        ca_den = ca * th_den
-        ct_num = ct * th_num
-        for j in range(n_rows):
-            mass = parts[i] + parts[i + 1]
-            i += 2
-            if mass:
-                rt = row_t[j]
-                gap = ca_den * rt - row_a[j] * ct_den
-                if (gap if gap >= 0 else -gap) >= ct_num * rt:
-                    b_num += mass
-    return b_num
 
 
 def _check_winner(cfg: Configuration, b_num: int, denom: int) -> Fraction:
@@ -462,8 +428,6 @@ def hill_climb(
     evaluated = 0
     for r in range(restarts):
         budget = base + (leftover if r == 0 else 0)
-        if budget == 0:
-            continue
         parts = _random_parts(rng, _CLIMB_DENOM, slots)
         col_t, col_a, row_t, row_a = _line_sums(parts, n_cols, n_rows)
         positive = [i for i in range(slots) if parts[i] > 0]
@@ -666,8 +630,6 @@ class _FuzzRun:
     def _normal_forms(self) -> None:
         cfg = self.cfg
         self._judge("zigzag_normalize", (), transforms.zigzag_normalize(cfg))
-        self._judge("ensure_positive_border", (),
-                    transforms.ensure_positive_border(cfg))
         self._judge("purify_all_borders", (), transforms.purify_all_borders(cfg))
         self._judge("corner_fill", (), transforms.corner_fill(cfg))
         if compute_stats(cfg).prob_B == 0:

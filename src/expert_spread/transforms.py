@@ -428,26 +428,6 @@ def absorb_empty_border_cell(cfg: Configuration, k: int, i: int) -> Configuratio
     return cfg
 
 
-def ensure_positive_border(cfg: Configuration) -> Configuration:
-    """Normalize and absorb empty border cells until none can be folded.
-
-    Empty border cells that resist absorption are tolerated; downstream code
-    treats them as already pure.
-    """
-    for _ in _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "border absorption"):
-        cfg = zigzag_normalize(cfg)
-        g = _grid_stats(cfg)
-        for k, j in sorted(set(g.d_minus) | set(g.d_plus)):
-            if _mass(cfg, k, j) != 0:
-                continue
-            out = absorb_empty_border_cell(cfg, k, j)
-            if out is not cfg:
-                cfg = out
-                break
-        else:
-            return cfg
-
-
 # ---------------------------------------------------------------------------
 # Purification
 # ---------------------------------------------------------------------------
@@ -579,12 +559,12 @@ def purify_all_borders(cfg: Configuration) -> Configuration:
     on, a border cell can be pinned by a tight opposite-side pair on its
     own line (the shift caps that protect that pair allow no movement at
     all), so pinned cells are skipped and may stay impure.  The skip list
-    is reset whenever an absorption merges lines, since cell coordinates
+    is reset whenever a normalization merges lines, since cell coordinates
     shift; merges strictly shrink the grid, so this still terminates.
     """
-    # the cap is sized on the grid as given, before absorption shrinks it
+    # the cap is sized on the grid as given, before merges shrink it
     rounds = _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "border purification")
-    cfg = ensure_positive_border(cfg)
+    cfg = zigzag_normalize(cfg)
     pinned: set[tuple[int, int]] = set()
     for _ in rounds:
         g = _grid_stats(cfg)
@@ -601,7 +581,7 @@ def purify_all_borders(cfg: Configuration) -> Configuration:
                 )
             pinned.add(target)
             continue
-        folded = ensure_positive_border(out)
+        folded = zigzag_normalize(out)
         if folded.dims != cfg.dims:
             pinned.clear()
         cfg = folded
@@ -978,6 +958,11 @@ def reduce(cfg: Configuration, epsilon: RationalLike) -> dict:
     return {"out": out, "trace": driver.trace}
 
 
+def _low_side_done(cfg: Configuration, g: _GridStats) -> bool:
+    """The column clause of :func:`reduced_shape_problem`, read from ``g``."""
+    return g.m_minus_G <= 1 or (g.m_minus_G == 2 and _mass(cfg, 1, cfg.n_rows) == 0)
+
+
 def reduced_shape_problem(cfg: Configuration) -> Optional[str]:
     """Check the reduction's two output conditions, literally.
 
@@ -987,10 +972,7 @@ def reduced_shape_problem(cfg: Configuration) -> Optional[str]:
     description of the first failure.
     """
     g = _grid_stats(cfg)
-    if not (
-        g.m_minus_G <= 1
-        or (g.m_minus_G == 2 and _mass(cfg, 1, cfg.n_rows) == 0)
-    ):
+    if not _low_side_done(cfg, g):
         return f"column low-side count {g.m_minus_G} with occupied deep cell"
     if not (
         g.m_minus_H <= 1
@@ -1031,7 +1013,9 @@ class _ReduceDriver:
     def _fail(self, message: str) -> InternalStateError:
         return InternalStateError(f"{message} (after {len(self.trace)} steps)")
 
-    def _contradiction(self, state: str, extra: Optional[dict] = None) -> None:
+    def _contradiction(
+        self, state: str, extra: Optional[dict] = None
+    ) -> ReduceContradictionError:
         s = compute_stats(self.cfg)
         diagnostics = {
             "delta": rational_to_str(self.cfg.delta),
@@ -1043,7 +1027,7 @@ class _ReduceDriver:
         }
         if extra:
             diagnostics.update(extra)
-        raise ReduceContradictionError(state, diagnostics)
+        return ReduceContradictionError(state, diagnostics)
 
     def _jump_now(self) -> bool:
         """True when value structure changed and the attack must restart.
@@ -1082,11 +1066,6 @@ class _ReduceDriver:
             )
         return self.cfg
 
-    def _low_side_done(self, s: _GridStats) -> bool:
-        if s.m_minus_G <= 1:
-            return True
-        return s.m_minus_G == 2 and _mass(self.cfg, 1, self.cfg.n_rows) == 0
-
     def _phase(self) -> None:
         prev_sum = None
         for _ in _rounds(self.cfg.n_cols + self.cfg.n_rows + 4, "phase", self._fail):
@@ -1096,7 +1075,7 @@ class _ReduceDriver:
                 raise self._fail("revisited the canonical state without shrinking")
             prev_sum = dsum
             s = self._stats()
-            if self._low_side_done(s):
+            if _low_side_done(self.cfg, s):
                 return
             self._mask0 = s.b_mask
             if self._attack(s) == "exit":
@@ -1161,14 +1140,14 @@ class _ReduceDriver:
         if corner_a + corner_ac == 0 or (corner_a > 0 and corner_ac > 0):
             raise self._fail("corner purification left an unusable corner")
         if all(_ac(self.cfg, mm, j) == 0 for j in range(1, mH)):
-            self._contradiction(
+            raise self._contradiction(
                 "deep-column-complement-exhausted",
                 {"column": mm, "corner_a": _rational(self.cfg, corner_a)},
             )
         if any(_ac(self.cfg, k, mH) > 0 for k in range(1, mm)):
             raise self._fail("sweep dichotomy failed on the top row")
         if corner_a == 0:
-            self._contradiction(
+            raise self._contradiction(
                 "corner-pure-complement", {"column": mm, "row": mH}
             )
         if any(_ac(self.cfg, k, mH) > 0 for k in range(1, mG + 1)):
@@ -1209,7 +1188,7 @@ class _ReduceDriver:
             if any(_a(self.cfg, k, mH - 1) > 0 for k in range(4, mG + 1)):
                 raise self._fail("event sweep dichotomy failed on the middle row")
             if a_mid == 0:
-                self._contradiction(
+                raise self._contradiction(
                     "middle-row-event-exhausted",
                     {"a_top": _rational(self.cfg, a_top)},
                 )
@@ -1221,7 +1200,7 @@ class _ReduceDriver:
         if mid_a + mid_ac == 0 or (mid_a > 0 and mid_ac > 0):
             raise self._fail("middle cell purification failed")
         if mid_a == 0:
-            self._contradiction("middle-cell-pure-complement", {})
+            raise self._contradiction("middle-cell-pure-complement", {})
         for j in range(1, mp_h):
             after = diagonal_swap(self.cfg, (1, mp_h + 1), (2, j), complement=True)
             self._step("diagonal_swap", ((1, mp_h + 1), (2, j), "complement"), after)
@@ -1245,11 +1224,10 @@ class _ReduceDriver:
             "ac_first": ac_first_text,
         }
         if ac_first == 0:
-            self._contradiction("first-column-complement-exhausted", extra)
+            raise self._contradiction("first-column-complement-exhausted", extra)
         if s2.col_a[1] == s2.col_t[1]:
-            self._contradiction("second-column-saturated", extra)
-        self._contradiction("depth-three-deadlock", extra)
-        return "jump"  # unreachable; _contradiction always raises
+            raise self._contradiction("second-column-saturated", extra)
+        raise self._contradiction("depth-three-deadlock", extra)
 
     # -- depth four and beyond ----------------------------------------------
 
@@ -1340,8 +1318,7 @@ class _ReduceDriver:
         ):
             raise self._fail("event drain dichotomy failed")
 
-        self._overloaded_cell_contradiction(k, j + 1)
-        return "jump"  # unreachable; the line above always raises
+        raise self._overloaded_cell_contradiction(k, j + 1)
 
     def _foothold_sweep(self) -> str:
         """Like the corner sweep, one line in from the corner on both axes."""
@@ -1368,7 +1345,7 @@ class _ReduceDriver:
             raise self._fail("near-corner purification failed")
         if near_ac == 0:
             if all(_ac(self.cfg, mm - 1, j) == 0 for j in range(1, mp_h)):
-                self._contradiction(
+                raise self._contradiction(
                     "near-column-complement-exhausted", {"column": mm - 1}
                 )
             if any(_ac(self.cfg, k, mH - 1) > 0 for k in range(1, mm - 1)):
@@ -1389,14 +1366,18 @@ class _ReduceDriver:
             return "jump"
         return self._foothold_sweep()
 
-    def _overloaded_cell_contradiction(self, k: int, j: int) -> None:
-        """Verify and report the impossible cell ending a two-sided squeeze.
+    def _overloaded_cell_contradiction(
+        self, k: int, j: int
+    ) -> ReduceContradictionError:
+        """Verify the impossible cell ending a two-sided squeeze; return its error.
 
         The cell must hold its entire column's complement mass and its entire
         row's event mass.  Its complement share is then at least one minus
-        its column conditional, which sits below ``delta``, and its event
-        share at least its row conditional, which sits above ``1 - delta``:
-        two shares summing beyond one.
+        its column conditional, which sits at or below ``delta``, and its
+        event share at least its row conditional, which sits at or above
+        ``1 - delta``: below one half, two shares summing beyond one.  A
+        failed premise raises :class:`InternalStateError`; once the premises
+        hold, the contradiction is returned for the caller to raise.
         """
         g = self._stats()
         a, ac = _cell(self.cfg, k, j)
@@ -1413,12 +1394,7 @@ class _ReduceDriver:
         # x = A/P above delta, or y = R/Q below 1 - delta
         if A * dd > dn * P or R * dd < (dd - dn) * Q:
             raise self._fail("overloaded cell's lines left their value bands")
-        # the shares ac/mass and a/mass against 1 - x and y
-        if ac * P < (P - A) * mass or a * Q < R * mass:
-            raise self._fail("overloaded cell's shares fell short of their bounds")
-        if ac + a <= mass:
-            raise self._fail("overloaded cell is not actually impossible")
-        self._contradiction(
+        return self._contradiction(
             "transition-cell-overloaded",
             {
                 "cell": [k, j],

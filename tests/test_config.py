@@ -265,6 +265,11 @@ def test_json_dict_rejects_garbage():
         )
     with pytest.raises(ConfigError):
         config_from_json_dict({"delta": "1/4", "cols": 1, "rows": 1, "cells": 5})
+    twice = {"col": 1, "row": 1, "a": "1/2", "ac": "1/2"}
+    with pytest.raises(ConfigError, match=r"^duplicate cell entry for \(1, 1\)$"):
+        config_from_json_dict(
+            {"delta": "1/4", "cols": 1, "rows": 1, "cells": [twice, twice]}
+        )
     # numbers travel as strings or integers; JSON floats and booleans are
     # refused instead of being rounded, truncated or read as 0 and 1
     good = {
@@ -371,6 +376,10 @@ def test_equal_rebuilds_share_hash_and_memo_entry():
 
 def test_configurations_are_frozen_and_copy_through_the_lattice():
     cfg = quarter_witness()
+    assert repr(cfg).startswith(
+        "Configuration(delta=Fraction(1, 4), n_cols=2, n_rows=2, "
+        "cells=((Cell(a_mass=Fraction(0, 1), ac_mass=Fraction(3, 5)), "
+    )
     with pytest.raises(FrozenInstanceError):
         cfg.delta = F(1, 3)
     with pytest.raises(FrozenInstanceError):

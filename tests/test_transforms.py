@@ -18,13 +18,14 @@ from expert_spread.config import (
     ConfigError,
     DomainError,
     InternalStateError,
+    ReduceContradictionError,
     compute_stats,
     config_from_json_dict,
     dump_config,
     make_configuration,
     normalize,
 )
-from expert_spread.search import random_configuration, reduced_shape_problem
+from expert_spread.search import _random_parts, random_configuration, reduced_shape_problem
 from expert_spread import transforms
 from expert_spread.transforms import (
     absorb_empty_border_cell,
@@ -228,6 +229,35 @@ def test_absorb_declines_the_trap():
     # cell (1, 2) is an empty spread-border cell, but every neighboring
     # merge would drop the spread probability, so nothing happens
     assert absorb_empty_border_cell(cfg, 1, 2) is cfg
+
+
+def test_zigzag_fixpoints_leave_no_empty_spread_cell_to_absorb():
+    # absorption only tries neighbour merges, and the merge fixpoint has
+    # refused every one of them, so no empty spread cell can be folded there
+    rng = random.Random(20191209)
+    deltas = (
+        F(1, 10), F(1, 5), F(1, 4), F(1, 3), F(2, 5), F(9, 20),
+        F(1, 2), F(3, 5), F(2, 3), F(3, 4),
+    )
+    tried = on_border = 0
+    for _ in range(3000):
+        n_cols, n_rows = rng.randint(1, 5), rng.randint(1, 5)
+        denom = rng.randint(2, 12)
+        parts = _random_parts(rng, denom, 2 * n_cols * n_rows)
+        masses = {
+            (i // n_rows + 1, i % n_rows + 1): (F(parts[2 * i + 1], denom), F(parts[2 * i], denom))
+            for i in range(n_cols * n_rows)
+        }
+        cfg = zigzag_normalize(make_configuration(rng.choice(deltas), n_cols, n_rows, masses))
+        s = compute_stats(cfg)
+        border = set(s.d_minus) | set(s.d_plus)
+        for k in range(1, cfg.n_cols + 1):
+            for j in range(1, cfg.n_rows + 1):
+                if s.b_mask[k - 1][j - 1] and cfg.cell(k, j).is_empty:
+                    assert absorb_empty_border_cell(cfg, k, j) is cfg
+                    tried += 1
+                    on_border += (k, j) in border
+    assert tried > 300 and on_border > 80
 
 
 def test_reduce_still_certifies_the_trap():
@@ -534,6 +564,19 @@ def test_reduce_runs_the_two_sided_squeeze(monkeypatch):
     assert len(outcomes["_two_sided_squeeze"]) == 1
     assert len(outcomes["_foothold_sweep"]) == 1
     assert steps == 21
+
+
+def test_overloaded_cell_terminal_reports_its_contradiction():
+    # the terminal's premises contradict each other below one half; at one
+    # half a cell holding half its mass in each species meets them all
+    cfg = make_configuration(F(1, 2), 1, 1, {(1, 1): (F(1, 2), F(1, 2))})
+    driver = transforms._ReduceDriver(cfg, F(1, 1000))
+    err = driver._overloaded_cell_contradiction(1, 1)
+    assert isinstance(err, ReduceContradictionError)
+    assert err.state == "transition-cell-overloaded"
+    assert err.diagnostics["cell"] == [1, 1]
+    assert err.diagnostics["complement_share"] == "1/2"
+    assert err.diagnostics["event_share"] == "1/2"
 
 
 def test_bounded_loops_fail_past_their_cap():
