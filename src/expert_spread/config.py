@@ -158,6 +158,10 @@ def _shown(value: object) -> str:
 
 
 def _as_fraction(value: RationalLike, what: str) -> Fraction:
+    # an exact Fraction (the loaders parse every mass to one first) is
+    # already in lowest terms; building it again would only copy it
+    if value.__class__ is Fraction:
+        return value
     try:
         if isinstance(value, str):
             # the mantissa's digits plus the exponent's value; the exponent
@@ -595,13 +599,16 @@ class _GridStats:
     :class:`Stats`, ``prob_B`` being the only rational.  ``occupied`` says
     whether the low and the high side of the spread region carry positive
     mass; ``stats`` holds the :class:`Stats` once :func:`compute_stats` has
-    built it.
+    built it.  ``fixpoint`` is set once
+    :func:`expert_spread.transforms.zigzag_normalize` has returned this
+    configuration (or an equal one) and checked its shape, so a later call
+    on it returns at once.
     """
 
     __slots__ = (
         "den", "col_t", "col_a", "row_t", "row_a", "side", "b_mask", "b_num",
         "prob_B", "m_minus_G", "m_plus_G", "m_minus_H", "m_plus_H", "d_minus",
-        "d_plus", "occupied", "stats",
+        "d_plus", "occupied", "stats", "fixpoint",
     )
 
 
@@ -654,6 +661,7 @@ def _grid_stats(cfg: Configuration) -> _GridStats:
     g.d_plus = tuple(d_plus)
     g.occupied = (-1 in occupied, 1 in occupied)
     g.stats = None
+    g.fixpoint = False
     return g
 
 

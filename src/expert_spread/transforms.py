@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .config import (
     Configuration,
@@ -30,6 +30,7 @@ from .config import (
     TransformContractError,
     _grid_stats,
     _GridStats,
+    _spread_kernel,
     compute_stats,
     normalize,
     rational_to_str,
@@ -282,7 +283,7 @@ def merge_rows(cfg: Configuration, j: int) -> Configuration:
     return Configuration._from_parts(cfg.delta, cfg.n_cols, n - 1, out, cfg._den)
 
 
-def _blocked(parts: tuple[int, ...], facing: Iterator[tuple[int, int, int, int]]) -> bool:
+def _blocked(parts: Sequence[int], facing: Iterator[tuple[int, int, int, int]]) -> bool:
     """Whether pooling two lines could lose spread mass.
 
     ``facing`` gives, for each pair of cells the merge pools, the side and
@@ -300,9 +301,20 @@ def _blocked(parts: tuple[int, ...], facing: Iterator[tuple[int, int, int, int]]
 def zigzag_normalize(cfg: Configuration) -> Configuration:
     """Sort, then merge until no legal column or row merge remains.
 
-    Each round sweeps both axes: left to right through the columns with
-    :func:`merge_columns`, then bottom to top through the rows with
-    :func:`merge_rows`.  Rounds repeat until one merges nothing.
+    Each round sweeps both axes: left to right through the columns as
+    :func:`merge_columns` would, then bottom to top through the rows as
+    :func:`merge_rows` would.  Rounds repeat until one merges nothing.
+
+    The sweep runs in place on one list of the sorted grid's integers.  The
+    sides come from :func:`~expert_spread.config._spread_kernel` on that
+    list and are computed again only after a merge, since a declined merge
+    changes nothing; each merge is decided by the same test as the public
+    merges.  So a call builds at most two configurations, the sorted grid
+    (none when the input is already strictly sorted) and the result (none
+    when nothing merges, so the input itself comes back), and adds no memo
+    entry for the grids in between.  The result's memo entry is marked as
+    a fixpoint once its shape is checked, and a call whose input carries
+    that mark returns the input at once.
 
     Below threshold one half, the fixpoint's spread region forms two
     staircases with unit steps: in the low corner, column ``k`` pairs exactly
@@ -311,25 +323,61 @@ def zigzag_normalize(cfg: Configuration) -> Configuration:
     can overlap and only strict sorting is guaranteed.  Equal-valued
     neighbours always merge, so the result is strictly sorted on both axes.
     """
-    cfg = normalize(cfg)
-    for _ in _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "merging"):
-        dims = cfg.dims
-        for merge, axis in ((merge_columns, 0), (merge_rows, 1)):
-            i = 1
-            while i < cfg.dims[axis]:
-                out = merge(cfg, i)
-                if out is cfg:
-                    i += 1
-                else:
-                    cfg = out
-        if cfg.dims == dims:
+    try:
+        g = _grid_stats(cfg)
+    except ConfigError:
+        g = None  # a zero-mass line, which normalize drops
+    if g is not None and g.fixpoint:
+        return cfg
+    # a strictly sorted grid is its own normalization
+    if g is None or _sorted_problem(cfg, g) is not None:
+        cfg = normalize(cfg)
+    m, n = cfg.n_cols, cfg.n_rows
+    parts = list(cfg._parts)
+    dn, dd = cfg.delta.numerator, cfg.delta.denominator
+    up = dd - dn  # the threshold 1 - delta is up/dd
+    side = _spread_kernel(parts, m, n, up, dd)[4]
+    for _ in _rounds(16 * (m + n) ** 2, "merging"):
+        dims = m, n
+        k = 1
+        while k < m:
+            lo, mid, hi = 2 * (k - 1) * n, 2 * k * n, 2 * (k + 1) * n  # the two columns' cells
+            if _blocked(parts, (
+                (side[(k - 1) * n + j], lo + 2 * j, side[k * n + j], mid + 2 * j)
+                for j in range(n)
+            )):
+                k += 1
+                continue
+            parts[lo:hi] = [u + v for u, v in zip(parts[lo:mid], parts[mid:hi])]
+            m -= 1
+            side = _spread_kernel(parts, m, n, up, dd)[4]
+        j = 1
+        while j < n:
+            if _blocked(parts, (
+                (side[c + j - 1], 2 * (c + j - 1), side[c + j], 2 * (c + j))
+                for c in range(0, m * n, n)
+            )):
+                j += 1
+                continue
+            # from the last column back, so the offsets still to visit hold
+            for c in range((m - 1) * n, -1, -n):
+                i = 2 * (c + j - 1)
+                parts[i] += parts[i + 2]
+                parts[i + 1] += parts[i + 3]
+                del parts[i + 2 : i + 4]
+            n -= 1
+            side = _spread_kernel(parts, m, n, up, dd)[4]
+        if (m, n) == dims:
             break
+    if (m, n) != cfg.dims:
+        cfg = Configuration._from_parts(cfg.delta, m, n, parts, cfg._den)
     g = _grid_stats(cfg)
     problem = (
         _staircase_problem(cfg, g) if _below_half(cfg) else _sorted_problem(cfg, g)
     )
     if problem is not None:
         raise InternalStateError(f"merge fixpoint is not a staircase: {problem}")
+    g.fixpoint = True
     return cfg
 
 

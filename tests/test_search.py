@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -394,8 +395,15 @@ def test_searches_check_every_evaluation_against_the_bound(monkeypatch, search_r
     # the best value the search reaches, can trip the check
     best = search_run().best_prob_B
     assert best > 0
-    monkeypatch.setattr(search, "lambda_sharp", lambda delta: best - F(1, 10**9))
-    with pytest.raises(InternalStateError, match="exceeds the closed-form bound"):
+    lam = best - F(1, 10**9)
+    monkeypatch.setattr(search, "lambda_sharp", lambda delta: lam)
+    # the first evaluation above the bound is one at the best value, and
+    # the whole message is matched, so any change to its text fails here
+    message = (
+        f"evaluated spread probability {best} exceeds the closed-form bound "
+        f"{lam}; the evaluator or the bound is broken"
+    )
+    with pytest.raises(InternalStateError, match=f"^{re.escape(message)}$"):
         search_run()
 
 

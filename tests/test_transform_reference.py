@@ -8,6 +8,7 @@ share no code with the integer versions beyond ``compute_stats``, which
 ``tests/test_kernel.py`` checks against its own reference.
 """
 
+import copy
 import gc
 import io
 import random
@@ -504,6 +505,29 @@ def ref_staircase_problem(cfg, s):
     return None
 
 
+def ref_zigzag_normalize(cfg):
+    cfg = ref_normalize(cfg)
+    while True:
+        dims = cfg.dims
+        for merge, axis in ((ref_merge_columns, 0), (ref_merge_rows, 1)):
+            i = 1
+            while i < cfg.dims[axis]:
+                out = merge(cfg, i)
+                if out is cfg:
+                    i += 1
+                else:
+                    cfg = out
+        if cfg.dims == dims:
+            break
+    s = compute_stats(cfg)
+    problem = (
+        ref_staircase_problem(cfg, s) if cfg.delta < HALF else ref_sorted_problem(cfg, s)
+    )
+    if problem is not None:
+        raise InternalStateError(f"merge fixpoint is not a staircase: {problem}")
+    return cfg
+
+
 def ref_is_canonical(cfg):
     try:
         s = compute_stats(cfg)
@@ -581,12 +605,37 @@ def same(cfg, new, ref, *args):
     return got
 
 
+def same_zigzag(cfg, counts):
+    """``zigzag_normalize`` against its rational body, then on its own output.
+
+    The output is given back as an equal copy twice: with the fixpoint mark
+    in the memo, and after the memo is cleared.  A fixpoint comes back as
+    the copy itself either way.
+    """
+    want = outcome(ref_zigzag_normalize, cfg)
+    got = outcome(transforms.zigzag_normalize, cfg)
+    assert got == want, cfg
+    if not isinstance(want, Configuration):
+        return
+    counts["zigzag merged" if want.dims != normalize(cfg).dims else "zigzag kept"] += 1
+    for clear in (False, True):
+        if clear:
+            compute_stats.cache_clear()
+        again = copy.copy(want)
+        assert again is not want
+        assert outcome(transforms.zigzag_normalize, again) is again, cfg
+
+
 def exercise(cfg, rng, counts):
     """Every transform on ``cfg``, compared with its rational body."""
     m, n = cfg.n_cols, cfg.n_rows
     same(cfg, "transpose", ref_transpose)
     same(cfg, "complement_reflect", ref_complement_reflect)
     same(cfg, normalize, ref_normalize)
+    # the grid as drawn, and unsorted with an empty column in front, which
+    # the merge sweep reaches only through normalize
+    same_zigzag(cfg, counts)
+    same_zigzag(ref_config(cfg.delta, [[Cell()] * n] + list(cfg.cells[::-1])), counts)
     if compute_stats(cfg).prob_B == 0 and rng.random() < 0.75:
         counts["no spread"] += 1
         return
@@ -612,6 +661,9 @@ def exercise(cfg, rng, counts):
     for k, j in sorted(set(s.d_minus) | set(s.d_plus)):
         out = same(cfg, "purify_border_cell", ref_purify_border_cell, k, j)
         counts["purify moved" if out is not cfg else "purify kept"] += 1
+        # purify_all_borders merges what a purification leaves tied, which
+        # can take a second round of sweeps
+        same_zigzag(out, counts)
         same(cfg, "absorb_empty_border_cell", ref_absorb_empty_border_cell, k, j)
     k, j = rng.randint(1, m), rng.randint(1, n)
     same(cfg, "purify_border_cell", ref_purify_border_cell, k, j)
@@ -637,7 +689,7 @@ def exercise(cfg, rng, counts):
     grown = same(cfg, "augment", ref_augment, eps)
     if isinstance(grown, Configuration):
         counts["augmented" if grown is not cfg else "corners held"] += 1
-        same(grown, "corner_fill", ref_corner_fill)
+        same_zigzag(same(grown, "corner_fill", ref_corner_fill), counts)
         same(grown, "empty_corner_rectangles", ref_empty_corner_rectangles)
         filled = transforms.corner_fill(grown)
         same(filled, "empty_corner_rectangles", ref_empty_corner_rectangles)
@@ -660,7 +712,7 @@ def test_transforms_match_their_rational_bodies():
         "grids": 0, "no spread": 0, "purify moved": 0, "purify kept": 0,
         "swap moved": 0, "swap kept": 0, "augmented": 0, "corners held": 0,
         "tie": 0, "no tie": 0, "corner move": 0, "no corner move": 0,
-        "canonical": 0, "not canonical": 0,
+        "canonical": 0, "not canonical": 0, "zigzag merged": 0, "zigzag kept": 0,
     }
     for i in range(3000):
         exercise(random_grid(rng, DELTAS[i % len(DELTAS)]), rng, counts)

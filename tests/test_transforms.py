@@ -15,6 +15,7 @@ from expert_spread.bounds import (
     lambda_sharp,
 )
 from expert_spread.config import (
+    Configuration,
     ConfigError,
     DomainError,
     InternalStateError,
@@ -161,6 +162,42 @@ def test_zigzag_contract_on_random_inputs():
             assert out.n_cols <= cfg.n_cols and out.n_rows <= cfg.n_rows
             assert all(a < b for a, b in zip(t.x, t.x[1:]))
             assert all(a < b for a, b in zip(t.y, t.y[1:]))
+
+
+def test_zigzag_builds_only_the_sorted_grid_and_the_fixpoint(monkeypatch):
+    # the sweep merges on a list of integers, so the grids between the
+    # sorted input and the fixpoint are neither built nor memoised, and the
+    # fixpoint's memo entry is marked so that it comes back at once
+    rng = random.Random(23)
+    inputs = []
+    while len(inputs) < 40:
+        n_cols, n_rows = rng.randint(2, 6), rng.randint(2, 6)
+        parts = _random_parts(rng, 256, 2 * n_cols * n_rows)
+        delta = rng.choice((F(1, 10), F(1, 4), F(3, 5)))
+        cfg = Configuration._from_parts(delta, n_cols, n_rows, parts, 256)
+        sorted_cfg, out = normalize(cfg), zigzag_normalize(cfg)
+        if sum(sorted_cfg.dims) - sum(out.dims) >= 3:
+            inputs.append(cfg)
+    built = []
+    from_parts = Configuration._from_parts
+
+    def counted(*args):
+        built.append(args)
+        return from_parts(*args)
+
+    monkeypatch.setattr(Configuration, "_from_parts", counted)
+    for cfg in inputs:
+        compute_stats.cache_clear()
+        built.clear()
+        out = zigzag_normalize(cfg)
+        # normalize and the result; entries for the input and the result
+        assert len(built) <= 2
+        assert compute_stats.cache_info().currsize <= 2
+        built.clear()
+        entries = compute_stats.cache_info().currsize
+        assert zigzag_normalize(out) is out
+        assert built == []
+        assert compute_stats.cache_info().currsize == entries
 
 
 def test_zigzag_keeps_full_spread_above_one_half():
