@@ -523,9 +523,10 @@ def reduce_counting_branches(monkeypatch, cfg):
     return outcomes, cert, len(result["trace"])
 
 
-def two_fifths_square(den, n, masses):
+def lattice_grid(delta, n_cols, n_rows, den, masses):
+    """A grid from integer masses ``{(col, row): (a, ac)}`` over ``den``."""
     return make_configuration(
-        F(2, 5), n, n, {key: (F(a, den), F(ac, den)) for key, (a, ac) in masses.items()}
+        delta, n_cols, n_rows, {key: (F(a, den), F(ac, den)) for key, (a, ac) in masses.items()}
     )
 
 
@@ -574,7 +575,7 @@ def depth_three_input():
         (3, 1): (0, 4), (3, 4): (1, 0), (4, 1): (1, 0), (4, 2): (2, 0),
         (4, 3): (2, 0), (4, 4): (1, 0),
     }
-    return two_fifths_square(23, 4, masses)
+    return lattice_grid(F(2, 5), 4, 4, 23, masses)
 
 
 def test_reduce_runs_the_depth_three_attack(monkeypatch):
@@ -593,7 +594,7 @@ def depth_four_input():
         (4, 5): (3, 0), (5, 1): (1, 0), (5, 2): (2, 0), (5, 3): (2, 0),
         (5, 4): (4, 0), (5, 5): (1, 0),
     }
-    return two_fifths_square(38, 5, masses)
+    return lattice_grid(F(2, 5), 5, 5, 38, masses)
 
 
 def test_reduce_runs_the_two_sided_squeeze(monkeypatch):
@@ -601,6 +602,98 @@ def test_reduce_runs_the_two_sided_squeeze(monkeypatch):
     assert len(outcomes["_two_sided_squeeze"]) == 1
     assert len(outcomes["_foothold_sweep"]) == 1
     assert steps == 21
+
+
+# Inputs that reach the deep branches from a canonical state other than the
+# one their attack starts from, found by a random walk over canonical states:
+# delta, columns, rows, denominator and masses, then how each branch that ran
+# ended, the trace length and the certificate.
+DEEP_BRANCH_INPUTS = {
+    "corner sweeps jump": (
+        F(2, 5), 5, 4, 114,
+        {
+            (1, 2): (0, 3), (1, 3): (0, 3), (1, 4): (0, 3), (2, 1): (0, 27),
+            (2, 3): (3, 0), (3, 1): (0, 12), (3, 4): (3, 0), (4, 1): (0, 21),
+            (4, 4): (11, 0), (5, 1): (3, 0), (5, 2): (6, 0), (5, 3): (6, 0),
+            (5, 4): (13, 0),
+        },
+        {"_attack": ["jump", "jump"], "_corner_sweep": ["jump", "jump"]},
+        12, F(4, 7),
+    ),
+    "chi corner sweep jumps": (
+        F(2, 5), 4, 4, 115,
+        {
+            (1, 1): (0, 17), (1, 2): (0, 3), (1, 3): (1, 3), (2, 1): (0, 35),
+            (2, 3): (3, 0), (3, 1): (0, 21), (3, 4): (9, 0), (4, 1): (2, 0),
+            (4, 2): (6, 0), (4, 3): (12, 0), (4, 4): (3, 0),
+        },
+        {"_attack": ["jump"], "_corner_sweep": ["ok", "jump"], "_with_chi": ["jump"]},
+        16, F(4, 7),
+    ),
+    "middle-cell attack runs directly": (
+        F(7, 20), 4, 4, 5800,
+        {
+            (1, 2): (0, 150), (1, 3): (0, 1), (2, 1): (0, 1245), (2, 3): (0, 310),
+            (2, 4): (37, 0), (3, 1): (0, 1088), (3, 4): (440, 0), (4, 1): (0, 150),
+            (4, 2): (300, 0), (4, 3): (1929, 0), (4, 4): (150, 0),
+        },
+        {
+            "_attack": ["jump"],
+            "_corner_sweep": ["ok", "ok"],
+            "_with_chi": ["ok"],
+            "_three_column_attack": ["jump"],
+            "_middle_cell_attack": ["jump"],
+        },
+        18, F(14, 27),
+    ),
+    "second purification jumps": (
+        F(1, 3), 4, 4, 196,
+        {
+            (1, 2): (0, 5), (1, 3): (0, 10), (2, 1): (0, 41), (2, 3): (3, 0),
+            (2, 4): (2, 0), (3, 1): (0, 37), (3, 4): (15, 0), (4, 1): (0, 5),
+            (4, 2): (10, 0), (4, 3): (63, 0), (4, 4): (5, 0),
+        },
+        {
+            "_attack": ["jump"],
+            "_corner_sweep": ["ok", "ok"],
+            "_with_chi": ["ok", "jump"],
+            "_three_column_attack": ["jump"],
+            "_middle_cell_attack": ["jump"],
+        },
+        24, F(1, 2),
+    ),
+    "squeeze absorbs above the transition": (
+        F(7, 20), 5, 5, 3814,
+        {
+            (1, 2): (0, 98), (1, 3): (0, 102), (1, 4): (4, 54), (2, 1): (0, 900),
+            (2, 3): (69, 0), (3, 1): (0, 400), (3, 4): (80, 0), (3, 5): (60, 17),
+            (4, 1): (0, 726), (4, 5): (300, 0), (5, 1): (0, 100), (5, 2): (200, 0),
+            (5, 3): (200, 0), (5, 4): (500, 0), (5, 5): (4, 0),
+        },
+        {
+            "_attack": ["jump"],
+            "_corner_sweep": ["ok", "ok"],
+            "_foothold_sweep": ["footholds", "footholds"],
+            "_with_chi": ["footholds"],
+            "_two_sided_squeeze": ["jump"],
+        },
+        28, F(14, 27),
+    ),
+}
+
+
+def deep_branch_input(name):
+    delta, n_cols, n_rows, den, masses = DEEP_BRANCH_INPUTS[name][:5]
+    return lattice_grid(delta, n_cols, n_rows, den, masses)
+
+
+@pytest.mark.parametrize("name", list(DEEP_BRANCH_INPUTS))
+def test_reduce_runs_a_deep_branch(monkeypatch, name):
+    want, want_steps, want_cert = DEEP_BRANCH_INPUTS[name][5:]
+    outcomes, cert, steps = reduce_counting_branches(monkeypatch, deep_branch_input(name))
+    assert {branch: got for branch, got in outcomes.items() if got} == want
+    assert steps == want_steps
+    assert cert == want_cert
 
 
 def test_overloaded_cell_terminal_reports_its_contradiction():
@@ -686,9 +779,10 @@ def seeded_reduce_inputs():
 REDUCE_TRACE_DIGEST = "e2485f3a106521757a4ded8d8fc749f10acfc7d4e85ba56b241b1400a18adf9e"
 
 
-def test_reduce_traces_are_pinned():
+def reduce_trace_digest(inputs):
+    """The SHA-256 of every trace line and reduced file, input by input."""
     digest = hashlib.sha256()
-    for cfg in seeded_reduce_inputs():
+    for cfg in inputs:
         result = reduce(cfg, F(1, 1000))
         for trace in result["trace"]:
             line = json.dumps(trace_to_json_dict(trace), sort_keys=True)
@@ -696,7 +790,21 @@ def test_reduce_traces_are_pinned():
         buf = io.StringIO()
         dump_config(result["out"], buf)
         digest.update(buf.getvalue().encode())
-    assert digest.hexdigest() == REDUCE_TRACE_DIGEST
+    return digest.hexdigest()
+
+
+def test_reduce_traces_are_pinned():
+    assert reduce_trace_digest(seeded_reduce_inputs()) == REDUCE_TRACE_DIGEST
+
+
+# The same over the deep-branch inputs in the order listed, as the driver
+# wrote them when each attack returned its outcome as a string.
+DEEP_BRANCH_TRACE_DIGEST = "24d41ca2d8624bd2c675543bfae1f42244ff116f12d4a741d5930179b42ad67a"
+
+
+def test_deep_branch_traces_are_pinned():
+    inputs = [deep_branch_input(name) for name in DEEP_BRANCH_INPUTS]
+    assert reduce_trace_digest(inputs) == DEEP_BRANCH_TRACE_DIGEST
 
 
 def test_trace_flags_a_spread_drop_of_one_cross_unit():
