@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NoReturn, Optional, Sequence
 
 from .config import (
     Configuration,
@@ -486,14 +486,16 @@ def purify_border_cell(cfg: Configuration, k: int, j: int) -> Configuration:
 
     The cell must be a border cell of the spread region (raises
     :class:`ConfigError` otherwise); a cell that is already pure is left
-    alone.  For a cell in the low-corner border the move grows the smaller of
-    the two conditional shifts: when the column mass dominates the row mass,
-    complement mass turns into event mass, capped so the column conditional
-    stays below both its right neighbour and the threshold ``delta`` and the
-    row conditional stays below its upper neighbour; otherwise event mass
-    turns into complement mass with the mirrored caps, of which the one on
-    the threshold is implied by the one on the previous column.  High-corner
-    border cells are handled by conjugating with :func:`complement_reflect`.
+    alone.  For a cell in the low-corner border whose column mass is at
+    least its row mass, the move grows the smaller of the two conditional
+    shifts: complement mass turns into event mass, capped so the column
+    conditional stays below both its right neighbour and the threshold
+    ``delta`` and the row conditional stays below its upper neighbour.
+    The other cells are handled by conjugation, so they meet the same caps
+    mirrored: a high-corner border cell through :func:`complement_reflect`,
+    and a low one whose row mass is the larger through the reflected
+    transpose, ``transpose(complement_reflect(cfg))``, where its row is a
+    column.
 
     On strictly sorted configurations the moved amount is positive and the
     result is either pure or exhibits a value tie with a neighbouring line;
@@ -518,60 +520,46 @@ def purify_border_cell(cfg: Configuration, k: int, j: int) -> Configuration:
     if a == 0 or ac == 0:
         return cfg
 
-    dn, dd = cfg.delta.numerator, cfg.delta.denominator
-    up = dd - dn  # the threshold 1 - delta is up/dd
     col_t, col_a, row_t, row_a = g.col_t, g.col_a, g.row_t, g.row_a
     # with x = A/P and y = R/Q the two lines' values, p = P and q = Q their
     # masses in units, a cap p*(x' - x) is (P*x' - A), and so on
     P, A = col_t[k - 1], col_a[k - 1]
     Q, R = row_t[j - 1], row_a[j - 1]
-    if P >= Q:
-        # x' = min(next column value, delta); y' = the next row value, or 1
-        if k < cfg.n_cols and col_a[k] * dd < dn * col_t[k]:
-            x_cap = (col_a[k], col_t[k])
-        else:
-            x_cap = (dn, dd)
-        y_cap = (row_a[j], row_t[j]) if j < cfg.n_rows else (1, 1)
-        terms = [
-            (P * x_cap[0] - A * x_cap[1], x_cap[1]),
-            (Q * y_cap[0] - R * y_cap[1], y_cap[1]),
-            (ac, 1),
-        ]
-        # From threshold one half on, the rising row value could break a
-        # high-side pair in the same row; below one half no such pair exists.
-        for c in range(cfg.n_cols):
-            if g.side[c][j - 1] == 1:
-                # q * (x_c - th - y)
-                terms.append(
-                    (Q * (col_a[c] * dd - up * col_t[c]) - R * col_t[c] * dd, col_t[c] * dd)
-                )
-        num, den = _least(terms)
-        if num <= 0:
+    if P < Q:
+        # The caps there are the mirrored ones, on x falling to the previous
+        # column value (or 0) and y to the previous row value, plus q * (y - th)
+        # from x' <= delta, which never binds: y - th >= x on a low border
+        # cell and q > p make it at least p * (x - x_prev).
+        chi = transpose(complement_reflect(cfg))
+        out = purify_border_cell(chi, cfg.n_rows + 1 - j, cfg.n_cols + 1 - k)
+        if out is chi:
             return cfg
-        shift = num  # event mass gained, in units of 1/(den * cfg._den)
+        return complement_reflect(transpose(out))
+
+    dn, dd = cfg.delta.numerator, cfg.delta.denominator
+    up = dd - dn  # the threshold 1 - delta is up/dd
+    # x' = min(next column value, delta); y' = the next row value, or 1
+    if k < cfg.n_cols and col_a[k] * dd < dn * col_t[k]:
+        x_cap = (col_a[k], col_t[k])
     else:
-        # x_prev is the previous column value, or 0; no cap q * (y - th - x_prev)
-        # is needed, as y - th >= x on a low border cell and q > p make it at
-        # least p * (x - x_prev) whenever that is positive
-        xp = (col_a[k - 2], col_t[k - 2]) if k >= 2 else (0, 1)
-        terms = [
-            (A * xp[1] - P * xp[0], xp[1]),  # p * (x - x_prev)
-            (a, 1),
-        ]
-        if j >= 2:
-            terms.append((R * row_t[j - 2] - Q * row_a[j - 2], row_t[j - 2]))  # q * (y - y_prev)
-        # Mirror of the cap above: the falling column value could break a
-        # high-side pair in the same column from threshold one half on.
-        for r in range(cfg.n_rows):
-            if g.side[k - 1][r] == 1:
-                # p * (x - th - y_r)
-                terms.append(
-                    (A * dd * row_t[r] - P * (up * row_t[r] + row_a[r] * dd), dd * row_t[r])
-                )
-        num, den = _least(terms)
-        if num <= 0:
-            return cfg
-        shift = -num
+        x_cap = (dn, dd)
+    y_cap = (row_a[j], row_t[j]) if j < cfg.n_rows else (1, 1)
+    terms = [
+        (P * x_cap[0] - A * x_cap[1], x_cap[1]),
+        (Q * y_cap[0] - R * y_cap[1], y_cap[1]),
+        (ac, 1),
+    ]
+    # From threshold one half on, the rising row value could break a
+    # high-side pair in the same row; below one half no such pair exists.
+    for c in range(cfg.n_cols):
+        if g.side[c][j - 1] == 1:
+            # q * (x_c - th - y)
+            terms.append(
+                (Q * (col_a[c] * dd - up * col_t[c]) - R * col_t[c] * dd, col_t[c] * dd)
+            )
+    shift, den = _least(terms)  # event mass gained, in units of 1/(den * cfg._den)
+    if shift <= 0:
+        return cfg
 
     parts = [v * den for v in cfg._parts]
     i = cfg._index(k, j)
@@ -1030,6 +1018,10 @@ def reduced_shape_problem(cfg: Configuration) -> Optional[str]:
     return None
 
 
+class _Jump(Exception):
+    """Value structure changed: the attack restarts from the canonical state."""
+
+
 class _ReduceDriver:
     """Stateful driver alternating attacks on the two spread corners.
 
@@ -1038,9 +1030,11 @@ class _ReduceDriver:
     through the canonical state, from which a scripted chain of swaps and
     purifications either shrinks the corner, proves the canonical state
     impossible (:class:`ReduceContradictionError`, never reached from sound
-    inputs), or changes some value structure; in the last case control
-    returns to the canonical state, whose re-normalization must strictly
-    shrink the grid.  That strict decrease bounds the number of rounds.
+    inputs), or changes some value structure.  In the last case the move
+    that changed it raises :class:`_Jump`, which only :meth:`_phase` catches:
+    control returns to the canonical state, whose re-normalization must
+    strictly shrink the grid.  That strict decrease bounds the number of
+    rounds.
     """
 
     def __init__(self, cfg: Configuration, eps: Fraction) -> None:
@@ -1093,6 +1087,27 @@ class _ReduceDriver:
         )
         return tie or g.b_mask != self._mask0
 
+    # -- the moves of an attack ---------------------------------------------
+
+    def _swap(self, c1: tuple[int, int], c2: tuple[int, int], complement: bool) -> None:
+        after = _diagonal_swap_any(self.cfg, c1, c2, complement)
+        self._step("diagonal_swap", (c1, c2, "complement" if complement else "plain"), after)
+
+    def _purify(self, k: int, j: int) -> tuple[int, int]:
+        """Purify border cell ``(k, j)``; raise :class:`_Jump` or return its ``(a, ac)``."""
+        self._step("purify_border_cell", (k, j), purify_border_cell(self.cfg, k, j))
+        if self._jump_now():
+            raise _Jump
+        return _cell(self.cfg, k, j)
+
+    def _absorb(self, k: int, j: int, where: str) -> NoReturn:
+        """Fold the empty border cell ``(k, j)``, which must merge, and restart."""
+        after = absorb_empty_border_cell(self.cfg, k, j)
+        if after is self.cfg:
+            raise self._fail(f"guaranteed absorption failed {where}")
+        self._step("absorb_empty_border_cell", (k, j), after)
+        raise _Jump
+
     # -- outer loop ---------------------------------------------------------
 
     def run(self) -> Configuration:
@@ -1126,65 +1141,73 @@ class _ReduceDriver:
             if _low_side_done(self.cfg, s):
                 return
             self._mask0 = s.b_mask
-            if self._attack(s) == "exit":
-                return
+            try:
+                self._attack(s)
+            except _Jump:
+                continue
+            return
 
     # -- one attack from the canonical state --------------------------------
 
-    def _attack(self, s: _GridStats) -> str:
+    def _attack(self, s: _GridStats) -> None:
+        """Attack the low corner; return only when it exits at depth two.
+
+        Every deeper attack ends in :class:`_Jump` or a contradiction: from
+        depth four on the staircase is squeezed from both ends, and at depth
+        three the attack goes on through the middle border cell, in the view
+        where that cell is complement-pure.
+        """
         mm = s.m_minus_G
         if mm < 2:
             raise self._fail("attack started with a trivial low corner")
-        if self._corner_sweep() == "jump":
-            return "jump"
+        self._corner_sweep()
         if mm >= 4:
-            return self._two_sided_squeeze()
-        if self._with_chi(self._corner_sweep) == "jump":
-            return "jump"
+            self._two_sided_squeeze()
+        self._with_chi(self._corner_sweep)
+        mH = self.cfg.n_rows
         if mm == 2:
-            if _mass(self.cfg, 1, self.cfg.n_rows) != 0:
+            if _mass(self.cfg, 1, mH) != 0:
                 raise self._fail("expected an empty extreme cell at depth two")
-            return "exit"
-        return self._three_column_attack()
+            return
+        mid_a, mid_ac = _cell(self.cfg, 2, mH - 1)
+        if mid_a + mid_ac == 0 or (mid_a > 0 and mid_ac > 0):
+            raise self._fail("middle border cell is not pure and positive")
+        if mid_a == 0:
+            self._middle_cell_attack()
+        else:
+            self._with_chi(self._middle_cell_attack)
 
-    def _with_chi(self, body: Callable[[], str]) -> str:
+    def _with_chi(self, body: Callable[[], None]) -> None:
         """Run an attack fragment on the reflected-transposed configuration."""
         self._step("complement_reflect", (), complement_reflect(self.cfg))
         self._step("transpose", (), transpose(self.cfg))
         self._mask0 = self._stats().b_mask
-        outcome = body()
-        self._step("transpose", (), transpose(self.cfg))
-        self._step("complement_reflect", (), complement_reflect(self.cfg))
-        self._mask0 = self._stats().b_mask
-        return outcome
+        try:
+            body()
+        finally:
+            self._step("transpose", (), transpose(self.cfg))
+            self._step("complement_reflect", (), complement_reflect(self.cfg))
+            self._mask0 = self._stats().b_mask
 
-    def _corner_sweep(self) -> str:
+    def _corner_sweep(self) -> None:
         """Concentrate the extreme column's complement mass in the corner.
 
         Sweeps complement mass out of the top row and into the corner cell of
         the deepest low column via rectangle swaps, then purifies that
-        corner.  Returns "jump" when the purification changed value
-        structure.  Otherwise the corner ends pure and positive; a drained
-        column or a complement-pure corner is impossible from sound input and
-        raises :class:`ReduceContradictionError`.  On success the whole top
-        row is free of complement mass.
+        corner.  Unless the purification jumps, the corner ends pure and
+        positive; a drained column or a complement-pure corner is impossible
+        from sound input and raises :class:`ReduceContradictionError`.  On
+        success the whole top row is free of complement mass.
         """
         s = self._stats()
         mm = s.m_minus_G
-        mH = self.cfg.n_rows
-        mG = self.cfg.n_cols
+        mG, mH = self.cfg.dims
         if not isinstance(s.m_plus_H, int) or s.m_plus_H < 2:
             raise self._fail("corner sweep needs a two-sided spread region")
-        mp_h = s.m_plus_H
         for k in range(1, mm):
-            for j in range(1, mp_h):
-                after = diagonal_swap(self.cfg, (k, mH), (mm, j), complement=True)
-                self._step("diagonal_swap", ((k, mH), (mm, j), "complement"), after)
-        after = purify_border_cell(self.cfg, mm, mH)
-        self._step("purify_border_cell", (mm, mH), after)
-        if self._jump_now():
-            return "jump"
-        corner_a, corner_ac = _cell(self.cfg, mm, mH)
+            for j in range(1, s.m_plus_H):
+                self._swap((k, mH), (mm, j), complement=True)
+        corner_a, corner_ac = self._purify(mm, mH)
         if corner_a + corner_ac == 0 or (corner_a > 0 and corner_ac > 0):
             raise self._fail("corner purification left an unusable corner")
         if all(_ac(self.cfg, mm, j) == 0 for j in range(1, mH)):
@@ -1200,19 +1223,8 @@ class _ReduceDriver:
             )
         if any(_ac(self.cfg, k, mH) > 0 for k in range(1, mG + 1)):
             raise self._fail("top row still carries complement mass after the sweep")
-        return "ok"
 
-    def _three_column_attack(self) -> str:
-        """Attack a depth-three low corner through its middle border cell."""
-        mH = self.cfg.n_rows
-        mid_a, mid_ac = _cell(self.cfg, 2, mH - 1)
-        if mid_a + mid_ac == 0 or (mid_a > 0 and mid_ac > 0):
-            raise self._fail("middle border cell is not pure and positive")
-        if mid_a == 0:
-            return self._middle_cell_attack()
-        return self._with_chi(self._middle_cell_attack)
-
-    def _middle_cell_attack(self) -> str:
+    def _middle_cell_attack(self) -> NoReturn:
         """Core of the depth-three attack, for a complement-pure middle cell.
 
         First concentrates event mass of the next-to-top row into the middle
@@ -1228,8 +1240,7 @@ class _ReduceDriver:
             raise self._fail("depth-three attack entered with the wrong shape")
         mp_h = s.m_plus_H
         for k in range(4, mG + 1):
-            after = diagonal_swap(self.cfg, (2, mH), (k, mH - 1), complement=False)
-            self._step("diagonal_swap", ((2, mH), (k, mH - 1), "plain"), after)
+            self._swap((2, mH), (k, mH - 1), complement=False)
         a_top = _a(self.cfg, 2, mH)
         a_mid = _a(self.cfg, 2, mH - 1)
         if a_top > 0:
@@ -1240,29 +1251,20 @@ class _ReduceDriver:
                     "middle-row-event-exhausted",
                     {"a_top": _rational(self.cfg, a_top)},
                 )
-        after = purify_border_cell(self.cfg, 2, mH - 1)
-        self._step("purify_border_cell", (2, mH - 1), after)
-        if self._jump_now():
-            return "jump"
-        mid_a, mid_ac = _cell(self.cfg, 2, mH - 1)
+        mid_a, mid_ac = self._purify(2, mH - 1)
         if mid_a + mid_ac == 0 or (mid_a > 0 and mid_ac > 0):
             raise self._fail("middle cell purification failed")
         if mid_a == 0:
             raise self._contradiction("middle-cell-pure-complement", {})
         for j in range(1, mp_h):
-            after = diagonal_swap(self.cfg, (1, mp_h + 1), (2, j), complement=True)
-            self._step("diagonal_swap", ((1, mp_h + 1), (2, j), "complement"), after)
+            self._swap((1, mp_h + 1), (2, j), complement=True)
         # kept as text: the purification below may change the denominator
         ac_first = _ac(self.cfg, 1, mp_h + 1)
         ac_first_text = _rational(self.cfg, ac_first)
         if ac_first > 0:
             if any(_ac(self.cfg, 2, j) > 0 for j in range(1, mp_h)):
                 raise self._fail("complement sweep dichotomy failed on column two")
-        after = purify_border_cell(self.cfg, 2, mH - 1)
-        self._step("purify_border_cell", (2, mH - 1), after)
-        if self._jump_now():
-            return "jump"
-        mid_a, mid_ac = _cell(self.cfg, 2, mH - 1)
+        mid_a, mid_ac = self._purify(2, mH - 1)
         if mid_a > 0 and mid_ac > 0:
             raise self._fail("second purification left the middle cell impure")
         s2 = self._stats()
@@ -1279,7 +1281,7 @@ class _ReduceDriver:
 
     # -- depth four and beyond ----------------------------------------------
 
-    def _two_sided_squeeze(self) -> str:
+    def _two_sided_squeeze(self) -> NoReturn:
         """Attack a deep low corner from both ends of its staircase.
 
         Establishes pure footholds at both ends (directly, then through the
@@ -1289,10 +1291,8 @@ class _ReduceDriver:
         its column in complement mass and its row in event mass: impossible.
         Any value-structure change along the way jumps back instead.
         """
-        if self._foothold_sweep() == "jump":
-            return "jump"
-        if self._with_chi(self._chi_foothold) == "jump":
-            return "jump"
+        self._foothold_sweep()
+        self._with_chi(self._chi_foothold)
         s = self._stats()
         mG, mH = self.cfg.dims
         mm = s.m_minus_G
@@ -1307,37 +1307,19 @@ class _ReduceDriver:
             kinds.append("a" if ac == 0 else "ac")
         if kinds[0] != "ac" or kinds[1] != "a" or kinds[-2] != "ac" or kinds[-1] != "a":
             raise self._fail("staircase footholds are not in the expected state")
-        trans = next(
-            (
-                i
-                for i in range(2, mm - 1)
-                if kinds[i - 1] == "a" and kinds[i] == "ac"
-            ),
-            None,
-        )
-        if trans is None:
+        k = next((i for i in range(2, mm - 1) if kinds[i - 1 : i + 1] == ["a", "ac"]), None)
+        if k is None:
             raise self._fail("no purity transition on the staircase")
-        k = trans
         j = mp_h + k - 1
 
         for j1 in range(1, mH + 1):
-            if j1 in (j, j + 1):
-                continue
-            after = _diagonal_swap_any(
-                self.cfg, (k + 1, j + 1), (k, j1), complement=True
-            )
-            self._step(
-                "diagonal_swap", ((k + 1, j + 1), (k, j1), "complement"), after
-            )
+            if j1 not in (j, j + 1):
+                self._swap((k + 1, j + 1), (k, j1), complement=True)
         upper_a, upper_ac = _cell(self.cfg, k + 1, j + 1)
         if upper_ac == 0:
             if upper_a != 0:
                 raise self._fail("transition cell should be complement-pure")
-            after = absorb_empty_border_cell(self.cfg, k + 1, j + 1)
-            if after is self.cfg:
-                raise self._fail("guaranteed absorption failed above the transition")
-            self._step("absorb_empty_border_cell", (k + 1, j + 1), after)
-            return "jump"
+            self._absorb(k + 1, j + 1, "above the transition")
         if any(
             _ac(self.cfg, k, j1) > 0
             for j1 in range(1, mH + 1)
@@ -1346,19 +1328,13 @@ class _ReduceDriver:
             raise self._fail("complement drain dichotomy failed")
 
         for c in range(1, mG + 1):
-            if c in (k, k + 1):
-                continue
-            after = _diagonal_swap_any(self.cfg, (k, j), (c, j + 1), complement=False)
-            self._step("diagonal_swap", ((k, j), (c, j + 1), "plain"), after)
+            if c not in (k, k + 1):
+                self._swap((k, j), (c, j + 1), complement=False)
         lower_a, lower_ac = _cell(self.cfg, k, j)
         if lower_a == 0:
             if lower_ac != 0:
                 raise self._fail("transition cell should be event-pure")
-            after = absorb_empty_border_cell(self.cfg, k, j)
-            if after is self.cfg:
-                raise self._fail("guaranteed absorption failed at the transition")
-            self._step("absorb_empty_border_cell", (k, j), after)
-            return "jump"
+            self._absorb(k, j, "at the transition")
         if any(
             _a(self.cfg, c, j + 1) > 0
             for c in range(1, mG + 1)
@@ -1368,7 +1344,7 @@ class _ReduceDriver:
 
         raise self._overloaded_cell_contradiction(k, j + 1)
 
-    def _foothold_sweep(self) -> str:
+    def _foothold_sweep(self) -> None:
         """Like the corner sweep, one line in from the corner on both axes."""
         s = self._stats()
         mG, mH = self.cfg.dims
@@ -1378,17 +1354,8 @@ class _ReduceDriver:
         mp_h = s.m_plus_H
         for k in range(1, mm - 1):
             for j in range(1, mp_h):
-                after = diagonal_swap(
-                    self.cfg, (k, mH - 1), (mm - 1, j), complement=True
-                )
-                self._step(
-                    "diagonal_swap", ((k, mH - 1), (mm - 1, j), "complement"), after
-                )
-        after = purify_border_cell(self.cfg, mm - 1, mH - 1)
-        self._step("purify_border_cell", (mm - 1, mH - 1), after)
-        if self._jump_now():
-            return "jump"
-        near_a, near_ac = _cell(self.cfg, mm - 1, mH - 1)
+                self._swap((k, mH - 1), (mm - 1, j), complement=True)
+        near_a, near_ac = self._purify(mm - 1, mH - 1)
         if near_a + near_ac == 0 or (near_a > 0 and near_ac > 0):
             raise self._fail("near-corner purification failed")
         if near_ac == 0:
@@ -1401,18 +1368,15 @@ class _ReduceDriver:
             raise self._fail("expected a row-value tie after the near sweep")
         if _ac(self.cfg, mm, mH) != 0 or near_a != 0:
             raise self._fail("footholds are not in the expected pure state")
-        return "footholds"
 
-    def _chi_foothold(self) -> str:
+    def _chi_foothold(self) -> None:
         """Foothold preparation in the reflected-transposed view.
 
         The corner sweep has not run in this view yet, so run it first to
         make the top row complement-free, then the near-corner sweep.
         """
-        outcome = self._corner_sweep()
-        if outcome == "jump":
-            return "jump"
-        return self._foothold_sweep()
+        self._corner_sweep()
+        self._foothold_sweep()
 
     def _overloaded_cell_contradiction(
         self, k: int, j: int

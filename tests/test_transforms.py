@@ -489,7 +489,6 @@ DRIVER_BRANCHES = (
     "_attack",
     "_corner_sweep",
     "_with_chi",
-    "_three_column_attack",
     "_middle_cell_attack",
     "_two_sided_squeeze",
     "_foothold_sweep",
@@ -497,9 +496,10 @@ DRIVER_BRANCHES = (
 
 
 def reduce_counting_branches(monkeypatch, cfg):
-    """Reduce at epsilon 1/1000, recording what each attack branch returned.
+    """Reduce at epsilon 1/1000, recording how each call of an attack branch ended.
 
-    Returns the outcomes per branch and the reduced configuration's
+    A call ends in "return" or, when a move changed value structure, in
+    "jump".  Returns the endings per branch and the reduced configuration's
     certificate and trace length.
     """
     outcomes = {name: [] for name in DRIVER_BRANCHES}
@@ -507,9 +507,12 @@ def reduce_counting_branches(monkeypatch, cfg):
         original = getattr(transforms._ReduceDriver, name)
 
         def counted(self, *args, _original=original, _name=name):
-            outcome = _original(self, *args)
-            outcomes[_name].append(outcome)
-            return outcome
+            try:
+                _original(self, *args)
+            except transforms._Jump:
+                outcomes[_name].append("jump")
+                raise
+            outcomes[_name].append("return")
 
         monkeypatch.setattr(transforms._ReduceDriver, name, counted)
     eps = F(1, 1000)
@@ -561,7 +564,7 @@ def depth_two_input():
 def test_reduce_runs_the_depth_two_attack(monkeypatch):
     cfg = depth_two_input()
     outcomes, cert, steps = reduce_counting_branches(monkeypatch, cfg)
-    assert outcomes["_attack"] == ["exit"]
+    assert outcomes["_attack"] == ["return"]
     assert len(outcomes["_corner_sweep"]) == 2
     assert len(outcomes["_with_chi"]) == 1
     assert steps == 13
@@ -580,8 +583,7 @@ def depth_three_input():
 
 def test_reduce_runs_the_depth_three_attack(monkeypatch):
     outcomes, _, steps = reduce_counting_branches(monkeypatch, depth_three_input())
-    assert len(outcomes["_three_column_attack"]) == 1
-    assert len(outcomes["_middle_cell_attack"]) == 1
+    assert outcomes["_middle_cell_attack"] == ["jump"]
     assert len(outcomes["_with_chi"]) == 2
     assert steps == 22
 
@@ -627,7 +629,7 @@ DEEP_BRANCH_INPUTS = {
             (2, 3): (3, 0), (3, 1): (0, 21), (3, 4): (9, 0), (4, 1): (2, 0),
             (4, 2): (6, 0), (4, 3): (12, 0), (4, 4): (3, 0),
         },
-        {"_attack": ["jump"], "_corner_sweep": ["ok", "jump"], "_with_chi": ["jump"]},
+        {"_attack": ["jump"], "_corner_sweep": ["return", "jump"], "_with_chi": ["jump"]},
         16, F(4, 7),
     ),
     "middle-cell attack runs directly": (
@@ -639,9 +641,8 @@ DEEP_BRANCH_INPUTS = {
         },
         {
             "_attack": ["jump"],
-            "_corner_sweep": ["ok", "ok"],
-            "_with_chi": ["ok"],
-            "_three_column_attack": ["jump"],
+            "_corner_sweep": ["return", "return"],
+            "_with_chi": ["return"],
             "_middle_cell_attack": ["jump"],
         },
         18, F(14, 27),
@@ -655,9 +656,8 @@ DEEP_BRANCH_INPUTS = {
         },
         {
             "_attack": ["jump"],
-            "_corner_sweep": ["ok", "ok"],
-            "_with_chi": ["ok", "jump"],
-            "_three_column_attack": ["jump"],
+            "_corner_sweep": ["return", "return"],
+            "_with_chi": ["return", "jump"],
             "_middle_cell_attack": ["jump"],
         },
         24, F(1, 2),
@@ -672,9 +672,9 @@ DEEP_BRANCH_INPUTS = {
         },
         {
             "_attack": ["jump"],
-            "_corner_sweep": ["ok", "ok"],
-            "_foothold_sweep": ["footholds", "footholds"],
-            "_with_chi": ["footholds"],
+            "_corner_sweep": ["return", "return"],
+            "_foothold_sweep": ["return", "return"],
+            "_with_chi": ["return"],
             "_two_sided_squeeze": ["jump"],
         },
         28, F(14, 27),
@@ -798,7 +798,8 @@ def test_reduce_traces_are_pinned():
 
 
 # The same over the deep-branch inputs in the order listed, as the driver
-# wrote them when each attack returned its outcome as a string.
+# wrote them when each attack returned its outcome as a string, before its
+# moves raised their restarts.
 DEEP_BRANCH_TRACE_DIGEST = "24d41ca2d8624bd2c675543bfae1f42244ff116f12d4a741d5930179b42ad67a"
 
 
