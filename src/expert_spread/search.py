@@ -29,6 +29,7 @@ from .config import (
     DomainError,
     ExpertSpreadError,
     InternalStateError,
+    MAX_CELLS,
     RationalLike,
     SearchSpaceError,
     _line_sums,
@@ -133,9 +134,17 @@ def _check_winner(cfg: Configuration, b_num: int, denom: int) -> Fraction:
 
 
 def _validate_dims(n_cols: int, n_rows: int) -> None:
+    """Refuse an empty grid, or one of more than :data:`MAX_CELLS` cells.
+
+    The searches allocate per cell, so the limit is checked first.
+    """
     if n_cols < 1 or n_rows < 1:
         raise DomainError(
             f"grid dimensions must be at least 1x1, got {n_cols}x{n_rows}"
+        )
+    if n_cols * n_rows > MAX_CELLS:
+        raise DomainError(
+            f"a {n_cols}x{n_rows} grid exceeds the limit of {MAX_CELLS} cells"
         )
 
 

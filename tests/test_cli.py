@@ -269,6 +269,11 @@ def test_usage_errors_exit_two():
     assert run_cli().returncode == 2
     assert run_cli("no-such-command").returncode == 2
     assert run_cli("search", "1/4", "--denom", "-3").returncode == 2
+    # refused before the search allocates its per-cell lists
+    proc = run_cli("search", "1/4", "--cols", "100000", "--rows", "100000", "--iters", "1")
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_malformed_documents_exit_two(tmp_path):

@@ -4,12 +4,13 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from expert_spread.bounds import extremal_config, lambda_sharp
-from expert_spread import search
+from expert_spread import search, transforms
 from expert_spread.config import (
     ConfigError,
     DomainError,
@@ -68,6 +69,22 @@ def test_exhaustive_shape_validation():
         exhaustive_search(F(1, 4), 0, 2, 5)
     with pytest.raises(DomainError):
         exhaustive_search(F(1, 4), 2, 2, 0)
+
+
+def test_oversized_searches_are_refused_before_allocating():
+    # hill_climb builds lists of two slots per cell; the limit comes first
+    tracemalloc.start()
+    try:
+        for run in (
+            lambda: hill_climb(F(1, 4), 1001, 1000, 1, 0),
+            lambda: exhaustive_search(F(1, 4), 1001, 1000, 5),
+        ):
+            with pytest.raises(DomainError, match="exceeds the limit of 1000000 cells"):
+                run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_enumeration_cap_guards_the_loop(monkeypatch):
