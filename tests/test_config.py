@@ -171,6 +171,12 @@ def test_construction_validation():
         make_configuration(F(1, 4), 1, 1, {(1, 1): (0, F(1, 2))})
     with pytest.raises((ConfigError, DomainError)):
         make_configuration(0, 1, 1, {(1, 1): (0, 1)})
+    with pytest.raises(ConfigError, match="^cell masses must be non-negative"):
+        Cell(F(-1, 2), 0)
+    with pytest.raises(ConfigError, match="^grid must be at least 1x1, got 0x1$"):
+        Configuration(F(1, 4), 0, 1, ())
+    with pytest.raises(ConfigError, match="^cells array shape does not match"):
+        Configuration(F(1, 4), 2, 1, ((Cell(1, 0),),))
     # masses are exact rationals: a float, a bool or a string is refused when
     # the cell is built, not when statistics first read its denominator
     for bad in (0.5, True, "1/2", None):
@@ -232,6 +238,7 @@ def test_decimal_rendering():
     assert rational_to_decimal(F(4, 7)) == "0.571428571428571"
     assert rational_to_decimal(F(1)) == "1"
     assert rational_to_decimal(F(0)) == "0"
+    assert rational_to_decimal(F(-2, 5)) == "-0.4"
 
 
 def test_rational_to_str():

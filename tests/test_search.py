@@ -179,6 +179,33 @@ def test_fuzzer_reports_no_violations():
         assert report["violations"] == []
 
 
+# What each judged transform returns when broken: a grid without spread,
+# or for the swap one whose line values all moved.
+FLAT = make_configuration(F(1, 4), 1, 1, {(1, 1): (1, 0)})
+BROKEN_TRANSFORMS = {
+    "corner_fill": lambda cfg: FLAT,
+    "augment": lambda cfg, eps: FLAT,
+    "canonicalize": lambda cfg: FLAT,
+    "diagonal_swap": lambda cfg, c1, c2, complement: transforms.complement_reflect(cfg),
+    "reduce": lambda cfg, eps: {"out": FLAT, "trace": []},
+}
+
+
+@pytest.mark.parametrize("name", list(BROKEN_TRANSFORMS))
+def test_fuzzer_reports_a_broken_transform(monkeypatch, name):
+    monkeypatch.setattr(transforms, name, BROKEN_TRANSFORMS[name])
+    names = [trace.name for trace in fuzz_transforms(F(1, 4), 1, seed=7)["violations"]]
+    assert name in names
+
+    def raises(*args):
+        raise InternalStateError(f"{name} broke")
+
+    monkeypatch.setattr(transforms, name, raises)
+    [trace] = fuzz_transforms(F(1, 4), 1, seed=7)["violations"]
+    assert trace.name == "battery:InternalStateError"
+    assert trace.params == (f"{name} broke",)
+
+
 def test_fuzzer_is_deterministic():
     a = fuzz_transforms(F(1, 4), 20, seed=21)
     b = fuzz_transforms(F(1, 4), 20, seed=21)

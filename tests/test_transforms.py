@@ -34,6 +34,7 @@ from expert_spread.transforms import (
     canonicalize,
     complement_reflect,
     diagonal_swap,
+    empty_corner_rectangles,
     is_canonical,
     merge_columns,
     merge_rows,
@@ -390,6 +391,8 @@ def test_augment_oracle():
 def test_augment_needs_positive_spread():
     with pytest.raises(DomainError):
         augment(no_spread_square(), F(1, 100))
+    with pytest.raises(DomainError, match="^epsilon must be positive, got 0$"):
+        augment(extremal_config(F(1, 4)), 0)
 
 
 def test_canonicalize_requires_corners_below_one_half():
@@ -398,6 +401,8 @@ def test_canonicalize_requires_corners_below_one_half():
     )
     with pytest.raises(ConfigError):
         canonicalize(one_sided)
+    with pytest.raises(ConfigError, match="^both extreme spread corners need positive mass"):
+        empty_corner_rectangles(one_sided)
 
 
 def test_canonicalize_fixes_the_extremal_witness():
