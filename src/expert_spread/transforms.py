@@ -526,10 +526,11 @@ def purify_border_cell(cfg: Configuration, k: int, j: int) -> Configuration:
     P, A = col_t[k - 1], col_a[k - 1]
     Q, R = row_t[j - 1], row_a[j - 1]
     if P < Q:
-        # The caps there are the mirrored ones, on x falling to the previous
-        # column value (or 0) and y to the previous row value, plus q * (y - th)
-        # from x' <= delta, which never binds: y - th >= x on a low border
-        # cell and q > p make it at least p * (x - x_prev).
+        # In the reflected transpose the caps below are mirrored: x may fall
+        # to the previous column value (or 0), y to the previous row value.
+        # The one cap added there, q * (y - th) from x' <= delta, never binds:
+        # y - th >= x on a low border cell and q > p make it at least
+        # p * (x - x_prev).
         chi = transpose(complement_reflect(cfg))
         out = purify_border_cell(chi, cfg.n_rows + 1 - j, cfg.n_cols + 1 - k)
         if out is chi:

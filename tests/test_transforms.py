@@ -611,10 +611,10 @@ def test_reduce_runs_the_two_sided_squeeze(monkeypatch):
     assert steps == 21
 
 
-# Inputs that reach the deep branches from a canonical state other than the
-# one their attack starts from, found by a random walk over canonical states:
-# delta, columns, rows, denominator and masses, then how each branch that ran
-# ended, the trace length and the certificate.
+# Inputs that reach lines of the driver's deep branches that the inputs above
+# do not, found by a random walk over canonical states: delta, columns, rows,
+# denominator and masses, then how each branch that ran ended, the trace
+# length and the certificate.
 DEEP_BRANCH_INPUTS = {
     "corner sweeps jump": (
         F(2, 5), 5, 4, 114,
