@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Mapping, Sequence, Union
+from typing import IO, Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "Rational",
@@ -73,6 +73,11 @@ MAX_CELLS = 10**6
 # as that many digits; longer strings are refused before they are parsed.
 # Well below the 4300 digits Python converts between int and str.
 MAX_DIGITS = 1000
+
+# The largest grid, in cells, that _units_evaluator compiles straight-line
+# code for; its source grows with the cell count, so larger grids run the
+# _spread_units loop.
+UNROLL_CELLS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +532,11 @@ def _spread_kernel(
     This is the memo's kernel: absorption, the borders and the merges read
     the side of empty cells too.  The searches need only the numerator over
     occupied cells, from line sums they keep as they move; that is
-    :func:`_spread_units`.  The two are kept apart because building sides
-    inside the search loops made them about 14% slower, and
-    ``test_search_spread_units_match_the_kernel`` ties them.
+    :func:`_spread_units`, which they run as the per-shape evaluator of
+    :func:`_units_evaluator`.  The two are kept apart because building
+    sides inside the search loops made them about 14% slower, and
+    ``test_search_spread_units_match_the_kernel`` and
+    ``test_units_evaluator_matches_the_kernel_and_the_loop`` tie them.
     """
     col_t, col_a, row_t, row_a = _line_sums(parts, n_cols, n_rows)
     sides = []
@@ -571,6 +578,10 @@ def _spread_units(
     them again. A cell counts when it has mass and its column and row
     values differ by at least the threshold, the kernel's non-zero side;
     a cell with mass lies on two lines with mass.
+
+    This loop is the reference for the straight-line evaluators of
+    :func:`_units_evaluator`, and the evaluator it hands out for grids of
+    more than ``UNROLL_CELLS`` cells.
     """
     b_num = 0
     i = 0
@@ -587,6 +598,56 @@ def _spread_units(
                 if (gap if gap >= 0 else -gap) >= ct_num * rt:
                     b_num += mass
     return b_num
+
+
+def _names(prefix: str, count: int) -> str:
+    """``[prefix0, prefix1, ...]``, an unpacking target of ``count`` locals."""
+    return "[" + ", ".join([f"{prefix}{i}" for i in range(count)]) + "]"
+
+
+@functools.lru_cache(maxsize=1024)
+def _units_evaluator(n_cols: int, n_rows: int) -> Callable[..., int]:
+    """An evaluator with :func:`_spread_units`'s signature and result for one grid shape.
+
+    Up to ``UNROLL_CELLS`` cells it is compiled, once per shape, from
+    straight-line source: the slots and the line sums are unpacked into
+    locals, each column's products with the threshold are formed once, and
+    each cell is one block that tests its mass, cross-multiplies and
+    compares, as the loop of :func:`_spread_units` does, so a call runs no
+    Python loop.  The source is built from integer indices alone.  Larger
+    grids get :func:`_spread_units` itself.  Callers fetch the evaluator
+    once, outside their loops.
+    """
+    if n_cols * n_rows > UNROLL_CELLS:
+        return _spread_units
+    src = [
+        "def units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den):",
+        f"    {_names('p', 2 * n_cols * n_rows)} = parts",
+        f"    {_names('ct', n_cols)} = col_t",
+        f"    {_names('ca', n_cols)} = col_a",
+        f"    {_names('rt', n_rows)} = row_t",
+        f"    {_names('ra', n_rows)} = row_a",
+        "    b_num = 0",
+    ]
+    for k in range(n_cols):
+        src += [
+            f"    ct_den = ct{k} * th_den",
+            f"    ca_den = ca{k} * th_den",
+            f"    ct_num = ct{k} * th_num",
+        ]
+        for j in range(n_rows):
+            i = 2 * (k * n_rows + j)
+            src += [
+                f"    mass = p{i} + p{i + 1}",
+                "    if mass:",
+                f"        gap = ca_den * rt{j} - ra{j} * ct_den",
+                f"        if (gap if gap >= 0 else -gap) >= ct_num * rt{j}:",
+                "            b_num += mass",
+            ]
+    src.append("    return b_num\n")
+    namespace: dict = {}
+    exec(compile("\n".join(src), f"<spread units {n_cols}x{n_rows}>", "exec"), namespace)
+    return namespace["units"]
 
 
 class _GridStats:
@@ -678,8 +739,8 @@ def compute_stats(cfg: Configuration) -> Stats:
     the returned fields, once per memo entry.  The searches and
     :func:`expert_spread.discretize.threshold_probability` count only the
     spread numerator over occupied cells, from line sums the caller keeps,
-    with :func:`_spread_units`; see :func:`_spread_kernel` for why the two
-    are kept apart.
+    with the evaluator :func:`_units_evaluator` gives for the grid's
+    shape; see :func:`_spread_kernel` for why the two are kept apart.
 
     Configurations are immutable, so results are memoised.  The memo keys
     on the hash each :class:`Configuration` keeps in a slot, and an equal

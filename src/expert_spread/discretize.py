@@ -24,7 +24,7 @@ from .config import (
     _grid_stats,
     _json_exact,
     _shown,
-    _spread_units,
+    _units_evaluator,
     normalize,
     parse_rational,
     rational_to_str,
@@ -187,7 +187,7 @@ def threshold_probability(cfg: Configuration, threshold: Fraction) -> Fraction:
     threshold makes every cell count, so the result is 1.
     """
     g = _grid_stats(cfg)
-    b_num = _spread_units(
+    b_num = _units_evaluator(cfg.n_cols, cfg.n_rows)(
         cfg._parts, cfg.n_rows, g.col_t, g.col_a, g.row_t, g.row_a,
         threshold.numerator, threshold.denominator,
     )

@@ -33,7 +33,7 @@ from .config import (
     RationalLike,
     SearchSpaceError,
     _line_sums,
-    _spread_units,
+    _units_evaluator,
     compute_stats,
     normalize,
     rational_to_str,
@@ -97,9 +97,12 @@ def search_result_to_json_dict(result: SearchResult) -> dict:
 # lexicographic tie-break on maximizers; complement-first makes the
 # reported small-grid witnesses line up with the canonical extremal
 # configuration rather than its event-complement mirror image. This is the
-# layout of the statistics kernel, so every evaluation is one call to
-# config._spread_units, the kernel's numerator over occupied cells, in
-# integer arithmetic; a Configuration object is only built for the winner.
+# layout of the statistics kernel, so every evaluation is one call to the
+# evaluator config._units_evaluator compiles for the grid's shape: the
+# kernel's numerator over occupied cells, in integer arithmetic, with no
+# Python loop on grids of up to config.UNROLL_CELLS cells. Each search
+# fetches it once per call. A Configuration object is only built for the
+# winner.
 # Zero-mass lines carry no conditional value and no probability there,
 # which matches evaluating the configuration with its zero lines dropped.
 
@@ -258,6 +261,7 @@ def exhaustive_search(
     lam_num, lam_den = lam.numerator * denom, lam.denominator
     th = 1 - d
     th_num, th_den = th.numerator, th.denominator
+    spread_units = _units_evaluator(n_cols, n_rows)
     width = 2 * n_rows
     last = n_cols - 1
     parts = [0] * slots
@@ -317,7 +321,7 @@ def exhaustive_search(
         while q >= o and not parts[q]:
             q -= 1
         while True:
-            prob = _spread_units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den)
+            prob = spread_units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den)
             if prob * lam_den > lam_num:
                 raise _bound_broken(prob, denom, lam)
             covered += w
@@ -404,11 +408,12 @@ def hill_climb(
     A restart keeps its line sums and the sorted list of its positive slots
     as running state: a move changes two slots, so it updates one column
     and one row sum per slot, and a rejected move reverts them. Each
-    evaluation is one pass of :func:`_spread_units` over those sums. The
-    source slot is drawn as ``rng.choice`` draws from the positive slots
-    and the target offset as ``rng.randrange(slots - 1)`` does, by
-    rejection sampling on ``rng.getrandbits``, so a seed gives the same run
-    as those calls would.
+    evaluation is one call on those sums to the evaluator that
+    :func:`~expert_spread.config._units_evaluator` gives for the grid's
+    shape, fetched once per call. The source slot is drawn as
+    ``rng.choice`` draws from the positive slots and the target offset as
+    ``rng.randrange(slots - 1)`` does, by rejection sampling on
+    ``rng.getrandbits``, so a seed gives the same run as those calls would.
     """
     d = validate_delta(delta)
     _validate_dims(n_cols, n_rows)
@@ -421,6 +426,7 @@ def hill_climb(
     lam_num, lam_den = lam.numerator * _CLIMB_DENOM, lam.denominator
     th = 1 - d
     th_num, th_den = th.numerator, th.denominator
+    spread_units = _units_evaluator(n_cols, n_rows)
     # slot i lies in column col_of[i] and row row_of[i]; odd slots hold
     # event mass
     col_of = [i // (2 * n_rows) for i in range(slots)]
@@ -440,7 +446,7 @@ def hill_climb(
         parts = _random_parts(rng, _CLIMB_DENOM, slots)
         col_t, col_a, row_t, row_a = _line_sums(parts, n_cols, n_rows)
         positive = [i for i in range(slots) if parts[i] > 0]
-        cur = _spread_units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den)
+        cur = spread_units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den)
         if cur * lam_den > lam_num:
             raise _bound_broken(cur, _CLIMB_DENOM, lam)
         evaluated += 1
@@ -483,9 +489,7 @@ def hill_climb(
                 row_a[dj] += amt
             parts[src] -= amt
             parts[dst] += amt
-            prob = _spread_units(
-                parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den
-            )
+            prob = spread_units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den)
             if prob * lam_den > lam_num:
                 raise _bound_broken(prob, _CLIMB_DENOM, lam)
             evaluated += 1

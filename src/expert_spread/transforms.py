@@ -203,12 +203,18 @@ def transpose(cfg: Configuration) -> Configuration:
     unchanged; the dimensions swap.
     """
     n = cfg.n_rows
-    parts = cfg._parts
+    return Configuration._from_parts(
+        cfg.delta, n, cfg.n_cols, _transposed(cfg._parts, n), cfg._den
+    )
+
+
+def _transposed(parts: Sequence[int], n_rows: int) -> list[int]:
+    """The flat column-major vector of the transposed grid, cell pairs kept."""
     ac, a = parts[0::2], parts[1::2]
     out = [0] * len(parts)
-    out[0::2] = [v for j in range(n) for v in ac[j::n]]
-    out[1::2] = [v for j in range(n) for v in a[j::n]]
-    return Configuration._from_parts(cfg.delta, n, cfg.n_cols, out, cfg._den)
+    out[0::2] = [v for j in range(n_rows) for v in ac[j::n_rows]]
+    out[1::2] = [v for j in range(n_rows) for v in a[j::n_rows]]
+    return out
 
 
 def complement_reflect(cfg: Configuration) -> Configuration:
@@ -222,6 +228,20 @@ def complement_reflect(cfg: Configuration) -> Configuration:
     """
     return Configuration._from_parts(
         cfg.delta, cfg.n_cols, cfg.n_rows, cfg._parts[::-1], cfg._den
+    )
+
+
+def _reflected_transpose(cfg: Configuration) -> Configuration:
+    """``transpose(complement_reflect(cfg))`` in one construction.
+
+    Cell ``(k, j)`` goes to ``(n_rows + 1 - j, n_cols + 1 - k)`` with its
+    two species swapped.  The map is its own inverse and equals
+    ``complement_reflect(transpose(cfg))``: reversing the tuple and
+    transposing commute.
+    """
+    n = cfg.n_rows
+    return Configuration._from_parts(
+        cfg.delta, n, cfg.n_cols, _transposed(cfg._parts[::-1], n), cfg._den
     )
 
 
@@ -494,8 +514,7 @@ def purify_border_cell(cfg: Configuration, k: int, j: int) -> Configuration:
     The other cells are handled by conjugation, so they meet the same caps
     mirrored: a high-corner border cell through :func:`complement_reflect`,
     and a low one whose row mass is the larger through the reflected
-    transpose, ``transpose(complement_reflect(cfg))``, where its row is a
-    column.
+    transpose :func:`_reflected_transpose`, where its row is a column.
 
     On strictly sorted configurations the moved amount is positive and the
     result is either pure or exhibits a value tie with a neighbouring line;
@@ -531,11 +550,11 @@ def purify_border_cell(cfg: Configuration, k: int, j: int) -> Configuration:
         # The one cap added there, q * (y - th) from x' <= delta, never binds:
         # y - th >= x on a low border cell and q > p make it at least
         # p * (x - x_prev).
-        chi = transpose(complement_reflect(cfg))
+        chi = _reflected_transpose(cfg)
         out = purify_border_cell(chi, cfg.n_rows + 1 - j, cfg.n_cols + 1 - k)
         if out is chi:
             return cfg
-        return complement_reflect(transpose(out))
+        return _reflected_transpose(out)
 
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
     up = dd - dn  # the threshold 1 - delta is up/dd

@@ -28,7 +28,6 @@ from expert_spread.discretize import (
     spread_probability,
     threshold_probability,
 )
-from expert_spread import search
 from expert_spread.search import (
     exhaustive_search,
     fuzz_transforms,
@@ -36,6 +35,7 @@ from expert_spread.search import (
     reduced_shape_problem,
 )
 from expert_spread.transforms import reduce as reduce_config
+from test_search import count_evaluations
 
 F = Fraction
 
@@ -69,15 +69,9 @@ def test_criterion_1_witness_attains_the_sharp_bound():
 
 
 def test_criterion_2_exhaustive_search_confirms_optimality(monkeypatch):
-    # count the column classes scored, one kernel pass each
+    # count the column classes scored, one evaluator call each
     scored = []
-    units = search._spread_units
-
-    def counting(*args):
-        scored.append(1)
-        return units(*args)
-
-    monkeypatch.setattr(search, "_spread_units", counting)
+    count_evaluations(monkeypatch, scored)
     t0 = time.monotonic()
     fine = exhaustive_search(F(1, 4), 2, 2, 5)
     assert fine.configs_evaluated == math.comb(12, 5)
@@ -89,6 +83,8 @@ def test_criterion_2_exhaustive_search_confirms_optimality(monkeypatch):
     wide = exhaustive_search(F(1, 4), 3, 3, 6)
     assert wide.configs_evaluated == math.comb(23, 6)
     assert wide.best_prob_B <= F(2, 5)
+    # column_classes(2, 2, 5) + column_classes(2, 2, 8) + column_classes(3, 3, 6)
+    assert len(scored) == 21_320
     report(
         "criterion 2 (exhaustive optimality)",
         time.monotonic() - t0,

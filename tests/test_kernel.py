@@ -11,15 +11,18 @@ from expert_spread.bounds import extremal_config
 from expert_spread.config import (
     ConfigError,
     Stats,
+    UNROLL_CELLS,
     _line_sums,
     _spread_kernel,
+    _spread_units,
+    _units_evaluator,
     compute_stats,
     make_configuration,
     overlap_violations,
     pitman_inclusion_violations,
     separation_violations,
 )
-from expert_spread.search import _random_parts, _spread_units
+from expert_spread.search import _random_parts
 from expert_spread.transforms import transpose
 from expert_spread.discretize import threshold_probability
 
@@ -235,6 +238,32 @@ def test_search_spread_units_match_the_kernel():
         ties += has_spread_tie(parts, n_rows, *sums, th)
     assert zero_lines > 1000
     assert ties > 300
+
+
+def test_units_evaluator_matches_the_kernel_and_the_loop():
+    """Each shape's evaluator, straight-line up to the cap and the loop past it."""
+    # the shapes below straddle the cap
+    assert UNROLL_CELLS == 64
+    shapes = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(9, 8)]
+    rng = random.Random(4099)
+    zero_lines = ties = 0
+    for n_cols, n_rows in shapes:
+        units = _units_evaluator(n_cols, n_rows)
+        assert (units is _spread_units) == (n_cols * n_rows > UNROLL_CELLS)
+        assert _units_evaluator(n_cols, n_rows) is units
+        for _ in range(60):
+            th = 1 - rng.choice(DELTAS)
+            # threshold-aligned denominators make exact ties common
+            denom = th.denominator * rng.randint(1, 4)
+            parts = _random_parts(rng, denom, 2 * n_cols * n_rows)
+            sums = _line_sums(parts, n_cols, n_rows)
+            args = (parts, n_rows, *sums, th.numerator, th.denominator)
+            want = _spread_kernel(parts, n_cols, n_rows, th.numerator, th.denominator)[-1]
+            assert units(*args) == _spread_units(*args) == want
+            zero_lines += 0 in sums[0] or 0 in sums[2]
+            ties += has_spread_tie(parts, n_rows, *sums, th)
+    assert zero_lines > 1500
+    assert ties > 500
 
 
 def test_threshold_probability_matches_the_reference():

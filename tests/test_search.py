@@ -349,15 +349,25 @@ def column_classes(n_cols, n_rows, denom):
     return ways[n_cols][denom]
 
 
+def count_evaluations(monkeypatch, scored):
+    """Make every evaluator the searches fetch append to ``scored`` per call."""
+    factory = search._units_evaluator
+
+    def counting_factory(n_cols, n_rows):
+        units = factory(n_cols, n_rows)
+
+        def counting(*args):
+            scored.append(1)
+            return units(*args)
+
+        return counting
+
+    monkeypatch.setattr(search, "_units_evaluator", counting_factory)
+
+
 def test_exhaustive_matches_the_reference(monkeypatch):
     scored = []
-    units = search._spread_units
-
-    def counting(*args):
-        scored.append(1)
-        return units(*args)
-
-    monkeypatch.setattr(search, "_spread_units", counting)
+    count_evaluations(monkeypatch, scored)
     cases = 0
     for n_cols in range(1, 4):
         for n_rows in range(1, 4):

@@ -109,6 +109,19 @@ def test_complement_reflect_is_an_involution():
         assert compute_stats(mirrored).prob_B == compute_stats(cfg).prob_B
 
 
+def test_reflected_transpose_is_an_involution_and_both_compositions():
+    rng = random.Random(13)
+    for _ in range(200):
+        n_cols, n_rows = rng.randint(1, 6), rng.randint(1, 6)
+        denom = rng.randint(1, 40)
+        parts = _random_parts(rng, denom, 2 * n_cols * n_rows)
+        cfg = Configuration._from_parts(F(1, 3), n_cols, n_rows, parts, denom)
+        chi = transforms._reflected_transpose(cfg)
+        assert chi == transpose(complement_reflect(cfg)) == complement_reflect(transpose(cfg))
+        assert (chi.n_cols, chi.n_rows) == (n_rows, n_cols)
+        assert transforms._reflected_transpose(chi) == cfg
+
+
 def test_merges_refuse_to_destroy_spread():
     ext = extremal_config(F(1, 4))
     assert merge_columns(ext, 1) is ext
