@@ -75,8 +75,8 @@ MAX_CELLS = 10**6
 MAX_DIGITS = 1000
 
 # The largest grid, in cells, that _units_evaluator compiles straight-line
-# code for; its source grows with the cell count, so larger grids run the
-# _spread_units loop.
+# code for, and the most rows that _stats_evaluator unrolls; generated
+# source grows with what it unrolls, so larger grids run the loops.
 UNROLL_CELLS = 64
 
 
@@ -168,6 +168,15 @@ def _as_fraction(value: RationalLike, what: str) -> Fraction:
     if value.__class__ is Fraction:
         return value
     try:
+        if value.__class__ is str and len(value) <= MAX_DIGITS:
+            # plain "p" or "p/q" in ASCII digits, the loaders' common case,
+            # is read without Fraction's regex or the digit count below
+            num, slash, den = value.partition("/")
+            if num.isdigit() and num.isascii():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isdigit() and den.isascii():
+                    return Fraction(int(num), int(den))
         if isinstance(value, str):
             # the mantissa's digits plus the exponent's value; the exponent
             # is read only when the whole string is short enough for int()
@@ -497,7 +506,10 @@ class Stats:
 def _line_sums(
     parts: Sequence[int], n_cols: int, n_rows: int
 ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Column totals, column event masses, row totals, row event masses."""
+    """Column totals, column event masses, row totals, row event masses.
+
+    The reference for the compiled line sums of :func:`_stats_evaluator`.
+    """
     col_t = [0] * n_cols
     col_a = [0] * n_cols
     row_t = [0] * n_rows
@@ -529,12 +541,16 @@ def _spread_kernel(
     compared by cross-multiplying, never divided.  A cell on a zero-mass
     line has no conditional value and gets side 0.
 
-    This is the memo's kernel: absorption, the borders and the merges read
-    the side of empty cells too.  The searches need only the numerator over
-    occupied cells, from line sums they keep as they move; that is
-    :func:`_spread_units`, which they run as the per-shape evaluator of
-    :func:`_units_evaluator`.  The two are kept apart because building
-    sides inside the search loops made them about 14% slower, and
+    This loop is the reference for both kinds of compiled evaluator.  The
+    memo runs the kernels of :func:`_stats_evaluator`, which give the same
+    sides per column, and this loop (through :func:`_stats_loop`) for
+    grids of more than ``UNROLL_CELLS`` rows; absorption, the borders and
+    the merges read the side of empty cells too.  The searches need only
+    the numerator over occupied cells, from line sums they keep as they
+    move; that is :func:`_spread_units`, which they run as the per-shape
+    evaluator of :func:`_units_evaluator`.  The two are kept apart because
+    building sides inside the search loops made them about 14% slower.
+    ``test_stats_evaluator_matches_the_loops``,
     ``test_search_spread_units_match_the_kernel`` and
     ``test_units_evaluator_matches_the_kernel_and_the_loop`` tie them.
     """
@@ -601,8 +617,12 @@ def _spread_units(
 
 
 def _names(prefix: str, count: int) -> str:
-    """``[prefix0, prefix1, ...]``, an unpacking target of ``count`` locals."""
-    return "[" + ", ".join([f"{prefix}{i}" for i in range(count)]) + "]"
+    """``prefix0, prefix1, ...,``: ``count`` names with a trailing comma.
+
+    So the text is an unpacking target as it stands, and a tuple inside
+    parentheses, for any ``count`` from 1.
+    """
+    return "".join([f"{prefix}{i}, " for i in range(count)]).rstrip(" ")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -650,13 +670,180 @@ def _units_evaluator(n_cols: int, n_rows: int) -> Callable[..., int]:
     return namespace["units"]
 
 
+def _stats_loop(
+    parts: Sequence[int], n_cols: int, n_rows: int, th_num: int, th_den: int
+) -> tuple[list[int], list[int], list[int], list[int], list[tuple[int, ...]], int, bool, bool]:
+    """The memo's kernel by loops: :func:`_spread_kernel`, its sides per column.
+
+    Returns the four line sums, the sides as a list of column tuples, the
+    spread numerator and whether the low (-1) and the high (+1) side hold a
+    cell with mass.  It is the reference for the kernels of
+    :func:`_stats_evaluator`, the kernel it hands out past ``UNROLL_CELLS``
+    rows, and the path its compiled kernels take on a grid with a zero-mass
+    line.
+    """
+    col_t, col_a, row_t, row_a, flat, b_num = _spread_kernel(
+        parts, n_cols, n_rows, th_num, th_den
+    )
+    side = [tuple(flat[k * n_rows : (k + 1) * n_rows]) for k in range(n_cols)]
+    occupied = {v for i, v in enumerate(flat) if v and (parts[2 * i] or parts[2 * i + 1])}
+    return col_t, col_a, row_t, row_a, side, b_num, -1 in occupied, 1 in occupied
+
+
+def _derive_loop(side: Sequence[tuple[int, ...]]) -> tuple:
+    """``b_mask``, the four ``m_*`` extremes, ``d_minus`` and ``d_plus`` of the sides.
+
+    ``side`` holds one tuple of cell sides per column, as the memo's
+    kernels give them; the fields are those of :class:`Stats`.  This is the
+    reference for the derivations of :func:`_stats_evaluator` and the one it
+    hands out past ``UNROLL_CELLS`` rows.
+    """
+    m, n = len(side), len(side[0])
+    # Below, -1 means the row value sits far above the column value (the low
+    # corner) and +1 the mirror; th > 0, so a cell is on at most one side.
+    rows_side = [{side[k][j] for k in range(m)} for j in range(n)]
+    m_minus_G = max((k + 1 for k in range(m) if -1 in side[k]), default=0)
+    m_plus_G = min((k + 1 for k in range(m) if 1 in side[k]), default=math.inf)
+    m_minus_H = max((j + 1 for j in range(n) if 1 in rows_side[j]), default=0)
+    m_plus_H = min((j + 1 for j in range(n) if -1 in rows_side[j]), default=math.inf)
+
+    d_minus = []
+    d_plus = []
+    for k in range(m):
+        for j in range(n):
+            if side[k][j] == -1:
+                right_off = k + 1 == m or side[k + 1][j] != -1
+                below_off = j == 0 or side[k][j - 1] != -1
+                if right_off and below_off:
+                    d_minus.append((k + 1, j + 1))
+            elif side[k][j] == 1:
+                left_off = k == 0 or side[k - 1][j] != 1
+                above_off = j + 1 == n or side[k][j + 1] != 1
+                if left_off and above_off:
+                    d_plus.append((k + 1, j + 1))
+
+    b_mask = tuple([tuple([v != 0 for v in col]) for col in side])
+    return b_mask, m_minus_G, m_plus_G, m_minus_H, m_plus_H, tuple(d_minus), tuple(d_plus)
+
+
+@functools.lru_cache(maxsize=128)
+def _stats_evaluator(n_rows: int) -> tuple[Callable[..., tuple], ...]:
+    """The memo's line sums, kernel and derivation for grids of ``n_rows`` rows.
+
+    The three have the signatures and results of :func:`_line_sums`,
+    :func:`_stats_loop` and :func:`_derive_loop`.  Up to ``UNROLL_CELLS``
+    rows they are compiled, once per row count, with the rows unrolled into
+    locals and the columns looped, so the code serves every column count.
+    The kernel takes the line sums, sends a grid with a zero-mass line to
+    :func:`_stats_loop`, forms each column's products with the threshold
+    once and compares every cell; the derivation walks the columns once,
+    each beside its two neighbours, to find the corners, and reads the four
+    extremes off them.  The source is built from integer indices alone.
+    Past the cap the three are the loops themselves.
+    """
+    if n_rows > UNROLL_CELLS:
+        return _line_sums, _stats_loop, _derive_loop
+    n = n_rows
+    rows = range(n)
+    src = [
+        "def sums(parts, n_cols, n_rows):",
+        "    col_t = []",
+        "    col_a = []",
+        "    " + " = ".join([f"rt{j} = ra{j}" for j in rows]) + " = 0",
+        f"    for i in range(0, {2 * n} * n_cols, {2 * n}):",
+        f"        {_names('p', 2 * n)} = parts[i:i + {2 * n}]",
+    ]
+    for j in rows:
+        src += [
+            f"        m{j} = p{2 * j} + p{2 * j + 1}",
+            f"        rt{j} += m{j}",
+            f"        ra{j} += p{2 * j + 1}",
+        ]
+    src += [
+        "        col_t.append(" + " + ".join([f"m{j}" for j in rows]) + ")",
+        "        col_a.append(" + " + ".join([f"p{2 * j + 1}" for j in rows]) + ")",
+        f"    return col_t, col_a, [{_names('rt', n)}], [{_names('ra', n)}]",
+        "def kernel(parts, n_cols, n_rows, th_num, th_den):",
+        "    col_t, col_a, row_t, row_a = sums(parts, n_cols, n_rows)",
+        "    if 0 in col_t or 0 in row_t:",
+        "        return _stats_loop(parts, n_cols, n_rows, th_num, th_den)",
+        f"    {_names('rt', n)} = row_t",
+        f"    {_names('ra', n)} = row_a",
+        "    side = []",
+        "    low = high = i = 0",
+        "    for ct, ca in zip(col_t, col_a):",
+        f"        {_names('p', 2 * n)} = parts[i:i + {2 * n}]",
+        f"        i += {2 * n}",
+        # the loop's tests gap >= bar and -gap >= bar, where gap is
+        # ca_den * rt - ra * ct_den and bar is ct_num * rt, with the terms
+        # in rt gathered: above * rt >= cross and below * rt <= cross
+        "        ct_den = ct * th_den",
+        "        ca_den = ca * th_den",
+        "        ct_num = ct * th_num",
+        "        above = ca_den - ct_num",
+        "        below = ca_den + ct_num",
+    ]
+    for j in rows:
+        src += [
+            f"        cross = ra{j} * ct_den",
+            f"        if above * rt{j} >= cross:",
+            f"            s{j} = 1",
+            f"            high += p{2 * j} + p{2 * j + 1}",
+            f"        elif below * rt{j} <= cross:",
+            f"            s{j} = -1",
+            f"            low += p{2 * j} + p{2 * j + 1}",
+            "        else:",
+            f"            s{j} = 0",
+        ]
+    src += [
+        f"        side.append(({_names('s', n)}))",
+        "    return col_t, col_a, row_t, row_a, side, low + high, low > 0, high > 0",
+        "def derive(side):",
+        "    b_mask = []",
+        "    d_minus = []",
+        "    d_plus = []",
+        "    k = 0",
+        f"    pad = (0,) * {n}",
+        "    for before, col, after in zip([pad] + side, side, side[1:] + [pad]):",
+        "        k += 1",
+        f"        {_names('s', n)} = col",
+        "        b_mask.append((" + "".join([f"s{j} != 0, " for j in rows]) + "))",
+    ]
+    for j in rows:
+        # d_minus needs no -1 to the right and none below, d_plus no +1 to
+        # the left and none above
+        below = f" and s{j - 1} != -1" if j else ""
+        above = f" and s{j + 1} != 1" if j + 1 < n else ""
+        src += [
+            f"        if s{j}:",
+            f"            if s{j} < 0:",
+            f"                if after[{j}] != -1{below}:",
+            f"                    d_minus.append((k, {j + 1}))",
+            f"            elif before[{j}] != 1{above}:",
+            f"                d_plus.append((k, {j + 1}))",
+        ]
+    # The extremes are read off the corners: the lowest -1 of the rightmost
+    # column holding one, and the rightmost -1 of the lowest row holding
+    # one, are both in d_minus, which lists its cells column by column;
+    # d_plus mirrors this with the leftmost column and the highest row.
+    src.append(
+        "    return (tuple(b_mask), d_minus[-1][0] if d_minus else 0,"
+        " d_plus[0][0] if d_plus else inf, max([j for _, j in d_plus], default=0),"
+        " min([j for _, j in d_minus], default=inf), tuple(d_minus), tuple(d_plus))\n"
+    )
+    namespace: dict = {"inf": math.inf, "_stats_loop": _stats_loop}
+    exec(compile("\n".join(src), f"<grid stats, {n} rows>", "exec"), namespace)
+    return namespace["sums"], namespace["kernel"], namespace["derive"]
+
+
 class _GridStats:
     """The statistics of one configuration on its integer lattice.
 
     ``col_t``/``col_a``/``row_t``/``row_a`` are the line totals and event
-    masses over ``den``; ``side[k][j]`` is the kernel's side of the 0-based
-    cell (+1 when the column value sits far above the row value, -1 for the
-    mirror, 0 outside the spread region).  The remaining fields are those of
+    masses over ``den``; ``side`` is the kernel's list of column tuples,
+    ``side[k][j]`` the side of the 0-based cell (+1 when the column value
+    sits far above the row value, -1 for the mirror, 0 outside the spread
+    region).  The remaining fields are those of
     :class:`Stats`, ``prob_B`` being the only rational.  ``occupied`` says
     whether the low and the high side of the spread region carry positive
     mass; ``stats`` holds the :class:`Stats` once :func:`compute_stats` has
@@ -675,52 +862,30 @@ class _GridStats:
 
 @functools.lru_cache(maxsize=8192)
 def _grid_stats(cfg: Configuration) -> _GridStats:
-    """The memoised integer statistics of ``cfg``; see :func:`compute_stats`."""
+    """The memoised integer statistics of ``cfg``; see :func:`compute_stats`.
+
+    Every field comes from the kernel and the derivation that
+    :func:`_stats_evaluator` gives for the grid's row count.
+    """
     m, n = cfg.n_cols, cfg.n_rows
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
-    parts = cfg._parts
-    col_t, col_a, row_t, row_a, flat, b_num = _spread_kernel(parts, m, n, dd - dn, dd)
+    _, kernel, derive = _stats_evaluator(n)
+    col_t, col_a, row_t, row_a, side, b_num, low, high = kernel(cfg._parts, m, n, dd - dn, dd)
     for what, totals in (("column", col_t), ("row", row_t)):
-        for i, total in enumerate(totals, 1):
-            if total == 0:
-                raise ConfigError(
-                    f"{what} {i} has zero mass; conditional probability undefined"
-                )
-    side = tuple([tuple(flat[k * n : (k + 1) * n]) for k in range(m)])
-    occupied = {v for i, v in enumerate(flat) if v and (parts[2 * i] or parts[2 * i + 1])}
-
-    # Below, -1 means the row value sits far above the column value (the low
-    # corner) and +1 the mirror; th > 0, so a cell is on at most one side.
-    rows_side = [{side[k][j] for k in range(m)} for j in range(n)]
+        if 0 in totals:
+            raise ConfigError(
+                f"{what} {totals.index(0) + 1} has zero mass; "
+                "conditional probability undefined"
+            )
     g = _GridStats()
-    g.m_minus_G = max((k + 1 for k in range(m) if -1 in side[k]), default=0)
-    g.m_plus_G = min((k + 1 for k in range(m) if 1 in side[k]), default=math.inf)
-    g.m_minus_H = max((j + 1 for j in range(n) if 1 in rows_side[j]), default=0)
-    g.m_plus_H = min((j + 1 for j in range(n) if -1 in rows_side[j]), default=math.inf)
-
-    d_minus = []
-    d_plus = []
-    for k in range(m):
-        for j in range(n):
-            if side[k][j] == -1:
-                right_off = k + 1 == m or side[k + 1][j] != -1
-                below_off = j == 0 or side[k][j - 1] != -1
-                if right_off and below_off:
-                    d_minus.append((k + 1, j + 1))
-            elif side[k][j] == 1:
-                left_off = k == 0 or side[k - 1][j] != 1
-                above_off = j + 1 == n or side[k][j + 1] != 1
-                if left_off and above_off:
-                    d_plus.append((k + 1, j + 1))
-
+    (
+        g.b_mask, g.m_minus_G, g.m_plus_G, g.m_minus_H, g.m_plus_H, g.d_minus, g.d_plus
+    ) = derive(side)
     g.den, g.col_t, g.col_a, g.row_t, g.row_a = cfg._den, col_t, col_a, row_t, row_a
     g.side = side
-    g.b_mask = tuple([tuple([v != 0 for v in col]) for col in side])
     g.b_num = b_num
     g.prob_B = Fraction(b_num, cfg._den)
-    g.d_minus = tuple(d_minus)
-    g.d_plus = tuple(d_plus)
-    g.occupied = (-1 in occupied, 1 in occupied)
+    g.occupied = (low, high)
     g.stats = None
     g.fixpoint = False
     return g
@@ -734,9 +899,12 @@ def compute_stats(cfg: Configuration) -> Stats:
     column or row, since conditional probabilities are undefined there.
 
     The far-apart test runs on the configuration's integer tuple by
-    cross-multiplication in :func:`_spread_kernel`, which gives every
-    cell's side; :class:`~fractions.Fraction` objects are built only for
-    the returned fields, once per memo entry.  The searches and
+    cross-multiplication, in the kernel that :func:`_stats_evaluator`
+    compiles for the grid's row count (the :func:`_spread_kernel` loop past
+    ``UNROLL_CELLS`` rows), which gives every cell's side; a companion
+    function derives the mask, the extremes and the corners from the sides.
+    :class:`~fractions.Fraction` objects are built only for the returned
+    fields, once per memo entry.  The searches and
     :func:`expert_spread.discretize.threshold_probability` count only the
     spread numerator over occupied cells, from line sums the caller keeps,
     with the evaluator :func:`_units_evaluator` gives for the grid's
@@ -786,7 +954,7 @@ def normalize(cfg: Configuration) -> Configuration:
     are compared by cross-multiplying the integer line sums.
     """
     m, n, parts = cfg.n_cols, cfg.n_rows, cfg._parts
-    col_t, col_a, row_t, row_a = _line_sums(parts, m, n)
+    col_t, col_a, row_t, row_a = _stats_evaluator(n)[0](parts, m, n)
     col_order = sorted(
         (k for k in range(m) if col_t[k]),
         key=functools.cmp_to_key(lambda k, l: col_a[k] * col_t[l] - col_a[l] * col_t[k]),

@@ -30,7 +30,7 @@ from .config import (
     TransformContractError,
     _grid_stats,
     _GridStats,
-    _spread_kernel,
+    _stats_evaluator,
     compute_stats,
     normalize,
     rational_to_str,
@@ -326,15 +326,19 @@ def zigzag_normalize(cfg: Configuration) -> Configuration:
     :func:`merge_rows` would.  Rounds repeat until one merges nothing.
 
     The sweep runs in place on one list of the sorted grid's integers.  The
-    sides come from :func:`~expert_spread.config._spread_kernel` on that
-    list and are computed again only after a merge, since a declined merge
+    sides, one tuple per column, come from the memo's kernel for the grid's
+    row count (:func:`~expert_spread.config._stats_evaluator`) on that list
+    and are computed again only after a merge, since a declined merge
     changes nothing; each merge is decided by the same test as the public
     merges.  So a call builds at most two configurations, the sorted grid
     (none when the input is already strictly sorted) and the result (none
     when nothing merges, so the input itself comes back), and adds no memo
     entry for the grids in between.  The result's memo entry is marked as
-    a fixpoint once its shape is checked, and a call whose input carries
-    that mark returns the input at once.
+    a fixpoint once its shape is checked.  The input's line sums come from
+    the compiled line sums of the same row count, and only a strictly
+    sorted input, the only kind that can carry the mark, is looked up in
+    the memo, so an unsorted one leaves no memo entry behind; an input that
+    carries the mark comes back at once.
 
     Below threshold one half, the fixpoint's spread region forms two
     staircases with unit steps: in the low corner, column ``k`` pairs exactly
@@ -343,57 +347,59 @@ def zigzag_normalize(cfg: Configuration) -> Configuration:
     can overlap and only strict sorting is guaranteed.  Equal-valued
     neighbours always merge, so the result is strictly sorted on both axes.
     """
-    try:
-        g = _grid_stats(cfg)
-    except ConfigError:
-        g = None  # a zero-mass line, which normalize drops
-    if g is not None and g.fixpoint:
-        return cfg
-    # a strictly sorted grid is its own normalization
-    if g is None or _sorted_problem(cfg, g) is not None:
-        cfg = normalize(cfg)
     m, n = cfg.n_cols, cfg.n_rows
-    parts = list(cfg._parts)
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
     up = dd - dn  # the threshold 1 - delta is up/dd
-    side = _spread_kernel(parts, m, n, up, dd)[4]
+    sums, kernel, _ = _stats_evaluator(n)
+    # a strictly sorted grid is its own normalization; one with a zero-mass
+    # line is not strictly sorted
+    if _sorted_problem(*sums(cfg._parts, m, n)) is None:
+        g = _grid_stats(cfg)
+        if g.fixpoint:
+            return cfg
+        side = g.side
+    else:
+        cfg = normalize(cfg)
+        m, n = cfg.n_cols, cfg.n_rows
+        kernel = _stats_evaluator(n)[1]
+        side = kernel(cfg._parts, m, n, up, dd)[4]
+    parts = list(cfg._parts)
     for _ in _rounds(16 * (m + n) ** 2, "merging"):
         dims = m, n
         k = 1
         while k < m:
             lo, mid, hi = 2 * (k - 1) * n, 2 * k * n, 2 * (k + 1) * n  # the two columns' cells
-            if _blocked(parts, (
-                (side[(k - 1) * n + j], lo + 2 * j, side[k * n + j], mid + 2 * j)
-                for j in range(n)
-            )):
+            left, right = side[k - 1], side[k]
+            if _blocked(parts, ((left[j], lo + 2 * j, right[j], mid + 2 * j) for j in range(n))):
                 k += 1
                 continue
             parts[lo:hi] = [u + v for u, v in zip(parts[lo:mid], parts[mid:hi])]
             m -= 1
-            side = _spread_kernel(parts, m, n, up, dd)[4]
+            side = kernel(parts, m, n, up, dd)[4]
         j = 1
         while j < n:
-            if _blocked(parts, (
-                (side[c + j - 1], 2 * (c + j - 1), side[c + j], 2 * (c + j))
-                for c in range(0, m * n, n)
-            )):
+            # row j's cells start at these offsets, one per column
+            starts = range(2 * (j - 1), 2 * m * n, 2 * n)
+            if _blocked(parts, ((col[j - 1], i, col[j], i + 2) for col, i in zip(side, starts))):
                 j += 1
                 continue
             # from the last column back, so the offsets still to visit hold
-            for c in range((m - 1) * n, -1, -n):
-                i = 2 * (c + j - 1)
+            for i in reversed(starts):
                 parts[i] += parts[i + 2]
                 parts[i + 1] += parts[i + 3]
                 del parts[i + 2 : i + 4]
             n -= 1
-            side = _spread_kernel(parts, m, n, up, dd)[4]
+            kernel = _stats_evaluator(n)[1]
+            side = kernel(parts, m, n, up, dd)[4]
         if (m, n) == dims:
             break
     if (m, n) != cfg.dims:
         cfg = Configuration._from_parts(cfg.delta, m, n, parts, cfg._den)
     g = _grid_stats(cfg)
     problem = (
-        _staircase_problem(cfg, g) if _below_half(cfg) else _sorted_problem(cfg, g)
+        _staircase_problem(cfg, g)
+        if _below_half(cfg)
+        else _sorted_problem(g.col_t, g.col_a, g.row_t, g.row_a)
     )
     if problem is not None:
         raise InternalStateError(f"merge fixpoint is not a staircase: {problem}")
@@ -401,9 +407,11 @@ def zigzag_normalize(cfg: Configuration) -> Configuration:
     return cfg
 
 
-def _sorted_problem(cfg: Configuration, g: _GridStats) -> Optional[str]:
-    """Explain why the configuration is not strictly value-sorted, or ``None``."""
-    for what, a, t in (("columns", g.col_a, g.col_t), ("rows", g.row_a, g.row_t)):
+def _sorted_problem(
+    col_t: Sequence[int], col_a: Sequence[int], row_t: Sequence[int], row_a: Sequence[int]
+) -> Optional[str]:
+    """Explain why the lines with these sums are not strictly value-sorted, or ``None``."""
+    for what, a, t in (("columns", col_a, col_t), ("rows", row_a, row_t)):
         for i in range(len(t) - 1):
             if not a[i] * t[i + 1] < a[i + 1] * t[i]:
                 return f"{what} {i + 1} and {i + 2} are not strictly sorted"
@@ -418,7 +426,7 @@ def _staircase_problem(cfg: Configuration, g: _GridStats) -> Optional[str]:
     cell to its exact step position.  Only meaningful below threshold one
     half, where the two sides of the region cannot overlap.
     """
-    sort_problem = _sorted_problem(cfg, g)
+    sort_problem = _sorted_problem(g.col_t, g.col_a, g.row_t, g.row_a)
     if sort_problem is not None:
         return sort_problem
 
@@ -884,7 +892,7 @@ def is_canonical(cfg: Configuration) -> bool:
     except ConfigError:
         return False
     if not _below_half(cfg):
-        return _sorted_problem(cfg, g) is None
+        return _sorted_problem(g.col_t, g.col_a, g.row_t, g.row_a) is None
     if _staircase_problem(cfg, g) is not None:
         return False
     for pos in set(g.d_minus) | set(g.d_plus):

@@ -5,12 +5,14 @@ import json
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
+from expert_spread import config
 from expert_spread.config import (
     Cell,
     ConfigError,
@@ -158,6 +160,52 @@ def test_parse_rational():
     for huge in ("1e-10000000", "1e-1000", "1" * 1001, "1/" + "3" * 1001):
         with pytest.raises(ConfigError, match="has more than 1000 digits"):
             parse_rational(huge)
+
+
+def test_parse_rational_reads_plain_digits_like_fraction(monkeypatch):
+    """Plain "p" and "p/q" in ASCII digits, and every near miss, parse as Fraction does."""
+    # which strings reach Fraction's own parser
+    parsed = []
+
+    class Recording(Fraction):
+        def __new__(cls, *args):
+            if isinstance(args[0], str):
+                parsed.append(args[0])
+            return Fraction(*args)
+
+    monkeypatch.setattr(config, "Fraction", Recording)
+    plain = [
+        "0", "7", "007", "2/5", "10/4", "0/3", "123456789/987654321",
+        "1" * 1000, "9" * 499 + "/" + "7" * 500,
+    ]
+    near_misses = [
+        "/3", "3/", "/", " 1/2", "1/2 ", "+1/2", "-1/2", "1_0/3", "0.5", "1e3",
+        "1/2/3", "1 /2", "١/٢", "1/٢", "²", "0x10", "\t7",
+        "1" * 1001, "1/" + "3" * 999, "1/" + "3" * 997 + "x",
+    ]
+    for text in plain + near_misses:
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        if sum(map(str.isdigit, text)) > 1000:
+            message = f"rational {shown} has more than 1000 digits"
+        else:
+            try:
+                want = Fraction(text)
+            except (ValueError, ZeroDivisionError):
+                message = f"cannot parse rational {shown} as an exact rational"
+            else:
+                got = parse_rational(text)
+                assert got.__class__ is Fraction and got == want, text
+                continue
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            parse_rational(text)
+    # only the near misses that pass the digit count reach Fraction's parser
+    assert parsed == [t for t in near_misses if sum(map(str.isdigit, t)) <= 1000]
+    # up to 1,000 characters are tried on the direct path, longer strings
+    # are counted first
+    assert len(plain[-1]) == len(plain[-2]) == len(near_misses[-1]) == 1000
+    assert len(near_misses[-3]) == len(near_misses[-2]) == 1001
+    with pytest.raises(ConfigError, match=r"^cannot parse rational '3/0' as an exact rational$"):
+        parse_rational("3/0")
 
 
 def test_construction_validation():

@@ -7,14 +7,21 @@ from fractions import Fraction
 
 import pytest
 
+from expert_spread import config
 from expert_spread.bounds import extremal_config
 from expert_spread.config import (
     ConfigError,
+    Configuration,
     Stats,
     UNROLL_CELLS,
+    _derive_loop,
+    _grid_stats,
+    _GridStats,
     _line_sums,
     _spread_kernel,
     _spread_units,
+    _stats_evaluator,
+    _stats_loop,
     _units_evaluator,
     compute_stats,
     make_configuration,
@@ -264,6 +271,79 @@ def test_units_evaluator_matches_the_kernel_and_the_loop():
             ties += has_spread_tie(parts, n_rows, *sums, th)
     assert zero_lines > 1500
     assert ties > 500
+
+
+def loop_grid_stats(monkeypatch, cfg):
+    """``_grid_stats(cfg)`` computed, uncached, through the loops."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            config, "_stats_evaluator", lambda n_rows: (_line_sums, _stats_loop, _derive_loop)
+        )
+        return _grid_stats.__wrapped__(cfg)
+
+
+def test_stats_evaluator_matches_the_loops(monkeypatch):
+    """Each row count's compiled sums, kernel and derivation, and the memo built on them."""
+    # the shapes below straddle the row cap on both axes
+    assert UNROLL_CELLS == 64
+    shapes = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(1, 65), (3, 65), (65, 1)]
+    rng = random.Random(1931)
+    counts = dict.fromkeys(("zero line", "tie", "d_minus", "d_plus", "both occupied"), 0)
+    for n_cols, n_rows in shapes:
+        evaluators = _stats_evaluator(n_rows)
+        assert _stats_evaluator(n_rows) is evaluators
+        compiled = n_rows <= UNROLL_CELLS
+        assert (evaluators == (_line_sums, _stats_loop, _derive_loop)) != compiled
+        sums, kernel, derive = evaluators
+        for _ in range(80 if n_cols * n_rows <= 64 else 20):
+            delta = rng.choice(DELTAS)
+            th = 1 - delta
+            # threshold-aligned denominators make exact ties common; the
+            # small ones leave zero lines, the ones scaled by the cell count
+            # mostly fill every line
+            scale = rng.choice((1, n_cols * n_rows))
+            denom = th.denominator * rng.randint(1, 4) * scale
+            parts = _random_parts(rng, denom, 2 * n_cols * n_rows)
+            args = (parts, n_cols, n_rows, th.numerator, th.denominator)
+            line_sums = _line_sums(parts, n_cols, n_rows)
+            assert sums(parts, n_cols, n_rows) == line_sums
+            got = kernel(*args)
+            assert got == _stats_loop(*args)
+            # the sweep's sides, one tuple per column, are the loop's flat sides
+            flat = _spread_kernel(*args)[4]
+            assert got[4] == [
+                tuple(flat[k * n_rows : (k + 1) * n_rows]) for k in range(n_cols)
+            ]
+            assert derive(got[4]) == _derive_loop(got[4])
+            cfg = Configuration._from_parts(delta, n_cols, n_rows, parts, denom)
+            if 0 in line_sums[0] or 0 in line_sums[2]:
+                counts["zero line"] += 1
+                with pytest.raises(ConfigError) as want:
+                    reference_stats(cfg)
+                for build in (_grid_stats.__wrapped__, lambda c: loop_grid_stats(monkeypatch, c)):
+                    with pytest.raises(ConfigError) as raised:
+                        build(cfg)
+                    assert str(raised.value) == str(want.value)
+                continue
+            g, want = _grid_stats.__wrapped__(cfg), loop_grid_stats(monkeypatch, cfg)
+            for slot in _GridStats.__slots__:
+                assert getattr(g, slot) == getattr(want, slot), slot
+            counts["tie"] += has_spread_tie(parts, n_rows, *line_sums, th)
+            counts["d_minus"] += len(g.d_minus) > 1
+            counts["d_plus"] += len(g.d_plus) > 1
+            counts["both occupied"] += all(g.occupied)
+    assert counts["zero line"] > 1200
+    assert counts["tie"] > 100
+    assert min(counts["d_minus"], counts["d_plus"], counts["both occupied"]) > 250
+    # every pattern of sides, not only those a grid produces, derives alike
+    for n_rows in range(1, 9):
+        derive = _stats_evaluator(n_rows)[2]
+        for _ in range(300):
+            side = [
+                tuple(rng.choice((-1, 0, 0, 1)) for _ in range(n_rows))
+                for _ in range(rng.randint(1, 8))
+            ]
+            assert derive(side) == _derive_loop(side)
 
 
 def test_threshold_probability_matches_the_reference():
