@@ -75,8 +75,9 @@ MAX_CELLS = 10**6
 MAX_DIGITS = 1000
 
 # The largest grid, in cells, that _units_evaluator compiles straight-line
-# code for, and the most rows that _stats_evaluator unrolls; generated
-# source grows with what it unrolls, so larger grids run the loops.
+# code for; _stats_evaluator unrolls at most 8 rows, the side of the largest
+# square grid within it. Generated source grows with what it unrolls, so
+# larger grids run the loops.
 UNROLL_CELLS = 64
 
 
@@ -506,10 +507,7 @@ class Stats:
 def _line_sums(
     parts: Sequence[int], n_cols: int, n_rows: int
 ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Column totals, column event masses, row totals, row event masses.
-
-    The reference for the compiled line sums of :func:`_stats_evaluator`.
-    """
+    """Column totals, column event masses, row totals, row event masses."""
     col_t = [0] * n_cols
     col_a = [0] * n_cols
     row_t = [0] * n_rows
@@ -544,8 +542,8 @@ def _spread_kernel(
     This loop is the reference for both kinds of compiled evaluator.  The
     memo runs the kernels of :func:`_stats_evaluator`, which give the same
     sides per column, and this loop (through :func:`_stats_loop`) for
-    grids of more than ``UNROLL_CELLS`` rows; absorption, the borders and
-    the merges read the side of empty cells too.  The searches need only
+    grids of more rows than that factory unrolls; absorption, the borders
+    and the merges read the side of empty cells too.  The searches need only
     the numerator over occupied cells, from line sums they keep as they
     move; that is :func:`_spread_units`, which they run as the per-shape
     evaluator of :func:`_units_evaluator`.  The two are kept apart because
@@ -678,9 +676,8 @@ def _stats_loop(
     Returns the four line sums, the sides as a list of column tuples, the
     spread numerator and whether the low (-1) and the high (+1) side hold a
     cell with mass.  It is the reference for the kernels of
-    :func:`_stats_evaluator`, the kernel it hands out past ``UNROLL_CELLS``
-    rows, and the path its compiled kernels take on a grid with a zero-mass
-    line.
+    :func:`_stats_evaluator`, the kernel it hands out past its row cap, and
+    the path its compiled kernels take on a grid with a zero-mass line.
     """
     col_t, col_a, row_t, row_a, flat, b_num = _spread_kernel(
         parts, n_cols, n_rows, th_num, th_den
@@ -696,7 +693,7 @@ def _derive_loop(side: Sequence[tuple[int, ...]]) -> tuple:
     ``side`` holds one tuple of cell sides per column, as the memo's
     kernels give them; the fields are those of :class:`Stats`.  This is the
     reference for the derivations of :func:`_stats_evaluator` and the one it
-    hands out past ``UNROLL_CELLS`` rows.
+    hands out past its row cap.
     """
     m, n = len(side), len(side[0])
     # Below, -1 means the row value sits far above the column value (the low
@@ -727,26 +724,30 @@ def _derive_loop(side: Sequence[tuple[int, ...]]) -> tuple:
 
 
 @functools.lru_cache(maxsize=128)
-def _stats_evaluator(n_rows: int) -> tuple[Callable[..., tuple], ...]:
-    """The memo's line sums, kernel and derivation for grids of ``n_rows`` rows.
+def _stats_evaluator(n_rows: int) -> tuple[Callable[..., tuple], Callable[..., tuple]]:
+    """The memo's kernel and derivation for grids of ``n_rows`` rows.
 
-    The three have the signatures and results of :func:`_line_sums`,
-    :func:`_stats_loop` and :func:`_derive_loop`.  Up to ``UNROLL_CELLS``
-    rows they are compiled, once per row count, with the rows unrolled into
-    locals and the columns looped, so the code serves every column count.
-    The kernel takes the line sums, sends a grid with a zero-mass line to
-    :func:`_stats_loop`, forms each column's products with the threshold
-    once and compares every cell; the derivation walks the columns once,
-    each beside its two neighbours, to find the corners, and reads the four
-    extremes off them.  The source is built from integer indices alone.
-    Past the cap the three are the loops themselves.
+    The two have the signatures and results of :func:`_stats_loop` and
+    :func:`_derive_loop`.  For at most as many rows as the largest square
+    grid :func:`_units_evaluator` compiles (8 rows, as
+    ``UNROLL_CELLS`` is 64) they are compiled, once per row count, with
+    the rows unrolled into locals and the columns looped, so the code
+    serves every column count.  The kernel sums the lines, sends a grid
+    with a zero-mass line to :func:`_stats_loop`, forms each column's
+    products with the threshold once and compares every cell; the
+    derivation walks the columns once, each beside its two neighbours, to
+    find the corners, and reads the four extremes off them.  The source is
+    built from integer indices alone.  Past the cap the two are the loops
+    themselves: compiling costs more the more rows it unrolls, and a merge
+    sweep that removes rows one at a time needs the code of every row count
+    it passes, so a one-shot run on a tall grid would compile dozens.
     """
-    if n_rows > UNROLL_CELLS:
-        return _line_sums, _stats_loop, _derive_loop
+    if n_rows * n_rows > UNROLL_CELLS:
+        return _stats_loop, _derive_loop
     n = n_rows
     rows = range(n)
     src = [
-        "def sums(parts, n_cols, n_rows):",
+        "def kernel(parts, n_cols, n_rows, th_num, th_den):",
         "    col_t = []",
         "    col_a = []",
         "    " + " = ".join([f"rt{j} = ra{j}" for j in rows]) + " = 0",
@@ -762,13 +763,9 @@ def _stats_evaluator(n_rows: int) -> tuple[Callable[..., tuple], ...]:
     src += [
         "        col_t.append(" + " + ".join([f"m{j}" for j in rows]) + ")",
         "        col_a.append(" + " + ".join([f"p{2 * j + 1}" for j in rows]) + ")",
-        f"    return col_t, col_a, [{_names('rt', n)}], [{_names('ra', n)}]",
-        "def kernel(parts, n_cols, n_rows, th_num, th_den):",
-        "    col_t, col_a, row_t, row_a = sums(parts, n_cols, n_rows)",
+        f"    row_t = [{_names('rt', n)}]",
         "    if 0 in col_t or 0 in row_t:",
         "        return _stats_loop(parts, n_cols, n_rows, th_num, th_den)",
-        f"    {_names('rt', n)} = row_t",
-        f"    {_names('ra', n)} = row_a",
         "    side = []",
         "    low = high = i = 0",
         "    for ct, ca in zip(col_t, col_a):",
@@ -797,7 +794,7 @@ def _stats_evaluator(n_rows: int) -> tuple[Callable[..., tuple], ...]:
         ]
     src += [
         f"        side.append(({_names('s', n)}))",
-        "    return col_t, col_a, row_t, row_a, side, low + high, low > 0, high > 0",
+        f"    return col_t, col_a, row_t, [{_names('ra', n)}], side, low + high, low > 0, high > 0",
         "def derive(side):",
         "    b_mask = []",
         "    d_minus = []",
@@ -833,17 +830,16 @@ def _stats_evaluator(n_rows: int) -> tuple[Callable[..., tuple], ...]:
     )
     namespace: dict = {"inf": math.inf, "_stats_loop": _stats_loop}
     exec(compile("\n".join(src), f"<grid stats, {n} rows>", "exec"), namespace)
-    return namespace["sums"], namespace["kernel"], namespace["derive"]
+    return namespace["kernel"], namespace["derive"]
 
 
 class _GridStats:
     """The statistics of one configuration on its integer lattice.
 
     ``col_t``/``col_a``/``row_t``/``row_a`` are the line totals and event
-    masses over ``den``; ``side`` is the kernel's list of column tuples,
-    ``side[k][j]`` the side of the 0-based cell (+1 when the column value
-    sits far above the row value, -1 for the mirror, 0 outside the spread
-    region).  The remaining fields are those of
+    masses over ``den``; ``side[k][j]`` is the kernel's side of the 0-based
+    cell (+1 when the column value sits far above the row value, -1 for the
+    mirror, 0 outside the spread region).  The remaining fields are those of
     :class:`Stats`, ``prob_B`` being the only rational.  ``occupied`` says
     whether the low and the high side of the spread region carry positive
     mass; ``stats`` holds the :class:`Stats` once :func:`compute_stats` has
@@ -869,7 +865,7 @@ def _grid_stats(cfg: Configuration) -> _GridStats:
     """
     m, n = cfg.n_cols, cfg.n_rows
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
-    _, kernel, derive = _stats_evaluator(n)
+    kernel, derive = _stats_evaluator(n)
     col_t, col_a, row_t, row_a, side, b_num, low, high = kernel(cfg._parts, m, n, dd - dn, dd)
     for what, totals in (("column", col_t), ("row", row_t)):
         if 0 in totals:
@@ -882,7 +878,8 @@ def _grid_stats(cfg: Configuration) -> _GridStats:
         g.b_mask, g.m_minus_G, g.m_plus_G, g.m_minus_H, g.m_plus_H, g.d_minus, g.d_plus
     ) = derive(side)
     g.den, g.col_t, g.col_a, g.row_t, g.row_a = cfg._den, col_t, col_a, row_t, row_a
-    g.side = side
+    # a tuple, so no reader can change a memoised entry's sides
+    g.side = tuple(side)
     g.b_num = b_num
     g.prob_B = Fraction(b_num, cfg._den)
     g.occupied = (low, high)
@@ -901,7 +898,7 @@ def compute_stats(cfg: Configuration) -> Stats:
     The far-apart test runs on the configuration's integer tuple by
     cross-multiplication, in the kernel that :func:`_stats_evaluator`
     compiles for the grid's row count (the :func:`_spread_kernel` loop past
-    ``UNROLL_CELLS`` rows), which gives every cell's side; a companion
+    its row cap), which gives every cell's side; a companion
     function derives the mask, the extremes and the corners from the sides.
     :class:`~fractions.Fraction` objects are built only for the returned
     fields, once per memo entry.  The searches and
@@ -954,7 +951,7 @@ def normalize(cfg: Configuration) -> Configuration:
     are compared by cross-multiplying the integer line sums.
     """
     m, n, parts = cfg.n_cols, cfg.n_rows, cfg._parts
-    col_t, col_a, row_t, row_a = _stats_evaluator(n)[0](parts, m, n)
+    col_t, col_a, row_t, row_a = _line_sums(parts, m, n)
     col_order = sorted(
         (k for k in range(m) if col_t[k]),
         key=functools.cmp_to_key(lambda k, l: col_a[k] * col_t[l] - col_a[l] * col_t[k]),

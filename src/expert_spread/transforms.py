@@ -30,6 +30,7 @@ from .config import (
     TransformContractError,
     _grid_stats,
     _GridStats,
+    _line_sums,
     _stats_evaluator,
     compute_stats,
     normalize,
@@ -334,11 +335,10 @@ def zigzag_normalize(cfg: Configuration) -> Configuration:
     (none when the input is already strictly sorted) and the result (none
     when nothing merges, so the input itself comes back), and adds no memo
     entry for the grids in between.  The result's memo entry is marked as
-    a fixpoint once its shape is checked.  The input's line sums come from
-    the compiled line sums of the same row count, and only a strictly
-    sorted input, the only kind that can carry the mark, is looked up in
-    the memo, so an unsorted one leaves no memo entry behind; an input that
-    carries the mark comes back at once.
+    a fixpoint once its shape is checked.  Only a strictly sorted input,
+    the only kind that can carry the mark, is looked up in the memo (the
+    test reads the input's line sums), so an unsorted one leaves no memo
+    entry behind; an input that carries the mark comes back at once.
 
     Below threshold one half, the fixpoint's spread region forms two
     staircases with unit steps: in the low corner, column ``k`` pairs exactly
@@ -350,18 +350,18 @@ def zigzag_normalize(cfg: Configuration) -> Configuration:
     m, n = cfg.n_cols, cfg.n_rows
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
     up = dd - dn  # the threshold 1 - delta is up/dd
-    sums, kernel, _ = _stats_evaluator(n)
     # a strictly sorted grid is its own normalization; one with a zero-mass
     # line is not strictly sorted
-    if _sorted_problem(*sums(cfg._parts, m, n)) is None:
+    if _sorted_problem(*_line_sums(cfg._parts, m, n)) is None:
         g = _grid_stats(cfg)
         if g.fixpoint:
             return cfg
         side = g.side
+        kernel = _stats_evaluator(n)[0]
     else:
         cfg = normalize(cfg)
         m, n = cfg.n_cols, cfg.n_rows
-        kernel = _stats_evaluator(n)[1]
+        kernel = _stats_evaluator(n)[0]
         side = kernel(cfg._parts, m, n, up, dd)[4]
     parts = list(cfg._parts)
     for _ in _rounds(16 * (m + n) ** 2, "merging"):
@@ -389,7 +389,7 @@ def zigzag_normalize(cfg: Configuration) -> Configuration:
                 parts[i + 1] += parts[i + 3]
                 del parts[i + 2 : i + 4]
             n -= 1
-            kernel = _stats_evaluator(n)[1]
+            kernel = _stats_evaluator(n)[0]
             side = kernel(parts, m, n, up, dd)[4]
         if (m, n) == dims:
             break

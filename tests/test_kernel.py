@@ -277,24 +277,26 @@ def loop_grid_stats(monkeypatch, cfg):
     """``_grid_stats(cfg)`` computed, uncached, through the loops."""
     with monkeypatch.context() as patch:
         patch.setattr(
-            config, "_stats_evaluator", lambda n_rows: (_line_sums, _stats_loop, _derive_loop)
+            config, "_stats_evaluator", lambda n_rows: (_stats_loop, _derive_loop)
         )
         return _grid_stats.__wrapped__(cfg)
 
 
 def test_stats_evaluator_matches_the_loops(monkeypatch):
-    """Each row count's compiled sums, kernel and derivation, and the memo built on them."""
-    # the shapes below straddle the row cap on both axes
+    """Each row count's compiled kernel and derivation, and the memo built on them."""
+    # rows are unrolled up to the side of the largest square grid that
+    # _units_evaluator compiles, 8; the shapes below straddle that cap
     assert UNROLL_CELLS == 64
-    shapes = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(1, 65), (3, 65), (65, 1)]
+    shapes = [(m, n) for m in range(1, 9) for n in range(1, 9)]
+    shapes += [(1, 9), (3, 9), (1, 65), (3, 65), (65, 1), (65, 8)]
     rng = random.Random(1931)
     counts = dict.fromkeys(("zero line", "tie", "d_minus", "d_plus", "both occupied"), 0)
     for n_cols, n_rows in shapes:
         evaluators = _stats_evaluator(n_rows)
         assert _stats_evaluator(n_rows) is evaluators
-        compiled = n_rows <= UNROLL_CELLS
-        assert (evaluators == (_line_sums, _stats_loop, _derive_loop)) != compiled
-        sums, kernel, derive = evaluators
+        compiled = n_rows <= 8
+        assert (evaluators == (_stats_loop, _derive_loop)) != compiled
+        kernel, derive = evaluators
         for _ in range(80 if n_cols * n_rows <= 64 else 20):
             delta = rng.choice(DELTAS)
             th = 1 - delta
@@ -306,7 +308,6 @@ def test_stats_evaluator_matches_the_loops(monkeypatch):
             parts = _random_parts(rng, denom, 2 * n_cols * n_rows)
             args = (parts, n_cols, n_rows, th.numerator, th.denominator)
             line_sums = _line_sums(parts, n_cols, n_rows)
-            assert sums(parts, n_cols, n_rows) == line_sums
             got = kernel(*args)
             assert got == _stats_loop(*args)
             # the sweep's sides, one tuple per column, are the loop's flat sides
@@ -328,6 +329,8 @@ def test_stats_evaluator_matches_the_loops(monkeypatch):
             g, want = _grid_stats.__wrapped__(cfg), loop_grid_stats(monkeypatch, cfg)
             for slot in _GridStats.__slots__:
                 assert getattr(g, slot) == getattr(want, slot), slot
+            # the memo hands its sides to every reader, so they are immutable
+            assert type(g.side) is tuple
             counts["tie"] += has_spread_tie(parts, n_rows, *line_sums, th)
             counts["d_minus"] += len(g.d_minus) > 1
             counts["d_plus"] += len(g.d_plus) > 1
@@ -337,7 +340,7 @@ def test_stats_evaluator_matches_the_loops(monkeypatch):
     assert min(counts["d_minus"], counts["d_plus"], counts["both occupied"]) > 250
     # every pattern of sides, not only those a grid produces, derives alike
     for n_rows in range(1, 9):
-        derive = _stats_evaluator(n_rows)[2]
+        derive = _stats_evaluator(n_rows)[1]
         for _ in range(300):
             side = [
                 tuple(rng.choice((-1, 0, 0, 1)) for _ in range(n_rows))
