@@ -21,6 +21,7 @@ from .config import (
     DomainError,
     InternalStateError,
     RationalLike,
+    _grid_stats,
     compute_stats,
     make_configuration,
     rational_to_decimal,
@@ -141,43 +142,39 @@ def certify_upper_bound(cfg: Configuration) -> Fraction:
     sum over occupied columns of ``delta/(1+delta)`` times the column mass
     plus the partner row mass.  It always dominates the spread probability
     and never exceeds the sharp bound.
+
+    Everything is read from the integer statistics of the memo: with
+    ``delta = dn/dd`` and the line totals over the grid's denominator
+    ``den``, the certificate is ``dn*sum(P + Q) / ((dd + dn)*den)``, both
+    bounds are checked by cross-multiplying, and the result is the one
+    :class:`~fractions.Fraction` built.
     """
-    s = compute_stats(cfg)
+    g = _grid_stats(cfg)
     parts, n = cfg._parts, cfg.n_rows
     positive = [
-        (k + 1, j + 1)
-        for k, col in enumerate(s.b_mask)
-        for j, b in enumerate(col)
-        if b and (parts[2 * (k * n + j)] or parts[2 * (k * n + j) + 1])
+        (k, j)
+        for k, col in enumerate(g.side)
+        for j, side in enumerate(col)
+        if side and (parts[2 * (k * n + j)] or parts[2 * (k * n + j) + 1])
     ]
-    by_col: dict[int, list[int]] = {}
-    by_row: dict[int, list[int]] = {}
-    for k, j in positive:
-        by_col.setdefault(k, []).append(j)
-        by_row.setdefault(j, []).append(k)
-    for k, rows in sorted(by_col.items()):
-        if len(rows) > 1:
+    for what, at in (("column", 0), ("row", 1)):
+        lines = [cell[at] for cell in positive]
+        if len(set(lines)) < len(lines):
+            line = min(i for i in lines if lines.count(i) > 1)
             raise ConfigError(
-                f"column {k} has {len(rows)} positive-mass spread cells; "
-                "certificate needs at most one per column"
-            )
-    for j, cols in sorted(by_row.items()):
-        if len(cols) > 1:
-            raise ConfigError(
-                f"row {j} has {len(cols)} positive-mass spread cells; "
-                "certificate needs at most one per row"
+                f"{what} {line + 1} has {lines.count(line)} positive-mass spread cells; "
+                f"certificate needs at most one per {what}"
             )
 
-    ratio = cfg.delta / (1 + cfg.delta)
-    cert = sum(
-        (ratio * (s.p[k - 1] + s.q[j - 1]) for k, j in positive),
-        Fraction(0),
-    )
-    if cert < s.prob_B:
+    dn, dd = cfg.delta.numerator, cfg.delta.denominator
+    num = dn * sum([g.col_t[k] + g.row_t[j] for k, j in positive])
+    cert = Fraction(num, (dd + dn) * g.den)
+    # cert < b_num/den and cert > 2*dn/(dd + dn), multiplied out
+    if num < g.b_num * (dd + dn):
         raise InternalStateError(
-            f"certificate {cert} fell below the spread probability {s.prob_B}"
+            f"certificate {cert} fell below the spread probability {g.prob_B}"
         )
-    if cert > 2 * cfg.delta / (1 + cfg.delta):
+    if num > 2 * dn * g.den:
         raise InternalStateError(
             f"certificate {cert} exceeded the sharp bound at delta={cfg.delta}"
         )

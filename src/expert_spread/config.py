@@ -13,8 +13,10 @@ All arithmetic is exact.  A configuration stores its masses as integers
 over one common denominator, and the statistics, the normalization and the
 verify scans compare those integers by cross-multiplying; rationals
 (:class:`fractions.Fraction`) are built only where the API hands values out:
-the :class:`Stats` fields, :class:`Cell` masses, files and error messages.
-Floats are not used anywhere in this module.
+the :class:`Stats` fields, :class:`Cell` masses and error messages.
+Configuration files are read into the integers and written from them; only
+a mass written in another form than ``"p"`` or ``"p/q"`` is parsed as a
+rational.  Floats are not used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -163,21 +165,35 @@ def _shown(value: object) -> str:
     return str(value)
 
 
+def _plain_digits(text: str) -> tuple[int, int] | None:
+    """``(p, q)`` for a plain ``"p"`` or ``"p/q"`` in ASCII digits with ``q > 0``.
+
+    This is the files' common case, read without Fraction's regex or the
+    digit count of :func:`_as_fraction`; any other string gives ``None``
+    and is left to that function.  The pair need not be in lowest terms.
+    """
+    if len(text) <= MAX_DIGITS:
+        num, slash, den = text.partition("/")
+        if num.isdigit() and num.isascii():
+            if not slash:
+                return int(num), 1
+            if den.isdigit() and den.isascii():
+                q = int(den)
+                if q:
+                    return int(num), q
+    return None
+
+
 def _as_fraction(value: RationalLike, what: str) -> Fraction:
-    # an exact Fraction (the loaders parse every mass to one first) is
-    # already in lowest terms; building it again would only copy it
+    # an exact Fraction is already in lowest terms; building it again would
+    # only copy it
     if value.__class__ is Fraction:
         return value
     try:
-        if value.__class__ is str and len(value) <= MAX_DIGITS:
-            # plain "p" or "p/q" in ASCII digits, the loaders' common case,
-            # is read without Fraction's regex or the digit count below
-            num, slash, den = value.partition("/")
-            if num.isdigit() and num.isascii():
-                if not slash:
-                    return Fraction(int(num))
-                if den.isdigit() and den.isascii():
-                    return Fraction(int(num), int(den))
+        if value.__class__ is str:
+            plain = _plain_digits(value)
+            if plain is not None:
+                return Fraction(*plain)
         if isinstance(value, str):
             # the mantissa's digits plus the exponent's value; the exponent
             # is read only when the whole string is short enough for int()
@@ -194,6 +210,23 @@ def _as_fraction(value: RationalLike, what: str) -> Fraction:
         raise ConfigError(
             f"cannot parse {what} {_shown(value)} as an exact rational"
         ) from exc
+
+
+def _as_ratio(value: RationalLike, what: str) -> tuple[int, int]:
+    """``value`` as an integer numerator and a positive denominator.
+
+    Integers and plain digit strings (:func:`_plain_digits`) are read
+    directly; every other value goes through :func:`_as_fraction`, so it is
+    accepted or refused, with the same message, as there.
+    """
+    if value.__class__ is int:
+        return value, 1
+    if value.__class__ is str:
+        plain = _plain_digits(value)
+        if plain is not None:
+            return plain
+    exact = _as_fraction(value, what)
+    return exact.numerator, exact.denominator
 
 
 def _json_exact(value: object, what: str) -> object:
@@ -432,6 +465,27 @@ def make_configuration(
     Cells absent from ``masses`` are empty.  Indices are 1-based.  A grid
     of more than :data:`MAX_CELLS` cells raises :class:`ConfigError` before
     anything is allocated.
+
+    Each mass becomes an integer numerator and denominator: an ``int`` or a
+    plain ASCII ``"p"``/``"p/q"`` string is read directly, any other value
+    goes through the parser of :func:`parse_rational`, and no
+    :class:`~fractions.Fraction` is built for the first kind.  The grid is
+    then built over the lcm of the denominators and reduced to lowest terms.
+    """
+    return _configuration(delta, n_cols, n_rows, masses, _as_ratio)
+
+
+def _configuration(
+    delta: RationalLike,
+    n_cols: int,
+    n_rows: int,
+    masses: Mapping[tuple[int, int], tuple],
+    read: Callable[[RationalLike, str], tuple[int, int]] | None,
+) -> Configuration:
+    """:func:`make_configuration`, each mass read by ``read(mass, what)``.
+
+    With ``read`` ``None`` the masses are already ``(numerator,
+    denominator)`` pairs, as :func:`config_from_json_dict` reads them.
     """
     delta_f = validate_delta(delta)
     if n_cols < 1 or n_rows < 1:
@@ -440,18 +494,22 @@ def make_configuration(
         raise ConfigError(
             f"a {n_cols}x{n_rows} grid exceeds the limit of {MAX_CELLS} cells"
         )
-    flat = [EMPTY] * (2 * n_cols * n_rows)
+    nums = [0] * (2 * n_cols * n_rows)
+    dens = [1] * len(nums)
     for (k, j), (a, ac) in masses.items():
         if not (1 <= k <= n_cols and 1 <= j <= n_rows):
             raise ConfigError(
                 f"cell index ({k},{j}) out of range for a {n_cols}x{n_rows} grid"
             )
-        a_f, ac_f = _as_fraction(a, "a mass"), _as_fraction(ac, "ac mass")
-        if a_f.numerator < 0 or ac_f.numerator < 0:
-            raise _negative_masses(a_f, ac_f)
+        if read is not None:
+            a, ac = read(a, "a mass"), read(ac, "ac mass")
+        (a_n, a_d), (ac_n, ac_d) = a, ac
+        if a_n < 0 or ac_n < 0:
+            raise _negative_masses(Fraction(a_n, a_d), Fraction(ac_n, ac_d))
         i = 2 * ((k - 1) * n_rows + j - 1)
-        flat[i], flat[i + 1] = ac_f, a_f
-    parts, den = _lattice(flat)
+        nums[i], nums[i + 1], dens[i], dens[i + 1] = ac_n, a_n, ac_d, a_d
+    den = math.lcm(*dens)
+    parts = [v * (den // d) for v, d in zip(nums, dens)]
     return Configuration._from_parts(delta_f, n_cols, n_rows, parts, den)
 
 
@@ -950,8 +1008,18 @@ def normalize(cfg: Configuration) -> Configuration:
     probability is unchanged because sorting merely permutes cells.  Values
     are compared by cross-multiplying the integer line sums.
     """
+    return _normalize_by_sums(cfg, *_line_sums(cfg._parts, cfg.n_cols, cfg.n_rows))
+
+
+def _normalize_by_sums(
+    cfg: Configuration,
+    col_t: Sequence[int],
+    col_a: Sequence[int],
+    row_t: Sequence[int],
+    row_a: Sequence[int],
+) -> Configuration:
+    """:func:`normalize` from the line sums of :func:`_line_sums`, which the caller has."""
     m, n, parts = cfg.n_cols, cfg.n_rows, cfg._parts
-    col_t, col_a, row_t, row_a = _line_sums(parts, m, n)
     col_order = sorted(
         (k for k in range(m) if col_t[k]),
         key=functools.cmp_to_key(lambda k, l: col_a[k] * col_t[l] - col_a[l] * col_t[k]),
@@ -1123,8 +1191,23 @@ def rational_to_decimal(value: Fraction, sig_digits: int = 15) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _ratio_str(num: int, den: int) -> str:
+    """``num/den`` as :class:`~fractions.Fraction` prints it.
+
+    That is ``"p/q"`` in lowest terms, or ``"p"`` when the value is whole.
+    """
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
+
+
 def config_to_json_dict(cfg: Configuration) -> dict:
-    """Serialize to the configuration file schema (empty cells omitted)."""
+    """Serialize to the configuration file schema (empty cells omitted).
+
+    Each mass is written as :func:`rational_to_str` would write it, formatted
+    from the integers without building a :class:`~fractions.Fraction`.
+    """
     parts, den, n = cfg._parts, cfg._den, cfg.n_rows
     cells = []
     for i in range(0, len(parts), 2):
@@ -1135,8 +1218,8 @@ def config_to_json_dict(cfg: Configuration) -> dict:
                 {
                     "col": k + 1,
                     "row": j + 1,
-                    "a": str(Fraction(a, den)),
-                    "ac": str(Fraction(ac, den)),
+                    "a": _ratio_str(a, den),
+                    "ac": _ratio_str(ac, den),
                 }
             )
     return {
@@ -1148,7 +1231,13 @@ def config_to_json_dict(cfg: Configuration) -> dict:
 
 
 def config_from_json_dict(data: Mapping) -> Configuration:
-    """Load a configuration from the file schema, validating shape and mass."""
+    """Load a configuration from the file schema, validating shape and mass.
+
+    Each mass is read into an integer numerator and denominator as
+    :func:`make_configuration` reads it, in document order, and a bad one
+    is reported as :func:`parse_rational` reports it; the grid is then
+    built by the code that function ends in.
+    """
     try:
         delta = _json_exact(data["delta"], "delta")
         n_cols = int(_json_exact(data["cols"], "cols"))
@@ -1158,7 +1247,7 @@ def config_from_json_dict(data: Mapping) -> Configuration:
         raise ConfigError(f"malformed configuration document: {exc}") from exc
     if not isinstance(raw_cells, (list, tuple)):
         raise ConfigError(f"'cells' must be a list, got {raw_cells!r}")
-    masses: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+    masses: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
     for entry in raw_cells:
         try:
             key = (
@@ -1170,15 +1259,34 @@ def config_from_json_dict(data: Mapping) -> Configuration:
         if key in masses:
             raise ConfigError(f"duplicate cell entry for {key}")
         masses[key] = (
-            parse_rational(_json_exact(entry.get("a", 0), "a")),
-            parse_rational(_json_exact(entry.get("ac", 0), "ac")),
+            _as_ratio(_json_exact(entry.get("a", 0), "a"), "rational"),
+            _as_ratio(_json_exact(entry.get("ac", 0), "ac"), "rational"),
         )
-    return make_configuration(delta, n_cols, n_rows, masses)
+    return _configuration(delta, n_cols, n_rows, masses, None)
 
 
 def dump_config(cfg: Configuration, fp: IO[str]) -> None:
-    json.dump(config_to_json_dict(cfg), fp, indent=2)
-    fp.write("\n")
+    """Write ``cfg`` in the file schema, ending in a newline.
+
+    The text is that of ``json.dumps(config_to_json_dict(cfg), indent=2)``
+    plus ``"\\n"``, written directly from the integers: ``indent`` sends
+    :mod:`json` to its pure-Python encoder, which took several times as
+    long.  A configuration has mass, so its cell list is never empty.
+    """
+    parts, den, n = cfg._parts, cfg._den, cfg.n_rows
+    cells = []
+    for i in range(0, len(parts), 2):
+        ac, a = parts[i], parts[i + 1]
+        if ac or a:
+            k, j = divmod(i // 2, n)
+            cells.append(
+                f'    {{\n      "col": {k + 1},\n      "row": {j + 1},\n'
+                f'      "a": "{_ratio_str(a, den)}",\n      "ac": "{_ratio_str(ac, den)}"\n    }}'
+            )
+    fp.write(
+        f'{{\n  "delta": "{rational_to_str(cfg.delta)}",\n  "cols": {cfg.n_cols},\n'
+        f'  "rows": {n},\n  "cells": [\n' + ",\n".join(cells) + "\n  ]\n}\n"
+    )
 
 
 def load_config(fp: IO[str]) -> Configuration:

@@ -31,6 +31,7 @@ from .config import (
     _grid_stats,
     _GridStats,
     _line_sums,
+    _normalize_by_sums,
     _stats_evaluator,
     compute_stats,
     normalize,
@@ -352,14 +353,15 @@ def zigzag_normalize(cfg: Configuration) -> Configuration:
     up = dd - dn  # the threshold 1 - delta is up/dd
     # a strictly sorted grid is its own normalization; one with a zero-mass
     # line is not strictly sorted
-    if _sorted_problem(*_line_sums(cfg._parts, m, n)) is None:
+    sums = _line_sums(cfg._parts, m, n)
+    if _sorted_problem(*sums) is None:
         g = _grid_stats(cfg)
         if g.fixpoint:
             return cfg
         side = g.side
         kernel = _stats_evaluator(n)[0]
     else:
-        cfg = normalize(cfg)
+        cfg = _normalize_by_sums(cfg, *sums)
         m, n = cfg.n_cols, cfg.n_rows
         kernel = _stats_evaluator(n)[0]
         side = kernel(cfg._parts, m, n, up, dd)[4]

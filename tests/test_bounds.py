@@ -1,9 +1,11 @@
 """Closed-form bounds, named witnesses, and the certificate routine."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from expert_spread import bounds, config
 from expert_spread.bounds import (
     certify_upper_bound,
     correlation_example,
@@ -16,10 +18,15 @@ from expert_spread.bounds import (
 )
 from expert_spread.config import (
     ConfigError,
+    Configuration,
     DomainError,
+    InternalStateError,
+    _GridStats,
     compute_stats,
     make_configuration,
 )
+from expert_spread.search import _random_parts
+from expert_spread.transforms import reduce
 
 F = Fraction
 
@@ -204,3 +211,117 @@ def test_report_blanks_linear_bound_above_one_half():
 def test_report_without_certification_leaves_it_unset():
     wire = report_to_json_dict(make_report(F(1, 4)))
     assert wire["certified_upper"] is None
+
+
+def reference_certificate(cfg):
+    """certify_upper_bound's body on the Fraction statistics, before it read integers."""
+    s = compute_stats(cfg)
+    parts, n = cfg._parts, cfg.n_rows
+    positive = [
+        (k + 1, j + 1)
+        for k, col in enumerate(s.b_mask)
+        for j, b in enumerate(col)
+        if b and (parts[2 * (k * n + j)] or parts[2 * (k * n + j) + 1])
+    ]
+    by_col = {}
+    by_row = {}
+    for k, j in positive:
+        by_col.setdefault(k, []).append(j)
+        by_row.setdefault(j, []).append(k)
+    for k, rows in sorted(by_col.items()):
+        if len(rows) > 1:
+            raise ConfigError(
+                f"column {k} has {len(rows)} positive-mass spread cells; "
+                "certificate needs at most one per column"
+            )
+    for j, cols in sorted(by_row.items()):
+        if len(cols) > 1:
+            raise ConfigError(
+                f"row {j} has {len(cols)} positive-mass spread cells; "
+                "certificate needs at most one per row"
+            )
+    ratio = cfg.delta / (1 + cfg.delta)
+    cert = sum((ratio * (s.p[k - 1] + s.q[j - 1]) for k, j in positive), Fraction(0))
+    if cert < s.prob_B:
+        raise InternalStateError(
+            f"certificate {cert} fell below the spread probability {s.prob_B}"
+        )
+    if cert > 2 * cfg.delta / (1 + cfg.delta):
+        raise InternalStateError(
+            f"certificate {cert} exceeded the sharp bound at delta={cfg.delta}"
+        )
+    return cert
+
+
+def certificate_outcome(certify, cfg):
+    """The certificate, or the error's type and text."""
+    try:
+        cert = certify(cfg)
+    except (ConfigError, InternalStateError) as exc:
+        return type(exc), str(exc)
+    assert cert.__class__ is Fraction
+    return cert
+
+
+def test_certificate_matches_the_fraction_reference():
+    """Reduced grids certify to the reference's value, unreduced ones fail with its text."""
+    rng = random.Random(1912)
+    deltas = (F(1, 10), F(1, 4), F(1, 3), F(2, 5), F(9, 20))
+    cases = [extremal_config(delta) for delta in list(deltas) + [F(1, 2), F(3, 4)]]
+    while len(cases) < 400:
+        n_cols, n_rows = rng.randint(1, 6), rng.randint(1, 6)
+        denom = rng.choice((12, 60, 64, 210, 1024))
+        parts = _random_parts(rng, denom, 2 * n_cols * n_rows)
+        cfg = Configuration._from_parts(rng.choice(deltas), n_cols, n_rows, parts, denom)
+        try:
+            if compute_stats(cfg).prob_B == 0:
+                continue
+        except ConfigError:
+            continue  # a zero-mass line
+        cases += [cfg, reduce(cfg, F(1, 1000))["out"]]
+    seen = {"certified": 0, "column": 0, "row": 0}
+    for cfg in cases:
+        compute_stats.cache_clear()
+        want = certificate_outcome(reference_certificate, cfg)
+        compute_stats.cache_clear()
+        assert certificate_outcome(certify_upper_bound, cfg) == want
+        if want.__class__ is Fraction:
+            seen["certified"] += 1
+        else:
+            assert want[0] is ConfigError
+            seen[want[1].split()[0]] += 1
+    assert seen["certified"] > 200 and seen["column"] > 10 and seen["row"] > 10, seen
+
+
+def tampered(cfg, **fields):
+    """A copy of ``cfg``'s memo entry with some statistics replaced."""
+    g = config._grid_stats(cfg)
+    copy = _GridStats()
+    for name in _GridStats.__slots__:
+        setattr(copy, name, getattr(g, name))
+    copy.stats = None
+    for name, value in fields.items():
+        setattr(copy, name, value)
+    return copy
+
+
+def test_certificate_guards_fire_on_broken_statistics(monkeypatch):
+    """Both InternalStateError guards, reached by a tampered memo entry, as in the reference."""
+    cfg = extremal_config(F(1, 4))
+    den = cfg._den
+    g = config._grid_stats(cfg)
+    # all the mass counted as spread: the spread probability 1 beats 2/5
+    above = tampered(cfg, b_num=den, prob_B=F(1))
+    # one more unit of mass in the first column, which holds a spread cell:
+    # the certificate gains 1/5, past the sharp bound 2/5
+    wide = tampered(cfg, col_t=[g.col_t[0] + den] + list(g.col_t[1:]))
+    for entry, text in (
+        (above, "certificate 2/5 fell below the spread probability 1"),
+        (wide, "certificate 3/5 exceeded the sharp bound at delta=1/4"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(config, "_grid_stats", lambda c: entry)
+            patch.setattr(bounds, "_grid_stats", lambda c: entry)
+            want = certificate_outcome(reference_certificate, cfg)
+            assert want == (InternalStateError, text)
+            assert certificate_outcome(certify_upper_bound, cfg) == want

@@ -155,6 +155,17 @@ def test_reduce_pipeline(tmp_path):
     assert run_cli("verify", "-", stdin=json.dumps(reduced)).returncode == 0
 
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def test_reduce_writes_the_pinned_bytes():
+    """The reduced 6x6 fixture and its report, byte for byte; CI runs the same line."""
+    fixture = FIXTURES / "reduce_6x6.json"
+    proc = run_cli("reduce", "--eps", "1/1000", "--out", "-", str(fixture))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (FIXTURES / "reduce_6x6.expected").read_text()
+
+
 def test_reduce_rejects_bad_epsilon(tmp_path):
     cfg_path = tmp_path / "ext.json"
     run_cli("extremal", "1/4", "--out", str(cfg_path))

@@ -1,6 +1,7 @@
 """Statistics, validation, and serialization of grid configurations."""
 
 import copy
+import io
 import json
 import math
 import pickle
@@ -13,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from expert_spread import config
+from expert_spread.bounds import extremal_config
 from expert_spread.config import (
     Cell,
     ConfigError,
@@ -458,3 +460,210 @@ def test_the_integer_constructor_checks_its_input():
         build(F(1, 4), 1, 2, [2, 2, 4], 8)
     with pytest.raises(DomainError, match="^delta must lie strictly between 0 and 1"):
         build(F(1), 1, 2, [2, 2, 0, 4], 8)
+
+
+# The deltas of every benchmark workload, and a few more.
+WORKLOAD_DELTAS = (F(1, 10), F(1, 4), F(1, 3), F(2, 5), F(3, 4))
+
+
+def random_dump_case(rng):
+    """A grid of up to 6x6 over a denominator of up to 2^60, many shares zero."""
+    n_cols, n_rows = rng.randint(1, 6), rng.randint(1, 6)
+    denom = rng.choice((1, 2, 7, 360, 2520, 2**60, rng.randint(2, 2**60)))
+    slots = 2 * n_cols * n_rows
+    cuts = sorted(rng.randint(0, denom) for _ in range(slots - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
+    for i in range(0, slots, 2):
+        # one share of the cell moved onto the other
+        if rng.random() < 0.3:
+            keep = rng.randint(0, 1)
+            parts[i + keep], parts[i + 1 - keep] = parts[i] + parts[i + 1], 0
+    delta = rng.choice(WORKLOAD_DELTAS + (F(1, 2), F(999, 1000)))
+    return Configuration._from_parts(delta, n_cols, n_rows, parts, denom)
+
+
+def test_dump_config_writes_the_json_module_text():
+    """The direct writer gives json.dumps(config_to_json_dict(cfg), indent=2) byte for byte."""
+    rng = random.Random(20190514)
+    cases = [extremal_config(delta) for delta in WORKLOAD_DELTAS]
+    # 1x1 grids, whole masses on either side
+    cases += [make_configuration(delta, 1, 1, {(1, 1): ("1", 0)}) for delta in WORKLOAD_DELTAS]
+    cases += [make_configuration(F(1, 4), 1, 1, {(1, 1): (0, 1)})]
+    cases += [random_dump_case(rng) for _ in range(2000)]
+    seen = dict.fromkeys(("1x1", "whole", "one zero share", "den > 2^40"), 0)
+    for cfg in cases:
+        buf = io.StringIO()
+        dump_config(cfg, buf)
+        data = config_to_json_dict(cfg)
+        assert buf.getvalue() == json.dumps(data, indent=2) + "\n"
+        # the dict's strings are those Fraction prints
+        for entry in data["cells"]:
+            cell = cfg.cell(entry["col"], entry["row"])
+            assert (entry["a"], entry["ac"]) == (str(cell.a_mass), str(cell.ac_mass))
+            seen["whole"] += "1" in (entry["a"], entry["ac"])
+            seen["one zero share"] += "0" in (entry["a"], entry["ac"])
+        seen["1x1"] += cfg.dims == (1, 1)
+        seen["den > 2^40"] += cfg._den > 2**40
+    assert {cfg.delta for cfg in cases} >= set(WORKLOAD_DELTAS)
+    assert min(seen.values()) > 50, seen
+
+
+def reference_rational(value, what):
+    """A mass as the loaders read it before they read masses into integers: a Fraction."""
+    if isinstance(value, Fraction):
+        return value
+    try:
+        if isinstance(value, str):
+            digits = sum(map(str.isdigit, value))
+            _, e, exponent = value.upper().partition("E")
+            if e and digits <= 1000:
+                digits += abs(int(exponent)) - sum(map(str.isdigit, exponent))
+            if digits > 1000:
+                raise ConfigError(f"{what} {config._shown(value)} has more than 1000 digits")
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ConfigError(
+            f"cannot parse {what} {config._shown(value)} as an exact rational"
+        ) from exc
+
+
+def reference_make_configuration(delta, n_cols, n_rows, masses):
+    """make_configuration on the Fraction path: every mass a Fraction, then the lattice."""
+    delta_f = validate_delta(delta)
+    if n_cols < 1 or n_rows < 1:
+        raise ConfigError(f"grid must be at least 1x1, got {n_cols}x{n_rows}")
+    if n_cols * n_rows > config.MAX_CELLS:
+        raise ConfigError(f"a {n_cols}x{n_rows} grid exceeds the limit of {config.MAX_CELLS} cells")
+    flat = [F(0)] * (2 * n_cols * n_rows)
+    for (k, j), (a, ac) in masses.items():
+        if not (1 <= k <= n_cols and 1 <= j <= n_rows):
+            raise ConfigError(f"cell index ({k},{j}) out of range for a {n_cols}x{n_rows} grid")
+        a_f, ac_f = reference_rational(a, "a mass"), reference_rational(ac, "ac mass")
+        if a_f < 0 or ac_f < 0:
+            raise config._negative_masses(a_f, ac_f)
+        i = 2 * ((k - 1) * n_rows + j - 1)
+        flat[i], flat[i + 1] = ac_f, a_f
+    parts, den = config._lattice(flat)
+    return Configuration._from_parts(delta_f, n_cols, n_rows, parts, den)
+
+
+def reference_from_json_dict(data):
+    """config_from_json_dict on the Fraction path: each mass parsed as it is met."""
+    try:
+        delta = config._json_exact(data["delta"], "delta")
+        n_cols = int(config._json_exact(data["cols"], "cols"))
+        n_rows = int(config._json_exact(data["rows"], "rows"))
+        raw_cells = data["cells"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed configuration document: {exc}") from exc
+    if not isinstance(raw_cells, (list, tuple)):
+        raise ConfigError(f"'cells' must be a list, got {raw_cells!r}")
+    masses = {}
+    for entry in raw_cells:
+        try:
+            key = (
+                int(config._json_exact(entry["col"], "col")),
+                int(config._json_exact(entry["row"], "row")),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed cell entry {entry!r}") from exc
+        if key in masses:
+            raise ConfigError(f"duplicate cell entry for {key}")
+        masses[key] = (
+            reference_rational(config._json_exact(entry.get("a", 0), "a"), "rational"),
+            reference_rational(config._json_exact(entry.get("ac", 0), "ac"), "rational"),
+        )
+    return reference_make_configuration(delta, n_cols, n_rows, masses)
+
+
+def outcome(build, *args):
+    """The configuration with its lattice, or the error's type and text."""
+    try:
+        cfg = build(*args)
+    except config.ExpertSpreadError as exc:
+        return type(exc), str(exc)
+    return cfg, cfg._parts, cfg._den
+
+
+LOADER_MASSES = [
+    "1/2", "2/4", "0/7", "3/0", " 1/2", "1/2 ", "+1/2", "-1/2", "0.5", "1e-3",
+    "5e-1", "٠/٧", "١/٢", "1/٢", "²", "", "/", "x",
+    "0" * 999 + "1", "1/" + "0" * 997 + "2",  # 1,000 characters, read directly
+    "0" * 1000 + "1", "1/" + "0" * 998 + "2",  # 1,001: counted, then parsed
+    0, 1, 2, -1, 10**5000, None, [1], 0.5, 1.0, True, False,
+]
+
+
+def test_loader_matches_the_fraction_path():
+    """Each mass loads to the Fraction path's configuration and lattice, or its error text."""
+    assert len(LOADER_MASSES[18]) == len(LOADER_MASSES[19]) == 1000
+    assert len(LOADER_MASSES[20]) == len(LOADER_MASSES[21]) == 1001
+    kinds = dict.fromkeys(("loaded", "error"), 0)
+    for mass in LOADER_MASSES:
+        try:
+            rest = str(1 - Fraction(mass)) if not isinstance(mass, (bool, float)) else "1/2"
+        except (TypeError, ValueError, ZeroDivisionError):
+            rest = "1/2"
+        for where, other in (("a", "ac"), ("ac", "a")):
+            doc = {
+                "delta": "1/4",
+                "cols": 2,
+                "rows": 1,
+                "cells": [
+                    {"col": 1, "row": 1, where: mass, other: "0"},
+                    {"col": 2, "row": 1, where: "0", other: rest},
+                ],
+            }
+            want = outcome(reference_from_json_dict, doc)
+            assert outcome(config_from_json_dict, doc) == want, (mass, where)
+            kinds["loaded" if want[0].__class__ is Configuration else "error"] += 1
+            # make_configuration reads the same values, naming the share
+            masses = {(1, 1): (mass, 0), (2, 1): (0, rest)}
+            if where == "ac":
+                masses = {(1, 1): (0, mass), (2, 1): (rest, 0)}
+            assert outcome(make_configuration, F(1, 4), 2, 1, masses) == outcome(
+                reference_make_configuration, F(1, 4), 2, 1, masses
+            ), (mass, where)
+    assert kinds["loaded"] > 20 and kinds["error"] > 20, kinds
+    for value, text in ((0.5, "a must be a string or an integer, got 0.5"),
+                        (True, "a must be a string or an integer, got True")):
+        doc = {"delta": "1/4", "cols": 1, "rows": 1, "cells": [{"col": 1, "row": 1, "a": value}]}
+        with pytest.raises(ConfigError, match="^" + re.escape(text) + "$"):
+            config_from_json_dict(doc)
+
+
+def test_loader_keeps_its_error_texts_and_their_order():
+    """One and several errors in a document: the first reported is the Fraction path's."""
+    good = {"col": 1, "row": 1, "a": "1/2", "ac": "1/2"}
+    bad_mass = {"col": 1, "row": 1, "a": "x", "ac": "0"}
+
+    def doc(*cells, delta="1/4", rows=1):
+        return {"delta": delta, "cols": 1, "rows": rows, "cells": list(cells)}
+
+    docs = {
+        "duplicate": doc(good, good),
+        "out of range": doc({**good, "col": 2}),
+        "total mass": doc({**good, "ac": "1/3"}),
+        "negative": doc({**good, "a": "-1/2", "ac": "3/2"}),
+        "delta": doc(good, delta="5/4"),
+        "mass then duplicate": doc(bad_mass, good),
+        "mass then range": doc(bad_mass, {**good, "row": 3}),
+        "range then mass": doc({**good, "row": 3}, {**bad_mass, "row": 2}),
+        "mass and delta": doc(bad_mass, delta="0"),
+        "negative then range": doc({**good, "a": "-1", "ac": "2"}, {**good, "col": 3}, rows=2),
+        "negative ac then range": doc({**good, "a": "2", "ac": "-1"}, {**good, "col": 3}, rows=2),
+    }
+    texts = {}
+    for name, document in docs.items():
+        want = outcome(reference_from_json_dict, document)
+        assert outcome(config_from_json_dict, document) == want, name
+        texts[name] = want[1]
+    assert texts["duplicate"] == "duplicate cell entry for (1, 1)"
+    assert texts["out of range"] == "cell index (2,1) out of range for a 1x1 grid"
+    assert texts["total mass"] == "total mass must be exactly 1, got 5/6"
+    assert texts["negative"] == "cell masses must be non-negative, got a=-1/2, ac=3/2"
+    assert texts["mass then duplicate"] == texts["mass and delta"] == (
+        "cannot parse rational 'x' as an exact rational"
+    )
+    assert texts["range then mass"] == "cannot parse rational 'x' as an exact rational"
+    assert texts["negative ac then range"] == "cell masses must be non-negative, got a=2, ac=-1"
