@@ -229,6 +229,11 @@ def _as_ratio(value: RationalLike, what: str) -> tuple[int, int]:
     return exact.numerator, exact.denominator
 
 
+# the classes of nearly every document value, which _json_exact passes on
+# unchanged: loaders test a value's class against these before calling it
+_JSON_PLAIN = (str, int)
+
+
 def _json_exact(value: object, what: str) -> object:
     """Pass a document value on, refusing JSON floats and booleans.
 
@@ -1251,16 +1256,22 @@ def config_from_json_dict(data: Mapping) -> Configuration:
     for entry in raw_cells:
         try:
             key = (
-                int(_json_exact(entry["col"], "col")),
-                int(_json_exact(entry["row"], "row")),
+                int(k if (k := entry["col"]).__class__ in _JSON_PLAIN else _json_exact(k, "col")),
+                int(j if (j := entry["row"]).__class__ in _JSON_PLAIN else _json_exact(j, "row")),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed cell entry {entry!r}") from exc
         if key in masses:
             raise ConfigError(f"duplicate cell entry for {key}")
         masses[key] = (
-            _as_ratio(_json_exact(entry.get("a", 0), "a"), "rational"),
-            _as_ratio(_json_exact(entry.get("ac", 0), "ac"), "rational"),
+            _as_ratio(
+                a if (a := entry.get("a", 0)).__class__ in _JSON_PLAIN else _json_exact(a, "a"),
+                "rational",
+            ),
+            _as_ratio(
+                c if (c := entry.get("ac", 0)).__class__ in _JSON_PLAIN else _json_exact(c, "ac"),
+                "rational",
+            ),
         )
     return _configuration(delta, n_cols, n_rows, masses, None)
 

@@ -21,6 +21,7 @@ from .config import (
     ConfigError,
     DomainError,
     RationalLike,
+    _JSON_PLAIN,
     _grid_stats,
     _json_exact,
     _shown,
@@ -108,8 +109,8 @@ class RawSpace:
     is scaled to an integer over the lcm of the denominators, the total is
     checked as ``sum(weights) == den`` on every construction, and the
     per-label sums are kept for :func:`label_values`,
-    :func:`spread_probability`, :func:`to_configuration` and
-    :func:`grid_coarsen`.
+    :func:`spread_probability` and :func:`grid_coarsen`, and their label
+    order for :func:`to_configuration`.
     """
 
     atoms: tuple[Atom, ...]
@@ -199,17 +200,6 @@ def threshold_probability(cfg: Configuration, threshold: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _configuration(
-    d: Fraction, n_cols: int, n_rows: int, cells: dict[tuple[int, int], list[int]], den: int
-) -> Configuration:
-    """Normalize the grid of integer ``[a, ac]`` cells over ``den``."""
-    parts = [0] * (2 * n_cols * n_rows)
-    for (k, j), (a, ac) in cells.items():
-        i = 2 * ((k - 1) * n_rows + j - 1)
-        parts[i], parts[i + 1] = ac, a
-    return normalize(Configuration._from_parts(d, n_cols, n_rows, parts, den))
-
-
 def to_configuration(space: RawSpace, delta: RationalLike) -> Configuration:
     """Group atoms by label pair into a normalized configuration.
 
@@ -220,15 +210,15 @@ def to_configuration(space: RawSpace, delta: RationalLike) -> Configuration:
     """
     d = validate_delta(delta)
     den, parts, cols, rows = space._grouped
-    g_index = {g: i for i, g in enumerate(cols, 1)}
-    h_index = {h: i for i, h in enumerate(rows, 1)}
-    cells: dict[tuple[int, int], list[int]] = {}
+    g_index = {g: i for i, g in enumerate(cols)}
+    h_index = {h: i for i, h in enumerate(rows)}
+    n_rows = len(rows)
+    grid = [0] * (2 * len(cols) * n_rows)
     for atom, (w, a) in zip(space.atoms, parts):
-        key = (g_index[atom.g_label], h_index[atom.h_label])
-        cell = cells.setdefault(key, [0, 0])
-        cell[0] += a
-        cell[1] += w - a
-    return _configuration(d, len(cols), len(rows), cells, den)
+        i = 2 * (g_index[atom.g_label] * n_rows + h_index[atom.h_label])
+        grid[i] += w - a
+        grid[i + 1] += a
+    return normalize(Configuration._from_parts(d, len(cols), n_rows, grid, den))
 
 
 def grid_coarsen(space: RawSpace, n: int, delta: RationalLike) -> dict:
@@ -239,55 +229,65 @@ def grid_coarsen(space: RawSpace, n: int, delta: RationalLike) -> dict:
     with the top value 1 in bin n. Column labels sharing a bin merge into
     one column, row labels likewise; the merged conditionals are the
     weight-averaged originals, so no conditional moves by 1/n or more.
-    Coarse cells and bin totals are summed as integers in one pass over the
-    atoms. Returns the coarsened configuration under ``"cfg"`` and the
-    largest observed moves under ``"report"``.
+
+    Bin order is value order: a merged line's value averages values in
+    ``[b/n, (b+1)/n)`` (bin n holds only 1), so it stays in that interval,
+    and ascending bins have strictly ascending values, each over a positive
+    weight. The lines are therefore laid out by ascending bin, the grid
+    :func:`normalize` would return, and the atoms are summed straight into
+    it as integers, so one configuration is built. Returns it under
+    ``"cfg"`` and the largest observed moves under ``"report"``.
     """
     d = validate_delta(delta)
     if n < 2:
         raise DomainError(f"grid resolution must be at least 2, got {n}")
     den, parts, cols, rows = space._grouped
-    g_bin = {g: (n * a) // w for g, (w, a) in cols.items() if w}
-    h_bin = {h: (n * a) // w for h, (w, a) in rows.items() if w}
-    # bin -> [line index, weight, event mass], indexed by first appearance
-    g_bins: dict[int, list[int]] = {}
-    h_bins: dict[int, list[int]] = {}
-    cells: dict[tuple[int, int], list[int]] = {}
+    g_line, n_cols, g_shift = _bin_lines(cols, n)
+    h_line, n_rows, h_shift = _bin_lines(rows, n)
+    grid = [0] * (2 * n_cols * n_rows)
     for atom, (w, a) in zip(space.atoms, parts):
-        if not w:
-            continue
-        g_total = g_bins.setdefault(g_bin[atom.g_label], [len(g_bins) + 1, 0, 0])
-        g_total[1] += w
-        g_total[2] += a
-        h_total = h_bins.setdefault(h_bin[atom.h_label], [len(h_bins) + 1, 0, 0])
-        h_total[1] += w
-        h_total[2] += a
-        cell = cells.setdefault((g_total[0], h_total[0]), [0, 0])
-        cell[0] += a
-        cell[1] += w - a
+        if w:
+            i = 2 * (g_line[atom.g_label] * n_rows + h_line[atom.h_label])
+            grid[i] += w - a
+            grid[i + 1] += a
     return {
-        "cfg": _configuration(d, len(g_bins), len(h_bins), cells, den),
-        "report": {
-            "max_x_shift": _max_shift(cols, g_bin, g_bins),
-            "max_y_shift": _max_shift(rows, h_bin, h_bins),
-        },
+        "cfg": Configuration._from_parts(d, n_cols, n_rows, grid, den),
+        "report": {"max_x_shift": g_shift, "max_y_shift": h_shift},
     }
 
 
-def _max_shift(
-    sums: dict[str, list[int]], bin_of: dict[str, int], bins: dict[int, list[int]]
-) -> Fraction:
-    """The largest move of a label's conditional onto its bin's.
+def _bin_lines(
+    sums: dict[str, list[int]], n: int
+) -> tuple[dict[str, int], int, Fraction]:
+    """Each weighted label's coarse line index, the line count, the largest move.
 
-    A label with sums ``w, a`` in a bin with totals ``W, A`` moves by
-    ``|a/w - A/W| = |a*W - A*w| / (w*W)``.
+    Lines are the occupied bins in ascending order. A label with sums
+    ``w, a`` in a bin with totals ``W, A`` moves by
+    ``|a/w - A/W| = |a*W - A*w| / (w*W)``; the running maximum is kept as
+    an integer pair, compared by cross-multiplying.
     """
-    moves = []
+    bin_of = {}
+    totals: dict[int, list[int]] = {}
+    for label, (w, a) in sums.items():
+        if w:
+            b = bin_of[label] = (n * a) // w
+            total = totals.get(b)
+            if total is None:
+                totals[b] = [w, a]
+            else:
+                total[0] += w
+                total[1] += a
+    index = {b: i for i, b in enumerate(sorted(totals))}
+    line_of = {}
+    top_num, top_den = 0, 1
     for label, b in bin_of.items():
         w, a = sums[label]
-        _, bin_w, bin_a = bins[b]
-        moves.append(Fraction(abs(a * bin_w - bin_a * w), w * bin_w))
-    return max(moves, default=Fraction(0))
+        bin_w, bin_a = totals[b]
+        num, move_den = abs(a * bin_w - bin_a * w), w * bin_w
+        if num * top_den > top_num * move_den:
+            top_num, top_den = num, move_den
+        line_of[label] = index[b]
+    return line_of, len(index), Fraction(top_num, top_den)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +346,12 @@ def space_from_json_dict(data: Mapping) -> RawSpace:
         try:
             atoms.append(
                 Atom(
-                    weight=parse_rational(_json_exact(entry["w"], "w")),
-                    a_weight=parse_rational(_json_exact(entry["a"], "a")),
+                    weight=parse_rational(
+                        w if (w := entry["w"]).__class__ in _JSON_PLAIN else _json_exact(w, "w")
+                    ),
+                    a_weight=parse_rational(
+                        a if (a := entry["a"]).__class__ in _JSON_PLAIN else _json_exact(a, "a")
+                    ),
                     g_label=str(entry["g"]),
                     h_label=str(entry["h"]),
                 )

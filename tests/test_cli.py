@@ -166,6 +166,14 @@ def test_reduce_writes_the_pinned_bytes():
     assert proc.stdout == (FIXTURES / "reduce_6x6.expected").read_text()
 
 
+def test_discretize_writes_the_pinned_bytes():
+    """The 12-atom fixture coarsened at n = 16, with its report, byte for byte; CI runs it too."""
+    fixture = FIXTURES / "coarsen_12.json"
+    proc = run_cli("discretize", "--delta", "1/4", "--n", "16", "--out", "-", str(fixture))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (FIXTURES / "coarsen_12.expected").read_text()
+
+
 def test_reduce_rejects_bad_epsilon(tmp_path):
     cfg_path = tmp_path / "ext.json"
     run_cli("extremal", "1/4", "--out", str(cfg_path))

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from expert_spread import config
 from expert_spread.bounds import extremal_config
 from expert_spread.config import (
     ConfigError,
+    Configuration,
     DomainError,
     compute_stats,
     make_configuration,
@@ -301,6 +303,88 @@ def test_discretize_matches_the_fraction_reference():
             assert grid_coarsen(space, n, delta) == reference_grid_coarsen(space, n, delta)
     assert zero_only_labels > 300
     assert gap_thresholds > 4000
+
+
+def test_coarsening_builds_one_configuration_in_normal_order(monkeypatch):
+    """Ascending bins are ascending values: one build per call, and no sort."""
+    counts = {}
+    init, by_sums = Configuration._init, config._normalize_by_sums
+
+    def counted(name, method):
+        def call(*args):
+            counts[name] += 1
+            return method(*args)
+
+        return call
+
+    monkeypatch.setattr(Configuration, "_init", counted("builds", init))
+    monkeypatch.setattr(config, "_normalize_by_sums", counted("sorts", by_sums))
+    rng = random.Random(1912)
+    zero_atoms = 0
+    for draw in range(400):
+        space = with_zero_atoms(rng, random_space(rng))
+        zero_atoms += any(not atom.weight for atom in space.atoms)
+        counts.update(builds=0, sorts=0)
+        n = rng.choice((2, 3, 4, 16, 64, 1000))
+        result = grid_coarsen(space, n, DELTAS[draw % len(DELTAS)])
+        assert counts == {"builds": 1, "sorts": 0}
+        assert normalize(result["cfg"]) == result["cfg"]
+    assert zero_atoms > 200
+
+
+def assert_coarsens_as_the_reference(atoms, n, delta=F(1, 4)):
+    space = make_space(atoms)
+    result = grid_coarsen(space, n, delta)
+    assert result == reference_grid_coarsen(space, n, delta)
+    return result
+
+
+def test_coarsening_bin_edges():
+    # at n = 4, labels at 0, 1/4, 3/8, 1/2, 3/4, 7/8 and 1, rows mirroring
+    # columns: each edge value k/4 opens bin k, 1/4 and 3/8 share bin 1,
+    # 3/4 and 7/8 share bin 3, and 1 stays alone in the top bin 4
+    values = (F(0), F(1, 4), F(3, 8), F(1, 2), F(3, 4), F(7, 8), F(1))
+    weights = (F(1, 8),) * 6 + (F(1, 4),)
+    atoms = [(w, w * v, f"g{i}", f"h{i}") for i, (w, v) in enumerate(zip(weights, values))]
+    result = assert_coarsens_as_the_reference(atoms, 4)
+    assert result["cfg"].dims == (5, 5)
+    assert compute_stats(result["cfg"]).x == (F(0), F(5, 16), F(1, 2), F(13, 16), F(1))
+    assert result["report"] == {"max_x_shift": F(1, 16), "max_y_shift": F(1, 16)}
+    # every label in one bin: a 1x1 grid, each label moved to the average
+    result = assert_coarsens_as_the_reference(
+        [(F(1, 2), F(1, 16), "g1", "h1"), (F(1, 2), F(1, 8), "g2", "h2")], 2
+    )
+    assert result["cfg"].dims == (1, 1)
+    assert result["report"] == {"max_x_shift": F(1, 16), "max_y_shift": F(1, 16)}
+    # two labels tied for the largest move, in bins of different weight;
+    # each row is alone in its bin
+    result = assert_coarsens_as_the_reference(
+        [
+            (F(1, 8), 0, "g1", "h1"),
+            (F(1, 8), F(1, 32), "g2", "h1"),
+            (F(3, 8), F(3, 16), "g3", "h2"),
+            (F(3, 8), F(9, 32), "g4", "h2"),
+        ],
+        2,
+    )
+    assert result["report"] == {"max_x_shift": F(1, 8), "max_y_shift": F(0)}
+    # n = 1000 above the space's denominator (every draw's but 2**10); over
+    # 16, two distinct label values differ by at least 1/256, so each value
+    # sits alone in its bin and nothing moves
+    rng = random.Random(1000)
+    above = alone = 0
+    for _ in range(300):
+        space = random_space(rng)
+        den = space._grouped[0]
+        result = grid_coarsen(space, 1000, F(1, 3))
+        assert result == reference_grid_coarsen(space, 1000, F(1, 3))
+        above += den < 1000
+        if den <= 16:
+            alone += 1
+            report = result["report"]
+            assert report == {"max_x_shift": F(0), "max_y_shift": F(0)}
+            assert {type(v) for v in report.values()} == {F}
+    assert above > 200 and alone > 20
 
 
 def test_label_indexing_is_linear():
