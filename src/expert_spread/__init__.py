@@ -27,7 +27,6 @@ from .config import (
     dump_config,
     make_configuration,
     normalize,
-    overlap_check,
     validate_delta,
 )
 from .bounds import (
@@ -107,7 +106,6 @@ __all__ = [
     "merge_columns",
     "merge_rows",
     "normalize",
-    "overlap_check",
     "pitman_upper",
     "purify_border_cell",
     "reduce",

@@ -43,6 +43,8 @@ from .config import (
     validate_delta,
 )
 from .bounds import (
+    HALF,
+    certify_upper_bound,
     extremal_config,
     lambda_sharp,
     make_report,
@@ -57,8 +59,6 @@ from .search import (
     search_result_to_json_dict,
 )
 from . import discretize as discretize_mod
-
-HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +114,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             for trace in result["trace"]:
                 fp.write(json.dumps(trace_to_json_dict(trace)))
                 fp.write("\n")
-    from .bounds import certify_upper_bound
-
     _print_json(
         {
             "before": rational_to_str(compute_stats(cfg).prob_B),
@@ -436,10 +434,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (DomainError, ConfigError, SearchSpaceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, ConfigError, SearchSpaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InternalStateError, TransformContractError, ReduceContradictionError) as exc:

@@ -44,11 +44,8 @@ __all__ = [
     "Stats",
     "validate_delta",
     "make_configuration",
-    "replace_cells",
     "compute_stats",
     "normalize",
-    "overlap_check",
-    "separation_check",
     "pitman_inclusion_violations",
     "overlap_violations",
     "separation_violations",
@@ -495,10 +492,7 @@ def _configuration(
     delta_f = validate_delta(delta)
     if n_cols < 1 or n_rows < 1:
         raise ConfigError(f"grid must be at least 1x1, got {n_cols}x{n_rows}")
-    if n_cols * n_rows > MAX_CELLS:
-        raise ConfigError(
-            f"a {n_cols}x{n_rows} grid exceeds the limit of {MAX_CELLS} cells"
-        )
+    _cap_cells(n_cols, n_rows)
     nums = [0] * (2 * n_cols * n_rows)
     dens = [1] * len(nums)
     for (k, j), (a, ac) in masses.items():
@@ -518,19 +512,15 @@ def _configuration(
     return Configuration._from_parts(delta_f, n_cols, n_rows, parts, den)
 
 
-def replace_cells(
-    cfg: Configuration, updates: Mapping[tuple[int, int], Cell]
-) -> Configuration:
-    """Return a copy of ``cfg`` with the given cells replaced (1-based keys)."""
-    at = [cfg._index(k, j) for k, j in updates]
-    new, new_den = _lattice([m for c in updates.values() for m in (c.ac_mass, c.a_mass)])
-    den = math.lcm(cfg._den, new_den)
-    scale, new_scale = den // cfg._den, den // new_den
-    parts = [v * scale for v in cfg._parts]
-    for n, i in enumerate(at):
-        parts[i] = new[2 * n] * new_scale
-        parts[i + 1] = new[2 * n + 1] * new_scale
-    return Configuration._from_parts(cfg.delta, cfg.n_cols, cfg.n_rows, parts, den)
+def _cap_cells(
+    n_cols: int, n_rows: int, error: type[ExpertSpreadError] = ConfigError
+) -> None:
+    """Refuse a grid of more than :data:`MAX_CELLS` cells with ``error``.
+
+    Every grid allocator of the package calls this before it allocates.
+    """
+    if n_cols * n_rows > MAX_CELLS:
+        raise error(f"a {n_cols}x{n_rows} grid exceeds the limit of {MAX_CELLS} cells")
 
 
 # ---------------------------------------------------------------------------
@@ -587,57 +577,6 @@ def _line_sums(
     return col_t, col_a, row_t, row_a
 
 
-def _spread_kernel(
-    parts: Sequence[int], n_cols: int, n_rows: int, th_num: int, th_den: int
-) -> tuple[list[int], list[int], list[int], list[int], list[int], int]:
-    """The far-apart test on an integer mass vector, giving every cell's side.
-
-    ``parts`` is the flat column-major (complement, event) vector of
-    :func:`_lattice`; the threshold is ``th_num/th_den`` with ``th_den > 0``.
-    Returns the four line sums of :func:`_line_sums`, a side per cell in
-    the same column-major order (+1 when the column value exceeds the row
-    value by at least the threshold, -1 when the row value exceeds the
-    column value by at least it, 0 otherwise) and the summed mass of the
-    cells with a non-zero side, in the units of ``parts``.  The values are
-    compared by cross-multiplying, never divided.  A cell on a zero-mass
-    line has no conditional value and gets side 0.
-
-    This loop is the reference for both kinds of compiled evaluator.  The
-    memo runs the kernels of :func:`_stats_evaluator`, which give the same
-    sides per column, and this loop (through :func:`_stats_loop`) for
-    grids of more rows than that factory unrolls; absorption, the borders
-    and the merges read the side of empty cells too.  The searches need only
-    the numerator over occupied cells, from line sums they keep as they
-    move; that is :func:`_spread_units`, which they run as the per-shape
-    evaluator of :func:`_units_evaluator`.  The two are kept apart because
-    building sides inside the search loops made them about 14% slower.
-    ``test_stats_evaluator_matches_the_loops``,
-    ``test_search_spread_units_match_the_kernel`` and
-    ``test_units_evaluator_matches_the_kernel_and_the_loop`` tie them.
-    """
-    col_t, col_a, row_t, row_a = _line_sums(parts, n_cols, n_rows)
-    sides = []
-    b_num = 0
-    i = 0
-    for k in range(n_cols):
-        ct, ca = col_t[k], col_a[k]
-        for j in range(n_rows):
-            rt = row_t[j]
-            side = 0
-            if ct and rt:
-                gap = (ca * rt - row_a[j] * ct) * th_den
-                bar = th_num * ct * rt
-                if gap >= bar:
-                    side = 1
-                elif -gap >= bar:
-                    side = -1
-                if side:
-                    b_num += parts[i] + parts[i + 1]
-            sides.append(side)
-            i += 2
-    return col_t, col_a, row_t, row_a, sides, b_num
-
-
 def _spread_units(
     parts: Sequence[int],
     n_rows: int,
@@ -648,13 +587,13 @@ def _spread_units(
     th_num: int,
     th_den: int,
 ) -> int:
-    """The spread numerator of :func:`_spread_kernel`, from line sums kept by the caller.
+    """The spread numerator of :func:`_stats_loop`, from line sums kept by the caller.
 
     ``parts`` is the flat column-major vector and the four lists are its
     line sums, which both searches update as they move instead of summing
     them again. A cell counts when it has mass and its column and row
-    values differ by at least the threshold, the kernel's non-zero side;
-    a cell with mass lies on two lines with mass.
+    values differ by at least the threshold, the loop's non-zero side; a
+    cell with mass lies on two lines with mass.
 
     This loop is the reference for the straight-line evaluators of
     :func:`_units_evaluator`, and the evaluator it hands out for grids of
@@ -697,7 +636,8 @@ def _units_evaluator(n_cols: int, n_rows: int) -> Callable[..., int]:
     compares, as the loop of :func:`_spread_units` does, so a call runs no
     Python loop.  The source is built from integer indices alone.  Larger
     grids get :func:`_spread_units` itself.  Callers fetch the evaluator
-    once, outside their loops.
+    once, outside their loops.  Both give the numerator of the loop
+    reference, :func:`_stats_loop`.
     """
     if n_cols * n_rows > UNROLL_CELLS:
         return _spread_units
@@ -734,20 +674,55 @@ def _units_evaluator(n_cols: int, n_rows: int) -> Callable[..., int]:
 def _stats_loop(
     parts: Sequence[int], n_cols: int, n_rows: int, th_num: int, th_den: int
 ) -> tuple[list[int], list[int], list[int], list[int], list[tuple[int, ...]], int, bool, bool]:
-    """The memo's kernel by loops: :func:`_spread_kernel`, its sides per column.
+    """The far-apart test on an integer mass vector, giving every cell's side.
 
-    Returns the four line sums, the sides as a list of column tuples, the
-    spread numerator and whether the low (-1) and the high (+1) side hold a
-    cell with mass.  It is the reference for the kernels of
-    :func:`_stats_evaluator`, the kernel it hands out past its row cap, and
-    the path its compiled kernels take on a grid with a zero-mass line.
+    ``parts`` is the flat column-major (complement, event) vector of
+    :func:`_lattice`; the threshold is ``th_num/th_den`` with ``th_den > 0``.
+    Returns the four line sums of :func:`_line_sums`, the sides as a list of
+    column tuples (+1 when the column value exceeds the row value by at
+    least the threshold, -1 when the row value exceeds the column value by
+    at least it, 0 otherwise), the summed mass of the cells with a non-zero
+    side in the units of ``parts``, and whether the low (-1) and the high
+    (+1) side hold a cell with mass.  The values are compared by
+    cross-multiplying, never divided.  A cell on a zero-mass line has no
+    conditional value and gets side 0.
+
+    This loop is the reference for both kinds of compiled evaluator.  The
+    memo runs the kernels of :func:`_stats_evaluator`, which give the same
+    result, and this loop for grids of more rows than that factory unrolls
+    and for grids with a zero-mass line; absorption, the borders and the
+    merges read the side of empty cells too.  The searches need only the
+    numerator over occupied cells, from line sums they keep as they move;
+    that is :func:`_spread_units`, which they run as the per-shape
+    evaluator of :func:`_units_evaluator`.  The two are kept apart because
+    building sides inside the search loops made them about 14% slower.
+    ``test_stats_evaluator_matches_the_loops``,
+    ``test_search_spread_units_match_the_kernel`` and
+    ``test_units_evaluator_matches_the_kernel_and_the_loop`` tie them.
     """
-    col_t, col_a, row_t, row_a, flat, b_num = _spread_kernel(
-        parts, n_cols, n_rows, th_num, th_den
-    )
-    side = [tuple(flat[k * n_rows : (k + 1) * n_rows]) for k in range(n_cols)]
-    occupied = {v for i, v in enumerate(flat) if v and (parts[2 * i] or parts[2 * i + 1])}
-    return col_t, col_a, row_t, row_a, side, b_num, -1 in occupied, 1 in occupied
+    col_t, col_a, row_t, row_a = _line_sums(parts, n_cols, n_rows)
+    side = []
+    low = high = 0
+    i = 0
+    for k in range(n_cols):
+        ct, ca = col_t[k], col_a[k]
+        col = []
+        for j in range(n_rows):
+            rt = row_t[j]
+            s = 0
+            if ct and rt:
+                gap = (ca * rt - row_a[j] * ct) * th_den
+                bar = th_num * ct * rt
+                if gap >= bar:
+                    s = 1
+                    high += parts[i] + parts[i + 1]
+                elif -gap >= bar:
+                    s = -1
+                    low += parts[i] + parts[i + 1]
+            col.append(s)
+            i += 2
+        side.append(tuple(col))
+    return col_t, col_a, row_t, row_a, side, low + high, low > 0, high > 0
 
 
 def _derive_loop(side: Sequence[tuple[int, ...]]) -> tuple:
@@ -790,10 +765,10 @@ def _derive_loop(side: Sequence[tuple[int, ...]]) -> tuple:
 def _stats_evaluator(n_rows: int) -> tuple[Callable[..., tuple], Callable[..., tuple]]:
     """The memo's kernel and derivation for grids of ``n_rows`` rows.
 
-    The two have the signatures and results of :func:`_stats_loop` and
-    :func:`_derive_loop`.  For at most as many rows as the largest square
-    grid :func:`_units_evaluator` compiles (8 rows, as
-    ``UNROLL_CELLS`` is 64) they are compiled, once per row count, with
+    The two have the signatures and results of the loop references,
+    :func:`_stats_loop` and :func:`_derive_loop`.  For at most as many
+    rows as the largest square grid :func:`_units_evaluator` compiles (8
+    rows, as ``UNROLL_CELLS`` is 64) they are compiled, once per row count, with
     the rows unrolled into locals and the columns looped, so the code
     serves every column count.  The kernel sums the lines, sends a grid
     with a zero-mass line to :func:`_stats_loop`, forms each column's
@@ -960,15 +935,15 @@ def compute_stats(cfg: Configuration) -> Stats:
 
     The far-apart test runs on the configuration's integer tuple by
     cross-multiplication, in the kernel that :func:`_stats_evaluator`
-    compiles for the grid's row count (the :func:`_spread_kernel` loop past
-    its row cap), which gives every cell's side; a companion
+    compiles for the grid's row count (past its row cap, the loop
+    reference :func:`_stats_loop`), which gives every cell's side; a companion
     function derives the mask, the extremes and the corners from the sides.
     :class:`~fractions.Fraction` objects are built only for the returned
     fields, once per memo entry.  The searches and
     :func:`expert_spread.discretize.threshold_probability` count only the
     spread numerator over occupied cells, from line sums the caller keeps,
     with the evaluator :func:`_units_evaluator` gives for the grid's
-    shape; see :func:`_spread_kernel` for why the two are kept apart.
+    shape; see :func:`_stats_loop` for why the two are kept apart.
 
     Configurations are immutable, so results are memoised.  The memo keys
     on the hash each :class:`Configuration` keeps in a slot, and an equal
@@ -1041,44 +1016,6 @@ def _normalize_by_sums(
     return Configuration._from_parts(
         cfg.delta, len(col_order), len(row_order), out, cfg._den
     )
-
-
-def overlap_check(cfg: Configuration, k: int, j: int) -> dict:
-    """Check the column/row intersection bound at one cell.
-
-    When the cell's conditionals are at least ``1 - delta`` apart, the mass
-    shared by its column and row cannot exceed ``delta/(1+delta)`` times the
-    sum of the column and row masses.  Returns ``lhs`` (the cell mass),
-    ``rhs`` (the bound), ``applicable`` and ``holds``; the check holds
-    vacuously when not applicable.
-    """
-    i = cfg._index(k, j)
-    s = compute_stats(cfg)
-    applicable = s.b_mask[k - 1][j - 1]
-    lhs = Fraction(cfg._parts[i] + cfg._parts[i + 1], cfg._den)
-    rhs = cfg.delta / (1 + cfg.delta) * (s.p[k - 1] + s.q[j - 1])
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "applicable": applicable,
-        "holds": (not applicable) or lhs <= rhs,
-    }
-
-
-def separation_check(cfg: Configuration, k: int, j: int) -> dict:
-    """Check that a column and row overlap little when their values differ.
-
-    The probability that exactly one of "in column k" / "in row j" occurs,
-    conditioned on at least one occurring, is at least ``|x_k - y_j|``.  This
-    holds for every pair of positive-mass lines, with no threshold condition.
-    """
-    i = cfg._index(k, j)
-    s = compute_stats(cfg)
-    c = Fraction(cfg._parts[i] + cfg._parts[i + 1], cfg._den)
-    union = s.p[k - 1] + s.q[j - 1] - c
-    lhs = (s.p[k - 1] + s.q[j - 1] - 2 * c) / union
-    rhs = abs(s.x[k - 1] - s.y[j - 1])
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs >= rhs}
 
 
 # The three scans below read the integer statistics of _grid_stats: with

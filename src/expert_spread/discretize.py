@@ -22,6 +22,7 @@ from .config import (
     DomainError,
     RationalLike,
     _JSON_PLAIN,
+    _cap_cells,
     _grid_stats,
     _json_exact,
     _shown,
@@ -43,8 +44,9 @@ from .search import _random_parts
 class Atom:
     """One elementary outcome: total weight, event share, two labels.
 
-    Each weight is an ``int`` or a :class:`~fractions.Fraction`; anything
-    else, ``bool`` included, raises :class:`ConfigError`.
+    Each weight is an ``int`` or a :class:`~fractions.Fraction` and each
+    label a ``str``; anything else, ``bool`` included, raises
+    :class:`ConfigError`.
     """
 
     weight: Fraction
@@ -59,6 +61,9 @@ class Atom:
                 raise ConfigError(
                     f"atom weights must be ints or Fractions, got {type(value).__name__}"
                 )
+        for label in (self.g_label, self.h_label):
+            if not isinstance(label, str):
+                raise ConfigError(f"atom labels must be strings, got {type(label).__name__}")
         # signs are the numerators'; a <= w is cross-multiplied
         if w.numerator < 0:
             raise ConfigError(f"atom weight must be non-negative, got {_shown(w)}")
@@ -127,20 +132,6 @@ class RawSpace:
         object.__setattr__(self, "_grouped", grouped)
 
 
-def make_space(atoms: list[tuple[RationalLike, RationalLike, str, str]]) -> RawSpace:
-    """Build a space from (weight, a_weight, g_label, h_label) tuples."""
-    built = tuple(
-        Atom(
-            weight=parse_rational(w),
-            a_weight=parse_rational(a),
-            g_label=str(g),
-            h_label=str(h),
-        )
-        for w, a, g, h in atoms
-    )
-    return RawSpace(atoms=built)
-
-
 # ---------------------------------------------------------------------------
 # Conditional values per label
 # ---------------------------------------------------------------------------
@@ -206,19 +197,22 @@ def to_configuration(space: RawSpace, delta: RationalLike) -> Configuration:
     Columns follow the first appearance order of column labels, rows of row
     labels; the final order is whatever :func:`normalize` produces from the
     conditional values. Labels carried only by zero-weight atoms vanish
-    with their zero lines.
+    with their zero lines. A grid of more than
+    :data:`~expert_spread.config.MAX_CELLS` cells raises
+    :class:`ConfigError` before it is allocated.
     """
     d = validate_delta(delta)
     den, parts, cols, rows = space._grouped
+    n_cols, n_rows = len(cols), len(rows)
+    _cap_cells(n_cols, n_rows)
     g_index = {g: i for i, g in enumerate(cols)}
     h_index = {h: i for i, h in enumerate(rows)}
-    n_rows = len(rows)
-    grid = [0] * (2 * len(cols) * n_rows)
+    grid = [0] * (2 * n_cols * n_rows)
     for atom, (w, a) in zip(space.atoms, parts):
         i = 2 * (g_index[atom.g_label] * n_rows + h_index[atom.h_label])
         grid[i] += w - a
         grid[i + 1] += a
-    return normalize(Configuration._from_parts(d, len(cols), n_rows, grid, den))
+    return normalize(Configuration._from_parts(d, n_cols, n_rows, grid, den))
 
 
 def grid_coarsen(space: RawSpace, n: int, delta: RationalLike) -> dict:
@@ -235,8 +229,9 @@ def grid_coarsen(space: RawSpace, n: int, delta: RationalLike) -> dict:
     and ascending bins have strictly ascending values, each over a positive
     weight. The lines are therefore laid out by ascending bin, the grid
     :func:`normalize` would return, and the atoms are summed straight into
-    it as integers, so one configuration is built. Returns it under
-    ``"cfg"`` and the largest observed moves under ``"report"``.
+    it as integers, so one configuration is built, after the cell cap of
+    :func:`to_configuration`. Returns it under ``"cfg"`` and the largest
+    observed moves under ``"report"``.
     """
     d = validate_delta(delta)
     if n < 2:
@@ -244,6 +239,7 @@ def grid_coarsen(space: RawSpace, n: int, delta: RationalLike) -> dict:
     den, parts, cols, rows = space._grouped
     g_line, n_cols, g_shift = _bin_lines(cols, n)
     h_line, n_rows, h_shift = _bin_lines(rows, n)
+    _cap_cells(n_cols, n_rows)
     grid = [0] * (2 * n_cols * n_rows)
     for atom, (w, a) in zip(space.atoms, parts):
         if w:
@@ -352,18 +348,13 @@ def space_from_json_dict(data: Mapping) -> RawSpace:
                     a_weight=parse_rational(
                         a if (a := entry["a"]).__class__ in _JSON_PLAIN else _json_exact(a, "a")
                     ),
-                    g_label=str(entry["g"]),
-                    h_label=str(entry["h"]),
+                    g_label=entry["g"],
+                    h_label=entry["h"],
                 )
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed atom entry: {entry!r}") from exc
     return RawSpace(atoms=tuple(atoms))
-
-
-def dump_space(space: RawSpace, fp: IO[str]) -> None:
-    json.dump(space_to_json_dict(space), fp, indent=2)
-    fp.write("\n")
 
 
 def load_space(fp: IO[str]) -> RawSpace:

@@ -29,24 +29,24 @@ from .config import (
     DomainError,
     ExpertSpreadError,
     InternalStateError,
-    MAX_CELLS,
     RationalLike,
     SearchSpaceError,
+    _cap_cells,
+    _grid_stats,
     _line_sums,
     _units_evaluator,
     compute_stats,
+    config_to_json_dict,
     normalize,
     rational_to_str,
     validate_delta,
 )
-from .bounds import certify_upper_bound, lambda_sharp
+from .bounds import HALF, certify_upper_bound, extremal_config, lambda_sharp
 from . import transforms
-from .transforms import TransformTrace, _corners_occupied, make_trace, reduced_shape_problem
+from .transforms import TransformTrace, make_trace, reduced_shape_problem
 
 DEFAULT_ENUM_CAP = 10**8
 ENUM_CAP_ENV = "EXPERT_SPREAD_ENUM_CAP"
-
-HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +74,6 @@ class SearchResult:
 
 def search_result_to_json_dict(result: SearchResult) -> dict:
     """Serialize a result as an envelope around the standard config format."""
-    from .config import config_to_json_dict
-
     return {
         "method": result.method,
         "seed": result.seed,
@@ -137,7 +135,7 @@ def _check_winner(cfg: Configuration, b_num: int, denom: int) -> Fraction:
 
 
 def _validate_dims(n_cols: int, n_rows: int) -> None:
-    """Refuse an empty grid, or one of more than :data:`MAX_CELLS` cells.
+    """Refuse an empty grid, or one past the cell cap of :func:`config._cap_cells`.
 
     The searches allocate per cell, so the limit is checked first.
     """
@@ -145,10 +143,7 @@ def _validate_dims(n_cols: int, n_rows: int) -> None:
         raise DomainError(
             f"grid dimensions must be at least 1x1, got {n_cols}x{n_rows}"
         )
-    if n_cols * n_rows > MAX_CELLS:
-        raise DomainError(
-            f"a {n_cols}x{n_rows} grid exceeds the limit of {MAX_CELLS} cells"
-        )
+    _cap_cells(n_cols, n_rows, DomainError)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +628,7 @@ class _FuzzRun:
             and sa.q == sb.q
         )
         corners_ok = cfg.delta >= HALF or (
-            not all(_corners_occupied(cfg)) or all(_corners_occupied(after))
+            not all(_grid_stats(cfg).occupied) or all(_grid_stats(after).occupied)
         )
         if not (vectors_kept and corners_ok):
             self.out.append(
@@ -651,7 +646,7 @@ class _FuzzRun:
         grown = transforms.augment(cfg, eps)
         trace = make_trace("augment", (eps,), cfg, grown)
         if trace.prob_B_after <= trace.prob_B_before - eps or not all(
-            _corners_occupied(grown)
+            _grid_stats(grown).occupied
         ):
             self.out.append(trace)
             return
@@ -693,8 +688,6 @@ def fuzz_transforms(delta: RationalLike, n_configs: int, seed: int) -> dict:
     unexpected toolbox errors are returned as trace records under the
     ``"violations"`` key, never raised.
     """
-    from .bounds import extremal_config
-
     d = validate_delta(delta)
     if n_configs < 1:
         raise DomainError(f"n_configs must be at least 1, got {n_configs}")

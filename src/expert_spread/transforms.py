@@ -165,25 +165,6 @@ def _below_half(cfg: Configuration) -> bool:
     return 2 * cfg.delta.numerator < cfg.delta.denominator
 
 
-def _side(g: _GridStats, k: int, j: int) -> int:
-    """Which side of the spread region cell ``(k, j)`` (1-based) lies on.
-
-    -1 in the low corner, where the row conditional exceeds the column
-    conditional by at least ``1 - delta``; +1 in the high corner, its
-    mirror; 0 outside the region.
-    """
-    return g.side[k - 1][j - 1]
-
-
-def _corners_occupied(cfg: Configuration) -> tuple[bool, bool]:
-    """Whether the low and the high extreme spread corners carry positive mass.
-
-    Configurations with both corners occupied can be canonicalized
-    directly, others must be augmented first.
-    """
-    return _grid_stats(cfg).occupied
-
-
 def _least(terms: list[tuple[int, int]]) -> tuple[int, int]:
     """The smallest of the rationals ``num/den`` (``den > 0``), as given."""
     best_n, best_d = terms[0]
@@ -444,11 +425,11 @@ def _staircase_problem(cfg: Configuration, g: _GridStats) -> Optional[str]:
             )
         for k in range(1, mm_g + 1):
             t = mp_h + k - 1
-            if _side(g, k, t) != -1:
+            if g.side[k - 1][t - 1] != -1:
                 return f"column {k} is not paired with row {t}"
-            if k + 1 <= cfg.n_cols and _side(g, k + 1, t) == -1:
+            if k + 1 <= cfg.n_cols and g.side[k][t - 1] == -1:
                 return f"column {k + 1} unexpectedly pairs with row {t}"
-            if t >= 2 and _side(g, k, t - 1) == -1:
+            if t >= 2 and g.side[k - 1][t - 2] == -1:
                 return f"column {k} unexpectedly pairs with row {t - 1}"
 
     mm_h = g.m_minus_H
@@ -463,11 +444,11 @@ def _staircase_problem(cfg: Configuration, g: _GridStats) -> Optional[str]:
             )
         for j in range(1, mm_h + 1):
             t = mp_g + j - 1
-            if _side(g, t, j) != 1:
+            if g.side[t - 1][j - 1] != 1:
                 return f"row {j} is not paired with column {t}"
-            if j + 1 <= cfg.n_rows and _side(g, t, j + 1) == 1:
+            if j + 1 <= cfg.n_rows and g.side[t - 1][j] == 1:
                 return f"row {j + 1} unexpectedly pairs with column {t}"
-            if t >= 2 and _side(g, t - 1, j) == 1:
+            if t >= 2 and g.side[t - 2][j - 1] == 1:
                 return f"row {j} unexpectedly pairs with column {t - 1}"
     return None
 
@@ -788,7 +769,7 @@ def empty_corner_rectangles(cfg: Configuration) -> Configuration:
     way the receiving line's conditional moves away from the threshold, so
     the spread region only grows.  Identity from one half on.
     """
-    if not all(_corners_occupied(cfg)):
+    if not all(_grid_stats(cfg).occupied):
         raise ConfigError(
             "both extreme spread corners need positive mass; augment the "
             "configuration first"
@@ -858,7 +839,7 @@ def canonicalize(cfg: Configuration) -> Configuration:
     Requires positive mass in both extreme spread corners
     (:class:`ConfigError` otherwise).
     """
-    if not all(_corners_occupied(cfg)):
+    if not all(_grid_stats(cfg).occupied):
         raise ConfigError(
             "both extreme spread corners need positive mass; augment the "
             "configuration first"

@@ -33,6 +33,26 @@ def run_cli(*args, stdin=None):
     )
 
 
+def main_exit(capsys, *argv):
+    """Run ``cli.main(argv)`` in this process; return the exit code and stderr.
+
+    argparse ends a usage error by raising ``SystemExit(2)``, caught here.
+    """
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def assert_one_error_line(code, err, context=None):
+    """Exit 2 with exactly one ``error:`` line on stderr and no traceback."""
+    assert code == 2, context
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_bound_reports_both_bounds():
     proc = run_cli("bound", "1/4")
     assert proc.returncode == 0
@@ -51,10 +71,9 @@ def test_bound_above_one_half_blanks_the_linear_bound():
     assert report["pitman_upper"] is None
 
 
-def test_bound_rejects_bad_threshold():
-    assert run_cli("bound", "0").returncode == 2
-    assert run_cli("bound", "7/5").returncode == 2
-    assert run_cli("bound", "garbage").returncode == 2
+def test_bound_rejects_bad_threshold(capsys):
+    for delta in ("0", "7/5", "garbage"):
+        assert main_exit(capsys, "bound", delta)[0] == 2
 
 
 def test_extremal_output_is_deterministic(tmp_path):
@@ -118,11 +137,11 @@ def test_verify_exits_one_on_a_violation(
     assert report["ok"] is False
 
 
-def test_verify_error_exits(tmp_path):
-    assert run_cli("verify", str(tmp_path / "missing.json")).returncode == 2
+def test_verify_error_exits(tmp_path, capsys):
+    assert_one_error_line(*main_exit(capsys, "verify", str(tmp_path / "missing.json")))
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
-    assert run_cli("verify", str(bad)).returncode == 2
+    assert_one_error_line(*main_exit(capsys, "verify", str(bad)))
 
 
 def test_reduce_pipeline(tmp_path):
@@ -174,10 +193,10 @@ def test_discretize_writes_the_pinned_bytes():
     assert proc.stdout == (FIXTURES / "coarsen_12.expected").read_text()
 
 
-def test_reduce_rejects_bad_epsilon(tmp_path):
+def test_reduce_rejects_bad_epsilon(tmp_path, capsys):
     cfg_path = tmp_path / "ext.json"
-    run_cli("extremal", "1/4", "--out", str(cfg_path))
-    assert run_cli("reduce", "--eps", "0", str(cfg_path)).returncode == 2
+    assert cli.main(["extremal", "1/4", "--out", str(cfg_path)]) == 0
+    assert_one_error_line(*main_exit(capsys, "reduce", "--eps", "0", str(cfg_path)))
 
 
 def test_search_exhaustive():
@@ -284,18 +303,17 @@ def test_discretize_converts_and_coarsens(tmp_path):
     assert run_cli("verify", "-", stdin=json.dumps(cfg)).returncode == 0
 
 
-def test_usage_errors_exit_two():
-    assert run_cli().returncode == 2
-    assert run_cli("no-such-command").returncode == 2
-    assert run_cli("search", "1/4", "--denom", "-3").returncode == 2
+def test_usage_errors_exit_two(capsys):
+    assert main_exit(capsys)[0] == 2
+    assert main_exit(capsys, "no-such-command")[0] == 2
+    assert main_exit(capsys, "search", "1/4", "--denom", "-3")[0] == 2
     # refused before the search allocates its per-cell lists
-    proc = run_cli("search", "1/4", "--cols", "100000", "--rows", "100000", "--iters", "1")
-    assert proc.returncode == 2
-    assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert_one_error_line(
+        *main_exit(capsys, "search", "1/4", "--cols", "100000", "--rows", "100000", "--iters", "1")
+    )
 
 
-def test_malformed_documents_exit_two(tmp_path):
+def test_malformed_documents_exit_two(tmp_path, capsys):
     path = tmp_path / "doc.json"
     one = {"col": 1, "row": 1, "a": "1", "ac": "0"}
     for command, text in (
@@ -309,16 +327,31 @@ def test_malformed_documents_exit_two(tmp_path):
         ("discretize", "not json"),
         ("discretize", b"\xff\xfe"),
         ("discretize", "[" * 10**5 + "]" * 10**5),
+        # labels are JSON strings, never coerced
+        *(
+            ("discretize", json.dumps({"atoms": [{"w": "1", "a": "0", "g": "g1", "h": "h1", key: bad}]}))
+            for key in ("g", "h")
+            for bad in (1, [], True, None)
+        ),
     ):
         if isinstance(text, bytes):
             path.write_bytes(text)
         else:
             path.write_text(text)
         args = ["--delta", "1/4"] if command == "discretize" else []
-        proc = run_cli(command, *args, str(path))
-        assert proc.returncode == 2, text
-        assert len(proc.stderr.splitlines()) == 1, proc.stderr
-        assert proc.stderr.startswith("error: ")
+        assert_one_error_line(*main_exit(capsys, command, *args, str(path)), text)
+
+
+def test_discretize_refuses_grids_past_the_cell_cap(tmp_path, capsys):
+    # 1,001 atoms, each with its own labels and value: 1001x1001 cells
+    # directly, and as many on the 1/10**6 grid
+    path = tmp_path / "space.json"
+    atoms = [{"w": "1/1001", "a": f"{i}/1002001", "g": f"g{i}", "h": f"h{i}"} for i in range(1001)]
+    path.write_text(json.dumps({"atoms": atoms}))
+    for args in ((), ("--n", str(10**6))):
+        assert main_exit(capsys, "discretize", "--delta", "1/4", *args, str(path)) == (
+            2, "error: a 1001x1001 grid exceeds the limit of 1000000 cells\n"
+        )
 
 
 @pytest.mark.parametrize(

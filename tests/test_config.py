@@ -27,14 +27,11 @@ from expert_spread.config import (
     load_config,
     make_configuration,
     normalize,
-    overlap_check,
     overlap_violations,
     parse_rational,
     pitman_inclusion_violations,
     rational_to_decimal,
     rational_to_str,
-    replace_cells,
-    separation_check,
     separation_violations,
     validate_delta,
 )
@@ -103,25 +100,29 @@ def test_stats_are_cached():
 
 
 def test_overlap_equality_on_witness():
+    # a far-apart cell's mass c is at most delta/(1+delta) * (P+Q), with P
+    # and Q its column's and row's masses; the witness meets it with equality
     cfg = quarter_witness()
-    low = overlap_check(cfg, 1, 2)
-    assert low["applicable"]
-    assert low["holds"]
-    assert low["lhs"] == F(1, 5)
-    assert low["rhs"] == F(1, 5)
-    high = overlap_check(cfg, 2, 1)
-    assert high["applicable"]
-    assert high["lhs"] == high["rhs"] == F(1, 5)
+    s = compute_stats(cfg)
+    for k, j in ((1, 2), (2, 1)):
+        assert s.b_mask[k - 1][j - 1]
+        bound = cfg.delta / (1 + cfg.delta) * (s.p[k - 1] + s.q[j - 1])
+        assert cfg.cell(k, j).mass == bound == F(1, 5)
     # cells outside the spread set carry no overlap constraint
-    assert not overlap_check(cfg, 1, 1)["applicable"]
+    assert not s.b_mask[0][0]
+    assert overlap_violations(cfg) == []
 
 
 def test_separation_equality_on_witness():
+    # (P+Q-2c)/(P+Q-c), the chance that exactly one of "in column k" and
+    # "in row j" holds given that one does, is at least |x_k - y_j|; the
+    # witness meets it with equality at cell (1, 2)
     cfg = quarter_witness()
-    d = separation_check(cfg, 1, 2)
-    assert d["lhs"] == F(3, 4)
-    assert d["rhs"] == F(3, 4)
-    assert d["holds"]
+    s = compute_stats(cfg)
+    c = cfg.cell(1, 2).mass
+    lhs = (s.p[0] + s.q[1] - 2 * c) / (s.p[0] + s.q[1] - c)
+    assert lhs == abs(s.x[0] - s.y[1]) == F(3, 4)
+    assert separation_violations(cfg) == []
 
 
 def test_violation_scans_empty_on_sound_inputs():
@@ -250,15 +251,8 @@ def test_errors_abbreviate_values_too_long_to_print():
 
 
 def test_stats_reject_empty_lines():
-    cfg = quarter_witness()
-    hollow = replace_cells(
-        cfg,
-        {
-            (1, 1): Cell(F(0), F(1)),
-            (1, 2): Cell(F(0), F(0)),
-            (2, 1): Cell(F(0), F(0)),
-        },
-    )
+    # all the mass in cell (1, 1): column 2 and row 2 are empty
+    hollow = make_configuration(F(1, 4), 2, 2, {(1, 1): (0, 1)})
     with pytest.raises(ConfigError):
         compute_stats(hollow)
     dropped = normalize(hollow)
@@ -414,7 +408,6 @@ def test_equal_rebuilds_share_hash_and_memo_entry():
                 transpose(transpose(a)),
                 complement_reflect(complement_reflect(a)),
                 config_from_json_dict(json.loads(json.dumps(config_to_json_dict(a)))),
-                replace_cells(a, {(1, 1): a.cell(1, 1)}),
             )
             compute_stats(a)
             for b in rebuilds:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,11 +20,9 @@ from expert_spread.config import (
 from expert_spread.discretize import (
     Atom,
     RawSpace,
-    dump_space,
     grid_coarsen,
     label_values,
     load_space,
-    make_space,
     random_space,
     space_from_json_dict,
     space_to_json_dict,
@@ -107,6 +106,11 @@ def reference_grid_coarsen(space, n, delta):
         (abs(v - yc[f"{reference_bin_of(v, n):04d}"]) for v in y.values()), default=F(0)
     )
     return {"cfg": cfg, "report": {"max_x_shift": max_x_shift, "max_y_shift": max_y_shift}}
+
+
+def make_space(atoms):
+    """A raw space from (weight, a_weight, g_label, h_label) tuples."""
+    return RawSpace(atoms=tuple(Atom(*atom) for atom in atoms))
 
 
 def witness_space():
@@ -232,8 +236,7 @@ def test_space_json_round_trip(tmp_path):
     wire = json.loads(json.dumps(space_to_json_dict(space)))
     assert space_from_json_dict(wire) == space
     path = tmp_path / "space.json"
-    with open(path, "w") as fh:
-        dump_space(space, fh)
+    path.write_text(json.dumps(wire))
     with open(path) as fh:
         assert load_space(fh) == space
 
@@ -255,6 +258,43 @@ def test_space_json_rejects_garbage():
         atoms = [{**good[0], key: value}, good[1]]
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             space_from_json_dict({"atoms": atoms})
+
+
+def test_labels_must_be_strings():
+    # no label is coerced: 1 and "1" would otherwise name one column
+    good = {"w": "1", "a": "0", "g": "g1", "h": "h1"}
+    assert space_from_json_dict({"atoms": [good]}).atoms[0].g_label == "g1"
+    for key in ("g", "h"):
+        for bad in (1, [], True, None):
+            with pytest.raises(ConfigError, match="^atom labels must be strings, got "):
+                space_from_json_dict({"atoms": [{**good, key: bad}]})
+    with pytest.raises(ConfigError, match="^atom labels must be strings, got int$"):
+        Atom(F(1), F(0), "g", 1)
+
+
+def test_grids_past_the_cell_cap_are_refused_before_allocating():
+    # a 1001x1001 grid holds 1,002,001 cells, past the cap of 10**6
+    with pytest.raises(ConfigError) as want:
+        make_configuration(F(1, 4), 1001, 1001, {})
+    # 1,001 atoms of equal weight, each with its own labels and the value
+    # i/1001: as many lines on each axis, directly and on the 1/10**6 grid
+    w = F(1, 1001)
+    space = make_space([(w, w * F(i, 1001), f"g{i}", f"h{i}") for i in range(1001)])
+    for build in (
+        lambda: to_configuration(space, F(1, 4)),
+        lambda: grid_coarsen(space, 10**6, F(1, 4)),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as raised:
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == str(want.value)
+        assert str(raised.value) == "a 1001x1001 grid exceeds the limit of 1000000 cells"
+        # the grid's list alone would take 16 MB
+        assert peak < 10**6
 
 
 def test_random_space_is_seeded():

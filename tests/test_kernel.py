@@ -18,7 +18,6 @@ from expert_spread.config import (
     _grid_stats,
     _GridStats,
     _line_sums,
-    _spread_kernel,
     _spread_units,
     _stats_evaluator,
     _stats_loop,
@@ -223,7 +222,7 @@ def has_spread_tie(parts, n_rows, col_t, col_a, row_t, row_a, th):
 
 
 def test_search_spread_units_match_the_kernel():
-    """The searches' spread numerator, from line sums they keep, is the kernel's."""
+    """The searches' spread numerator, from line sums they keep, is the loop reference's."""
     rng = random.Random(8128)
     cases = [(cfg._parts, cfg.n_cols, cfg.n_rows, 1 - cfg.delta)
              for cfg in map(extremal_config, DELTAS)]
@@ -238,7 +237,7 @@ def test_search_spread_units_match_the_kernel():
     zero_lines = ties = 0
     for parts, n_cols, n_rows, th in cases:
         sums = _line_sums(parts, n_cols, n_rows)
-        want = _spread_kernel(parts, n_cols, n_rows, th.numerator, th.denominator)[-1]
+        want = _stats_loop(parts, n_cols, n_rows, th.numerator, th.denominator)[5]
         got = _spread_units(parts, n_rows, *sums, th.numerator, th.denominator)
         assert got == want
         zero_lines += 0 in sums[0] or 0 in sums[2]
@@ -265,7 +264,7 @@ def test_units_evaluator_matches_the_kernel_and_the_loop():
             parts = _random_parts(rng, denom, 2 * n_cols * n_rows)
             sums = _line_sums(parts, n_cols, n_rows)
             args = (parts, n_rows, *sums, th.numerator, th.denominator)
-            want = _spread_kernel(parts, n_cols, n_rows, th.numerator, th.denominator)[-1]
+            want = _stats_loop(parts, n_cols, n_rows, th.numerator, th.denominator)[5]
             assert units(*args) == _spread_units(*args) == want
             zero_lines += 0 in sums[0] or 0 in sums[2]
             ties += has_spread_tie(parts, n_rows, *sums, th)
@@ -310,11 +309,11 @@ def test_stats_evaluator_matches_the_loops(monkeypatch):
             line_sums = _line_sums(parts, n_cols, n_rows)
             got = kernel(*args)
             assert got == _stats_loop(*args)
-            # the sweep's sides, one tuple per column, are the loop's flat sides
-            flat = _spread_kernel(*args)[4]
-            assert got[4] == [
-                tuple(flat[k * n_rows : (k + 1) * n_rows]) for k in range(n_cols)
-            ]
+            # the sweep's sides are one tuple per column, and flattened in
+            # slot order they pick out the cells the numerator sums
+            assert [len(col) for col in got[4]] == [n_rows] * n_cols
+            flat = [v for col in got[4] for v in col]
+            assert got[5] == sum(parts[2 * i] + parts[2 * i + 1] for i, v in enumerate(flat) if v)
             assert derive(got[4]) == _derive_loop(got[4])
             cfg = Configuration._from_parts(delta, n_cols, n_rows, parts, denom)
             if 0 in line_sums[0] or 0 in line_sums[2]:

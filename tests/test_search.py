@@ -15,7 +15,7 @@ from expert_spread.config import (
     ConfigError,
     DomainError,
     InternalStateError,
-    _spread_kernel,
+    _stats_loop,
     compute_stats,
     make_configuration,
     normalize,
@@ -265,7 +265,7 @@ def reference_exhaustive(delta, n_cols, n_rows, denom):
     best_prob, best_parts, evaluated = -1, None, 0
     for parts in _compositions(denom, 2 * n_cols * n_rows):
         evaluated += 1
-        prob = _spread_kernel(parts, n_cols, n_rows, th.numerator, th.denominator)[-1]
+        prob = _stats_loop(parts, n_cols, n_rows, th.numerator, th.denominator)[5]
         if prob > best_prob:
             best_prob, best_parts = prob, parts
     cfg = _parts_to_config(best_parts, delta, n_cols, n_rows, denom)
@@ -279,7 +279,7 @@ def reference_hill_climb(delta, n_cols, n_rows, iters, seed):
     th = 1 - delta
 
     def spread(parts):
-        return _spread_kernel(parts, n_cols, n_rows, th.numerator, th.denominator)[-1]
+        return _stats_loop(parts, n_cols, n_rows, th.numerator, th.denominator)[5]
 
     restarts = max(1, min(8, iters // 1250))
     base = iters // restarts
@@ -428,9 +428,9 @@ def test_spread_is_invariant_under_line_permutations():
             for j in rows:
                 i = 2 * (k * n_rows + j)
                 moved += parts[i : i + 2]
-        spread = _spread_kernel(parts, n_cols, n_rows, th.numerator, th.denominator)
-        shuffled = _spread_kernel(moved, n_cols, n_rows, th.numerator, th.denominator)
-        assert shuffled[-1] == spread[-1]
+        spread = _stats_loop(parts, n_cols, n_rows, th.numerator, th.denominator)
+        shuffled = _stats_loop(moved, n_cols, n_rows, th.numerator, th.denominator)
+        assert shuffled[5] == spread[5]
 
 
 @pytest.mark.parametrize("n_cols, n_rows, denom", [(40, 40, 1), (2, 1600, 1), (1, 1, 2000)])
