@@ -882,9 +882,11 @@ class _GridStats:
     whether the low and the high side of the spread region carry positive
     mass; ``stats`` holds the :class:`Stats` once :func:`compute_stats` has
     built it.  ``fixpoint`` is set once
-    :func:`expert_spread.transforms.zigzag_normalize` has returned this
-    configuration (or an equal one) and checked its shape, so a later call
-    on it returns at once.
+    :func:`expert_spread.transforms.zigzag_normalize` or
+    :func:`expert_spread.transforms.canonicalize` has returned this
+    configuration (or an equal one) with its shape checked, or the
+    reduction driver has transposed a configuration so marked, so a later
+    merge sweep on it returns at once.
     """
 
     __slots__ = (
@@ -905,12 +907,7 @@ def _grid_stats(cfg: Configuration) -> _GridStats:
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
     kernel, derive = _stats_evaluator(n)
     col_t, col_a, row_t, row_a, side, b_num, low, high = kernel(cfg._parts, m, n, dd - dn, dd)
-    for what, totals in (("column", col_t), ("row", row_t)):
-        if 0 in totals:
-            raise ConfigError(
-                f"{what} {totals.index(0) + 1} has zero mass; "
-                "conditional probability undefined"
-            )
+    _refuse_zero_lines(col_t, row_t)
     g = _GridStats()
     (
         g.b_mask, g.m_minus_G, g.m_plus_G, g.m_minus_H, g.m_plus_H, g.d_minus, g.d_plus
@@ -924,6 +921,16 @@ def _grid_stats(cfg: Configuration) -> _GridStats:
     g.stats = None
     g.fixpoint = False
     return g
+
+
+def _refuse_zero_lines(col_t: Sequence[int], row_t: Sequence[int]) -> None:
+    """Raise :class:`ConfigError` naming the first zero-mass column, else row."""
+    for what, totals in (("column", col_t), ("row", row_t)):
+        if 0 in totals:
+            raise ConfigError(
+                f"{what} {totals.index(0) + 1} has zero mass; "
+                "conditional probability undefined"
+            )
 
 
 def compute_stats(cfg: Configuration) -> Stats:
@@ -988,34 +995,48 @@ def normalize(cfg: Configuration) -> Configuration:
     probability is unchanged because sorting merely permutes cells.  Values
     are compared by cross-multiplying the integer line sums.
     """
-    return _normalize_by_sums(cfg, *_line_sums(cfg._parts, cfg.n_cols, cfg.n_rows))
+    return _normalized(cfg.delta, cfg.n_cols, cfg.n_rows, cfg._parts, cfg._den)
 
 
-def _normalize_by_sums(
-    cfg: Configuration,
-    col_t: Sequence[int],
-    col_a: Sequence[int],
-    row_t: Sequence[int],
-    row_a: Sequence[int],
+def _normalized(
+    delta: Fraction, n_cols: int, n_rows: int, parts: Sequence[int], den: int
 ) -> Configuration:
-    """:func:`normalize` from the line sums of :func:`_line_sums`, which the caller has."""
-    m, n, parts = cfg.n_cols, cfg.n_rows, cfg._parts
+    """:func:`normalize` of the grid of a flat ``(ac, a)`` vector over ``den``, built once."""
+    col_order, row_order = _line_orders(*_line_sums(parts, n_cols, n_rows))
+    return Configuration._from_parts(
+        delta,
+        len(col_order),
+        len(row_order),
+        _permuted(parts, n_rows, col_order, row_order),
+        den,
+    )
+
+
+def _line_orders(
+    col_t: Sequence[int], col_a: Sequence[int], row_t: Sequence[int], row_a: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """The 0-based columns and rows with mass, each stably sorted by value."""
     col_order = sorted(
-        (k for k in range(m) if col_t[k]),
+        (k for k in range(len(col_t)) if col_t[k]),
         key=functools.cmp_to_key(lambda k, l: col_a[k] * col_t[l] - col_a[l] * col_t[k]),
     )
     row_order = sorted(
-        (j for j in range(n) if row_t[j]),
+        (j for j in range(len(row_t)) if row_t[j]),
         key=functools.cmp_to_key(lambda j, i: row_a[j] * row_t[i] - row_a[i] * row_t[j]),
     )
-    out = []
+    return col_order, row_order
+
+
+def _permuted(
+    parts: Sequence[int], n_rows: int, col_order: Sequence[int], row_order: Sequence[int]
+) -> list[int]:
+    """The flat vector of ``parts`` with its columns and rows taken in these orders."""
+    out: list[int] = []
     for k in col_order:
-        base = 2 * k * n
+        base = 2 * k * n_rows
         for j in row_order:
             out += parts[base + 2 * j : base + 2 * j + 2]
-    return Configuration._from_parts(
-        cfg.delta, len(col_order), len(row_order), out, cfg._den
-    )
+    return out
 
 
 # The three scans below read the integer statistics of _grid_stats: with

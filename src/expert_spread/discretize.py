@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Mapping, Sequence
@@ -29,10 +28,8 @@ from .config import (
     _units_evaluator,
     normalize,
     parse_rational,
-    rational_to_str,
     validate_delta,
 )
-from .search import _random_parts
 
 
 # ---------------------------------------------------------------------------
@@ -287,47 +284,8 @@ def _bin_lines(
 
 
 # ---------------------------------------------------------------------------
-# Randomized spaces for property tests
-# ---------------------------------------------------------------------------
-
-
-def random_space(
-    rng: random.Random, max_atoms: int = 12, max_labels: int = 5
-) -> RawSpace:
-    """One seeded random space with deliberately colliding labels."""
-    n_atoms = rng.randint(1, max_atoms)
-    denom = 2 ** rng.randint(4, 10)
-    atoms = []
-    for w in _random_parts(rng, denom, n_atoms):
-        a = rng.randint(0, w)
-        atoms.append(
-            Atom(
-                Fraction(w, denom),
-                Fraction(a, denom),
-                f"g{rng.randint(1, max_labels)}",
-                f"h{rng.randint(1, max_labels)}",
-            )
-        )
-    return RawSpace(atoms=tuple(atoms))
-
-
-# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def space_to_json_dict(space: RawSpace) -> dict:
-    return {
-        "atoms": [
-            {
-                "w": rational_to_str(atom.weight),
-                "a": rational_to_str(atom.a_weight),
-                "g": atom.g_label,
-                "h": atom.h_label,
-            }
-            for atom in space.atoms
-        ]
-    }
 
 
 def space_from_json_dict(data: Mapping) -> RawSpace:

@@ -12,14 +12,31 @@ positive mass in both extreme spread corners keeps it.
 The module culminates in :func:`reduce`, which drives a configuration with
 positive spread probability down to a two-sided reduced form whose spread
 probability can be certified, giving up at most ``epsilon``.
+
+The transforms read configurations on their integer lattice and run their
+moves on the working grid of :mod:`expert_spread._grid`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NoReturn, Optional, Sequence
+from typing import Callable, NoReturn, Optional
 
+from ._grid import (
+    _a,
+    _ac,
+    _below_half,
+    _cell,
+    _Grid,
+    _loaded,
+    _mass,
+    _rational,
+    _rounds,
+    _sorted_problem,
+    _staircase_problem,
+    _transposed,
+)
 from .config import (
     Configuration,
     ConfigError,
@@ -30,26 +47,11 @@ from .config import (
     TransformContractError,
     _grid_stats,
     _GridStats,
-    _line_sums,
-    _normalize_by_sums,
-    _stats_evaluator,
+    _normalized,
     compute_stats,
     normalize,
     rational_to_str,
 )
-
-
-def _rounds(
-    cap: int, loop: str, fail: Callable[[str], Exception] = InternalStateError
-) -> Iterator[int]:
-    """Count the rounds of a loop that must settle within ``cap`` rounds.
-
-    The loop breaks or returns once it settles; asking for round ``cap + 1``
-    raises ``fail`` with a message naming ``loop``.  Every fixpoint loop in
-    this module counts its rounds here.
-    """
-    yield from range(1, cap + 1)
-    raise fail(f"{loop} exceeded its cap of {cap} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -126,55 +128,6 @@ def trace_to_json_dict(trace: TransformTrace) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Reading the integer lattice
-# ---------------------------------------------------------------------------
-#
-# A configuration's masses are the integers of its ``_parts`` tuple over its
-# ``_den``: column-major, the complement share of each cell first and its
-# event share second.  Its statistics come from the memoised ``_grid_stats``:
-# integer line sums over the same denominator and a side per cell.  Values
-# are compared by cross-multiplying line sums; rationals appear only where a
-# caller's epsilon is compared, in trace values and in messages.
-
-
-def _cell(cfg: Configuration, k: int, j: int) -> tuple[int, int]:
-    """The event and complement mass of cell ``(k, j)`` (1-based), over ``cfg._den``."""
-    i = cfg._index(k, j)
-    return cfg._parts[i + 1], cfg._parts[i]
-
-
-def _a(cfg: Configuration, k: int, j: int) -> int:
-    return cfg._parts[cfg._index(k, j) + 1]
-
-
-def _ac(cfg: Configuration, k: int, j: int) -> int:
-    return cfg._parts[cfg._index(k, j)]
-
-
-def _mass(cfg: Configuration, k: int, j: int) -> int:
-    i = cfg._index(k, j)
-    return cfg._parts[i] + cfg._parts[i + 1]
-
-
-def _rational(cfg: Configuration, units: int) -> str:
-    """A mass in ``cfg``'s units as a rational string, for diagnostics."""
-    return rational_to_str(Fraction(units, cfg._den))
-
-
-def _below_half(cfg: Configuration) -> bool:
-    return 2 * cfg.delta.numerator < cfg.delta.denominator
-
-
-def _least(terms: list[tuple[int, int]]) -> tuple[int, int]:
-    """The smallest of the rationals ``num/den`` (``den > 0``), as given."""
-    best_n, best_d = terms[0]
-    for num, den in terms[1:]:
-        if num * best_d < best_n * den:
-            best_n, best_d = num, den
-    return best_n, best_d
-
-
-# ---------------------------------------------------------------------------
 # Symmetries
 # ---------------------------------------------------------------------------
 
@@ -191,15 +144,6 @@ def transpose(cfg: Configuration) -> Configuration:
     )
 
 
-def _transposed(parts: Sequence[int], n_rows: int) -> list[int]:
-    """The flat column-major vector of the transposed grid, cell pairs kept."""
-    ac, a = parts[0::2], parts[1::2]
-    out = [0] * len(parts)
-    out[0::2] = [v for j in range(n_rows) for v in ac[j::n_rows]]
-    out[1::2] = [v for j in range(n_rows) for v in a[j::n_rows]]
-    return out
-
-
 def complement_reflect(cfg: Configuration) -> Configuration:
     """Swap the tracked event with its complement.
 
@@ -211,20 +155,6 @@ def complement_reflect(cfg: Configuration) -> Configuration:
     """
     return Configuration._from_parts(
         cfg.delta, cfg.n_cols, cfg.n_rows, cfg._parts[::-1], cfg._den
-    )
-
-
-def _reflected_transpose(cfg: Configuration) -> Configuration:
-    """``transpose(complement_reflect(cfg))`` in one construction.
-
-    Cell ``(k, j)`` goes to ``(n_rows + 1 - j, n_cols + 1 - k)`` with its
-    two species swapped.  The map is its own inverse and equals
-    ``complement_reflect(transpose(cfg))``: reversing the tuple and
-    transposing commute.
-    """
-    n = cfg.n_rows
-    return Configuration._from_parts(
-        cfg.delta, n, cfg.n_cols, _transposed(cfg._parts[::-1], n), cfg._den
     )
 
 
@@ -250,16 +180,9 @@ def merge_columns(cfg: Configuration, k: int) -> Configuration:
         raise ConfigError(
             f"cannot merge columns {k} and {k + 1} of a {cfg.n_cols}-column grid"
         )
-    g = _grid_stats(cfg)
-    n, parts = cfg.n_rows, cfg._parts
-    lo, mid, hi = 2 * (k - 1) * n, 2 * k * n, 2 * (k + 1) * n  # the two columns' cells
-    left, right = g.side[k - 1], g.side[k]
-    if _blocked(parts, ((left[j], lo + 2 * j, right[j], mid + 2 * j) for j in range(n))):
-        return cfg
-    merged = [u + v for u, v in zip(parts[lo:mid], parts[mid:hi])]
-    return Configuration._from_parts(
-        cfg.delta, cfg.n_cols - 1, n, parts[:lo] + tuple(merged) + parts[hi:], cfg._den
-    )
+    grid = _Grid(cfg, _grid_stats(cfg))
+    grid._merge_columns(k)
+    return grid._result(cfg)
 
 
 def merge_rows(cfg: Configuration, j: int) -> Configuration:
@@ -273,32 +196,9 @@ def merge_rows(cfg: Configuration, j: int) -> Configuration:
         raise ConfigError(
             f"cannot merge rows {j} and {j + 1} of a {cfg.n_rows}-row grid"
         )
-    g = _grid_stats(cfg)
-    n, parts = cfg.n_rows, cfg._parts
-    starts = [2 * (k * n + j - 1) for k in range(cfg.n_cols)]  # row j's cells
-    if _blocked(parts, ((col[j - 1], i, col[j], i + 2) for col, i in zip(g.side, starts))):
-        return cfg
-    out: list[int] = []
-    for k, i in enumerate(starts):
-        out += parts[2 * k * n : i]
-        out += (parts[i] + parts[i + 2], parts[i + 1] + parts[i + 3])
-        out += parts[i + 4 : 2 * (k + 1) * n]
-    return Configuration._from_parts(cfg.delta, cfg.n_cols, n - 1, out, cfg._den)
-
-
-def _blocked(parts: Sequence[int], facing: Iterator[tuple[int, int, int, int]]) -> bool:
-    """Whether pooling two lines could lose spread mass.
-
-    ``facing`` gives, for each pair of cells the merge pools, the side and
-    the index of each.  A pair is safe when both cells lie in the spread
-    region on the same side, or when neither carries spread mass.
-    """
-    for s1, i1, s2, i2 in facing:
-        if s1 and s1 == s2:
-            continue
-        if (s1 and (parts[i1] or parts[i1 + 1])) or (s2 and (parts[i2] or parts[i2 + 1])):
-            return True
-    return False
+    grid = _Grid(cfg, _grid_stats(cfg))
+    grid._merge_rows(j)
+    return grid._result(cfg)
 
 
 def zigzag_normalize(cfg: Configuration) -> Configuration:
@@ -308,19 +208,16 @@ def zigzag_normalize(cfg: Configuration) -> Configuration:
     :func:`merge_columns` would, then bottom to top through the rows as
     :func:`merge_rows` would.  Rounds repeat until one merges nothing.
 
-    The sweep runs in place on one list of the sorted grid's integers.  The
-    sides, one tuple per column, come from the memo's kernel for the grid's
-    row count (:func:`~expert_spread.config._stats_evaluator`) on that list
-    and are computed again only after a merge, since a declined merge
-    changes nothing; each merge is decided by the same test as the public
-    merges.  So a call builds at most two configurations, the sorted grid
-    (none when the input is already strictly sorted) and the result (none
-    when nothing merges, so the input itself comes back), and adds no memo
-    entry for the grids in between.  The result's memo entry is marked as
-    a fixpoint once its shape is checked.  Only a strictly sorted input,
-    the only kind that can carry the mark, is looked up in the memo (the
-    test reads the input's line sums), so an unsorted one leaves no memo
-    entry behind; an input that carries the mark comes back at once.
+    The sort and the sweep run in place on a working grid of the input's
+    integers: a merge adds the two lines' sums and recomputes the sides of
+    the merged line alone, and each merge is decided by the same test as
+    the public merges.  So a call builds one configuration, the result, and
+    none when nothing moved, so the input itself comes back; it adds no
+    memo entry for the grids in between.  The result's memo entry is
+    marked as a fixpoint once its shape is checked.  Only a strictly sorted
+    input, the only kind that can carry the mark, is looked up in the memo
+    (the test reads the input's line sums), so an unsorted one leaves no
+    memo entry behind; an input that carries the mark comes back at once.
 
     Below threshold one half, the fixpoint's spread region forms two
     staircases with unit steps: in the low corner, column ``k`` pairs exactly
@@ -329,128 +226,11 @@ def zigzag_normalize(cfg: Configuration) -> Configuration:
     can overlap and only strict sorting is guaranteed.  Equal-valued
     neighbours always merge, so the result is strictly sorted on both axes.
     """
-    m, n = cfg.n_cols, cfg.n_rows
-    dn, dd = cfg.delta.numerator, cfg.delta.denominator
-    up = dd - dn  # the threshold 1 - delta is up/dd
-    # a strictly sorted grid is its own normalization; one with a zero-mass
-    # line is not strictly sorted
-    sums = _line_sums(cfg._parts, m, n)
-    if _sorted_problem(*sums) is None:
-        g = _grid_stats(cfg)
-        if g.fixpoint:
-            return cfg
-        side = g.side
-        kernel = _stats_evaluator(n)[0]
-    else:
-        cfg = _normalize_by_sums(cfg, *sums)
-        m, n = cfg.n_cols, cfg.n_rows
-        kernel = _stats_evaluator(n)[0]
-        side = kernel(cfg._parts, m, n, up, dd)[4]
-    parts = list(cfg._parts)
-    for _ in _rounds(16 * (m + n) ** 2, "merging"):
-        dims = m, n
-        k = 1
-        while k < m:
-            lo, mid, hi = 2 * (k - 1) * n, 2 * k * n, 2 * (k + 1) * n  # the two columns' cells
-            left, right = side[k - 1], side[k]
-            if _blocked(parts, ((left[j], lo + 2 * j, right[j], mid + 2 * j) for j in range(n))):
-                k += 1
-                continue
-            parts[lo:hi] = [u + v for u, v in zip(parts[lo:mid], parts[mid:hi])]
-            m -= 1
-            side = kernel(parts, m, n, up, dd)[4]
-        j = 1
-        while j < n:
-            # row j's cells start at these offsets, one per column
-            starts = range(2 * (j - 1), 2 * m * n, 2 * n)
-            if _blocked(parts, ((col[j - 1], i, col[j], i + 2) for col, i in zip(side, starts))):
-                j += 1
-                continue
-            # from the last column back, so the offsets still to visit hold
-            for i in reversed(starts):
-                parts[i] += parts[i + 2]
-                parts[i + 1] += parts[i + 3]
-                del parts[i + 2 : i + 4]
-            n -= 1
-            kernel = _stats_evaluator(n)[0]
-            side = kernel(parts, m, n, up, dd)[4]
-        if (m, n) == dims:
-            break
-    if (m, n) != cfg.dims:
-        cfg = Configuration._from_parts(cfg.delta, m, n, parts, cfg._den)
-    g = _grid_stats(cfg)
-    problem = (
-        _staircase_problem(cfg, g)
-        if _below_half(cfg)
-        else _sorted_problem(g.col_t, g.col_a, g.row_t, g.row_a)
-    )
-    if problem is not None:
-        raise InternalStateError(f"merge fixpoint is not a staircase: {problem}")
-    g.fixpoint = True
-    return cfg
-
-
-def _sorted_problem(
-    col_t: Sequence[int], col_a: Sequence[int], row_t: Sequence[int], row_a: Sequence[int]
-) -> Optional[str]:
-    """Explain why the lines with these sums are not strictly value-sorted, or ``None``."""
-    for what, a, t in (("columns", col_a, col_t), ("rows", row_a, row_t)):
-        for i in range(len(t) - 1):
-            if not a[i] * t[i + 1] < a[i + 1] * t[i]:
-                return f"{what} {i + 1} and {i + 2} are not strictly sorted"
-    return None
-
-
-def _staircase_problem(cfg: Configuration, g: _GridStats) -> Optional[str]:
-    """Explain why the spread region is not in staircase form, or ``None``.
-
-    Checks strict sorting, the dimension identities tying each corner's depth
-    to the opposite axis, and the three inequalities that pin every border
-    cell to its exact step position.  Only meaningful below threshold one
-    half, where the two sides of the region cannot overlap.
-    """
-    sort_problem = _sorted_problem(g.col_t, g.col_a, g.row_t, g.row_a)
-    if sort_problem is not None:
-        return sort_problem
-
-    mm_g = g.m_minus_G
-    mp_h = g.m_plus_H
-    if mm_g > 0:
-        if not isinstance(mp_h, int):
-            return "low corner exists on one axis only"
-        if mm_g != cfg.n_rows - mp_h + 1:
-            return (
-                f"low corner depth {mm_g} does not match rows {cfg.n_rows} "
-                f"and first paired row {mp_h}"
-            )
-        for k in range(1, mm_g + 1):
-            t = mp_h + k - 1
-            if g.side[k - 1][t - 1] != -1:
-                return f"column {k} is not paired with row {t}"
-            if k + 1 <= cfg.n_cols and g.side[k][t - 1] == -1:
-                return f"column {k + 1} unexpectedly pairs with row {t}"
-            if t >= 2 and g.side[k - 1][t - 2] == -1:
-                return f"column {k} unexpectedly pairs with row {t - 1}"
-
-    mm_h = g.m_minus_H
-    mp_g = g.m_plus_G
-    if mm_h > 0:
-        if not isinstance(mp_g, int):
-            return "high corner exists on one axis only"
-        if mm_h != cfg.n_cols - mp_g + 1:
-            return (
-                f"high corner depth {mm_h} does not match columns {cfg.n_cols} "
-                f"and first paired column {mp_g}"
-            )
-        for j in range(1, mm_h + 1):
-            t = mp_g + j - 1
-            if g.side[t - 1][j - 1] != 1:
-                return f"row {j} is not paired with column {t}"
-            if j + 1 <= cfg.n_rows and g.side[t - 1][j] == 1:
-                return f"row {j + 1} unexpectedly pairs with column {t}"
-            if t >= 2 and g.side[t - 2][j - 1] == 1:
-                return f"row {j} unexpectedly pairs with column {t - 1}"
-    return None
+    grid = _loaded(cfg)
+    grid._zigzag()
+    out = grid._result(cfg)
+    _grid_stats(out).fixpoint = True
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +284,10 @@ def purify_border_cell(cfg: Configuration, k: int, j: int) -> Configuration:
     ``delta`` and the row conditional stays below its upper neighbour.
     The other cells are handled by conjugation, so they meet the same caps
     mirrored: a high-corner border cell through :func:`complement_reflect`,
-    and a low one whose row mass is the larger through the reflected
-    transpose :func:`_reflected_transpose`, where its row is a column.
+    and a low one whose row mass is the larger through
+    ``transpose(complement_reflect(.))``, where its row is a column.  Both
+    maps are applied to a working grid in place and undone after the move,
+    so a call builds one configuration, the result.
 
     On strictly sorted configurations the moved amount is positive and the
     result is either pure or exhibits a value tie with a neighbouring line;
@@ -516,82 +298,10 @@ def purify_border_cell(cfg: Configuration, k: int, j: int) -> Configuration:
     as an integer pair ``(num, den)``; the moved amount is the least of
     them, and the grid is rescaled by its denominator to move it.
     """
-    a, ac = _cell(cfg, k, j)
-    g = _grid_stats(cfg)
-    pos = (k, j)
-    if pos in g.d_plus:
-        ref = complement_reflect(cfg)
-        out = purify_border_cell(ref, cfg.n_cols + 1 - k, cfg.n_rows + 1 - j)
-        if out is ref:
-            return cfg
-        return complement_reflect(out)
-    if pos not in g.d_minus:
-        raise ConfigError(f"cell ({k}, {j}) is not on the border of the spread region")
-    if a == 0 or ac == 0:
-        return cfg
-
-    col_t, col_a, row_t, row_a = g.col_t, g.col_a, g.row_t, g.row_a
-    # with x = A/P and y = R/Q the two lines' values, p = P and q = Q their
-    # masses in units, a cap p*(x' - x) is (P*x' - A), and so on
-    P, A = col_t[k - 1], col_a[k - 1]
-    Q, R = row_t[j - 1], row_a[j - 1]
-    if P < Q:
-        # In the reflected transpose the caps below are mirrored: x may fall
-        # to the previous column value (or 0), y to the previous row value.
-        # The one cap added there, q * (y - th) from x' <= delta, never binds:
-        # y - th >= x on a low border cell and q > p make it at least
-        # p * (x - x_prev).
-        chi = _reflected_transpose(cfg)
-        out = purify_border_cell(chi, cfg.n_rows + 1 - j, cfg.n_cols + 1 - k)
-        if out is chi:
-            return cfg
-        return _reflected_transpose(out)
-
-    dn, dd = cfg.delta.numerator, cfg.delta.denominator
-    up = dd - dn  # the threshold 1 - delta is up/dd
-    # x' = min(next column value, delta); y' = the next row value, or 1
-    if k < cfg.n_cols and col_a[k] * dd < dn * col_t[k]:
-        x_cap = (col_a[k], col_t[k])
-    else:
-        x_cap = (dn, dd)
-    y_cap = (row_a[j], row_t[j]) if j < cfg.n_rows else (1, 1)
-    terms = [
-        (P * x_cap[0] - A * x_cap[1], x_cap[1]),
-        (Q * y_cap[0] - R * y_cap[1], y_cap[1]),
-        (ac, 1),
-    ]
-    # From threshold one half on, the rising row value could break a
-    # high-side pair in the same row; below one half no such pair exists.
-    for c in range(cfg.n_cols):
-        if g.side[c][j - 1] == 1:
-            # q * (x_c - th - y)
-            terms.append(
-                (Q * (col_a[c] * dd - up * col_t[c]) - R * col_t[c] * dd, col_t[c] * dd)
-            )
-    shift, den = _least(terms)  # event mass gained, in units of 1/(den * cfg._den)
-    if shift <= 0:
-        return cfg
-
-    parts = [v * den for v in cfg._parts]
-    i = cfg._index(k, j)
-    parts[i] -= shift
-    parts[i + 1] += shift
-    out = Configuration._from_parts(cfg.delta, cfg.n_cols, cfg.n_rows, parts, cfg._den * den)
-    _check_spread_pairs_kept(cfg, out)
-    return out
-
-
-def _check_spread_pairs_kept(before: Configuration, after: Configuration) -> None:
-    """Verify every column/row pair in the spread region stayed there."""
-    kept = _grid_stats(after).b_mask
-    for k, col in enumerate(_grid_stats(before).b_mask):
-        for j, b in enumerate(col):
-            if b and not kept[k][j]:
-                sb, sa = compute_stats(before), compute_stats(after)
-                raise TransformContractError(
-                    f"column {k + 1} and row {j + 1} left the spread region "
-                    f"(gap {abs(sb.x[k] - sb.y[j])} fell to {abs(sa.x[k] - sa.y[j])})"
-                )
+    cfg._index(k, j)
+    grid = _Grid(cfg, _grid_stats(cfg))
+    grid._purify(k, j)
+    return grid._result(cfg)
 
 
 def purify_all_borders(cfg: Configuration) -> Configuration:
@@ -608,30 +318,13 @@ def purify_all_borders(cfg: Configuration) -> Configuration:
     all), so pinned cells are skipped and may stay impure.  The skip list
     is reset whenever a normalization merges lines, since cell coordinates
     shift; merges strictly shrink the grid, so this still terminates.
+
+    The purifications and normalizations run in place on one working grid,
+    as in :func:`zigzag_normalize`, and only the result is built.
     """
-    # the cap is sized on the grid as given, before merges shrink it
-    rounds = _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "border purification")
-    cfg = zigzag_normalize(cfg)
-    pinned: set[tuple[int, int]] = set()
-    for _ in rounds:
-        g = _grid_stats(cfg)
-        for target in sorted(set(g.d_minus) | set(g.d_plus)):
-            if target not in pinned and all(_cell(cfg, *target)):
-                break
-        else:
-            return cfg
-        out = purify_border_cell(cfg, *target)
-        if out is cfg:
-            if _below_half(cfg):
-                raise InternalStateError(
-                    f"purification stalled on impure border cell {target}"
-                )
-            pinned.add(target)
-            continue
-        folded = zigzag_normalize(out)
-        if folded.dims != cfg.dims:
-            pinned.clear()
-        cfg = folded
+    grid = _loaded(cfg)
+    grid._purify_all_borders()
+    return grid._result(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -732,29 +425,14 @@ def corner_fill(cfg: Configuration) -> Configuration:
     (the second rule wins where they overlap).  Values only move away from
     the spread threshold on unaffected lines, so no spread pair is lost.
     From one half on the spread bands cover everything and this is the
-    identity.
+    identity.  The cells are changed in place on a working grid, each
+    move adding to its two lines' sums, and only the result is built.
     """
     if not _below_half(cfg):
         return cfg
-    g = _grid_stats(cfg)
-    parts = list(cfg._parts)
-    changed = False
-    for k in range(1, cfg.n_cols + 1):
-        for j in range(1, cfg.n_rows + 1):
-            if k < g.m_plus_G and j < g.m_plus_H:
-                pure = 0  # in the high block: all complement
-            elif k > g.m_minus_G and j > g.m_minus_H:
-                pure = 1  # in the low block: all event
-            else:
-                continue
-            i = cfg._index(k, j)
-            if parts[i + 1 - pure]:
-                parts[i + pure] += parts[i + 1 - pure]
-                parts[i + 1 - pure] = 0
-                changed = True
-    if not changed:
-        return cfg
-    return Configuration._from_parts(cfg.delta, cfg.n_cols, cfg.n_rows, parts, cfg._den)
+    grid = _Grid(cfg, _grid_stats(cfg))
+    grid._corner_fill()
+    return grid._result(cfg)
 
 
 def empty_corner_rectangles(cfg: Configuration) -> Configuration:
@@ -767,56 +445,12 @@ def empty_corner_rectangles(cfg: Configuration) -> Configuration:
     its event share is below ``1 - delta``, otherwise to the last column of
     its own row as pure event mass.  The high rectangle mirrors this.  Either
     way the receiving line's conditional moves away from the threshold, so
-    the spread region only grows.  Identity from one half on.
+    the spread region only grows.  Identity from one half on.  The moves
+    are made in place on a working grid and only the result is built.
     """
-    if not all(_grid_stats(cfg).occupied):
-        raise ConfigError(
-            "both extreme spread corners need positive mass; augment the "
-            "configuration first"
-        )
-    if not _below_half(cfg):
-        return cfg
-    for _ in _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "corner evacuation"):
-        move = _find_corner_move(cfg, _grid_stats(cfg))
-        if move is None:
-            return cfg
-        src, dst, species = move
-        parts = list(cfg._parts)
-        i, d = cfg._index(*src), cfg._index(*dst)
-        parts[d + species] += parts[i] + parts[i + 1]
-        parts[i] = parts[i + 1] = 0
-        cfg = Configuration._from_parts(cfg.delta, cfg.n_cols, cfg.n_rows, parts, cfg._den)
-
-
-def _find_corner_move(
-    cfg: Configuration, g: _GridStats
-) -> Optional[tuple[tuple[int, int], tuple[int, int], int]]:
-    """Locate the first evacuation move, scanning the low rectangle first.
-
-    Returns the source cell, the receiving cell and the species it receives:
-    0 for complement, 1 for event mass.
-    """
-    dn, dd = cfg.delta.numerator, cfg.delta.denominator
-    up = dd - dn  # the threshold 1 - delta is up/dd
-    if isinstance(g.m_plus_H, int):
-        for k in range(1, g.m_minus_G + 1):
-            for j in range(g.m_plus_H, cfg.n_rows + 1):
-                a, ac = _cell(cfg, k, j)
-                if g.b_mask[k - 1][j - 1] or a + ac == 0:
-                    continue
-                if a * dd < up * (a + ac):
-                    return ((k, j), (k, 1), 0)
-                return ((k, j), (cfg.n_cols, j), 1)
-    if isinstance(g.m_plus_G, int):
-        for j in range(1, g.m_minus_H + 1):
-            for k in range(g.m_plus_G, cfg.n_cols + 1):
-                a, ac = _cell(cfg, k, j)
-                if g.b_mask[k - 1][j - 1] or a + ac == 0:
-                    continue
-                if ac * dd < up * (a + ac):
-                    return ((k, j), (k, cfg.n_rows), 1)
-                return ((k, j), (1, j), 0)
-    return None
+    grid = _Grid(cfg, _grid_stats(cfg))
+    grid._empty_corner_rectangles()
+    return grid._result(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -836,10 +470,21 @@ def canonicalize(cfg: Configuration) -> Configuration:
     merges blocked by opposite-side pairs, and chaining the two can cycle
     forever.
 
+    The cycle runs on one working grid, loaded from the input's memo entry:
+    the four transforms' in-place forms keep its line sums, sides and
+    derived fields current, and its move count tells a cycle that changed
+    nothing, so no configuration is built or looked up between steps.  A
+    cycle whose moves lead back to the grid it started from changes nothing
+    either.  One configuration is built, the result, and none when the
+    input comes back; the result must pass :func:`is_canonical`, and its
+    memo entry is marked as a merge fixpoint, as :func:`zigzag_normalize`
+    marks its results.
+
     Requires positive mass in both extreme spread corners
     (:class:`ConfigError` otherwise).
     """
-    if not all(_grid_stats(cfg).occupied):
+    g = _grid_stats(cfg)
+    if not all(g.occupied):
         raise ConfigError(
             "both extreme spread corners need positive mass; augment the "
             "configuration first"
@@ -847,14 +492,19 @@ def canonicalize(cfg: Configuration) -> Configuration:
     if not _below_half(cfg):
         cfg = zigzag_normalize(cfg)
     else:
+        grid = _Grid(cfg, g)
         for _ in _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "canonicalization"):
-            prev = cfg
-            cfg = purify_all_borders(cfg)
-            cfg = corner_fill(cfg)
-            cfg = zigzag_normalize(cfg)
-            cfg = empty_corner_rectangles(cfg)
-            if cfg == prev:
+            moves, start = grid.moves, (grid.n_cols, grid._den, tuple(grid._parts))
+            grid._purify_all_borders()
+            grid._corner_fill()
+            grid._zigzag()
+            grid._empty_corner_rectangles()
+            if grid.moves == moves or grid._same(start):
                 break
+        cfg = grid._result(cfg)
+        if grid.settled:
+            # swept with nothing moved since, as zigzag_normalize marks its results
+            _grid_stats(cfg).fixpoint = True
     if not is_canonical(cfg):
         raise InternalStateError("canonical fixpoint failed its own checks")
     return cfg
@@ -864,10 +514,13 @@ def is_canonical(cfg: Configuration) -> bool:
     """Whether a configuration is in canonical shape.
 
     Below threshold one half: the spread region is a strict staircase, every
-    positive border cell is pure, outside the spread region the low-corner
-    lines carry no event mass and the high-corner lines no complement mass,
-    and the two corner rectangles are empty.  From one half on only strict
-    value sorting is demanded, since merges and purifications can both be
+    positive border cell is pure, and outside the spread region the
+    low-valued lines (columns up to ``m_minus_G``, rows up to
+    ``m_minus_H``) carry no event mass and the high-valued ones (columns
+    from ``m_plus_G``, rows from ``m_plus_H``) no complement mass.  So the
+    two corner rectangles are empty: each of their cells lies on a
+    low-valued and a high-valued line.  From one half on only strict value
+    sorting is demanded, since merges and purifications can both be
     legitimately blocked there by opposite-side pairs.
     """
     try:
@@ -881,23 +534,16 @@ def is_canonical(cfg: Configuration) -> bool:
     for pos in set(g.d_minus) | set(g.d_plus):
         if all(_cell(cfg, *pos)):
             return False
-    for k in range(1, cfg.n_cols + 1):
-        for j in range(1, cfg.n_rows + 1):
-            if g.b_mask[k - 1][j - 1]:
-                continue
-            a, ac = _cell(cfg, k, j)
-            if k <= g.m_minus_G and a > 0:
-                return False
-            if j <= g.m_minus_H and a > 0:
-                return False
-            if k >= g.m_plus_G and ac > 0:
-                return False
-            if j >= g.m_plus_H and ac > 0:
-                return False
-            if k <= g.m_minus_G and j >= g.m_plus_H and a + ac > 0:
-                return False
-            if k >= g.m_plus_G and j <= g.m_minus_H and a + ac > 0:
-                return False
+    parts, i = cfg._parts, 0
+    for k, col in enumerate(g.b_mask, 1):
+        low_col, high_col = k <= g.m_minus_G, k >= g.m_plus_G
+        for j, in_region in enumerate(col, 1):
+            if not in_region:
+                if parts[i + 1] and (low_col or j <= g.m_minus_H):
+                    return False
+                if parts[i] and (high_col or j >= g.m_plus_H):
+                    return False
+            i += 2
     return True
 
 
@@ -932,11 +578,7 @@ def augment(cfg: Configuration, epsilon: RationalLike) -> Configuration:
         raise InternalStateError(
             "positive spread probability requires at least one occupied corner"
         )
-    if high:
-        reflected = complement_reflect(cfg)
-        out = complement_reflect(_augment_missing_high(reflected, eps))
-    else:
-        out = _augment_missing_high(cfg, eps)
+    out = _augmented(cfg, g, eps, high)
     g_out = _grid_stats(out)
     if not (g_out.prob_B > g.prob_B - eps):
         raise TransformContractError(
@@ -948,16 +590,23 @@ def augment(cfg: Configuration, epsilon: RationalLike) -> Configuration:
     return out
 
 
-def _augment_missing_high(cfg: Configuration, eps: Fraction) -> Configuration:
-    """Add the slivers when the high corner is the empty one.
+def _augmented(
+    cfg: Configuration, g: _GridStats, eps: Fraction, low_missing: bool
+) -> Configuration:
+    """Add the slivers to the empty corner of ``cfg``; ``g`` is its memo entry.
 
-    With ``e = min(1/2, eps / prob_B)`` the grid is scaled by
+    They are laid out for an empty high corner: with
+    ``e = min(1/2, eps / prob_B)`` the grid is scaled by
     ``1 - e/2 - e*delta/4``, the new row's cell in the first column gets
     complement mass ``e/2`` and the new corner cell event mass
     ``e*delta/4``.  All three share the denominator ``4*dd*e_den`` (for
     ``delta = dn/dd``), so the new grid is integral over ``den`` times it.
+    An empty low corner is the high one of the complement reflection, a
+    reversal of the integer list: the slivers are laid out there and the
+    list is reversed back.  Reflecting commutes with the stable value sort,
+    and ``prob_B`` and the denominator are the reflection's too, so the
+    list is sorted once and built once.
     """
-    g = _grid_stats(cfg)
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
     e_num, e_den = eps.numerator * g.den, eps.denominator * g.b_num
     if 2 * e_num > e_den:
@@ -965,13 +614,15 @@ def _augment_missing_high(cfg: Configuration, eps: Fraction) -> Configuration:
     whole = 4 * dd * e_den
     scale = whole - 2 * dd * e_num - dn * e_num
     m, n, den = cfg.n_cols, cfg.n_rows, g.den
+    parts = cfg._parts[::-1] if low_missing else cfg._parts
     out: list[int] = []
     for k in range(m):
-        out += [v * scale for v in cfg._parts[2 * k * n : 2 * (k + 1) * n]]
+        out += [v * scale for v in parts[2 * k * n : 2 * (k + 1) * n]]
         out += (2 * dd * e_num * den if k == 0 else 0, 0)
     out += [0] * (2 * n) + [0, dn * e_num * den]
-    built = Configuration._from_parts(cfg.delta, m + 1, n + 1, out, den * whole)
-    return normalize(built)
+    if low_missing:
+        out.reverse()
+    return _normalized(cfg.delta, m + 1, n + 1, out, den * whole)
 
 
 # ---------------------------------------------------------------------------
@@ -1127,9 +778,17 @@ class _ReduceDriver:
         m0, n0 = self.cfg.dims
         for _ in _rounds(4 * (m0 + n0 + 2), "reduction", self._fail):
             self._phase()
-            self._step("transpose", (), transpose(self.cfg))
+            before = self.cfg
+            self._step("transpose", (), transpose(before))
+            flipped = self.cfg
+            if _grid_stats(before).fixpoint:
+                # the transpose of a merge fixpoint is one: the merge test
+                # and the staircase check are symmetric in the two axes
+                self._stats().fixpoint = True
             self._phase()
-            self._step("transpose", (), transpose(self.cfg))
+            # transposing is an involution, so an untouched transpose goes
+            # back to the configuration before it
+            self._step("transpose", (), before if self.cfg is flipped else transpose(self.cfg))
             if reduced_shape_problem(self.cfg) is None:
                 break
         final = self._stats().prob_B

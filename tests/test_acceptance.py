@@ -24,7 +24,6 @@ from expert_spread.config import (
 )
 from expert_spread.discretize import (
     grid_coarsen,
-    random_space,
     spread_probability,
     threshold_probability,
 )
@@ -35,6 +34,7 @@ from expert_spread.search import (
     reduced_shape_problem,
 )
 from expert_spread.transforms import reduce as reduce_config
+from test_discretize import random_space
 from test_search import count_evaluations
 
 F = Fraction

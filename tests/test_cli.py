@@ -185,6 +185,15 @@ def test_reduce_writes_the_pinned_bytes():
     assert proc.stdout == (FIXTURES / "reduce_6x6.expected").read_text()
 
 
+def test_reduce_writes_the_pinned_trace(tmp_path, capsys):
+    """The step trace of the reduced 6x6 fixture, byte for byte; CI runs the same line."""
+    trace = tmp_path / "reduce_6x6.trace"
+    argv = ["reduce", "--eps", "1/1000", "--out", "-", "--trace", str(trace)]
+    assert cli.main(argv + [str(FIXTURES / "reduce_6x6.json")]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "reduce_6x6.expected").read_text()
+    assert trace.read_bytes() == (FIXTURES / "reduce_6x6.trace.expected").read_bytes()
+
+
 def test_discretize_writes_the_pinned_bytes():
     """The 12-atom fixture coarsened at n = 16, with its report, byte for byte; CI runs it too."""
     fixture = FIXTURES / "coarsen_12.json"

@@ -16,6 +16,7 @@ from expert_spread.config import (
     compute_stats,
     make_configuration,
     normalize,
+    rational_to_str,
 )
 from expert_spread.discretize import (
     Atom,
@@ -23,17 +24,49 @@ from expert_spread.discretize import (
     grid_coarsen,
     label_values,
     load_space,
-    random_space,
     space_from_json_dict,
-    space_to_json_dict,
     spread_probability,
     threshold_probability,
     to_configuration,
 )
+from expert_spread.search import _random_parts
 
 F = Fraction
 
 DELTAS = (F(1, 10), F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(3, 4))
+
+
+def random_space(rng, max_atoms=12, max_labels=5):
+    """One seeded random space with deliberately colliding labels."""
+    n_atoms = rng.randint(1, max_atoms)
+    denom = 2 ** rng.randint(4, 10)
+    atoms = []
+    for w in _random_parts(rng, denom, n_atoms):
+        a = rng.randint(0, w)
+        atoms.append(
+            Atom(
+                F(w, denom),
+                F(a, denom),
+                f"g{rng.randint(1, max_labels)}",
+                f"h{rng.randint(1, max_labels)}",
+            )
+        )
+    return RawSpace(atoms=tuple(atoms))
+
+
+def space_to_json_dict(space):
+    """The document ``space_from_json_dict`` reads, with exact rational strings."""
+    return {
+        "atoms": [
+            {
+                "w": rational_to_str(atom.weight),
+                "a": rational_to_str(atom.a_weight),
+                "g": atom.g_label,
+                "h": atom.h_label,
+            }
+            for atom in space.atoms
+        ]
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +381,7 @@ def test_discretize_matches_the_fraction_reference():
 def test_coarsening_builds_one_configuration_in_normal_order(monkeypatch):
     """Ascending bins are ascending values: one build per call, and no sort."""
     counts = {}
-    init, by_sums = Configuration._init, config._normalize_by_sums
+    init, orders = Configuration._init, config._line_orders
 
     def counted(name, method):
         def call(*args):
@@ -358,7 +391,7 @@ def test_coarsening_builds_one_configuration_in_normal_order(monkeypatch):
         return call
 
     monkeypatch.setattr(Configuration, "_init", counted("builds", init))
-    monkeypatch.setattr(config, "_normalize_by_sums", counted("sorts", by_sums))
+    monkeypatch.setattr(config, "_line_orders", counted("sorts", orders))
     rng = random.Random(1912)
     zero_atoms = 0
     for draw in range(400):

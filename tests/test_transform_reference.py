@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import Callable
 
-from expert_spread import transforms
+from expert_spread import _grid, transforms
 from expert_spread.config import (
     Cell,
     Configuration,
@@ -33,9 +33,10 @@ from expert_spread.config import (
     make_configuration,
     normalize,
 )
-from expert_spread.discretize import grid_coarsen, random_space, to_configuration
+from expert_spread.discretize import grid_coarsen, to_configuration
 from expert_spread.search import hill_climb
 
+from test_discretize import random_space
 from test_transforms import seeded_reduce_inputs
 
 F = Fraction
@@ -652,7 +653,7 @@ def exercise(cfg, rng, counts):
     assert driver._jump_now() == tie
     counts["tie" if tie else "no tie"] += 1
     move = ref_find_corner_move(cfg, s)
-    got = transforms._find_corner_move(cfg, _grid_stats(cfg))
+    got = _grid._find_corner_move(cfg, _grid_stats(cfg))
     assert got == (move and (move[0], move[1], ("ac", "a").index(move[2])))
     counts["corner move" if move else "no corner move"] += 1
     assert transforms._staircase_problem(cfg, _grid_stats(cfg)) == ref_staircase_problem(cfg, s)
@@ -720,6 +721,77 @@ def test_transforms_match_their_rational_bodies():
         exercise(transforms.canonicalize(grown), rng, counts)
     # every branch ran often enough to matter
     assert min(counts.values()) >= 100, counts
+
+
+def cycle_canonicalize(cfg):
+    """``canonicalize`` as the cycle of the public transforms.
+
+    Each transform builds its result and reads the memo, and a cycle ends
+    when its result equals the grid it started from.
+    """
+    if not all(_grid_stats(cfg).occupied):
+        raise ConfigError(
+            "both extreme spread corners need positive mass; augment the "
+            "configuration first"
+        )
+    if cfg.delta >= HALF:
+        cfg = transforms.zigzag_normalize(cfg)
+    else:
+        for _ in transforms._rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "canonicalization"):
+            prev = cfg
+            cfg = transforms.purify_all_borders(cfg)
+            cfg = transforms.corner_fill(cfg)
+            cfg = transforms.zigzag_normalize(cfg)
+            cfg = transforms.empty_corner_rectangles(cfg)
+            if cfg == prev:
+                break
+    if not transforms.is_canonical(cfg):
+        raise InternalStateError("canonical fixpoint failed its own checks")
+    return cfg
+
+
+def test_canonicalize_matches_the_cycle_of_public_transforms(monkeypatch):
+    """One working grid gives what the cycle of public transforms gives.
+
+    The inputs are seeded augmented grids, and every state that ``reduce``
+    canonicalizes on the first seeded reduce inputs.  A call
+    builds one configuration, its result, and none when its input comes
+    back.
+    """
+    # the benchmark's reduce deltas and three more; below 1/4 a drawn grid
+    # rarely has spread
+    deltas = (F(1, 4), F(1, 3), F(2, 5), F(9, 20), F(1, 2), F(3, 4))
+    rng = random.Random(20191210)
+    grids = []
+    while len(grids) < 3000:
+        cfg = random_grid(rng, deltas[len(grids) % len(deltas)])
+        if compute_stats(cfg).prob_B:
+            grids.append(transforms.augment(cfg, F(1, rng.choice((3, 50, 1000)))))
+    canonicalize = transforms.canonicalize
+    with monkeypatch.context() as patch:
+        patch.setattr(transforms, "canonicalize", lambda cfg: grids.append(cfg) or canonicalize(cfg))
+        for cfg in seeded_reduce_inputs()[:30]:
+            transforms.reduce(cfg, F(1, 1000))
+    builds = []
+    init = Configuration._init
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Configuration, "_init", counted)
+    kept = 0
+    for cfg in grids:
+        want = outcome(cycle_canonicalize, cfg)
+        builds.clear()
+        got = outcome(canonicalize, cfg)
+        assert got == want, cfg
+        if got is cfg:
+            assert builds == [], cfg
+            kept += 1
+        else:
+            assert got != cfg and len(builds) == 1, cfg
+    assert 100 <= kept <= len(grids) - 1000, kept
 
 
 def test_public_constructor_matches_the_lattice():

@@ -20,6 +20,8 @@ from expert_spread.config import (
     DomainError,
     InternalStateError,
     ReduceContradictionError,
+    TransformContractError,
+    _grid_stats,
     compute_stats,
     config_from_json_dict,
     dump_config,
@@ -110,16 +112,27 @@ def test_complement_reflect_is_an_involution():
 
 
 def test_reflected_transpose_is_an_involution_and_both_compositions():
+    # the working grid's two in-place symmetries move its integers, line
+    # sums and sides as the public maps move the configuration
     rng = random.Random(13)
     for _ in range(200):
         n_cols, n_rows = rng.randint(1, 6), rng.randint(1, 6)
         denom = rng.randint(1, 40)
         parts = _random_parts(rng, denom, 2 * n_cols * n_rows)
-        cfg = Configuration._from_parts(F(1, 3), n_cols, n_rows, parts, denom)
-        chi = transforms._reflected_transpose(cfg)
-        assert chi == transpose(complement_reflect(cfg)) == complement_reflect(transpose(cfg))
-        assert (chi.n_cols, chi.n_rows) == (n_rows, n_cols)
-        assert transforms._reflected_transpose(chi) == cfg
+        cfg = normalize(Configuration._from_parts(F(1, 3), n_cols, n_rows, parts, denom))
+        for view, want in (
+            ("_reflected_transpose", transpose(complement_reflect(cfg))),
+            ("_reflect", complement_reflect(cfg)),
+        ):
+            grid = transforms._Grid(cfg, _grid_stats(cfg))
+            getattr(grid, view)()
+            g = _grid_stats(want)
+            assert (grid.n_cols, grid.n_rows, grid._parts) == (want.n_cols, want.n_rows, list(want._parts))
+            assert (grid.col_t, grid.col_a, grid.row_t, grid.row_a) == (g.col_t, g.col_a, g.row_t, g.row_a)
+            assert grid.side == list(g.side)
+            getattr(grid, view)()
+            assert grid._parts == list(cfg._parts) and grid.side == list(_grid_stats(cfg).side)
+        assert transpose(complement_reflect(cfg)) == complement_reflect(transpose(cfg))
 
 
 def test_merges_refuse_to_destroy_spread():
@@ -253,6 +266,17 @@ def test_purify_rejects_non_border_cell():
         purify_border_cell(cfg, 1, 1)
     with pytest.raises(ConfigError):
         purify_border_cell(cfg, 3, 1)
+
+
+def test_purification_guard_names_a_spread_pair_it_lost():
+    # a theorem guard: no purification drops a pair from the spread region,
+    # so the guard is fed sides in which every cell was in the region
+    cfg = impure_border_example()
+    grid = transforms._Grid(cfg, _grid_stats(cfg))
+    before = [tuple(-1 for _ in col) for col in grid.side]
+    message = r"^column 1 and row 1 left the spread region \(gap 1/12 fell to 1/12\)$"
+    with pytest.raises(TransformContractError, match=message):
+        grid._check_spread_pairs_kept(before, grid.col_t, grid.col_a, grid.row_t, grid.row_a)
 
 
 def test_purify_all_borders_leaves_positive_borders_pure():
@@ -435,6 +459,43 @@ def test_is_canonical_rejects_unsorted_values():
         F(1, 4), 2, 1, {(1, 1): (F(1, 2), 0), (2, 1): (0, F(1, 2))}
     )
     assert not is_canonical(cfg)
+
+
+# Canonical staircases at delta 1/4, each beside one cell change that breaks
+# one clause of is_canonical and keeps the staircase: integer masses
+# {(col, row): (a, ac)} over their total.
+WITNESS_LIKE = {(1, 1): (0, 500), (1, 2): (100, 0), (2, 1): (100, 0)}
+DEPTH_TWO = {
+    (1, 1): (0, 30), (1, 2): (0, 4), (1, 3): (0, 2), (2, 1): (0, 50), (2, 3): (6, 0),
+    (3, 1): (10, 0), (3, 2): (20, 0), (3, 3): (24, 0),
+}
+REFUSED = {
+    # the low border cell (1, 2) holds both species
+    "impure border cell": (2, WITNESS_LIKE, {(1, 2): (90, 10)}),
+    # column 1 is a low-corner line, and (1, 1) lies outside the region
+    "event mass on a low-corner line": (2, WITNESS_LIKE, {(1, 1): (10, 490)}),
+    # column 2 is a high-corner line, and (2, 2) lies outside the region
+    "complement mass on a high-corner line": (2, WITNESS_LIKE, {(2, 2): (0, 1)}),
+    # (2, 2) is in the low corner's rectangle, outside the region; an occupied
+    # rectangle cell always carries mass of a species its lines forbid
+    "occupied corner rectangle": (3, DEPTH_TWO, {(1, 2): (0, 2), (2, 2): (0, 2)}),
+}
+
+
+@pytest.mark.parametrize("clause", sorted(REFUSED))
+def test_is_canonical_refuses_each_broken_clause(clause):
+    side, canonical, change = REFUSED[clause]
+
+    def grid(masses):
+        den = sum(a + ac for a, ac in masses.values())
+        return lattice_grid(F(1, 4), side, side, den, masses)
+
+    broken = grid({**canonical, **change})
+    s = compute_stats(broken)
+    assert s.d_minus and s.d_plus
+    assert transforms._staircase_problem(broken, _grid_stats(broken)) is None
+    assert is_canonical(grid(canonical))
+    assert not is_canonical(broken)
 
 
 def test_canonicalize_contract_below_one_half():
