@@ -242,15 +242,16 @@ class _Grid:
     :func:`_find_corner_move` and :func:`_staircase_problem`, read a grid as
     both.
 
-    A mass move (:meth:`_shift`) updates its cell's two line sums by
-    addition and leaves the sides to the memo's kernel, run when they are
-    next read.  A column merge recomputes the merged column's sides alone,
-    a row merge the merged row's, and a purification its cell's column and
-    row.  The derived fields come from the derivation of
-    :func:`~expert_spread.config._stats_evaluator`, run again only after
-    the sides change.  ``moves`` counts the moves, so a caller can tell a
-    pass that changed nothing; ``settled`` says the merge sweep has run and
-    nothing moved since, as the memo's fixpoint mark says of a
+    A mass move (:meth:`_shift`), a purification's included, updates its
+    cell's two line sums by addition and leaves the sides to the memo's
+    kernel, run when they are next read.  A column merge recomputes the
+    merged column's sides alone, a row merge the merged row's.  Whether the
+    two sides of the spread region hold mass is read only from memo
+    entries, never from a grid.  The derived fields come from the
+    derivation of :func:`~expert_spread.config._stats_evaluator`, run again
+    only after the sides change.  ``moves`` counts the moves, so a caller
+    can tell a pass that changed nothing; ``settled`` says the merge sweep
+    has run and nothing moved since, as the memo's fixpoint mark says of a
     configuration.
     """
 
@@ -558,19 +559,9 @@ class _Grid:
         before = self.side, col_t[:], col_a[:], row_t[:], row_a[:]
         self._rescale(den)
         self._shift(i, -shift, shift)
-        self.side = self._refreshed(before[0], k - 1, j - 1)
-        self._check_spread_pairs_kept(*before)
         self._rescale(1, math.gcd(self._den, *self._parts))
+        self._check_spread_pairs_kept(*before)
         return True
-
-    def _refreshed(
-        self, side: list[tuple[int, ...]], k: int, j: int
-    ) -> list[tuple[int, ...]]:
-        """``side`` with 0-based column ``k`` and row ``j`` computed again."""
-        row = self._row_sides(j)
-        out = [col if col[j] == s else col[:j] + (s,) + col[j + 1 :] for col, s in zip(side, row)]
-        out[k] = self._column_sides(k)
-        return out
 
     def _check_spread_pairs_kept(
         self,
@@ -582,9 +573,10 @@ class _Grid:
     ) -> None:
         """Verify every column/row pair in the spread region of ``side`` stayed there.
 
-        The line sums are those ``side`` was computed from.
+        The line sums are those ``side`` was computed from; the grid's own
+        sides are read from the memo's kernel.
         """
-        for k, (was, now) in enumerate(zip(side, self.side)):
+        for k, (was, now) in enumerate(zip(side, self._sides())):
             if was == now:
                 continue
             for j, (s, t) in enumerate(zip(was, now)):
@@ -644,26 +636,8 @@ class _Grid:
                     d_a = moved if pure else -moved
                     self._shift(i, -d_a, d_a)
 
-    def _occupied(self) -> tuple[bool, bool]:
-        """Whether the low and the high side of the spread region hold mass."""
-        parts, low, high, i = self._parts, False, False, 0
-        for col in self._sides():
-            for s in col:
-                if s and (parts[i] or parts[i + 1]):
-                    if s < 0:
-                        low = True
-                    else:
-                        high = True
-                i += 2
-        return low, high
-
     def _empty_corner_rectangles(self) -> None:
         """:func:`empty_corner_rectangles` in place."""
-        if not all(self._occupied()):
-            raise ConfigError(
-                "both extreme spread corners need positive mass; augment the "
-                "configuration first"
-            )
         if not _below_half(self):
             return
         for _ in _rounds(16 * (self.n_cols + self.n_rows) ** 2, "corner evacuation"):

@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import IO, Optional
+from typing import IO, Any, Callable, Optional
 
 from .config import (
     ConfigError,
@@ -54,6 +54,7 @@ from .bounds import (
 from .transforms import reduce as reduce_config
 from .transforms import trace_to_json_dict
 from .search import (
+    SearchResult,
     exhaustive_search,
     hill_climb,
     search_result_to_json_dict,
@@ -66,11 +67,12 @@ from . import discretize as discretize_mod
 # ---------------------------------------------------------------------------
 
 
-def _read_config(path: str) -> Configuration:
+def _read(path: str, load: Callable[[IO[str]], Any]) -> Any:
+    """``load`` applied to the file at ``path``, or to stdin for ``-``."""
     if path == "-":
-        return load_config(sys.stdin)
+        return load(sys.stdin)
     with open(path, "r", encoding="utf-8") as fp:
-        return load_config(fp)
+        return load(fp)
 
 
 def _write_config(cfg: Configuration, path: Optional[str]) -> None:
@@ -103,7 +105,7 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    cfg = _read_config(args.config)
+    cfg = _read(args.config, load_config)
     eps = parse_rational(args.eps)
     result = reduce_config(cfg, eps)
     out = result["out"]
@@ -125,17 +127,20 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _search(args: argparse.Namespace, delta: Fraction) -> SearchResult:
+    """Exhaustive search with ``--denom``, hill climbing without, at ``delta``."""
     if args.denom is not None:
-        result = exhaustive_search(args.delta, args.cols, args.rows, args.denom)
-    else:
-        result = hill_climb(args.delta, args.cols, args.rows, args.iters, args.seed)
-    _print_json(search_result_to_json_dict(result))
+        return exhaustive_search(delta, args.cols, args.rows, args.denom)
+    return hill_climb(delta, args.cols, args.rows, args.iters, args.seed)
+
+
+def _cmd_search(args: argparse.Namespace) -> int:
+    _print_json(search_result_to_json_dict(_search(args, args.delta)))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _read_config(args.config)
+    cfg = _read(args.config, load_config)
     s = compute_stats(cfg)
     lam = lambda_sharp(cfg.delta)
     report = {
@@ -160,42 +165,40 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    """Write the CSV a row at a time; only the SVG's empirical points are kept."""
+    import csv
+
     lo = validate_delta(args.delta_from)
     hi = validate_delta(args.delta_to)
     if not lo < hi:
         raise DomainError(f"curve range must satisfy from < to, got {lo} .. {hi}")
     if args.steps < 2:
         raise DomainError(f"curve needs at least 2 steps, got {args.steps}")
-    deltas = [
-        lo + Fraction(i, args.steps - 1) * (hi - lo) for i in range(args.steps)
-    ]
-    rows = []
-    for d in deltas:
-        row = {
-            "delta": d,
-            "lambda_sharp": lambda_sharp(d),
-            "pitman_upper": pitman_upper(d) if d < HALF else None,
-            "empirical_best": None,
-        }
-        if args.empirical:
-            if args.denom is not None:
-                res = exhaustive_search(d, args.cols, args.rows, args.denom)
-            else:
-                res = hill_climb(d, args.cols, args.rows, args.iters, args.seed)
-            row["empirical_best"] = res.best_prob_B
-        rows.append(row)
-    _write_curve_csv(rows, args.out, args.empirical)
+    columns = ["delta", "lambda_sharp", "pitman_upper"]
+    if args.empirical:
+        columns.append("empirical_best")
+    points: list[tuple[Fraction, Fraction]] = []
+    with open(args.out, "w", encoding="utf-8", newline="") as fp:
+        writer = csv.writer(fp)
+        # each value is written exactly and as a decimal
+        writer.writerow([name + suffix for name in columns for suffix in ("", "_dec")])
+        for i in range(args.steps):
+            d = lo + Fraction(i, args.steps - 1) * (hi - lo)
+            record = _exact_and_decimal(d) + _exact_and_decimal(lambda_sharp(d))
+            record += _exact_and_decimal(pitman_upper(d)) if d < HALF else ["", ""]
+            if args.empirical:
+                best = _search(args, d).best_prob_B
+                record += _exact_and_decimal(best)
+                if args.svg is not None:
+                    points.append((d, best))
+            writer.writerow(record)
     if args.svg is not None:
-        _write_curve_svg(rows, args.svg)
+        _write_curve_svg(points, args.svg)
     return 0
 
 
 def _cmd_discretize(args: argparse.Namespace) -> int:
-    if args.space == "-":
-        space = discretize_mod.load_space(sys.stdin)
-    else:
-        with open(args.space, "r", encoding="utf-8") as fp:
-            space = discretize_mod.load_space(fp)
+    space = _read(args.space, discretize_mod.load_space)
     d = validate_delta(args.delta)
     if args.n is None:
         cfg = discretize_mod.to_configuration(space, d)
@@ -228,42 +231,8 @@ def _cmd_discretize(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_curve_csv(rows: list[dict], path: str, empirical: bool) -> None:
-    import csv
-
-    headers = [
-        "delta",
-        "delta_dec",
-        "lambda_sharp",
-        "lambda_sharp_dec",
-        "pitman_upper",
-        "pitman_upper_dec",
-    ]
-    if empirical:
-        headers += ["empirical_best", "empirical_best_dec"]
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(headers)
-        for row in rows:
-            record = [
-                rational_to_str(row["delta"]),
-                rational_to_decimal(row["delta"]),
-                rational_to_str(row["lambda_sharp"]),
-                rational_to_decimal(row["lambda_sharp"]),
-            ]
-            if row["pitman_upper"] is None:
-                record += ["", ""]
-            else:
-                record += [
-                    rational_to_str(row["pitman_upper"]),
-                    rational_to_decimal(row["pitman_upper"]),
-                ]
-            if empirical:
-                record += [
-                    rational_to_str(row["empirical_best"]),
-                    rational_to_decimal(row["empirical_best"]),
-                ]
-            writer.writerow(record)
+def _exact_and_decimal(value: Fraction) -> list[str]:
+    return [rational_to_str(value), rational_to_decimal(value)]
 
 
 _SVG_W, _SVG_H = 640, 440
@@ -278,8 +247,11 @@ def _sy(value: float) -> float:
     return _SVG_H - _SVG_B - (value / 1.05) * (_SVG_H - _SVG_T - _SVG_B)
 
 
-def _write_curve_svg(rows: list[dict], path: str) -> None:
+def _write_curve_svg(points: list[tuple[Fraction, Fraction]], path: str) -> None:
     """Static plot of the bound, with the jump drawn as an open/closed pair.
+
+    ``points`` are the ``(delta, empirical best)`` pairs of the curve's
+    searches, drawn as dots.
 
     Floating point appears here only to place picture coordinates; every
     numeric claim of the package stays rational.
@@ -337,12 +309,9 @@ def _write_curve_svg(rows: list[dict], path: str) -> None:
     parts.append(
         f'<circle cx="{_sx(0.5)}" cy="{_sy(1)}" r="4" fill="#1f4e9c"/>'
     )
-    for row in rows:
-        if row["empirical_best"] is None:
-            continue
+    for d, best in points:
         parts.append(
-            f'<circle cx="{_sx(float(row["delta"])):.2f}" '
-            f'cy="{_sy(float(row["empirical_best"])):.2f}" r="3" '
+            f'<circle cx="{_sx(float(d)):.2f}" cy="{_sy(float(best)):.2f}" r="3" '
             'fill="#c23b22" fill-opacity="0.7"/>'
         )
     parts.append("</svg>")

@@ -182,6 +182,11 @@ def _plain_digits(text: str) -> tuple[int, int] | None:
 
 
 def _as_fraction(value: RationalLike, what: str) -> Fraction:
+    """``value``, an ``int``, a :class:`~fractions.Fraction` or a string, as a Fraction.
+
+    A float has already lost its exact value and a boolean is not a
+    number, so both are refused, as is every other type.
+    """
     # an exact Fraction is already in lowest terms; building it again would
     # only copy it
     if value.__class__ is Fraction:
@@ -191,6 +196,8 @@ def _as_fraction(value: RationalLike, what: str) -> Fraction:
             plain = _plain_digits(value)
             if plain is not None:
                 return Fraction(*plain)
+        elif isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+            raise TypeError
         if isinstance(value, str):
             # the mantissa's digits plus the exponent's value; the exponent
             # is read only when the whole string is short enough for int()
@@ -1119,7 +1126,11 @@ def rational_to_str(value: Fraction) -> str:
 
 
 def parse_rational(text: RationalLike) -> Fraction:
-    """Parse "p/q", integer, or decimal strings into an exact rational."""
+    """Parse "p/q", integer, or decimal strings into an exact rational.
+
+    An ``int`` or a :class:`~fractions.Fraction` is taken as it is; any other
+    value, a float or a boolean included, raises :class:`ConfigError`.
+    """
     return _as_fraction(text, "rational")
 
 
@@ -1258,10 +1269,14 @@ def dump_config(cfg: Configuration, fp: IO[str]) -> None:
     )
 
 
-def load_config(fp: IO[str]) -> Configuration:
+def _load_json(fp: IO[str], what: str) -> object:
+    """The JSON document in ``fp``; a file that is not one raises :class:`ConfigError`."""
     # ValueError covers the decode errors and a JSON integer too long for int()
     try:
-        data = json.load(fp)
+        return json.load(fp)
     except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"configuration file is not valid JSON: {exc}") from exc
-    return config_from_json_dict(data)
+        raise ConfigError(f"{what} file is not valid JSON: {exc}") from exc
+
+
+def load_config(fp: IO[str]) -> Configuration:
+    return config_from_json_dict(_load_json(fp, "configuration"))

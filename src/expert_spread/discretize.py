@@ -9,7 +9,6 @@ moving every conditional by at most 1/n. Both steps are exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,9 +23,10 @@ from .config import (
     _cap_cells,
     _grid_stats,
     _json_exact,
+    _load_json,
+    _normalized,
     _shown,
     _units_evaluator,
-    normalize,
     parse_rational,
     validate_delta,
 )
@@ -193,9 +193,9 @@ def to_configuration(space: RawSpace, delta: RationalLike) -> Configuration:
 
     Columns follow the first appearance order of column labels, rows of row
     labels; the final order is whatever :func:`normalize` produces from the
-    conditional values. Labels carried only by zero-weight atoms vanish
-    with their zero lines. A grid of more than
-    :data:`~expert_spread.config.MAX_CELLS` cells raises
+    conditional values, and the grid is built once, in that order. Labels
+    carried only by zero-weight atoms vanish with their zero lines. A grid
+    of more than :data:`~expert_spread.config.MAX_CELLS` cells raises
     :class:`ConfigError` before it is allocated.
     """
     d = validate_delta(delta)
@@ -209,7 +209,7 @@ def to_configuration(space: RawSpace, delta: RationalLike) -> Configuration:
         i = 2 * (g_index[atom.g_label] * n_rows + h_index[atom.h_label])
         grid[i] += w - a
         grid[i + 1] += a
-    return normalize(Configuration._from_parts(d, n_cols, n_rows, grid, den))
+    return _normalized(d, n_cols, n_rows, grid, den)
 
 
 def grid_coarsen(space: RawSpace, n: int, delta: RationalLike) -> dict:
@@ -316,8 +316,4 @@ def space_from_json_dict(data: Mapping) -> RawSpace:
 
 
 def load_space(fp: IO[str]) -> RawSpace:
-    try:
-        data = json.load(fp)
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"space file is not valid JSON: {exc}") from exc
-    return space_from_json_dict(data)
+    return space_from_json_dict(_load_json(fp, "space"))

@@ -34,10 +34,10 @@ from .config import (
     _cap_cells,
     _grid_stats,
     _line_sums,
+    _normalized,
     _units_evaluator,
     compute_stats,
     config_to_json_dict,
-    normalize,
     rational_to_str,
     validate_delta,
 )
@@ -103,16 +103,6 @@ def search_result_to_json_dict(result: SearchResult) -> dict:
 # winner.
 # Zero-mass lines carry no conditional value and no probability there,
 # which matches evaluating the configuration with its zero lines dropped.
-
-
-def _parts_to_config(
-    parts: tuple[int, ...] | list[int],
-    delta: Fraction,
-    n_cols: int,
-    n_rows: int,
-    denom: int,
-) -> Configuration:
-    return normalize(Configuration._from_parts(delta, n_cols, n_rows, parts, denom))
 
 
 def _bound_broken(b_num: int, denom: int, lam: Fraction) -> InternalStateError:
@@ -363,7 +353,7 @@ def exhaustive_search(
             f"the column classes cover {covered} mass vectors, not {count}"
         )
     assert best_parts is not None
-    cfg = _parts_to_config(best_parts, d, n_cols, n_rows, denom)
+    cfg = _normalized(d, n_cols, n_rows, best_parts, denom)
     return SearchResult(
         delta=d,
         best_prob_B=_check_winner(cfg, best_prob, denom),
@@ -511,7 +501,7 @@ def hill_climb(
                     col_a[dk] -= amt
                     row_a[dj] -= amt
     assert best_parts is not None
-    cfg = _parts_to_config(best_parts, d, n_cols, n_rows, _CLIMB_DENOM)
+    cfg = _normalized(d, n_cols, n_rows, best_parts, _CLIMB_DENOM)
     return SearchResult(
         delta=d,
         best_prob_B=_check_winner(cfg, best_prob, _CLIMB_DENOM),
@@ -541,7 +531,7 @@ def random_configuration(
     n_rows = rng.randint(1, max_dim)
     denom = 2 ** rng.randint(4, 10)
     parts = _random_parts(rng, denom, 2 * n_cols * n_rows)
-    return _parts_to_config(parts, delta, n_cols, n_rows, denom)
+    return _normalized(delta, n_cols, n_rows, parts, denom)
 
 
 class _FuzzRun:

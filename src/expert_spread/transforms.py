@@ -47,6 +47,7 @@ from .config import (
     TransformContractError,
     _grid_stats,
     _GridStats,
+    _as_fraction,
     _normalized,
     compute_stats,
     normalize,
@@ -448,9 +449,20 @@ def empty_corner_rectangles(cfg: Configuration) -> Configuration:
     the spread region only grows.  Identity from one half on.  The moves
     are made in place on a working grid and only the result is built.
     """
-    grid = _Grid(cfg, _grid_stats(cfg))
+    g = _grid_stats(cfg)
+    _need_both_corners(g)
+    grid = _Grid(cfg, g)
     grid._empty_corner_rectangles()
     return grid._result(cfg)
+
+
+def _need_both_corners(g: _GridStats) -> None:
+    """Refuse a memo entry whose spread region is empty on one side."""
+    if not all(g.occupied):
+        raise ConfigError(
+            "both extreme spread corners need positive mass; augment the "
+            "configuration first"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -476,19 +488,18 @@ def canonicalize(cfg: Configuration) -> Configuration:
     nothing, so no configuration is built or looked up between steps.  A
     cycle whose moves lead back to the grid it started from changes nothing
     either.  One configuration is built, the result, and none when the
-    input comes back; the result must pass :func:`is_canonical`, and its
-    memo entry is marked as a merge fixpoint, as :func:`zigzag_normalize`
-    marks its results.
+    input comes back; its memo entry is marked as a merge fixpoint, as
+    :func:`zigzag_normalize` marks its results.
 
     Requires positive mass in both extreme spread corners
-    (:class:`ConfigError` otherwise).
+    (:class:`ConfigError` otherwise).  The cycle's steps keep both corners
+    occupied, and the grid is not checked for it between steps: the result
+    must pass :func:`is_canonical` and still hold mass on both sides of its
+    spread region, both read from its memo entry, or
+    :class:`InternalStateError` is raised.
     """
     g = _grid_stats(cfg)
-    if not all(g.occupied):
-        raise ConfigError(
-            "both extreme spread corners need positive mass; augment the "
-            "configuration first"
-        )
+    _need_both_corners(g)
     if not _below_half(cfg):
         cfg = zigzag_normalize(cfg)
     else:
@@ -505,7 +516,9 @@ def canonicalize(cfg: Configuration) -> Configuration:
         if grid.settled:
             # swept with nothing moved since, as zigzag_normalize marks its results
             _grid_stats(cfg).fixpoint = True
-    if not is_canonical(cfg):
+    # is_canonical leaves the result's memo entry behind, so its corners
+    # cost no second kernel run
+    if not is_canonical(cfg) or not all(_grid_stats(cfg).occupied):
         raise InternalStateError("canonical fixpoint failed its own checks")
     return cfg
 
@@ -555,7 +568,9 @@ def is_canonical(cfg: Configuration) -> bool:
 def augment(cfg: Configuration, epsilon: RationalLike) -> Configuration:
     """Seed both extreme spread corners, giving up at most ``epsilon``.
 
-    Requires positive ``epsilon`` and positive spread probability
+    Requires positive ``epsilon``, read as
+    :func:`~expert_spread.config.parse_rational` reads it (a float or a
+    boolean raises :class:`ConfigError`), and positive spread probability
     (:class:`DomainError` otherwise).  If both corners already hold positive
     mass this is the identity.  Otherwise the whole configuration is scaled
     down slightly and two slivers are added: a new bottom row of pure
@@ -565,7 +580,7 @@ def augment(cfg: Configuration, epsilon: RationalLike) -> Configuration:
     strictly less than ``epsilon``; this is re-verified exactly and a
     violation raises :class:`TransformContractError`.
     """
-    eps = Fraction(epsilon)
+    eps = _as_fraction(epsilon, "epsilon")
     if eps <= 0:
         raise DomainError(f"epsilon must be positive, got {eps}")
     g = _grid_stats(cfg)
@@ -633,17 +648,17 @@ def _augmented(
 def reduce(cfg: Configuration, epsilon: RationalLike) -> dict:
     """Reduce a configuration until both spread corners are nearly trivial.
 
-    Requires ``delta < 1/2``, positive ``epsilon`` and positive spread
-    probability (:class:`DomainError` otherwise).  Returns ``{"out":
-    Configuration, "trace": [TransformTrace, ...]}`` where the output
-    satisfies, on both axes, that the corner depth is at most 1, or exactly 2
-    with an empty extreme cell, so every column and row meets the spread
-    region in at most one positive cell and
-    :func:`expert_spread.bounds.certify_upper_bound` applies.  The spread
+    Requires ``delta < 1/2``, positive ``epsilon`` (read as in
+    :func:`augment`) and positive spread probability (:class:`DomainError`
+    otherwise).  Returns ``{"out": Configuration, "trace":
+    [TransformTrace, ...]}`` where the output satisfies, on both axes, that
+    the corner depth is at most 1, or exactly 2 with an empty extreme cell,
+    so every column and row meets the spread region in at most one positive
+    cell and :func:`expert_spread.bounds.certify_upper_bound` applies.  The spread
     probability drops by strictly less than ``epsilon``, all of it during the
     initial augmentation; every other step preserves or grows it.
     """
-    eps = Fraction(epsilon)
+    eps = _as_fraction(epsilon, "epsilon")
     if eps <= 0:
         raise DomainError(f"epsilon must be positive, got {eps}")
     if not _below_half(cfg):

@@ -1,15 +1,22 @@
-"""End-to-end checks of the command line interface."""
+"""End-to-end checks of the command line interface.
 
+The commands run in this process through ``cli.main``; one test runs
+``python -m expert_spread.cli``, the module entry point.
+"""
+
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from expert_spread import cli
+from expert_spread.search import exhaustive_search, hill_climb
 from expert_spread.config import (
     InternalStateError,
     ReduceContradictionError,
@@ -33,6 +40,21 @@ def run_cli(*args, stdin=None):
     )
 
 
+def run_main(capsys, *argv, stdin=None):
+    """Run ``cli.main(argv)`` in this process; return the exit code and stdout.
+
+    ``stdin``, a string, is what the command reads for a ``-`` path.
+    """
+    saved = sys.stdin
+    if stdin is not None:
+        sys.stdin = io.StringIO(stdin)
+    try:
+        code = cli.main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, capsys.readouterr().out
+
+
 def main_exit(capsys, *argv):
     """Run ``cli.main(argv)`` in this process; return the exit code and stderr.
 
@@ -53,20 +75,20 @@ def assert_one_error_line(code, err, context=None):
     assert "Traceback" not in err
 
 
-def test_bound_reports_both_bounds():
-    proc = run_cli("bound", "1/4")
-    assert proc.returncode == 0
-    report = json.loads(proc.stdout)
+def test_bound_reports_both_bounds(capsys):
+    code, out = run_main(capsys, "bound", "1/4")
+    assert code == 0
+    report = json.loads(out)
     assert report["lambda_sharp"] == "2/5"
     assert report["lambda_sharp_dec"] == "0.4"
     assert report["pitman_upper"] == "1/2"
     assert report["achieved"] == "2/5"
 
 
-def test_bound_above_one_half_blanks_the_linear_bound():
-    proc = run_cli("bound", "3/4")
-    assert proc.returncode == 0
-    report = json.loads(proc.stdout)
+def test_bound_above_one_half_blanks_the_linear_bound(capsys):
+    code, out = run_main(capsys, "bound", "3/4")
+    assert code == 0
+    report = json.loads(out)
     assert report["lambda_sharp"] == "1"
     assert report["pitman_upper"] is None
 
@@ -76,20 +98,21 @@ def test_bound_rejects_bad_threshold(capsys):
         assert main_exit(capsys, "bound", delta)[0] == 2
 
 
-def test_extremal_output_is_deterministic(tmp_path):
-    first = run_cli("extremal", "1/4")
-    second = run_cli("extremal", "1/4")
-    assert first.returncode == second.returncode == 0
-    assert first.stdout == second.stdout
-    cfg = json.loads(first.stdout)
+def test_extremal_output_is_deterministic(tmp_path, capsys):
+    first = run_main(capsys, "extremal", "1/4")
+    second = run_main(capsys, "extremal", "1/4")
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+    cfg = json.loads(first[1])
     assert cfg["delta"] == "1/4"
     assert cfg["cols"] == 2 and cfg["rows"] == 2
     path = tmp_path / "ext.json"
-    assert run_cli("extremal", "1/4", "--out", str(path)).returncode == 0
+    assert run_main(capsys, "extremal", "1/4", "--out", str(path)) == (0, "")
     assert json.loads(path.read_text()) == cfg
 
 
 def test_extremal_pipes_into_verify():
+    """Through the module entry point, ``python -m expert_spread.cli``, as a pipe."""
     witness = run_cli("extremal", "1/4").stdout
     proc = run_cli("verify", "-", stdin=witness)
     assert proc.returncode == 0
@@ -102,10 +125,12 @@ def test_extremal_pipes_into_verify():
     assert report["pitman_inclusion_violations"] == []
 
 
-def test_verify_reads_files(tmp_path):
+def test_verify_reads_files(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    run_cli("extremal", "2/5", "--out", str(path))
-    assert run_cli("verify", str(path)).returncode == 0
+    assert run_main(capsys, "extremal", "2/5", "--out", str(path))[0] == 0
+    code, out = run_main(capsys, "verify", str(path))
+    assert code == 0
+    assert json.loads(out)["ok"] is True
 
 
 @pytest.mark.parametrize(
@@ -144,12 +169,13 @@ def test_verify_error_exits(tmp_path, capsys):
     assert_one_error_line(*main_exit(capsys, "verify", str(bad)))
 
 
-def test_reduce_pipeline(tmp_path):
+def test_reduce_pipeline(tmp_path, capsys):
     cfg_path = tmp_path / "ext.json"
-    run_cli("extremal", "1/4", "--out", str(cfg_path))
+    assert run_main(capsys, "extremal", "1/4", "--out", str(cfg_path))[0] == 0
     out_path = tmp_path / "reduced.json"
     trace_path = tmp_path / "trace.jsonl"
-    proc = run_cli(
+    code, out = run_main(
+        capsys,
         "reduce",
         "--eps",
         "1/100",
@@ -159,8 +185,8 @@ def test_reduce_pipeline(tmp_path):
         str(trace_path),
         str(cfg_path),
     )
-    assert proc.returncode == 0
-    summary = json.loads(proc.stdout)
+    assert code == 0
+    summary = json.loads(out)
     assert summary["before"] == "2/5"
     assert summary["after"] == "2/5"
     assert summary["certificate"] == "2/5"
@@ -171,18 +197,18 @@ def test_reduce_pipeline(tmp_path):
         step = json.loads(line)
         assert step["prob_b_nondecreasing"] is True
     reduced = json.loads(out_path.read_text())
-    assert run_cli("verify", "-", stdin=json.dumps(reduced)).returncode == 0
+    assert run_main(capsys, "verify", "-", stdin=json.dumps(reduced))[0] == 0
 
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def test_reduce_writes_the_pinned_bytes():
+def test_reduce_writes_the_pinned_bytes(capsys):
     """The reduced 6x6 fixture and its report, byte for byte; CI runs the same line."""
     fixture = FIXTURES / "reduce_6x6.json"
-    proc = run_cli("reduce", "--eps", "1/1000", "--out", "-", str(fixture))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (FIXTURES / "reduce_6x6.expected").read_text()
+    code, out = run_main(capsys, "reduce", "--eps", "1/1000", "--out", "-", str(fixture))
+    assert code == 0
+    assert out == (FIXTURES / "reduce_6x6.expected").read_text()
 
 
 def test_reduce_writes_the_pinned_trace(tmp_path, capsys):
@@ -194,12 +220,14 @@ def test_reduce_writes_the_pinned_trace(tmp_path, capsys):
     assert trace.read_bytes() == (FIXTURES / "reduce_6x6.trace.expected").read_bytes()
 
 
-def test_discretize_writes_the_pinned_bytes():
+def test_discretize_writes_the_pinned_bytes(capsys):
     """The 12-atom fixture coarsened at n = 16, with its report, byte for byte; CI runs it too."""
     fixture = FIXTURES / "coarsen_12.json"
-    proc = run_cli("discretize", "--delta", "1/4", "--n", "16", "--out", "-", str(fixture))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (FIXTURES / "coarsen_12.expected").read_text()
+    code, out = run_main(
+        capsys, "discretize", "--delta", "1/4", "--n", "16", "--out", "-", str(fixture)
+    )
+    assert code == 0
+    assert out == (FIXTURES / "coarsen_12.expected").read_text()
 
 
 def test_reduce_rejects_bad_epsilon(tmp_path, capsys):
@@ -208,27 +236,28 @@ def test_reduce_rejects_bad_epsilon(tmp_path, capsys):
     assert_one_error_line(*main_exit(capsys, "reduce", "--eps", "0", str(cfg_path)))
 
 
-def test_search_exhaustive():
-    proc = run_cli("search", "1/4", "--denom", "5")
-    assert proc.returncode == 0
-    result = json.loads(proc.stdout)
+def test_search_exhaustive(capsys):
+    code, out = run_main(capsys, "search", "1/4", "--denom", "5")
+    assert code == 0
+    result = json.loads(out)
     assert result["method"] == "exhaustive"
     assert result["best_prob_B"] == "2/5"
     assert result["configs_evaluated"] == 792
 
 
-def test_search_hill_climb():
-    proc = run_cli("search", "1/4", "--iters", "300", "--seed", "9")
-    assert proc.returncode == 0
-    result = json.loads(proc.stdout)
+def test_search_hill_climb(capsys):
+    code, out = run_main(capsys, "search", "1/4", "--iters", "300", "--seed", "9")
+    assert code == 0
+    result = json.loads(out)
     assert result["method"] == "hill_climb"
     assert result["seed"] == 9
     assert result["configs_evaluated"] == 300
 
 
-def test_curve_csv(tmp_path):
+def test_curve_csv(tmp_path, capsys):
     csv_path = tmp_path / "curve.csv"
-    proc = run_cli(
+    code, _ = run_main(
+        capsys,
         "curve",
         "--from",
         "1/100",
@@ -239,7 +268,7 @@ def test_curve_csv(tmp_path):
         "--out",
         str(csv_path),
     )
-    assert proc.returncode == 0
+    assert code == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0] == (
         "delta,delta_dec,lambda_sharp,lambda_sharp_dec,"
@@ -250,10 +279,11 @@ def test_curve_csv(tmp_path):
     assert lines[-1].startswith("49/100,")
 
 
-def test_curve_blanks_linear_bound_past_one_half(tmp_path):
+def test_curve_blanks_linear_bound_past_one_half(tmp_path, capsys):
     csv_path = tmp_path / "curve.csv"
     svg_path = tmp_path / "curve.svg"
-    proc = run_cli(
+    code, _ = run_main(
+        capsys,
         "curve",
         "--from",
         "2/5",
@@ -266,7 +296,7 @@ def test_curve_blanks_linear_bound_past_one_half(tmp_path):
         "--svg",
         str(svg_path),
     )
-    assert proc.returncode == 0
+    assert code == 0
     lines = csv_path.read_text().splitlines()
     assert lines[3] == "1/2,0.5,1,1,,"
     assert lines[-1].startswith("3/5,")
@@ -275,7 +305,49 @@ def test_curve_blanks_linear_bound_past_one_half(tmp_path):
     assert svg.rstrip().endswith("</svg>")
 
 
-def test_discretize_converts_and_coarsens(tmp_path):
+def test_curve_empirical_runs_either_search(tmp_path, capsys):
+    """``--denom`` picks the exhaustive search and its absence the climb, as ``search`` does."""
+    csv_path, svg_path = tmp_path / "curve.csv", tmp_path / "curve.svg"
+    curve = ["curve", "--from", "1/10", "--to", "9/10", "--steps", "5", "--empirical"]
+    files = ["--out", str(csv_path), "--svg", str(svg_path)]
+    searches = (("exhaustive", ["--denom", "4"]), ("hill_climb", ["--iters", "50", "--seed", "3"]))
+    for method, args in searches:
+        assert run_main(capsys, *curve, *args, *files) == (0, "")
+        rows = csv_path.read_text().splitlines()
+        assert rows[0].endswith(",empirical_best,empirical_best_dec")
+        assert len(rows) == 6
+        for row in rows[1:]:
+            delta = Fraction(row.split(",")[0])
+            if method == "exhaustive":
+                want = exhaustive_search(delta, 2, 2, 4)
+            else:
+                want = hill_climb(delta, 2, 2, 50, 3)
+            assert row.split(",")[-2] == str(want.best_prob_B), (method, row)
+        # one dot per searched threshold
+        assert svg_path.read_text().count('fill="#c23b22"') == 5
+
+
+def test_curve_memory_does_not_grow_with_steps(tmp_path, capsys):
+    """Rows are written as they are computed, so the peak is the same at 100 and 2,000 steps."""
+    csv_path = tmp_path / "curve.csv"
+
+    def peak(steps):
+        argv = ["curve", "--from", "1/100", "--to", "99/100", "--steps", str(steps)]
+        tracemalloc.start()
+        try:
+            assert run_main(capsys, *argv, "--out", str(csv_path)) == (0, "")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # imports and first-call caches stay out of the comparison
+    small, large = peak(100), peak(2000)
+    # holding every row took about 450 bytes a step, 0.86 MB more here
+    assert large - small < 64 * 1024, (small, large)
+    assert len(csv_path.read_text().splitlines()) == 2001
+
+
+def test_discretize_converts_and_coarsens(tmp_path, capsys):
     space_path = tmp_path / "space.json"
     space_path.write_text(
         json.dumps(
@@ -288,12 +360,13 @@ def test_discretize_converts_and_coarsens(tmp_path):
             }
         )
     )
-    direct = run_cli("discretize", "--delta", "1/4", str(space_path))
-    assert direct.returncode == 0
-    assert json.loads(direct.stdout)["prob_B"] == "2/5"
+    code, out = run_main(capsys, "discretize", "--delta", "1/4", str(space_path))
+    assert code == 0
+    assert json.loads(out)["prob_B"] == "2/5"
 
     out_path = tmp_path / "coarse.json"
-    coarse = run_cli(
+    code, out = run_main(
+        capsys,
         "discretize",
         "--delta",
         "1/4",
@@ -303,13 +376,17 @@ def test_discretize_converts_and_coarsens(tmp_path):
         str(out_path),
         str(space_path),
     )
-    assert coarse.returncode == 0
-    report = json.loads(coarse.stdout)
+    assert code == 0
+    report = json.loads(out)
     assert report["comparison_holds"] is True
     assert report["max_x_shift"] == "0"
     assert report["raw_spread"] == "2/5"
     cfg = json.loads(out_path.read_text())
-    assert run_cli("verify", "-", stdin=json.dumps(cfg)).returncode == 0
+    assert run_main(capsys, "verify", "-", stdin=json.dumps(cfg))[0] == 0
+    # the space read from stdin, as a file is read
+    code, out = run_main(capsys, "discretize", "--delta", "1/4", "-", stdin=space_path.read_text())
+    assert code == 0
+    assert json.loads(out)["prob_B"] == "2/5"
 
 
 def test_usage_errors_exit_two(capsys):

@@ -506,6 +506,9 @@ def reference_rational(value, what):
     if isinstance(value, Fraction):
         return value
     try:
+        # a float has lost its exact value, and a boolean is not a number
+        if isinstance(value, (bool, float)):
+            raise TypeError(value)
         if isinstance(value, str):
             digits = sum(map(str.isdigit, value))
             _, e, exponent = value.upper().partition("E")

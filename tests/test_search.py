@@ -15,6 +15,7 @@ from expert_spread.config import (
     ConfigError,
     DomainError,
     InternalStateError,
+    _normalized,
     _stats_loop,
     compute_stats,
     make_configuration,
@@ -23,7 +24,6 @@ from expert_spread.config import (
 from expert_spread.search import (
     SearchSpaceError,
     _gaps,
-    _parts_to_config,
     _random_parts,
     enumeration_cap,
     exhaustive_search,
@@ -268,7 +268,7 @@ def reference_exhaustive(delta, n_cols, n_rows, denom):
         prob = _stats_loop(parts, n_cols, n_rows, th.numerator, th.denominator)[5]
         if prob > best_prob:
             best_prob, best_parts = prob, parts
-    cfg = _parts_to_config(best_parts, delta, n_cols, n_rows, denom)
+    cfg = _normalized(delta, n_cols, n_rows, best_parts, denom)
     return F(best_prob, denom), evaluated, cfg
 
 
@@ -314,7 +314,7 @@ def reference_hill_climb(delta, n_cols, n_rows, iters, seed):
             else:
                 parts[src] += amt
                 parts[dst] -= amt
-    cfg = _parts_to_config(best_parts, delta, n_cols, n_rows, 1024)
+    cfg = _normalized(delta, n_cols, n_rows, best_parts, 1024)
     return F(best_prob, 1024), evaluated, cfg
 
 

@@ -27,9 +27,10 @@ from expert_spread.config import (
     dump_config,
     make_configuration,
     normalize,
+    parse_rational,
 )
 from expert_spread.search import _random_parts, random_configuration, reduced_shape_problem
-from expert_spread import transforms
+from expert_spread import _grid, transforms
 from expert_spread.transforms import (
     absorb_empty_border_cell,
     augment,
@@ -446,6 +447,42 @@ def test_canonicalize_requires_corners_below_one_half():
         canonicalize(one_sided)
     with pytest.raises(ConfigError, match="^both extreme spread corners need positive mass"):
         empty_corner_rectangles(one_sided)
+
+
+def test_canonicalize_checks_that_its_result_keeps_both_corners(monkeypatch):
+    """A cycle step that empties a corner is caught on the result, after the cycle.
+
+    The replaced step loads a one-sided grid that passes ``is_canonical``, so
+    only the result's occupancy, read from its memo entry, can refuse it.
+    """
+    one_sided = make_configuration(
+        F(1, 4), 1, 2, {(1, 1): (0, F(4, 5)), (1, 2): (F(1, 5), 0)}
+    )
+    assert is_canonical(one_sided) and _grid_stats(one_sided).occupied == (True, False)
+
+    def emptying_fill(grid):
+        moves = grid.moves
+        grid.__init__(one_sided, _grid_stats(one_sided))
+        grid.moves = moves + 1
+
+    monkeypatch.setattr(_grid._Grid, "_corner_fill", emptying_fill)
+    with pytest.raises(InternalStateError, match="^canonical fixpoint failed its own checks$"):
+        canonicalize(extremal_config(F(1, 4)))
+
+
+def test_exact_values_refuse_floats_and_booleans():
+    """The API reads exact values as the file loaders, Cell and Atom do: no float or boolean."""
+    cfg = extremal_config(F(1, 4))
+    for bad, shown in ((0.1, "0.1"), (True, "True"), ("abc", "'abc'")):
+        with pytest.raises(ConfigError, match=f"^cannot parse rational {shown} as an exact rational$"):
+            parse_rational(bad)
+        for call in (reduce, augment):
+            with pytest.raises(ConfigError, match=f"^cannot parse epsilon {shown} as an exact rational$"):
+                call(cfg, bad)
+    for bad, shown in ((True, "True"), (0.5, "0.5")):
+        with pytest.raises(ConfigError, match=f"^cannot parse a mass {shown} as an exact rational$"):
+            make_configuration("1/4", 1, 1, {(1, 1): (bad, 0)})
+    assert reduce(cfg, "1/1000")["out"] == reduce(cfg, F(1, 1000))["out"]
 
 
 def test_canonicalize_fixes_the_extremal_witness():
