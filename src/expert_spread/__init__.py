@@ -55,7 +55,6 @@ from .transforms import (
 from .search import (
     SearchResult,
     exhaustive_search,
-    fuzz_transforms,
     hill_climb,
 )
 from .discretize import (
@@ -94,7 +93,6 @@ __all__ = [
     "dump_config",
     "exhaustive_search",
     "extremal_config",
-    "fuzz_transforms",
     "grid_coarsen",
     "halfpoint_example",
     "hill_climb",

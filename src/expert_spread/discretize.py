@@ -20,6 +20,7 @@ from .config import (
     DomainError,
     RationalLike,
     _JSON_PLAIN,
+    _as_ratio,
     _cap_cells,
     _grid_stats,
     _json_exact,
@@ -147,15 +148,16 @@ def label_values(space: RawSpace) -> tuple[dict[str, Fraction], dict[str, Fracti
     return x, y
 
 
-def spread_probability(space: RawSpace, threshold: Fraction) -> Fraction:
+def spread_probability(space: RawSpace, threshold: RationalLike) -> Fraction:
     """Mass of atoms whose two conditional forecasts differ by >= threshold.
 
     Each atom is tested on its labels' integer sums by cross-multiplying,
     one test per atom, so the cost stays linear in the atoms however many
-    label pairs they span.
+    label pairs they span. The threshold is read as an exact rational; a
+    float or a boolean raises :class:`ConfigError`.
     """
     den, parts, cols, rows = space._grouped
-    th_num, th_den = threshold.numerator, threshold.denominator
+    th_num, th_den = _as_ratio(threshold, "threshold")
     total = 0
     for atom, (w, _) in zip(space.atoms, parts):
         if not w:
@@ -167,18 +169,19 @@ def spread_probability(space: RawSpace, threshold: Fraction) -> Fraction:
     return Fraction(total, den)
 
 
-def threshold_probability(cfg: Configuration, threshold: Fraction) -> Fraction:
+def threshold_probability(cfg: Configuration, threshold: RationalLike) -> Fraction:
     """Mass of cells whose column and row values differ by >= threshold.
 
     With ``threshold = 1 - delta`` this is the configuration's spread
     probability; other thresholds support the coarsening comparison, whose
     right-hand side uses a threshold lowered by 2/n. A non-positive
-    threshold makes every cell count, so the result is 1.
+    threshold makes every cell count, so the result is 1. The threshold is
+    read as in :func:`spread_probability`.
     """
+    th_num, th_den = _as_ratio(threshold, "threshold")
     g = _grid_stats(cfg)
     b_num = _units_evaluator(cfg.n_cols, cfg.n_rows)(
-        cfg._parts, cfg.n_rows, g.col_t, g.col_a, g.row_t, g.row_a,
-        threshold.numerator, threshold.denominator,
+        cfg._parts, cfg.n_rows, g.col_t, g.col_a, g.row_t, g.row_a, th_num, th_den
     )
     return Fraction(b_num, g.den)
 

@@ -7,10 +7,6 @@ report the best value found. Every single evaluation is compared against
 the closed form, so the searches double as a falsification harness: a
 configuration beating the bound would surface as a hard error, not a
 silently kept "discovery".
-
-The module also hosts the transformation fuzzer, which generates seeded
-random configurations, runs the whole transformation toolbox plus the full
-reduction on each, and collects every contract violation as data.
 """
 
 from __future__ import annotations
@@ -27,12 +23,10 @@ from .config import (
     Configuration,
     ConfigError,
     DomainError,
-    ExpertSpreadError,
     InternalStateError,
     RationalLike,
     SearchSpaceError,
     _cap_cells,
-    _grid_stats,
     _line_sums,
     _normalized,
     _units_evaluator,
@@ -41,9 +35,10 @@ from .config import (
     rational_to_str,
     validate_delta,
 )
-from .bounds import HALF, certify_upper_bound, extremal_config, lambda_sharp
-from . import transforms
-from .transforms import TransformTrace, make_trace, reduced_shape_problem
+from .bounds import lambda_sharp
+
+# re-exported: the benchmark's reduce workload reads it from this module
+from .transforms import reduced_shape_problem  # noqa: F401
 
 DEFAULT_ENUM_CAP = 10**8
 ENUM_CAP_ENV = "EXPERT_SPREAD_ENUM_CAP"
@@ -510,183 +505,3 @@ def hill_climb(
         method="hill_climb",
         seed=seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# Transformation fuzzing
-# ---------------------------------------------------------------------------
-
-
-def random_configuration(
-    rng: random.Random, delta: Fraction, max_dim: int = 4
-) -> Configuration:
-    """One seeded random configuration, normalized.
-
-    Dimensions are uniform on 1..max_dim, masses are a uniform integer
-    composition over a power-of-two denominator between 2^4 and 2^10, so
-    degenerate shapes (empty cells, pure cells, zero lines before the
-    normalize) appear with substantial probability.
-    """
-    n_cols = rng.randint(1, max_dim)
-    n_rows = rng.randint(1, max_dim)
-    denom = 2 ** rng.randint(4, 10)
-    parts = _random_parts(rng, denom, 2 * n_cols * n_rows)
-    return _normalized(delta, n_cols, n_rows, parts, denom)
-
-
-class _FuzzRun:
-    """Single-configuration battery; appends violating traces to ``out``."""
-
-    def __init__(self, cfg: Configuration, rng: random.Random, out: list) -> None:
-        self.cfg = cfg
-        self.rng = rng
-        self.out = out
-
-    def _error_trace(self, name: str, exc: Exception) -> None:
-        trace = make_trace(
-            f"{name}:{type(exc).__name__}", (str(exc),), self.cfg, self.cfg
-        )
-        self.out.append(trace)
-
-    def _judge(
-        self,
-        name: str,
-        params: tuple,
-        after: Configuration,
-        *,
-        dims_exempt: bool = False,
-        prob_exact: bool = False,
-    ) -> Optional[Configuration]:
-        trace = make_trace(name, params, self.cfg, after)
-        ok = trace.prob_b_nondecreasing and trace.corners_preserved
-        if not dims_exempt:
-            ok = ok and trace.dims_nonincreasing
-        if prob_exact:
-            ok = ok and trace.prob_B_after == trace.prob_B_before
-        if not ok:
-            self.out.append(trace)
-            return None
-        return after
-
-    def run(self) -> None:
-        try:
-            self._basic_ops()
-            self._swap_op()
-            self._normal_forms()
-            self._reduction()
-        except ExpertSpreadError as exc:
-            self._error_trace("battery", exc)
-
-    def _basic_ops(self) -> None:
-        cfg = self.cfg
-        self._judge("transpose", (), transforms.transpose(cfg), dims_exempt=True,
-                    prob_exact=True)
-        self._judge("complement_reflect", (), transforms.complement_reflect(cfg),
-                    prob_exact=True)
-        if cfg.n_cols >= 2:
-            k = self.rng.randint(1, cfg.n_cols - 1)
-            self._judge("merge_columns", (k,), transforms.merge_columns(cfg, k))
-        if cfg.n_rows >= 2:
-            j = self.rng.randint(1, cfg.n_rows - 1)
-            self._judge("merge_rows", (j,), transforms.merge_rows(cfg, j))
-        s = compute_stats(cfg)
-        for k, j in list(s.d_minus) + list(s.d_plus):
-            i = cfg._index(k, j)
-            if cfg._parts[i] > 0 and cfg._parts[i + 1] > 0:
-                self._judge(
-                    "purify_border_cell", (k, j),
-                    transforms.purify_border_cell(cfg, k, j),
-                )
-                break
-
-    def _swap_op(self) -> None:
-        cfg = self.cfg
-        if cfg.n_cols < 2 or cfg.n_rows < 2:
-            return
-        k1 = self.rng.randint(1, cfg.n_cols - 1)
-        k2 = self.rng.randint(k1 + 1, cfg.n_cols)
-        j2 = self.rng.randint(1, cfg.n_rows - 1)
-        j1 = self.rng.randint(j2 + 1, cfg.n_rows)
-        complement = self.rng.random() < 0.5
-        after = transforms.diagonal_swap(cfg, (k1, j1), (k2, j2), complement)
-        sb, sa = compute_stats(cfg), compute_stats(after)
-        vectors_kept = (
-            sa.prob_B == sb.prob_B
-            and sa.x == sb.x
-            and sa.y == sb.y
-            and sa.p == sb.p
-            and sa.q == sb.q
-        )
-        corners_ok = cfg.delta >= HALF or (
-            not all(_grid_stats(cfg).occupied) or all(_grid_stats(after).occupied)
-        )
-        if not (vectors_kept and corners_ok):
-            self.out.append(
-                make_trace("diagonal_swap", (k1, j1, k2, j2, complement), cfg, after)
-            )
-
-    def _normal_forms(self) -> None:
-        cfg = self.cfg
-        self._judge("zigzag_normalize", (), transforms.zigzag_normalize(cfg))
-        self._judge("purify_all_borders", (), transforms.purify_all_borders(cfg))
-        self._judge("corner_fill", (), transforms.corner_fill(cfg))
-        if compute_stats(cfg).prob_B == 0:
-            return
-        eps = Fraction(1, self.rng.choice([50, 100, 1000]))
-        grown = transforms.augment(cfg, eps)
-        trace = make_trace("augment", (eps,), cfg, grown)
-        if trace.prob_B_after <= trace.prob_B_before - eps or not all(
-            _grid_stats(grown).occupied
-        ):
-            self.out.append(trace)
-            return
-        canon = transforms.canonicalize(grown)
-        trace = make_trace("canonicalize", (), grown, canon)
-        ok = (
-            trace.prob_b_nondecreasing
-            and trace.corners_preserved
-            and transforms.is_canonical(canon)
-        )
-        if not ok:
-            self.out.append(trace)
-
-    def _reduction(self) -> None:
-        cfg = self.cfg
-        if cfg.delta >= HALF or compute_stats(cfg).prob_B == 0:
-            return
-        eps = Fraction(1, 1000)
-        result = transforms.reduce(cfg, eps)
-        out = result["out"]
-        problem = reduced_shape_problem(out)
-        sb, sa = compute_stats(cfg), compute_stats(out)
-        cert = certify_upper_bound(out)
-        ok = (
-            sa.prob_B > sb.prob_B - eps
-            and problem is None
-            and sa.prob_B <= cert <= lambda_sharp(cfg.delta)
-        )
-        if not ok:
-            self.out.append(make_trace("reduce", (eps, problem), cfg, out))
-
-
-def fuzz_transforms(delta: RationalLike, n_configs: int, seed: int) -> dict:
-    """Run the toolbox over seeded random configurations, collect violations.
-
-    The first exercised configuration is always the known extremal witness
-    for the given threshold parameter (a deterministic canary); the rest
-    are drawn by :func:`random_configuration`. Contract breaches and
-    unexpected toolbox errors are returned as trace records under the
-    ``"violations"`` key, never raised.
-    """
-    d = validate_delta(delta)
-    if n_configs < 1:
-        raise DomainError(f"n_configs must be at least 1, got {n_configs}")
-    rng = random.Random(seed)
-    violations: list[TransformTrace] = []
-    for i in range(n_configs):
-        if i == 0:
-            cfg = extremal_config(d)
-        else:
-            cfg = random_configuration(rng, d)
-        _FuzzRun(cfg, rng, violations).run()
-    return {"violations": violations}

@@ -106,11 +106,13 @@ def make_trace(
 
 
 def trace_to_json_dict(trace: TransformTrace) -> dict:
-    """Serialize one trace entry with exact rational strings."""
+    """Serialize one trace entry with exact rational strings.
+
+    The reduce driver records its parameters as integers and strings, the
+    swap's cells as ``(k, j)`` tuples, so only the tuples need converting.
+    """
 
     def enc(value):
-        if isinstance(value, Fraction):
-            return rational_to_str(value)
         if isinstance(value, (tuple, list)):
             return [enc(v) for v in value]
         return value

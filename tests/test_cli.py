@@ -21,7 +21,9 @@ from expert_spread.config import (
     InternalStateError,
     ReduceContradictionError,
     TransformContractError,
+    dump_config,
 )
+from expert_spread.discretize import load_space, to_configuration
 
 CLI = [sys.executable, "-m", "expert_spread.cli"]
 # the subprocess imports the same package as this test process
@@ -327,6 +329,18 @@ def test_curve_empirical_runs_either_search(tmp_path, capsys):
         assert svg_path.read_text().count('fill="#c23b22"') == 5
 
 
+def test_curve_refuses_an_empty_range_or_one_step(tmp_path, capsys):
+    csv_path = tmp_path / "curve.csv"
+    for args, message in (
+        (["--from", "1/2", "--to", "1/4", "--steps", "5"], "error: curve range must satisfy from < to"),
+        (["--from", "1/4", "--to", "1/2", "--steps", "1"], "error: curve needs at least 2 steps"),
+    ):
+        code, err = main_exit(capsys, "curve", *args, "--out", str(csv_path))
+        assert_one_error_line(code, err, args)
+        assert err.startswith(message), err
+        assert not csv_path.exists()
+
+
 def test_curve_memory_does_not_grow_with_steps(tmp_path, capsys):
     """Rows are written as they are computed, so the peak is the same at 100 and 2,000 steps."""
     csv_path = tmp_path / "curve.csv"
@@ -387,6 +401,22 @@ def test_discretize_converts_and_coarsens(tmp_path, capsys):
     code, out = run_main(capsys, "discretize", "--delta", "1/4", "-", stdin=space_path.read_text())
     assert code == 0
     assert json.loads(out)["prob_B"] == "2/5"
+
+
+def test_discretize_without_n_writes_the_grouped_grid(tmp_path, capsys):
+    space_path, out_path = tmp_path / "space.json", tmp_path / "grid.json"
+    space_path.write_text(
+        json.dumps({"atoms": [{"w": "1/2", "a": "0", "g": "g1", "h": "h1"},
+                              {"w": "1/2", "a": "1/2", "g": "g2", "h": "h1"}]})
+    )
+    code, _ = run_main(
+        capsys, "discretize", "--delta", "1/4", "--out", str(out_path), str(space_path)
+    )
+    assert code == 0
+    space = load_space(io.StringIO(space_path.read_text()))
+    buf = io.StringIO()
+    dump_config(to_configuration(space, Fraction(1, 4)), buf)
+    assert out_path.read_bytes() == buf.getvalue().encode()
 
 
 def test_usage_errors_exit_two(capsys):

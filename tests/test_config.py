@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import expert_spread
 from expert_spread import config
 from expert_spread.bounds import extremal_config
 from expert_spread.config import (
@@ -663,3 +664,10 @@ def test_loader_keeps_its_error_texts_and_their_order():
     )
     assert texts["range then mass"] == "cannot parse rational 'x' as an exact rational"
     assert texts["negative ac then range"] == "cell masses must be non-negative, got a=2, ac=-1"
+
+
+def test_star_import_resolves_every_public_name():
+    # an __all__ entry whose import was deleted fails the star import
+    namespace = {}
+    exec("from expert_spread import *", namespace)
+    assert [name for name in expert_spread.__all__ if name not in namespace] == []

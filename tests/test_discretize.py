@@ -230,6 +230,21 @@ def test_nonpositive_threshold_counts_everything():
     assert spread_probability(witness_space(), F(0)) == 1
 
 
+def test_thresholds_are_read_as_exact_rationals():
+    # a string reads as its Fraction does; a float has lost its exact value
+    # and a boolean is not a number, so both are refused
+    cfg, space = extremal_config(F(1, 4)), witness_space()
+    for value in ("1/2", "3/4", 1, 0):
+        want = F(value)
+        assert threshold_probability(cfg, value) == threshold_probability(cfg, want)
+        assert spread_probability(space, value) == spread_probability(space, want)
+    for bad in (0.5, True, False):
+        with pytest.raises(ConfigError, match="threshold"):
+            threshold_probability(cfg, bad)
+        with pytest.raises(ConfigError, match="threshold"):
+            spread_probability(space, bad)
+
+
 def test_coarsening_the_witness_is_lossless():
     result = grid_coarsen(witness_space(), 4, F(1, 4))
     report = result["report"]

@@ -1,4 +1,4 @@
-"""Exhaustive enumeration, hill climbing, and the transformation fuzzer."""
+"""Exhaustive enumeration and hill climbing."""
 
 import itertools
 import math
@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from expert_spread.bounds import extremal_config, lambda_sharp
-from expert_spread import search, transforms
+from expert_spread import search
 from expert_spread.config import (
     ConfigError,
     DomainError,
@@ -27,12 +27,12 @@ from expert_spread.search import (
     _random_parts,
     enumeration_cap,
     exhaustive_search,
-    fuzz_transforms,
     hill_climb,
-    random_configuration,
     reduced_shape_problem,
     search_result_to_json_dict,
 )
+
+from test_transforms import random_configuration
 
 F = Fraction
 
@@ -171,50 +171,6 @@ def test_reduced_shape_conditions():
         },
     )
     assert reduced_shape_problem(deep) is not None
-
-
-def test_fuzzer_reports_no_violations():
-    for delta in (F(1, 4), F(3, 4)):
-        report = fuzz_transforms(delta, 40, seed=7)
-        assert report["violations"] == []
-
-
-# What each judged transform returns when broken: a grid without spread,
-# or for the swap one whose line values all moved.
-FLAT = make_configuration(F(1, 4), 1, 1, {(1, 1): (1, 0)})
-BROKEN_TRANSFORMS = {
-    "corner_fill": lambda cfg: FLAT,
-    "augment": lambda cfg, eps: FLAT,
-    "canonicalize": lambda cfg: FLAT,
-    "diagonal_swap": lambda cfg, c1, c2, complement: transforms.complement_reflect(cfg),
-    "reduce": lambda cfg, eps: {"out": FLAT, "trace": []},
-}
-
-
-@pytest.mark.parametrize("name", list(BROKEN_TRANSFORMS))
-def test_fuzzer_reports_a_broken_transform(monkeypatch, name):
-    monkeypatch.setattr(transforms, name, BROKEN_TRANSFORMS[name])
-    names = [trace.name for trace in fuzz_transforms(F(1, 4), 1, seed=7)["violations"]]
-    assert name in names
-
-    def raises(*args):
-        raise InternalStateError(f"{name} broke")
-
-    monkeypatch.setattr(transforms, name, raises)
-    [trace] = fuzz_transforms(F(1, 4), 1, seed=7)["violations"]
-    assert trace.name == "battery:InternalStateError"
-    assert trace.params == (f"{name} broke",)
-
-
-def test_fuzzer_is_deterministic():
-    a = fuzz_transforms(F(1, 4), 20, seed=21)
-    b = fuzz_transforms(F(1, 4), 20, seed=21)
-    assert a == b
-
-
-def test_fuzzer_input_validation():
-    with pytest.raises(DomainError):
-        fuzz_transforms(F(1, 4), 0, seed=1)
 
 
 def _compositions(total, slots):

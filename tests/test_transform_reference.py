@@ -6,6 +6,10 @@ lattice. They build every result through the public ``Configuration``
 constructor from ``Cell`` objects and read the public ``Stats``, so they
 share no code with the integer versions beyond ``compute_stats``, which
 ``tests/test_kernel.py`` checks against its own reference.
+
+Every grid compared with the references also goes through the contract
+battery, ``contract_violations``, which the seeded transformation fuzzer
+runs on its own random configurations.
 """
 
 import copy
@@ -15,7 +19,10 @@ import random
 from fractions import Fraction
 from typing import Callable
 
+import pytest
+
 from expert_spread import _grid, transforms
+from expert_spread.bounds import certify_upper_bound, extremal_config, lambda_sharp
 from expert_spread.config import (
     Cell,
     Configuration,
@@ -37,7 +44,7 @@ from expert_spread.discretize import grid_coarsen, to_configuration
 from expert_spread.search import hill_climb
 
 from test_discretize import random_space
-from test_transforms import seeded_reduce_inputs
+from test_transforms import random_configuration, seeded_reduce_inputs
 
 F = Fraction
 ZERO = F(0)
@@ -626,8 +633,127 @@ def same_zigzag(cfg, counts):
         assert outcome(transforms.zigzag_normalize, again) is again, cfg
 
 
-def exercise(cfg, rng, counts):
-    """Every transform on ``cfg``, compared with its rational body."""
+# ---------------------------------------------------------------------------
+# Contract battery
+# ---------------------------------------------------------------------------
+
+
+def contract_violations(cfg, rng):
+    """The toolbox's contracts on ``cfg``, every breach as a trace.
+
+    Each transform's result must keep the spread probability from dropping,
+    the grid from growing, and both corners occupied if they were; the two
+    symmetries keep the spread probability exactly, and transpose may swap
+    the dimensions. The diagonal swap keeps every line value, augment loses
+    less than its epsilon and fills both corners, canonicalize reaches a
+    canonical shape, and reduce reaches its exit shape with a certificate
+    between its value and the sharp bound. ``rng`` draws the merge indices,
+    the swap and the epsilon, in that order. An error from the toolbox ends
+    the battery as one ``battery:<error class>`` trace.
+    """
+    out = []
+    make_trace = transforms.make_trace
+
+    def judge(name, params, after, *, dims_exempt=False, prob_exact=False):
+        trace = make_trace(name, params, cfg, after)
+        ok = trace.prob_b_nondecreasing and trace.corners_preserved
+        if not dims_exempt:
+            ok = ok and trace.dims_nonincreasing
+        if prob_exact:
+            ok = ok and trace.prob_B_after == trace.prob_B_before
+        if not ok:
+            out.append(trace)
+
+    try:
+        m, n = cfg.n_cols, cfg.n_rows
+        judge("transpose", (), transforms.transpose(cfg), dims_exempt=True, prob_exact=True)
+        judge("complement_reflect", (), transforms.complement_reflect(cfg), prob_exact=True)
+        if m >= 2:
+            k = rng.randint(1, m - 1)
+            judge("merge_columns", (k,), transforms.merge_columns(cfg, k))
+        if n >= 2:
+            j = rng.randint(1, n - 1)
+            judge("merge_rows", (j,), transforms.merge_rows(cfg, j))
+        s = compute_stats(cfg)
+        for k, j in list(s.d_minus) + list(s.d_plus):
+            i = cfg._index(k, j)
+            if cfg._parts[i] and cfg._parts[i + 1]:
+                judge("purify_border_cell", (k, j), transforms.purify_border_cell(cfg, k, j))
+                break
+
+        if m >= 2 and n >= 2:
+            k1 = rng.randint(1, m - 1)
+            k2 = rng.randint(k1 + 1, m)
+            j2 = rng.randint(1, n - 1)
+            j1 = rng.randint(j2 + 1, n)
+            complement = rng.random() < 0.5
+            after = transforms.diagonal_swap(cfg, (k1, j1), (k2, j2), complement)
+            sa = compute_stats(after)
+            vectors_kept = (sa.prob_B, sa.x, sa.y, sa.p, sa.q) == (s.prob_B, s.x, s.y, s.p, s.q)
+            corners_ok = cfg.delta >= HALF or (
+                not all(_grid_stats(cfg).occupied) or all(_grid_stats(after).occupied)
+            )
+            if not (vectors_kept and corners_ok):
+                out.append(make_trace("diagonal_swap", (k1, j1, k2, j2, complement), cfg, after))
+
+        judge("zigzag_normalize", (), transforms.zigzag_normalize(cfg))
+        judge("purify_all_borders", (), transforms.purify_all_borders(cfg))
+        judge("corner_fill", (), transforms.corner_fill(cfg))
+        if s.prob_B == 0:
+            return out
+        eps = F(1, rng.choice((50, 100, 1000)))
+        grown = transforms.augment(cfg, eps)
+        trace = make_trace("augment", (eps,), cfg, grown)
+        if trace.prob_B_after <= trace.prob_B_before - eps or not all(_grid_stats(grown).occupied):
+            out.append(trace)
+        else:
+            canon = transforms.canonicalize(grown)
+            trace = make_trace("canonicalize", (), grown, canon)
+            if not (
+                trace.prob_b_nondecreasing
+                and trace.corners_preserved
+                and transforms.is_canonical(canon)
+            ):
+                out.append(trace)
+
+        if cfg.delta >= HALF:
+            return out
+        eps = F(1, 1000)
+        reduced = transforms.reduce(cfg, eps)["out"]
+        problem = transforms.reduced_shape_problem(reduced)
+        after = compute_stats(reduced).prob_B
+        if not (
+            after > s.prob_B - eps
+            and problem is None
+            and after <= certify_upper_bound(reduced) <= lambda_sharp(cfg.delta)
+        ):
+            out.append(make_trace("reduce", (eps, problem), cfg, reduced))
+    except ExpertSpreadError as exc:
+        out.append(make_trace(f"battery:{type(exc).__name__}", (str(exc),), cfg, cfg))
+    return out
+
+
+def fuzz_transforms(delta, n_configs, seed):
+    """The battery on the extremal witness, then on seeded random grids.
+
+    One ``Random`` draws each configuration and then the battery's moves on
+    it, so the configurations depend on the moves drawn before them. Returns
+    every violation found, in order.
+    """
+    rng = random.Random(seed)
+    violations = contract_violations(extremal_config(delta), rng)
+    for _ in range(n_configs - 1):
+        violations += contract_violations(random_configuration(rng, delta), rng)
+    return violations
+
+
+def exercise(cfg, rng, counts, seed):
+    """Every transform on ``cfg``, compared with its rational body.
+
+    The contract battery runs first, on its own ``Random`` seeded with
+    ``seed``, so it leaves the draws from ``rng`` as they are.
+    """
+    assert contract_violations(cfg, random.Random(seed)) == [], (seed, cfg)
     m, n = cfg.n_cols, cfg.n_rows
     same(cfg, "transpose", ref_transpose)
     same(cfg, "complement_reflect", ref_complement_reflect)
@@ -714,13 +840,49 @@ def test_transforms_match_their_rational_bodies():
         "canonical": 0, "not canonical": 0, "zigzag merged": 0, "zigzag kept": 0,
     }
     for i in range(3000):
-        exercise(random_grid(rng, DELTAS[i % len(DELTAS)]), rng, counts)
-    for cfg in seeded_reduce_inputs()[:3]:
-        exercise(cfg, rng, counts)
+        exercise(random_grid(rng, DELTAS[i % len(DELTAS)]), rng, counts, i)
+    for i, cfg in enumerate(seeded_reduce_inputs()[:3]):
+        exercise(cfg, rng, counts, 3000 + 2 * i)
         grown = transforms.augment(cfg, F(1, 1000))
-        exercise(transforms.canonicalize(grown), rng, counts)
+        exercise(transforms.canonicalize(grown), rng, counts, 3001 + 2 * i)
     # every branch ran often enough to matter
     assert min(counts.values()) >= 100, counts
+
+
+def test_fuzzer_reports_no_violations():
+    for delta in (F(1, 4), F(3, 4)):
+        assert fuzz_transforms(delta, 40, seed=7) == []
+
+
+# What each judged transform returns when broken: a grid without spread,
+# or for the swap one whose line values all moved.
+FLAT = make_configuration(F(1, 4), 1, 1, {(1, 1): (1, 0)})
+BROKEN_TRANSFORMS = {
+    "corner_fill": lambda cfg: FLAT,
+    "augment": lambda cfg, eps: FLAT,
+    "canonicalize": lambda cfg: FLAT,
+    "diagonal_swap": lambda cfg, c1, c2, complement: transforms.complement_reflect(cfg),
+    "reduce": lambda cfg, eps: {"out": FLAT, "trace": []},
+}
+
+
+@pytest.mark.parametrize("name", list(BROKEN_TRANSFORMS))
+def test_fuzzer_reports_a_broken_transform(monkeypatch, name):
+    monkeypatch.setattr(transforms, name, BROKEN_TRANSFORMS[name])
+    names = [trace.name for trace in fuzz_transforms(F(1, 4), 1, seed=7)]
+    assert name in names
+
+    def raises(*args):
+        raise InternalStateError(f"{name} broke")
+
+    monkeypatch.setattr(transforms, name, raises)
+    [trace] = fuzz_transforms(F(1, 4), 1, seed=7)
+    assert trace.name == "battery:InternalStateError"
+    assert trace.params == (f"{name} broke",)
+
+
+def test_fuzzer_is_deterministic():
+    assert fuzz_transforms(F(1, 4), 20, seed=21) == fuzz_transforms(F(1, 4), 20, seed=21)
 
 
 def cycle_canonicalize(cfg):

@@ -22,6 +22,7 @@ from expert_spread.config import (
     ReduceContradictionError,
     TransformContractError,
     _grid_stats,
+    _normalized,
     compute_stats,
     config_from_json_dict,
     dump_config,
@@ -29,7 +30,7 @@ from expert_spread.config import (
     normalize,
     parse_rational,
 )
-from expert_spread.search import _random_parts, random_configuration, reduced_shape_problem
+from expert_spread.search import _random_parts, reduced_shape_problem
 from expert_spread import _grid, transforms
 from expert_spread.transforms import (
     absorb_empty_border_cell,
@@ -498,6 +499,14 @@ def test_is_canonical_rejects_unsorted_values():
     assert not is_canonical(cfg)
 
 
+def test_is_canonical_refuses_a_grid_with_a_zero_line():
+    # the statistics refuse an unnormalized grid; is_canonical answers no
+    cfg = make_configuration(F(1, 4), 2, 1, {(1, 1): (F(1, 2), F(1, 2))})
+    with pytest.raises(ConfigError):
+        _grid_stats(cfg)
+    assert is_canonical(cfg) is False
+
+
 # Canonical staircases at delta 1/4, each beside one cell change that breaks
 # one clause of is_canonical and keeps the staircase: integer masses
 # {(col, row): (a, ac)} over their total.
@@ -866,6 +875,21 @@ def test_trace_serialization():
             "corners_preserved",
         }
         json.dumps(wire)
+
+
+def random_configuration(rng, delta, max_dim=4):
+    """One seeded random configuration, normalized.
+
+    Dimensions are uniform on 1..max_dim, masses are a uniform integer
+    composition over a power-of-two denominator between 2^4 and 2^10, so
+    degenerate shapes (empty cells, pure cells, zero lines before the
+    normalize) appear with substantial probability.
+    """
+    n_cols = rng.randint(1, max_dim)
+    n_rows = rng.randint(1, max_dim)
+    denom = 2 ** rng.randint(4, 10)
+    parts = _random_parts(rng, denom, 2 * n_cols * n_rows)
+    return _normalized(delta, n_cols, n_rows, parts, denom)
 
 
 def seeded_reduce_inputs():
