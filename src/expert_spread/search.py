@@ -12,12 +12,13 @@ silently kept "discovery".
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .config import (
     Configuration,
@@ -26,11 +27,14 @@ from .config import (
     InternalStateError,
     RationalLike,
     SearchSpaceError,
+    UNROLL_CELLS,
     _cap_cells,
+    _grid_stats,
     _line_sums,
+    _names,
     _normalized,
+    _spread_units,
     _units_evaluator,
-    compute_stats,
     config_to_json_dict,
     rational_to_str,
     validate_delta,
@@ -90,12 +94,13 @@ def search_result_to_json_dict(result: SearchResult) -> dict:
 # lexicographic tie-break on maximizers; complement-first makes the
 # reported small-grid witnesses line up with the canonical extremal
 # configuration rather than its event-complement mirror image. This is the
-# layout of the statistics kernel, so every evaluation is one call to the
-# evaluator config._units_evaluator compiles for the grid's shape: the
-# kernel's numerator over occupied cells, in integer arithmetic, with no
-# Python loop on grids of up to config.UNROLL_CELLS cells. Each search
-# fetches it once per call. A Configuration object is only built for the
-# winner.
+# layout of the statistics kernel, and both score its numerator over
+# occupied cells in integer arithmetic, in code compiled per grid shape up
+# to config.UNROLL_CELLS cells: hill_climb calls config._units_evaluator's
+# evaluator once per move, and exhaustive_search runs _column_walker's
+# last-column walker, which scores every last column inline, once per
+# placement of the others. Past the caps each gets the loop its code is
+# tested against. A Configuration object is only built for the winner.
 # Zero-mass lines carry no conditional value and no probability there,
 # which matches evaluating the configuration with its zero lines dropped.
 
@@ -111,7 +116,7 @@ def _bound_broken(b_num: int, denom: int, lam: Fraction) -> InternalStateError:
 def _check_winner(cfg: Configuration, b_num: int, denom: int) -> Fraction:
     """The winner's spread probability, re-derived from its configuration."""
     prob = Fraction(b_num, denom)
-    if compute_stats(cfg).prob_B != prob:
+    if _grid_stats(cfg).prob_B != prob:
         raise InternalStateError(
             "the winner's configuration statistics disagree with its integer "
             "evaluation"
@@ -196,6 +201,176 @@ def _raise_column(
     return True
 
 
+def _walk_last_column(
+    n_rows: int, fixed: Sequence[int], denom: int, th_num: int, th_den: int, lam_num: int, lam_den: int
+) -> tuple[int, bool, int, Optional[tuple[int, ...]]]:
+    """Score, in ascending order, every last column at or above the last of ``fixed``.
+
+    The last column holds the units of ``denom`` that ``fixed`` leaves and
+    walks in place through their compositions: most steps move one unit
+    from the last event slot to the complement slot beside it, the others
+    empty the last positive slot into its predecessor and the last slot.
+    Each class is checked against the bound ``lam_num / (lam_den * denom)``
+    before it counts. Returns the class count, whether the first class
+    equals the last fixed column, the best spread numerator (-1 for none)
+    and the first column reaching it. This is the reference for
+    :func:`_column_walker`'s compiled walkers and its walker past their caps.
+    """
+    width = 2 * n_rows
+    o = len(fixed)
+    parts = [*fixed, *(fixed[o - width :] if o else [0] * width)]
+    room = denom - sum(fixed)
+    if not _raise_column(parts, o, width, room, 0, False):
+        return 0, False, -1, None
+    # the smallest column with total at most room, its last slot topped up,
+    # is the smallest with total exactly room
+    top = o + width - 1
+    below = top - 1
+    parts[top] += room - sum(parts[o:])
+    first_equal = o > 0 and parts[o:] == parts[o - width : o]
+    k = o // width
+    col_t, col_a, row_t, row_a = _line_sums(parts, k + 1, n_rows)
+    j_last = n_rows - 1
+    leaves, best, best_column = 0, -1, None
+    # q: the last positive slot before ``top``, or ``o - 1`` for none
+    q = top - 1
+    while q >= o and not parts[q]:
+        q -= 1
+    while True:
+        prob = _spread_units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den)
+        if prob * lam_den > lam_num:
+            raise _bound_broken(prob, denom, Fraction(lam_num, lam_den * denom))
+        leaves += 1
+        if prob > best:
+            best = prob
+            best_column = tuple(parts[o:])
+        s = parts[top]
+        if s:
+            # the common step: one unit from the last event slot to the
+            # complement slot beside it
+            parts[top] = s - 1
+            parts[below] += 1
+            col_a[k] -= 1
+            row_a[j_last] -= 1
+            q = below
+            continue
+        if q <= o:
+            return leaves, first_equal, best, best_column
+        # otherwise slot q, holding s units, empties: q - 1 gains one
+        # and the last slot takes the other s - 1
+        s = parts[q]
+        parts[q] = 0
+        j = (q - o) >> 1
+        row_t[j] -= s
+        if q & 1:
+            row_a[j] -= s
+            col_a[k] -= s
+        q -= 1
+        parts[q] += 1
+        j = (q - o) >> 1
+        row_t[j] += 1
+        if q & 1:
+            row_a[j] += 1
+            col_a[k] += 1
+        s -= 1
+        parts[top] = s
+        row_t[j_last] += s
+        row_a[j_last] += s
+        col_a[k] += s
+
+
+@functools.lru_cache(maxsize=1024)
+def _column_walker(n_cols: int, n_rows: int) -> Callable[..., tuple]:
+    """``walk(fixed, denom, th_num, th_den, lam_num, lam_den)`` as :func:`_walk_last_column`.
+
+    Within the caps of ``config``'s compiled evaluators, 8 rows and
+    ``UNROLL_CELLS`` cells, it is compiled once per shape from integer
+    indices alone: the fixed slots and line sums become locals once, and
+    each last-column slot but the last, which takes what is left, is one
+    nested ``for`` (15 at the cap; CPython allows 20 nested blocks). Each
+    level keeps whether the column so far equals its lower bound, and the
+    level completing a row tests that row's fixed cells, so a class tests
+    the last row's fixed cells and the last column's, with no call and no
+    list store. Past the caps it is the loop.
+    """
+    if n_rows > 8 or n_cols * n_rows > UNROLL_CELLS:
+        return functools.partial(_walk_last_column, n_rows)
+    n, last, width = n_rows, n_cols - 1, 2 * n_rows
+    src = [
+        "def walk(fixed, denom, th_num, th_den, lam_num, lam_den):",
+        f"    {_names('p', last * width)} = fixed" if last else "",
+        # the lower bound: the last fixed column, or zeros
+        f"    {_names('l', width)} = {f'fixed[-{width}:]' if last else (0,) * width}",
+        *[f"    m{i} = p{2 * i} + p{2 * i + 1}" for i in range(last * n)],
+    ]
+    for k in range(last):
+        col = range(k * n, k * n + n)
+        src.append(f"    ct{k} = 0" + "".join([f" + m{i}" for i in col]))
+        src.append(f"    ca{k} = 0" + "".join([f" + p{2 * i + 1}" for i in col]))
+        src.append(f"    ctd{k}, cad{k}, ctn{k} = ct{k} * th_den, ca{k} * th_den, ct{k} * th_num")
+    for j in range(n):
+        row = range(j, last * n, n)
+        src.append(f"    br{j} = 0" + "".join([f" + m{i}" for i in row]))
+        src.append(f"    ba{j} = 0" + "".join([f" + p{2 * i + 1}" for i in row]))
+    src += [
+        "    room = denom" + "".join([f" - ct{k}" for k in range(last)]),
+        f"    first_equal = {f'ct{last - 1} == room' if last else False}",
+        "    ctd, ctn = room * th_den, room * th_num",
+        "    leaves, best, best_column = 0, -1, None",
+    ]
+
+    def count(pad: str, mass: str, k: int | str, j: int, into: str) -> list[str]:
+        # the cell adds its mass to ``into`` when column k's and row j's
+        # values are at least the threshold apart, as in _spread_units
+        return [
+            f"{pad}if {mass}:",
+            f"{pad}    g = cad{k} * t{j} - a{j} * ctd{k}",
+            f"{pad}    if (g if g >= 0 else -g) >= ctn{k} * t{j}:",
+            f"{pad}        {into} += {mass}",
+        ]
+
+    pad, left = "    ", "room"
+    for i in range(width):
+        if i < width - 1:
+            start = f"l{i} if e{i - 1} else 0" if i else "l0"
+            src += [
+                f"{pad}for x{i} in range({start}, {left} + 1):",
+                f"{pad}    e{i} = {f'e{i - 1} and ' if i else ''}x{i} == l{i}",
+                f"{pad}    r{i} = {left} - x{i}",
+            ]
+            pad, left = pad + "    ", f"r{i}"
+        else:
+            src += [f"{pad}x{i} = {left}", f"{pad}if e{i - 1} and x{i} < l{i}:", f"{pad}    continue"]
+        if i % 2:
+            # row j is complete: its sums, and in f{j} the spread mass of
+            # the fixed cells of rows 0 to j
+            j = i // 2
+            src += [
+                f"{pad}lm{j} = x{i - 1} + x{i}",
+                f"{pad}t{j} = br{j} + lm{j}",
+                f"{pad}a{j} = ba{j} + x{i}",
+                f"{pad}c{j} = {f'c{j - 1} + ' if j else ''}x{i}",
+                f"{pad}f{j} = {f'f{j - 1}' if j else 0}",
+            ]
+            for k in range(last):
+                src += count(pad, f"m{k * n + j}", k, j, f"f{j}")
+    b = f"f{n - 1}"
+    src.append(f"{pad}cad = c{n - 1} * th_den")
+    for j in range(n):
+        src += count(pad, f"lm{j}", "", j, b)
+    src += [
+        f"{pad}if {b} * lam_den > lam_num:",
+        f"{pad}    raise _bound_broken({b}, denom, Fraction(lam_num, lam_den * denom))",
+        f"{pad}leaves += 1",
+        f"{pad}if {b} > best:",
+        f"{pad}    best, best_column = {b}, ({_names('x', width)})",
+        "    return leaves, first_equal, best, best_column\n",
+    ]
+    namespace: dict = {"_bound_broken": _bound_broken, "Fraction": Fraction}
+    exec(compile("\n".join(src), f"<column walker {n_cols}x{n_rows}>", "exec"), namespace)
+    return namespace["walk"]
+
+
 def exhaustive_search(
     delta: RationalLike, n_cols: int, n_rows: int, denom: int
 ) -> SearchResult:
@@ -212,17 +387,13 @@ def exhaustive_search(
     the vectors are covered by column classes: each multiset of columns is
     scored once, as its non-decreasing arrangement, the lexicographically
     smallest vector of the class, and stands for ``n_cols! / prod(mult!)``
-    vectors. The arrangements are walked in ascending flat order by an
-    explicit stack with one column per level, each level keeping the row
-    sums of the columns before it, so a strict improvement still picks the
-    smallest maximizer over all vectors. Every column but the last moves by
-    :func:`_raise_column`. The last column holds all the mass left, and
-    walks in place through the compositions of it, from the first at or
-    above the column before: most steps move one unit from the last event
-    slot to the complement slot beside it, the others empty the last
-    positive slot into its predecessor and the last slot, so a step
-    changes three slots and their line sums. The weights must sum to the
-    vector count, which is reported as ``configs_evaluated``.
+    vectors. The arrangements are walked in ascending flat order, so a
+    strict improvement still picks the smallest maximizer over all
+    vectors. An explicit stack moves every column but the last by
+    :func:`_raise_column`; the last holds all the mass left, and the walker
+    :func:`_column_walker` gives for the grid's shape scores each of its
+    compositions at or above the column before. The weights must sum to
+    the vector count, which is reported as ``configs_evaluated``.
     """
     d = validate_delta(delta)
     _validate_dims(n_cols, n_rows)
@@ -241,26 +412,19 @@ def exhaustive_search(
     lam_num, lam_den = lam.numerator * denom, lam.denominator
     th = 1 - d
     th_num, th_den = th.numerator, th.denominator
-    spread_units = _units_evaluator(n_cols, n_rows)
+    walk = _column_walker(n_cols, n_rows)
     width = 2 * n_rows
     last = n_cols - 1
-    parts = [0] * slots
-    col_t = [0] * n_cols
-    col_a = [0] * n_cols
+    # the columns before the last; weight[k]: the weight of the first k
+    parts = [0] * (last * width)
     room = [denom] * n_cols
-    # rows[k]: row totals and row event masses of the columns before k
-    rows = [([0] * n_rows, [0] * n_rows)] * (n_cols + 1)
     run = [1] * n_cols
     weight = [1] * n_cols
     covered = 0
     best_prob = -1
     best_parts: Optional[tuple[int, ...]] = None
-    # the last column's last two slots: the last row's complement and event
-    top = slots - 1
-    below = top - 1
-    j_last = n_rows - 1
     k = 0
-    found = _raise_column(parts, 0, width, denom, last, False)
+    found = last == 0 or _raise_column(parts, 0, width, denom, last, False)
     while True:
         if not found:
             k -= 1
@@ -268,80 +432,27 @@ def exhaustive_search(
                 break
             found = _raise_column(parts, k * width, width, room[k], last - k, True)
             continue
-        o = k * width
-        if k == last:
-            # the last column takes all that is left: the smallest column
-            # with total at most room[k], its last slot topped up, is the
-            # smallest with total exactly room[k]
-            parts[top] += room[k] - sum(parts[o:])
-        column = parts[o : o + width]
-        comp, event = column[::2], column[1::2]
-        col_a[k] = sum(event)
-        col_t[k] = sum(comp) + col_a[k]
-        base_t, base_a = rows[k]
-        rows[k + 1] = (
-            [t + c + a for t, c, a in zip(base_t, comp, event)],
-            [t + a for t, a in zip(base_a, event)],
-        )
-        run[k] = run[k - 1] + 1 if k and column == parts[o - width : o] else 1
-        weight[k] = (weight[k - 1] if k else 1) * (k + 1) // run[k]
         if k < last:
-            room[k + 1] = room[k] - col_t[k]
+            o = k * width
+            column = parts[o : o + width]
+            run[k] = run[k - 1] + 1 if k and column == parts[o - width : o] else 1
             k += 1
-            parts[o + width : o + 2 * width] = column
-            found = _raise_column(parts, o + width, width, room[k], last - k, False)
-            continue
-        # The last column walks in place through every composition of
-        # room[k] in ascending order. Only the first can equal the column
-        # before it, so the ones after it weigh weight[k] * run[k].
-        row_t, row_a = rows[n_cols]
-        w, w_after = weight[k], weight[k] * run[k]
-        # q: the last positive slot before ``top``, or ``o - 1`` for none
-        q = top - 1
-        while q >= o and not parts[q]:
-            q -= 1
-        while True:
-            prob = spread_units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den)
-            if prob * lam_den > lam_num:
-                raise _bound_broken(prob, denom, lam)
-            covered += w
-            w = w_after
-            if prob > best_prob:
-                best_prob = prob
-                best_parts = tuple(parts)
-            s = parts[top]
-            if s:
-                # the common step: one unit from the last event slot to
-                # the complement slot beside it
-                parts[top] = s - 1
-                parts[below] += 1
-                col_a[k] -= 1
-                row_a[j_last] -= 1
-                q = below
+            weight[k] = weight[k - 1] * k // run[k - 1]
+            if k < last:
+                room[k] = room[k - 1] - sum(column)
+                parts[o + width : o + 2 * width] = column
+                found = _raise_column(parts, o + width, width, room[k], last - k, False)
                 continue
-            if q <= o:
-                break
-            # otherwise slot q, holding s units, empties: q - 1 gains one
-            # and the last slot takes the other s - 1
-            s = parts[q]
-            parts[q] = 0
-            j = (q - o) >> 1
-            row_t[j] -= s
-            if q & 1:
-                row_a[j] -= s
-                col_a[k] -= s
-            q -= 1
-            parts[q] += 1
-            j = (q - o) >> 1
-            row_t[j] += 1
-            if q & 1:
-                row_a[j] += 1
-                col_a[k] += 1
-            s -= 1
-            parts[top] = s
-            row_t[j_last] += s
-            row_a[j_last] += s
-            col_a[k] += s
+        leaves, equal, best, tail = walk(parts, denom, th_num, th_den, lam_num, lam_den)
+        # a class weighs n_cols! / prod(mult!); only the first last column
+        # can equal the column before it and so lengthen its run
+        w = weight[last] * n_cols
+        covered += w * leaves
+        if equal:
+            covered -= w - w // (run[last - 1] + 1)
+        if best > best_prob:
+            best_prob = best
+            best_parts = (*parts, *tail)
         found = False
     if covered != count:
         raise InternalStateError(

@@ -66,7 +66,7 @@ def test_criterion_1_witness_attains_the_sharp_bound():
 
 
 def test_criterion_2_exhaustive_search_confirms_optimality(monkeypatch):
-    # count the column classes scored, one evaluator call each
+    # count the column classes the last-column walkers score
     scored = []
     count_evaluations(monkeypatch, scored)
     t0 = time.monotonic()

@@ -1,5 +1,6 @@
 """The integer spread kernel against the original Fraction statistics and scans."""
 
+import functools
 import math
 import random
 from dataclasses import fields
@@ -28,7 +29,7 @@ from expert_spread.config import (
     pitman_inclusion_violations,
     separation_violations,
 )
-from expert_spread.search import _random_parts
+from expert_spread.search import _column_walker, _random_parts, _walk_last_column
 from expert_spread.transforms import transpose
 from expert_spread.discretize import threshold_probability
 
@@ -270,6 +271,65 @@ def test_units_evaluator_matches_the_kernel_and_the_loop():
             ties += has_spread_tie(parts, n_rows, *sums, th)
     assert zero_lines > 1500
     assert ties > 500
+
+
+def test_column_walker_matches_the_loop():
+    """Each shape's last-column walker, compiled within the caps and the loop past them."""
+    # the shapes below straddle both caps: 8 rows and UNROLL_CELLS cells
+    assert UNROLL_CELLS == 64
+    shapes = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(9, 8), (1, 9), (3, 9)]
+    rng = random.Random(6173)
+    counts = dict.fromkeys(("no class", "first equal", "tie", "broken"), 0)
+    for n_cols, n_rows in shapes:
+        walk = _column_walker(n_cols, n_rows)
+        assert _column_walker(n_cols, n_rows) is walk
+        loop = functools.partial(_walk_last_column, n_rows)
+        if n_rows <= 8 and n_cols * n_rows <= UNROLL_CELLS:
+            assert walk.__code__.co_filename == f"<column walker {n_cols}x{n_rows}>"
+        else:
+            assert (walk.func, walk.args, walk.keywords) == (loop.func, loop.args, {})
+        width = 2 * n_rows
+        # the largest room whose compositions stay few, so each case is quick
+        cap = max(r for r in range(41) if math.comb(r + width - 1, r) <= 600)
+        for _ in range(24):
+            th = 1 - rng.choice(DELTAS)
+            # threshold-aligned fixed masses make exact ties common; a room
+            # equal to the lower bound's total makes the first class equal it
+            fixed = []
+            if n_cols > 1:
+                fixed = _random_parts(
+                    rng, th.denominator * rng.randint(0, 3), (n_cols - 1) * width
+                )
+            bound = sum(fixed[-width:]) if fixed else -1
+            if 0 <= bound <= cap and rng.random() < 0.3:
+                room = bound
+            else:
+                room = rng.randint(0, cap)
+            denom = sum(fixed) + room
+            args = (fixed, denom, th.numerator, th.denominator)
+            # a bound of 1 is never broken
+            got = walk(*args, denom, 1)
+            assert got == loop(*args, denom, 1)
+            leaves, first_equal, best, column = got
+            counts["no class"] += not leaves
+            counts["first equal"] += first_equal
+            if not best > 0:
+                continue
+            parts = [*fixed, *column]
+            counts["tie"] += has_spread_tie(
+                parts, n_rows, *_line_sums(parts, n_cols, n_rows), th
+            )
+            # a bound just below the best value breaks on a class that reaches it
+            lam = F(best, denom) - F(1, 10**9)
+            raised = []
+            for run in (walk, loop):
+                with pytest.raises(config.InternalStateError) as err:
+                    run(*args, lam.numerator * denom, lam.denominator)
+                raised.append(str(err.value))
+            assert raised[0] == raised[1]
+            assert raised[0].startswith(f"evaluated spread probability {F(best, denom)} ")
+            counts["broken"] += 1
+    assert min(counts.values()) > 150, counts
 
 
 def loop_grid_stats(monkeypatch, cfg):

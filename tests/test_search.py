@@ -6,6 +6,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -306,19 +307,23 @@ def column_classes(n_cols, n_rows, denom):
 
 
 def count_evaluations(monkeypatch, scored):
-    """Make every evaluator the searches fetch append to ``scored`` per call."""
-    factory = search._units_evaluator
+    """Make every last-column walker exhaustive_search fetches append to ``scored``.
+
+    A walker reports how many classes it scored; each one appends once.
+    """
+    factory = search._column_walker
 
     def counting_factory(n_cols, n_rows):
-        units = factory(n_cols, n_rows)
+        walk = factory(n_cols, n_rows)
 
         def counting(*args):
-            scored.append(1)
-            return units(*args)
+            result = walk(*args)
+            scored.extend([1] * result[0])
+            return result
 
         return counting
 
-    monkeypatch.setattr(search, "_units_evaluator", counting_factory)
+    monkeypatch.setattr(search, "_column_walker", counting_factory)
 
 
 def test_exhaustive_matches_the_reference(monkeypatch):
@@ -412,6 +417,26 @@ def test_searches_check_every_evaluation_against_the_bound(monkeypatch, search_r
     message = (
         f"evaluated spread probability {best} exceeds the closed-form bound "
         f"{lam}; the evaluator or the bound is broken"
+    )
+    with pytest.raises(InternalStateError, match=f"^{re.escape(message)}$"):
+        search_run()
+
+
+@pytest.mark.parametrize("search_run, denom", [
+    (lambda: exhaustive_search(F(1, 4), 2, 2, 5), 5),
+    (lambda: hill_climb(F(1, 4), 2, 2, 400, seed=0), 1024),
+])
+def test_searches_check_the_winner_against_its_statistics(monkeypatch, search_run, denom):
+    # the memo entry comes from the kernel the integer evaluation is tested
+    # against, so only an entry one unit off on purpose can trip the check
+    grid_stats = search._grid_stats
+    monkeypatch.setattr(
+        search,
+        "_grid_stats",
+        lambda cfg: SimpleNamespace(prob_B=grid_stats(cfg).prob_B + F(1, denom)),
+    )
+    message = (
+        "the winner's configuration statistics disagree with its integer evaluation"
     )
     with pytest.raises(InternalStateError, match=f"^{re.escape(message)}$"):
         search_run()
