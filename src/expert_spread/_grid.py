@@ -146,9 +146,11 @@ def _staircase_problem(cfg: Configuration, g: _GridStats) -> Optional[str]:
     """Explain why the spread region is not in staircase form, or ``None``.
 
     Checks strict sorting, the dimension identities tying each corner's depth
-    to the opposite axis, and the three inequalities that pin every border
-    cell to its exact step position.  Only meaningful below threshold one
-    half, where the two sides of the region cannot overlap.
+    to the opposite axis, and the two tests that pin every border cell to
+    its exact step position.  Only meaningful below threshold one half,
+    where the two sides of the region cannot overlap.  On sorted lines each
+    side is monotone, so a corner's depth and its first paired line come
+    from the same cells.
     """
     sort_problem = _sorted_problem(g.col_t, g.col_a, g.row_t, g.row_a)
     if sort_problem is not None:
@@ -157,8 +159,6 @@ def _staircase_problem(cfg: Configuration, g: _GridStats) -> Optional[str]:
     mm_g = g.m_minus_G
     mp_h = g.m_plus_H
     if mm_g > 0:
-        if not isinstance(mp_h, int):
-            return "low corner exists on one axis only"
         if mm_g != cfg.n_rows - mp_h + 1:
             return (
                 f"low corner depth {mm_g} does not match rows {cfg.n_rows} "
@@ -170,14 +170,10 @@ def _staircase_problem(cfg: Configuration, g: _GridStats) -> Optional[str]:
                 return f"column {k} is not paired with row {t}"
             if k + 1 <= cfg.n_cols and g.side[k][t - 1] == -1:
                 return f"column {k + 1} unexpectedly pairs with row {t}"
-            if t >= 2 and g.side[k - 1][t - 2] == -1:
-                return f"column {k} unexpectedly pairs with row {t - 1}"
 
     mm_h = g.m_minus_H
     mp_g = g.m_plus_G
     if mm_h > 0:
-        if not isinstance(mp_g, int):
-            return "high corner exists on one axis only"
         if mm_h != cfg.n_cols - mp_g + 1:
             return (
                 f"high corner depth {mm_h} does not match columns {cfg.n_cols} "
@@ -189,8 +185,6 @@ def _staircase_problem(cfg: Configuration, g: _GridStats) -> Optional[str]:
                 return f"row {j} is not paired with column {t}"
             if j + 1 <= cfg.n_rows and g.side[t - 1][j] == 1:
                 return f"row {j + 1} unexpectedly pairs with column {t}"
-            if t >= 2 and g.side[t - 2][j - 1] == 1:
-                return f"row {j} unexpectedly pairs with column {t - 1}"
     return None
 
 

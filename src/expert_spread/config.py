@@ -584,43 +584,16 @@ def _line_sums(
     return col_t, col_a, row_t, row_a
 
 
-def _spread_units(
-    parts: Sequence[int],
-    n_rows: int,
-    col_t: Sequence[int],
-    col_a: Sequence[int],
-    row_t: Sequence[int],
-    row_a: Sequence[int],
-    th_num: int,
-    th_den: int,
+def _units_loop(
+    parts: Sequence[int], n_rows: int, col_t: Sequence[int], col_a: Sequence[int],
+    row_t: Sequence[int], row_a: Sequence[int], th_num: int, th_den: int,
 ) -> int:
-    """The spread numerator of :func:`_stats_loop`, from line sums kept by the caller.
+    """:func:`_stats_loop`'s spread numerator, called as :func:`_units_evaluator`'s evaluators are.
 
-    ``parts`` is the flat column-major vector and the four lists are its
-    line sums, which both searches update as they move instead of summing
-    them again. A cell counts when it has mass and its column and row
-    values differ by at least the threshold, the loop's non-zero side; a
-    cell with mass lies on two lines with mass.
-
-    This loop is the reference for the straight-line evaluators of
-    :func:`_units_evaluator`, and the evaluator it hands out for grids of
-    more than ``UNROLL_CELLS`` cells.
+    That factory hands it out past ``UNROLL_CELLS`` cells; of the line sums
+    it reads only the column count.
     """
-    b_num = 0
-    i = 0
-    for ct, ca in zip(col_t, col_a):
-        ct_den = ct * th_den
-        ca_den = ca * th_den
-        ct_num = ct * th_num
-        for j in range(n_rows):
-            mass = parts[i] + parts[i + 1]
-            i += 2
-            if mass:
-                rt = row_t[j]
-                gap = ca_den * rt - row_a[j] * ct_den
-                if (gap if gap >= 0 else -gap) >= ct_num * rt:
-                    b_num += mass
-    return b_num
+    return _stats_loop(parts, len(col_t), n_rows, th_num, th_den)[5]
 
 
 def _names(prefix: str, count: int) -> str:
@@ -634,20 +607,18 @@ def _names(prefix: str, count: int) -> str:
 
 @functools.lru_cache(maxsize=1024)
 def _units_evaluator(n_cols: int, n_rows: int) -> Callable[..., int]:
-    """An evaluator with :func:`_spread_units`'s signature and result for one grid shape.
+    """The spread numerator of :func:`_stats_loop` from line sums the caller keeps, for one shape.
 
     Up to ``UNROLL_CELLS`` cells it is compiled, once per shape, from
     straight-line source: the slots and the line sums are unpacked into
     locals, each column's products with the threshold are formed once, and
     each cell is one block that tests its mass, cross-multiplies and
-    compares, as the loop of :func:`_spread_units` does, so a call runs no
-    Python loop.  The source is built from integer indices alone.  Larger
-    grids get :func:`_spread_units` itself.  Callers fetch the evaluator
-    once, outside their loops.  Both give the numerator of the loop
-    reference, :func:`_stats_loop`.
+    compares, so a call runs no Python loop.  The source is built from
+    integer indices alone.  Larger grids get :func:`_units_loop`.  Callers
+    fetch the evaluator once, outside their loops.
     """
     if n_cols * n_rows > UNROLL_CELLS:
-        return _spread_units
+        return _units_loop
     src = [
         "def units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den):",
         f"    {_names('p', 2 * n_cols * n_rows)} = parts",
@@ -694,18 +665,16 @@ def _stats_loop(
     cross-multiplying, never divided.  A cell on a zero-mass line has no
     conditional value and gets side 0.
 
-    This loop is the reference for both kinds of compiled evaluator.  The
-    memo runs the kernels of :func:`_stats_evaluator`, which give the same
-    result, and this loop for grids of more rows than that factory unrolls
-    and for grids with a zero-mass line; absorption, the borders and the
-    merges read the side of empty cells too.  The searches need only the
-    numerator over occupied cells, from line sums they keep as they move;
-    that is :func:`_spread_units`, which they run as the per-shape
-    evaluator of :func:`_units_evaluator`.  The two are kept apart because
-    building sides inside the search loops made them about 14% slower.
-    ``test_stats_evaluator_matches_the_loops``,
-    ``test_search_spread_units_match_the_kernel`` and
-    ``test_units_evaluator_matches_the_kernel_and_the_loop`` tie them.
+    This loop is the one reference for every compiled evaluator, and runs
+    wherever they stop.  The memo runs the kernels of
+    :func:`_stats_evaluator`, and this loop past their row cap and for
+    grids with a zero-mass line.  The searches and
+    :func:`expert_spread.discretize.threshold_probability` need only the
+    numerator: they run the code that :func:`_units_evaluator` and
+    :func:`expert_spread.search._column_walker` compile per grid shape, and
+    this loop past the caps, through :func:`_units_loop` and
+    :func:`expert_spread.search._walk_last_column`.  The tests in
+    ``tests/test_kernel.py`` tie each of them to it.
     """
     col_t, col_a, row_t, row_a = _line_sums(parts, n_cols, n_rows)
     side = []
@@ -957,7 +926,7 @@ def compute_stats(cfg: Configuration) -> Stats:
     :func:`expert_spread.discretize.threshold_probability` count only the
     spread numerator over occupied cells, from line sums the caller keeps,
     with the evaluator :func:`_units_evaluator` gives for the grid's
-    shape; see :func:`_stats_loop` for why the two are kept apart.
+    shape, which past its cap runs :func:`_stats_loop` itself.
 
     Configurations are immutable, so results are memoised.  The memo keys
     on the hash each :class:`Configuration` keeps in a slot, and an equal

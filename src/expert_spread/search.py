@@ -33,7 +33,7 @@ from .config import (
     _line_sums,
     _names,
     _normalized,
-    _spread_units,
+    _stats_loop,
     _units_evaluator,
     config_to_json_dict,
     rational_to_str,
@@ -99,8 +99,10 @@ def search_result_to_json_dict(result: SearchResult) -> dict:
 # to config.UNROLL_CELLS cells: hill_climb calls config._units_evaluator's
 # evaluator once per move, and exhaustive_search runs _column_walker's
 # last-column walker, which scores every last column inline, once per
-# placement of the others. Past the caps each gets the loop its code is
-# tested against. A Configuration object is only built for the winner.
+# placement of the others. Past the caps both run config._stats_loop, the
+# loop that code is tested against: hill_climb through config._units_loop,
+# exhaustive_search through _walk_last_column. A Configuration object is
+# only built for the winner.
 # Zero-mass lines carry no conditional value and no probability there,
 # which matches evaluating the configuration with its zero lines dropped.
 
@@ -206,77 +208,35 @@ def _walk_last_column(
 ) -> tuple[int, bool, int, Optional[tuple[int, ...]]]:
     """Score, in ascending order, every last column at or above the last of ``fixed``.
 
-    The last column holds the units of ``denom`` that ``fixed`` leaves and
-    walks in place through their compositions: most steps move one unit
-    from the last event slot to the complement slot beside it, the others
-    empty the last positive slot into its predecessor and the last slot.
-    Each class is checked against the bound ``lam_num / (lam_den * denom)``
-    before it counts. Returns the class count, whether the first class
-    equals the last fixed column, the best spread numerator (-1 for none)
-    and the first column reaching it. This is the reference for
-    :func:`_column_walker`'s compiled walkers and its walker past their caps.
+    The last column holds the ``room`` units of ``denom`` that ``fixed``
+    leaves. :func:`_raise_column` gives the smallest column at or above the
+    last fixed column with total at most ``room``, then each time the
+    smallest strictly above the one before; topped up in its last slot to
+    ``room``, each is the next column with total exactly ``room``. Each
+    class is scored by :func:`_stats_loop` on the whole grid and checked
+    against the bound ``lam_num / (lam_den * denom)`` before it counts.
+    Returns the class count, whether the first class equals the last fixed
+    column, the best spread numerator (-1 for none) and the first column
+    reaching it. This is the reference for :func:`_column_walker`'s
+    compiled walkers and its walker past their caps.
     """
     width = 2 * n_rows
     o = len(fixed)
+    n_cols = o // width + 1
     parts = [*fixed, *(fixed[o - width :] if o else [0] * width)]
     room = denom - sum(fixed)
-    if not _raise_column(parts, o, width, room, 0, False):
-        return 0, False, -1, None
-    # the smallest column with total at most room, its last slot topped up,
-    # is the smallest with total exactly room
-    top = o + width - 1
-    below = top - 1
-    parts[top] += room - sum(parts[o:])
-    first_equal = o > 0 and parts[o:] == parts[o - width : o]
-    k = o // width
-    col_t, col_a, row_t, row_a = _line_sums(parts, k + 1, n_rows)
-    j_last = n_rows - 1
-    leaves, best, best_column = 0, -1, None
-    # q: the last positive slot before ``top``, or ``o - 1`` for none
-    q = top - 1
-    while q >= o and not parts[q]:
-        q -= 1
-    while True:
-        prob = _spread_units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den)
+    leaves, first_equal, best, best_column = 0, False, -1, None
+    while _raise_column(parts, o, width, room, 0, leaves > 0):
+        parts[-1] += room - sum(parts[o:])
+        if not leaves:
+            first_equal = o > 0 and parts[o:] == parts[o - width : o]
+        prob = _stats_loop(parts, n_cols, n_rows, th_num, th_den)[5]
         if prob * lam_den > lam_num:
             raise _bound_broken(prob, denom, Fraction(lam_num, lam_den * denom))
         leaves += 1
         if prob > best:
-            best = prob
-            best_column = tuple(parts[o:])
-        s = parts[top]
-        if s:
-            # the common step: one unit from the last event slot to the
-            # complement slot beside it
-            parts[top] = s - 1
-            parts[below] += 1
-            col_a[k] -= 1
-            row_a[j_last] -= 1
-            q = below
-            continue
-        if q <= o:
-            return leaves, first_equal, best, best_column
-        # otherwise slot q, holding s units, empties: q - 1 gains one
-        # and the last slot takes the other s - 1
-        s = parts[q]
-        parts[q] = 0
-        j = (q - o) >> 1
-        row_t[j] -= s
-        if q & 1:
-            row_a[j] -= s
-            col_a[k] -= s
-        q -= 1
-        parts[q] += 1
-        j = (q - o) >> 1
-        row_t[j] += 1
-        if q & 1:
-            row_a[j] += 1
-            col_a[k] += 1
-        s -= 1
-        parts[top] = s
-        row_t[j_last] += s
-        row_a[j_last] += s
-        col_a[k] += s
+            best, best_column = prob, tuple(parts[o:])
+    return leaves, first_equal, best, best_column
 
 
 @functools.lru_cache(maxsize=1024)
@@ -291,7 +251,7 @@ def _column_walker(n_cols: int, n_rows: int) -> Callable[..., tuple]:
     level keeps whether the column so far equals its lower bound, and the
     level completing a row tests that row's fixed cells, so a class tests
     the last row's fixed cells and the last column's, with no call and no
-    list store. Past the caps it is the loop.
+    list store. Past the caps it is :func:`_walk_last_column` itself.
     """
     if n_rows > 8 or n_cols * n_rows > UNROLL_CELLS:
         return functools.partial(_walk_last_column, n_rows)
@@ -321,7 +281,7 @@ def _column_walker(n_cols: int, n_rows: int) -> Callable[..., tuple]:
 
     def count(pad: str, mass: str, k: int | str, j: int, into: str) -> list[str]:
         # the cell adds its mass to ``into`` when column k's and row j's
-        # values are at least the threshold apart, as in _spread_units
+        # values are at least the threshold apart, as in config._stats_loop
         return [
             f"{pad}if {mass}:",
             f"{pad}    g = cad{k} * t{j} - a{j} * ctd{k}",
@@ -501,10 +461,13 @@ def hill_climb(
     and one row sum per slot, and a rejected move reverts them. Each
     evaluation is one call on those sums to the evaluator that
     :func:`~expert_spread.config._units_evaluator` gives for the grid's
-    shape, fetched once per call. The source slot is drawn as
-    ``rng.choice`` draws from the positive slots and the target offset as
-    ``rng.randrange(slots - 1)`` does, by rejection sampling on
-    ``rng.getrandbits``, so a seed gives the same run as those calls would.
+    shape, fetched once per call: code compiled for the shape up to
+    ``UNROLL_CELLS`` cells, and past that the loop reference
+    :func:`~expert_spread.config._stats_loop`, which sums the lines again.
+    The source slot is drawn as ``rng.choice`` draws from the positive
+    slots and the target offset as ``rng.randrange(slots - 1)`` does, by
+    rejection sampling on ``rng.getrandbits``, so a seed gives the same run
+    as those calls would.
     """
     d = validate_delta(delta)
     _validate_dims(n_cols, n_rows)

@@ -232,6 +232,17 @@ def test_discretize_writes_the_pinned_bytes(capsys):
     assert out == (FIXTURES / "coarsen_12.expected").read_text()
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("search_2x9", ["--denom", "1", "--cols", "2", "--rows", "9"]),
+    ("search_9x8", ["--cols", "9", "--rows", "8", "--iters", "300", "--seed", "3"]),
+])
+def test_search_past_the_caps_writes_the_pinned_bytes(capsys, name, argv):
+    """Both searches on grids past the compiled code's caps, byte for byte; CI runs them too."""
+    code, out = run_main(capsys, "search", "1/4", *argv)
+    assert code == 0
+    assert out == (FIXTURES / f"{name}.expected").read_text()
+
+
 def test_reduce_rejects_bad_epsilon(tmp_path, capsys):
     cfg_path = tmp_path / "ext.json"
     assert cli.main(["extremal", "1/4", "--out", str(cfg_path)]) == 0

@@ -19,10 +19,10 @@ from expert_spread.config import (
     _grid_stats,
     _GridStats,
     _line_sums,
-    _spread_units,
     _stats_evaluator,
     _stats_loop,
     _units_evaluator,
+    _units_loop,
     compute_stats,
     make_configuration,
     overlap_violations,
@@ -223,7 +223,10 @@ def has_spread_tie(parts, n_rows, col_t, col_a, row_t, row_a, th):
 
 
 def test_search_spread_units_match_the_kernel():
-    """The searches' spread numerator, from line sums they keep, is the loop reference's."""
+    """The searches' spread numerator, from line sums they keep, is the loop reference's.
+
+    The grids are 6x6 or smaller, so each shape's evaluator is compiled.
+    """
     rng = random.Random(8128)
     cases = [(cfg._parts, cfg.n_cols, cfg.n_rows, 1 - cfg.delta)
              for cfg in map(extremal_config, DELTAS)]
@@ -239,7 +242,8 @@ def test_search_spread_units_match_the_kernel():
     for parts, n_cols, n_rows, th in cases:
         sums = _line_sums(parts, n_cols, n_rows)
         want = _stats_loop(parts, n_cols, n_rows, th.numerator, th.denominator)[5]
-        got = _spread_units(parts, n_rows, *sums, th.numerator, th.denominator)
+        units = _units_evaluator(n_cols, n_rows)
+        got = units(parts, n_rows, *sums, th.numerator, th.denominator)
         assert got == want
         zero_lines += 0 in sums[0] or 0 in sums[2]
         ties += has_spread_tie(parts, n_rows, *sums, th)
@@ -256,7 +260,7 @@ def test_units_evaluator_matches_the_kernel_and_the_loop():
     zero_lines = ties = 0
     for n_cols, n_rows in shapes:
         units = _units_evaluator(n_cols, n_rows)
-        assert (units is _spread_units) == (n_cols * n_rows > UNROLL_CELLS)
+        assert (units is _units_loop) == (n_cols * n_rows > UNROLL_CELLS)
         assert _units_evaluator(n_cols, n_rows) is units
         for _ in range(60):
             th = 1 - rng.choice(DELTAS)
@@ -266,7 +270,7 @@ def test_units_evaluator_matches_the_kernel_and_the_loop():
             sums = _line_sums(parts, n_cols, n_rows)
             args = (parts, n_rows, *sums, th.numerator, th.denominator)
             want = _stats_loop(parts, n_cols, n_rows, th.numerator, th.denominator)[5]
-            assert units(*args) == _spread_units(*args) == want
+            assert units(*args) == want
             zero_lines += 0 in sums[0] or 0 in sums[2]
             ties += has_spread_tie(parts, n_rows, *sums, th)
     assert zero_lines > 1500

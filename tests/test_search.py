@@ -329,21 +329,28 @@ def count_evaluations(monkeypatch, scored):
 def test_exhaustive_matches_the_reference(monkeypatch):
     scored = []
     count_evaluations(monkeypatch, scored)
+    grids = [
+        (n_cols, n_rows, denom)
+        for n_cols in range(1, 4)
+        for n_rows in range(1, 4)
+        for denom in range(1, 6)
+        if math.comb(denom + 2 * n_cols * n_rows - 1, denom) <= 30_000
+    ]
+    # past the walker's caps, 8 rows and UNROLL_CELLS cells; with one unit
+    # every spread is 0, so the grids with two and three units give the
+    # walker's loop values to match
+    grids += [(1, 9, 2), (2, 9, 1), (3, 9, 1), (9, 8, 1), (1, 65, 1), (2, 9, 2), (1, 9, 3)]
     cases = 0
-    for n_cols in range(1, 4):
-        for n_rows in range(1, 4):
-            for denom in range(1, 6):
-                if math.comb(denom + 2 * n_cols * n_rows - 1, denom) > 30_000:
-                    continue
-                for delta in SEARCH_DELTAS:
-                    scored.clear()
-                    got = exhaustive_search(delta, n_cols, n_rows, denom)
-                    want = reference_exhaustive(delta, n_cols, n_rows, denom)
-                    assert (got.best_prob_B, got.configs_evaluated, got.best_config) == want
-                    # each column class is scored exactly once
-                    assert len(scored) == column_classes(n_cols, n_rows, denom)
-                    cases += 1
-    assert cases == 225
+    for n_cols, n_rows, denom in grids:
+        for delta in SEARCH_DELTAS:
+            scored.clear()
+            got = exhaustive_search(delta, n_cols, n_rows, denom)
+            want = reference_exhaustive(delta, n_cols, n_rows, denom)
+            assert (got.best_prob_B, got.configs_evaluated, got.best_config) == want
+            # each column class is scored exactly once
+            assert len(scored) == column_classes(n_cols, n_rows, denom)
+            cases += 1
+    assert cases == 260
 
 
 def test_hill_climb_matches_the_reference():
@@ -357,15 +364,19 @@ def test_hill_climb_matches_the_reference():
                     want = reference_hill_climb(delta, n_cols, n_rows, iters, seed)
                     assert (got.best_prob_B, got.configs_evaluated, got.best_config) == want
                     cases += 1
-    # the benchmark's climb grids, whose positive lists run up to 32 slots
-    for n_cols, n_rows in ((3, 3), (4, 4), (2, 4), (4, 3)):
-        for seed in range(3):
+    # the benchmark's climb grids, whose positive lists run up to 32 slots,
+    # then two past the UNROLL_CELLS cap of the compiled evaluators
+    for n_cols, n_rows, iters, seeds in (
+        (3, 3, 1250, 3), (4, 4, 1250, 3), (2, 4, 1250, 3), (4, 3, 1250, 3),
+        (9, 8, 300, 2), (1, 65, 300, 2),
+    ):
+        for seed in range(seeds):
             delta = SEARCH_DELTAS[(n_cols + n_rows + seed) % 5]
-            got = hill_climb(delta, n_cols, n_rows, 1250, seed)
-            want = reference_hill_climb(delta, n_cols, n_rows, 1250, seed)
+            got = hill_climb(delta, n_cols, n_rows, iters, seed)
+            want = reference_hill_climb(delta, n_cols, n_rows, iters, seed)
             assert (got.best_prob_B, got.configs_evaluated, got.best_config) == want
             cases += 1
-    assert cases == 192
+    assert cases == 196
 
 
 def test_column_classes_count():

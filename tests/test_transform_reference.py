@@ -849,6 +849,51 @@ def test_transforms_match_their_rational_bodies():
     assert min(counts.values()) >= 100, counts
 
 
+# Sorted grids, drawn with pure and empty cells, that reach each refusal of
+# the staircase check; each is strictly sorted unless its text says otherwise.
+STAIRCASE_REFUSALS = [
+    (F(1, 10), 2, 1, (1, 0, 1, 0), "columns 1 and 2 are not strictly sorted"),
+    (F(1, 10), 1, 2, (0, 1, 0, 1), "rows 1 and 2 are not strictly sorted"),
+    (
+        F(2, 5), 2, 2, (1, 0, 0, 0, 2, 0, 0, 1),
+        "low corner depth 2 does not match rows 2 and first paired row 2",
+    ),
+    (
+        F(9, 20), 4, 4,
+        (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 2, 0, 0,
+         3, 0, 0, 3, 1, 0, 0, 0, 1, 0, 0, 1, 0, 5, 0, 1),
+        "column 2 is not paired with row 3",
+    ),
+    (
+        F(9, 20), 3, 3, (2, 0, 0, 0, 0, 0, 5, 0, 1, 0, 0, 1, 0, 0, 0, 3, 0, 0),
+        "column 2 unexpectedly pairs with row 2",
+    ),
+    (
+        F(7, 20), 2, 2, (1, 0, 2, 0, 0, 0, 0, 1),
+        "high corner depth 2 does not match columns 2 and first paired column 2",
+    ),
+    (
+        F(9, 20), 5, 5,
+        (0, 0, 5, 0, 2, 0, 1, 1, 1, 0, 1, 0, 0, 0, 2, 3, 2, 2, 0, 0, 0, 0, 0, 3, 3,
+         0, 0, 2, 1, 0, 0, 0, 2, 0, 0, 2, 3, 1, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1),
+        "row 2 is not paired with column 4",
+    ),
+    (
+        F(9, 20), 3, 3, (2, 0, 5, 0, 0, 0, 0, 0, 0, 1, 1, 2, 0, 0, 0, 0, 0, 1),
+        "row 2 unexpectedly pairs with column 2",
+    ),
+]
+
+
+@pytest.mark.parametrize("delta, n_cols, n_rows, parts, text", STAIRCASE_REFUSALS)
+def test_staircase_refusals_match_the_reference(delta, n_cols, n_rows, parts, text):
+    cfg = Configuration._from_parts(delta, n_cols, n_rows, parts, sum(parts))
+    if "sorted" not in text:
+        assert normalize(cfg) == cfg
+    got = transforms._staircase_problem(cfg, _grid_stats(cfg))
+    assert got == ref_staircase_problem(cfg, compute_stats(cfg)) == text
+
+
 def test_fuzzer_reports_no_violations():
     for delta in (F(1, 4), F(3, 4)):
         assert fuzz_transforms(delta, 40, seed=7) == []
