@@ -73,10 +73,7 @@ MAX_CELLS = 10**6
 # Well below the 4300 digits Python converts between int and str.
 MAX_DIGITS = 1000
 
-# The largest grid, in cells, that _units_evaluator compiles straight-line
-# code for; _stats_evaluator unrolls at most 8 rows, the side of the largest
-# square grid within it. Generated source grows with what it unrolls, so
-# larger grids run the loops.
+# The most cells the generated evaluators unroll; see _unrolls.
 UNROLL_CELLS = 64
 
 
@@ -590,8 +587,8 @@ def _units_loop(
 ) -> int:
     """:func:`_stats_loop`'s spread numerator, called as :func:`_units_evaluator`'s evaluators are.
 
-    That factory hands it out past ``UNROLL_CELLS`` cells; of the line sums
-    it reads only the column count.
+    That factory hands it out past the cap of :func:`_unrolls`; of the line
+    sums it reads only the column count.
     """
     return _stats_loop(parts, len(col_t), n_rows, th_num, th_den)[5]
 
@@ -605,48 +602,68 @@ def _names(prefix: str, count: int) -> str:
     return "".join([f"{prefix}{i}, " for i in range(count)]).rstrip(" ")
 
 
+def _unrolls(n_cols: int, n_rows: int) -> bool:
+    """Whether generated code unrolls this shape: the one cap, ``UNROLL_CELLS`` cells.
+
+    Source and compile time grow with what is unrolled, so larger grids run
+    the loop references.  The memo kernel unrolls only rows, and asks of
+    the square of side ``n_rows``, so at most 8: a merge sweep needs the
+    code of every row count it passes.  The column walker asks both.
+    """
+    return n_cols * n_rows <= UNROLL_CELLS
+
+
+def _compiled(tag: str, src: list[str], *names: str, **env: object) -> tuple:
+    """The functions ``names`` that the lines ``src`` define, run as ``<tag>`` in ``env``."""
+    exec(compile("\n".join(src), f"<{tag}>", "exec"), env)
+    return tuple([env[name] for name in names])
+
+
+def _far_apart(pad: str, mass: str, k: int | str, j: int, into: str) -> list[str]:
+    """Lines adding ``mass`` to ``into`` when column ``k`` and row ``j`` are far apart.
+
+    :func:`_stats_loop`'s test on locals: the row's total ``t{j}`` and event
+    mass ``a{j}``; the column's total and event mass times the threshold's
+    denominator, ``ctd{k}`` and ``cad{k}``, and its total times the numerator.
+    """
+    return [
+        f"{pad}if {mass}:",
+        f"{pad}    g = cad{k} * t{j} - a{j} * ctd{k}",
+        f"{pad}    if (g if g >= 0 else -g) >= ctn{k} * t{j}:",
+        f"{pad}        {into} += {mass}",
+    ]
+
+
 @functools.lru_cache(maxsize=1024)
 def _units_evaluator(n_cols: int, n_rows: int) -> Callable[..., int]:
     """The spread numerator of :func:`_stats_loop` from line sums the caller keeps, for one shape.
 
-    Up to ``UNROLL_CELLS`` cells it is compiled, once per shape, from
+    Within the cap of :func:`_unrolls` it is compiled, once per shape, from
     straight-line source: the slots and the line sums are unpacked into
     locals, each column's products with the threshold are formed once, and
     each cell is one block that tests its mass, cross-multiplies and
     compares, so a call runs no Python loop.  The source is built from
-    integer indices alone.  Larger grids get :func:`_units_loop`.  Callers
+    integer indices alone.  Past the cap it is :func:`_units_loop`.  Callers
     fetch the evaluator once, outside their loops.
     """
-    if n_cols * n_rows > UNROLL_CELLS:
+    if not _unrolls(n_cols, n_rows):
         return _units_loop
     src = [
         "def units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den):",
         f"    {_names('p', 2 * n_cols * n_rows)} = parts",
         f"    {_names('ct', n_cols)} = col_t",
         f"    {_names('ca', n_cols)} = col_a",
-        f"    {_names('rt', n_rows)} = row_t",
-        f"    {_names('ra', n_rows)} = row_a",
+        f"    {_names('t', n_rows)} = row_t",
+        f"    {_names('a', n_rows)} = row_a",
         "    b_num = 0",
     ]
     for k in range(n_cols):
-        src += [
-            f"    ct_den = ct{k} * th_den",
-            f"    ca_den = ca{k} * th_den",
-            f"    ct_num = ct{k} * th_num",
-        ]
+        src.append(f"    ctd{k}, cad{k}, ctn{k} = ct{k} * th_den, ca{k} * th_den, ct{k} * th_num")
         for j in range(n_rows):
             i = 2 * (k * n_rows + j)
-            src += [
-                f"    mass = p{i} + p{i + 1}",
-                "    if mass:",
-                f"        gap = ca_den * rt{j} - ra{j} * ct_den",
-                f"        if (gap if gap >= 0 else -gap) >= ct_num * rt{j}:",
-                "            b_num += mass",
-            ]
+            src += [f"    mass = p{i} + p{i + 1}", *_far_apart("    ", "mass", k, j, "b_num")]
     src.append("    return b_num\n")
-    namespace: dict = {}
-    exec(compile("\n".join(src), f"<spread units {n_cols}x{n_rows}>", "exec"), namespace)
-    return namespace["units"]
+    return _compiled(f"spread units {n_cols}x{n_rows}", src, "units")[0]
 
 
 def _stats_loop(
@@ -666,13 +683,10 @@ def _stats_loop(
     conditional value and gets side 0.
 
     This loop is the one reference for every compiled evaluator, and runs
-    wherever they stop.  The memo runs the kernels of
-    :func:`_stats_evaluator`, and this loop past their row cap and for
-    grids with a zero-mass line.  The searches and
-    :func:`expert_spread.discretize.threshold_probability` need only the
-    numerator: they run the code that :func:`_units_evaluator` and
-    :func:`expert_spread.search._column_walker` compile per grid shape, and
-    this loop past the caps, through :func:`_units_loop` and
+    past the cap of :func:`_unrolls`: for the memo in place of the kernels
+    of :func:`_stats_evaluator`, and on grids with a zero-mass line; for
+    the searches and :func:`expert_spread.discretize.threshold_probability`,
+    which need only the numerator, through :func:`_units_loop` and
     :func:`expert_spread.search._walk_last_column`.  The tests in
     ``tests/test_kernel.py`` tie each of them to it.
     """
@@ -707,7 +721,7 @@ def _derive_loop(side: Sequence[tuple[int, ...]]) -> tuple:
     ``side`` holds one tuple of cell sides per column, as the memo's
     kernels give them; the fields are those of :class:`Stats`.  This is the
     reference for the derivations of :func:`_stats_evaluator` and the one it
-    hands out past its row cap.
+    hands out past its cap.
     """
     m, n = len(side), len(side[0])
     # Below, -1 means the row value sits far above the column value (the low
@@ -742,21 +756,17 @@ def _stats_evaluator(n_rows: int) -> tuple[Callable[..., tuple], Callable[..., t
     """The memo's kernel and derivation for grids of ``n_rows`` rows.
 
     The two have the signatures and results of the loop references,
-    :func:`_stats_loop` and :func:`_derive_loop`.  For at most as many
-    rows as the largest square grid :func:`_units_evaluator` compiles (8
-    rows, as ``UNROLL_CELLS`` is 64) they are compiled, once per row count, with
-    the rows unrolled into locals and the columns looped, so the code
-    serves every column count.  The kernel sums the lines, sends a grid
-    with a zero-mass line to :func:`_stats_loop`, forms each column's
-    products with the threshold once and compares every cell; the
-    derivation walks the columns once, each beside its two neighbours, to
-    find the corners, and reads the four extremes off them.  The source is
-    built from integer indices alone.  Past the cap the two are the loops
-    themselves: compiling costs more the more rows it unrolls, and a merge
-    sweep that removes rows one at a time needs the code of every row count
-    it passes, so a one-shot run on a tall grid would compile dozens.
+    :func:`_stats_loop` and :func:`_derive_loop`.  Within the row cap of
+    :func:`_unrolls` they are compiled, once per row count, with the rows
+    unrolled into locals and the columns looped, so the code serves every
+    column count.  The kernel sums the lines, sends a grid with a zero-mass
+    line to :func:`_stats_loop`, forms each column's products with the
+    threshold once and compares every cell; the derivation walks the
+    columns once, each beside its two neighbours, to find the corners, and
+    reads the four extremes off them.  The source is built from integer
+    indices alone.  Past the cap the two are the loops themselves.
     """
-    if n_rows * n_rows > UNROLL_CELLS:
+    if not _unrolls(n_rows, n_rows):
         return _stats_loop, _derive_loop
     n = n_rows
     rows = range(n)
@@ -842,9 +852,8 @@ def _stats_evaluator(n_rows: int) -> tuple[Callable[..., tuple], Callable[..., t
         " d_plus[0][0] if d_plus else inf, max([j for _, j in d_plus], default=0),"
         " min([j for _, j in d_minus], default=inf), tuple(d_minus), tuple(d_plus))\n"
     )
-    namespace: dict = {"inf": math.inf, "_stats_loop": _stats_loop}
-    exec(compile("\n".join(src), f"<grid stats, {n} rows>", "exec"), namespace)
-    return namespace["kernel"], namespace["derive"]
+    env = {"inf": math.inf, "_stats_loop": _stats_loop}
+    return _compiled(f"grid stats, {n} rows", src, "kernel", "derive", **env)
 
 
 class _GridStats:
@@ -917,16 +926,12 @@ def compute_stats(cfg: Configuration) -> Stats:
     column or row, since conditional probabilities are undefined there.
 
     The far-apart test runs on the configuration's integer tuple by
-    cross-multiplication, in the kernel that :func:`_stats_evaluator`
-    compiles for the grid's row count (past its row cap, the loop
-    reference :func:`_stats_loop`), which gives every cell's side; a companion
+    cross-multiplication, in the kernel that :func:`_stats_evaluator` gives
+    for the grid's row count, which gives every cell's side; a companion
     function derives the mask, the extremes and the corners from the sides.
     :class:`~fractions.Fraction` objects are built only for the returned
-    fields, once per memo entry.  The searches and
-    :func:`expert_spread.discretize.threshold_probability` count only the
-    spread numerator over occupied cells, from line sums the caller keeps,
-    with the evaluator :func:`_units_evaluator` gives for the grid's
-    shape, which past its cap runs :func:`_stats_loop` itself.
+    fields, once per memo entry.  The searches count only the spread
+    numerator; see :func:`_stats_loop`.
 
     Configurations are immutable, so results are memoised.  The memo keys
     on the hash each :class:`Configuration` keeps in a slot, and an equal

@@ -27,14 +27,16 @@ from .config import (
     InternalStateError,
     RationalLike,
     SearchSpaceError,
-    UNROLL_CELLS,
     _cap_cells,
+    _compiled,
+    _far_apart,
     _grid_stats,
     _line_sums,
     _names,
     _normalized,
     _stats_loop,
     _units_evaluator,
+    _unrolls,
     config_to_json_dict,
     rational_to_str,
     validate_delta,
@@ -95,11 +97,11 @@ def search_result_to_json_dict(result: SearchResult) -> dict:
 # reported small-grid witnesses line up with the canonical extremal
 # configuration rather than its event-complement mirror image. This is the
 # layout of the statistics kernel, and both score its numerator over
-# occupied cells in integer arithmetic, in code compiled per grid shape up
-# to config.UNROLL_CELLS cells: hill_climb calls config._units_evaluator's
+# occupied cells in integer arithmetic, in code compiled per grid shape
+# within the cap of config._unrolls: hill_climb calls config._units_evaluator's
 # evaluator once per move, and exhaustive_search runs _column_walker's
 # last-column walker, which scores every last column inline, once per
-# placement of the others. Past the caps both run config._stats_loop, the
+# placement of the others. Past the cap both run config._stats_loop, the
 # loop that code is tested against: hill_climb through config._units_loop,
 # exhaustive_search through _walk_last_column. A Configuration object is
 # only built for the winner.
@@ -218,7 +220,7 @@ def _walk_last_column(
     Returns the class count, whether the first class equals the last fixed
     column, the best spread numerator (-1 for none) and the first column
     reaching it. This is the reference for :func:`_column_walker`'s
-    compiled walkers and its walker past their caps.
+    compiled walkers and its walker past the cap.
     """
     width = 2 * n_rows
     o = len(fixed)
@@ -243,17 +245,17 @@ def _walk_last_column(
 def _column_walker(n_cols: int, n_rows: int) -> Callable[..., tuple]:
     """``walk(fixed, denom, th_num, th_den, lam_num, lam_den)`` as :func:`_walk_last_column`.
 
-    Within the caps of ``config``'s compiled evaluators, 8 rows and
-    ``UNROLL_CELLS`` cells, it is compiled once per shape from integer
-    indices alone: the fixed slots and line sums become locals once, and
-    each last-column slot but the last, which takes what is left, is one
-    nested ``for`` (15 at the cap; CPython allows 20 nested blocks). Each
-    level keeps whether the column so far equals its lower bound, and the
-    level completing a row tests that row's fixed cells, so a class tests
-    the last row's fixed cells and the last column's, with no call and no
-    list store. Past the caps it is :func:`_walk_last_column` itself.
+    Where :func:`config._unrolls` holds for the shape and for the memo
+    kernel's square of side ``n_rows``, it is compiled once per shape from
+    integer indices alone: the fixed slots and line sums become locals
+    once, and each last-column slot but the last, which takes what is left,
+    is one nested ``for`` (15 at the cap; CPython allows 20 nested blocks).
+    Each level keeps whether the column so far equals its lower bound, and
+    the level completing a row tests that row's fixed cells, so a class
+    tests the last row's fixed cells and the last column's, with no call
+    and no list store. Past the cap it is :func:`_walk_last_column` itself.
     """
-    if n_rows > 8 or n_cols * n_rows > UNROLL_CELLS:
+    if not (_unrolls(n_rows, n_rows) and _unrolls(n_cols, n_rows)):
         return functools.partial(_walk_last_column, n_rows)
     n, last, width = n_rows, n_cols - 1, 2 * n_rows
     src = [
@@ -279,16 +281,6 @@ def _column_walker(n_cols: int, n_rows: int) -> Callable[..., tuple]:
         "    leaves, best, best_column = 0, -1, None",
     ]
 
-    def count(pad: str, mass: str, k: int | str, j: int, into: str) -> list[str]:
-        # the cell adds its mass to ``into`` when column k's and row j's
-        # values are at least the threshold apart, as in config._stats_loop
-        return [
-            f"{pad}if {mass}:",
-            f"{pad}    g = cad{k} * t{j} - a{j} * ctd{k}",
-            f"{pad}    if (g if g >= 0 else -g) >= ctn{k} * t{j}:",
-            f"{pad}        {into} += {mass}",
-        ]
-
     pad, left = "    ", "room"
     for i in range(width):
         if i < width - 1:
@@ -313,11 +305,11 @@ def _column_walker(n_cols: int, n_rows: int) -> Callable[..., tuple]:
                 f"{pad}f{j} = {f'f{j - 1}' if j else 0}",
             ]
             for k in range(last):
-                src += count(pad, f"m{k * n + j}", k, j, f"f{j}")
+                src += _far_apart(pad, f"m{k * n + j}", k, j, f"f{j}")
     b = f"f{n - 1}"
     src.append(f"{pad}cad = c{n - 1} * th_den")
     for j in range(n):
-        src += count(pad, f"lm{j}", "", j, b)
+        src += _far_apart(pad, f"lm{j}", "", j, b)
     src += [
         f"{pad}if {b} * lam_den > lam_num:",
         f"{pad}    raise _bound_broken({b}, denom, Fraction(lam_num, lam_den * denom))",
@@ -326,9 +318,8 @@ def _column_walker(n_cols: int, n_rows: int) -> Callable[..., tuple]:
         f"{pad}    best, best_column = {b}, ({_names('x', width)})",
         "    return leaves, first_equal, best, best_column\n",
     ]
-    namespace: dict = {"_bound_broken": _bound_broken, "Fraction": Fraction}
-    exec(compile("\n".join(src), f"<column walker {n_cols}x{n_rows}>", "exec"), namespace)
-    return namespace["walk"]
+    env = {"_bound_broken": _bound_broken, "Fraction": Fraction}
+    return _compiled(f"column walker {n_cols}x{n_rows}", src, "walk", **env)[0]
 
 
 def exhaustive_search(
@@ -461,8 +452,8 @@ def hill_climb(
     and one row sum per slot, and a rejected move reverts them. Each
     evaluation is one call on those sums to the evaluator that
     :func:`~expert_spread.config._units_evaluator` gives for the grid's
-    shape, fetched once per call: code compiled for the shape up to
-    ``UNROLL_CELLS`` cells, and past that the loop reference
+    shape, fetched once per call: compiled code within the cap of
+    :func:`~expert_spread.config._unrolls`, and past it the loop reference
     :func:`~expert_spread.config._stats_loop`, which sums the lines again.
     The source slot is drawn as ``rng.choice`` draws from the positive
     slots and the target offset as ``rng.randrange(slots - 1)`` does, by

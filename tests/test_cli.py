@@ -233,12 +233,15 @@ def test_discretize_writes_the_pinned_bytes(capsys):
 
 
 @pytest.mark.parametrize("name, argv", [
-    ("search_2x9", ["--denom", "1", "--cols", "2", "--rows", "9"]),
-    ("search_9x8", ["--cols", "9", "--rows", "8", "--iters", "300", "--seed", "3"]),
+    ("search_2x9", ["1/4", "--denom", "1", "--cols", "2", "--rows", "9"]),
+    ("search_9x8", ["1/4", "--cols", "9", "--rows", "8", "--iters", "300", "--seed", "3"]),
+    # the two above find no spread; these two pin a positive best
+    ("search_1x9", ["3/4", "--denom", "3", "--cols", "1", "--rows", "9"]),
+    ("search_9x8_seed1", ["2/5", "--cols", "9", "--rows", "8", "--iters", "300", "--seed", "1"]),
 ])
 def test_search_past_the_caps_writes_the_pinned_bytes(capsys, name, argv):
     """Both searches on grids past the compiled code's caps, byte for byte; CI runs them too."""
-    code, out = run_main(capsys, "search", "1/4", *argv)
+    code, out = run_main(capsys, "search", *argv)
     assert code == 0
     assert out == (FIXTURES / f"{name}.expected").read_text()
 

@@ -438,6 +438,9 @@ def test_configurations_are_frozen_and_copy_through_the_lattice():
     for twin in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg)):
         assert twin == cfg and hash(twin) == hash(cfg)
         assert twin.cells == cfg.cells
+    # a foreign type is left to its own comparison, so the two are unequal
+    assert cfg.__eq__(cfg.cells) is NotImplemented
+    assert cfg != object()
 
 
 def test_the_integer_constructor_checks_its_input():

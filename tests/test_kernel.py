@@ -1,10 +1,13 @@
 """The integer spread kernel against the original Fraction statistics and scans."""
 
 import functools
+import hashlib
+import json
 import math
 import random
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -255,7 +258,9 @@ def test_units_evaluator_matches_the_kernel_and_the_loop():
     """Each shape's evaluator, straight-line up to the cap and the loop past it."""
     # the shapes below straddle the cap
     assert UNROLL_CELLS == 64
-    shapes = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(9, 8)]
+    shapes = [(m, n) for m in range(1, 9) for n in range(1, 9)]
+    # tall grids within the cell cap are compiled too
+    shapes += [(9, 8), (1, 9), (2, 32), (7, 9), (1, 64), (1, 65)]
     rng = random.Random(4099)
     zero_lines = ties = 0
     for n_cols, n_rows in shapes:
@@ -410,6 +415,34 @@ def test_stats_evaluator_matches_the_loops(monkeypatch):
                 for _ in range(rng.randint(1, 8))
             ]
             assert derive(side) == _derive_loop(side)
+
+
+def test_generated_sources_keep_their_pinned_hashes(monkeypatch):
+    """The source of every compiled evaluator within the cap, by its SHA-256.
+
+    ``tests/fixtures/generated_sources.json`` pins, under each source's
+    compile tag, the 64 column walkers and 64 units evaluators of the shapes
+    up to 8x8 and the memo kernels of 1 to 8 rows. A change of the generated
+    code shows here; a change of only the generators leaves every hash.
+    """
+    pinned = json.loads((Path(__file__).parent / "fixtures" / "generated_sources.json").read_text())
+    seen = {}
+
+    def record(src, filename, mode):
+        seen[filename.strip("<>")] = hashlib.sha256(src.encode()).hexdigest()
+        return compile(src, filename, mode)
+
+    # every generator compiles through config, so a module global there
+    # stands in for the builtin
+    monkeypatch.setattr(config, "compile", record, raising=False)
+    for n_rows in range(1, 9):
+        for n_cols in range(1, 9):
+            _column_walker.__wrapped__(n_cols, n_rows)
+            _units_evaluator.__wrapped__(n_cols, n_rows)
+        _stats_evaluator.__wrapped__(n_rows)
+    assert len(seen) == 136
+    assert sorted(tag for tag in pinned if seen.get(tag) != pinned[tag]) == []
+    assert seen.keys() == pinned.keys()
 
 
 def test_threshold_probability_matches_the_reference():

@@ -32,6 +32,7 @@ from expert_spread.search import (
     reduced_shape_problem,
     search_result_to_json_dict,
 )
+from expert_spread.transforms import transpose
 
 from test_transforms import random_configuration
 
@@ -171,7 +172,8 @@ def test_reduced_shape_conditions():
             (3, 2): (F(1, 10), 0),
         },
     )
-    assert reduced_shape_problem(deep) is not None
+    assert reduced_shape_problem(deep) == "column low-side count 3 with occupied deep cell"
+    assert reduced_shape_problem(transpose(deep)) == "row low-side count 3 with occupied deep cell"
 
 
 def _compositions(total, slots):
