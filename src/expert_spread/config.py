@@ -581,16 +581,13 @@ def _line_sums(
     return col_t, col_a, row_t, row_a
 
 
-def _units_loop(
-    parts: Sequence[int], n_rows: int, col_t: Sequence[int], col_a: Sequence[int],
-    row_t: Sequence[int], row_a: Sequence[int], th_num: int, th_den: int,
-) -> int:
-    """:func:`_stats_loop`'s spread numerator, called as :func:`_units_evaluator`'s evaluators are.
+def _units_loop(n_cols: int, n_rows: int, parts: Sequence[int], th_num: int, th_den: int) -> int:
+    """:func:`_stats_loop`'s spread numerator.
 
-    That factory hands it out past the cap of :func:`_unrolls`; of the line
-    sums it reads only the column count.
+    Past the cap of :func:`_unrolls`, :func:`_units_evaluator` binds the
+    shape to it with :func:`functools.partial`.
     """
-    return _stats_loop(parts, len(col_t), n_rows, th_num, th_den)[5]
+    return _stats_loop(parts, n_cols, n_rows, th_num, th_den)[5]
 
 
 def _names(prefix: str, count: int) -> str:
@@ -619,12 +616,35 @@ def _compiled(tag: str, src: list[str], *names: str, **env: object) -> tuple:
     return tuple([env[name] for name in names])
 
 
+def _line_locals(n_cols: int, n_rows: int, row_t: str, row_a: str) -> list[str]:
+    """Lines summing the first ``n_cols`` columns of the unpacked slots ``p0, p1, ...``.
+
+    They set each cell's mass ``m{i}``; each column's total ``ct{k}`` and
+    event mass ``ca{k}``, with the products :func:`_far_apart` reads; and
+    each row's total ``{row_t}{j}`` and event mass ``{row_a}{j}`` over those
+    columns.  The threshold is read from ``th_num`` and ``th_den``.
+    """
+    n = n_rows
+    src = [f"    m{i} = p{2 * i} + p{2 * i + 1}" for i in range(n_cols * n)]
+    for k in range(n_cols):
+        col = range(k * n, k * n + n)
+        src.append(f"    ct{k} = 0" + "".join([f" + m{i}" for i in col]))
+        src.append(f"    ca{k} = 0" + "".join([f" + p{2 * i + 1}" for i in col]))
+        src.append(f"    ctd{k}, cad{k}, ctn{k} = ct{k} * th_den, ca{k} * th_den, ct{k} * th_num")
+    for j in range(n):
+        row = range(j, n_cols * n, n)
+        src.append(f"    {row_t}{j} = 0" + "".join([f" + m{i}" for i in row]))
+        src.append(f"    {row_a}{j} = 0" + "".join([f" + p{2 * i + 1}" for i in row]))
+    return src
+
+
 def _far_apart(pad: str, mass: str, k: int | str, j: int, into: str) -> list[str]:
     """Lines adding ``mass`` to ``into`` when column ``k`` and row ``j`` are far apart.
 
     :func:`_stats_loop`'s test on locals: the row's total ``t{j}`` and event
     mass ``a{j}``; the column's total and event mass times the threshold's
-    denominator, ``ctd{k}`` and ``cad{k}``, and its total times the numerator.
+    denominator, ``ctd{k}`` and ``cad{k}``, and its total times the
+    numerator, ``ctn{k}``, as :func:`_line_locals` names them.
     """
     return [
         f"{pad}if {mass}:",
@@ -636,32 +656,26 @@ def _far_apart(pad: str, mass: str, k: int | str, j: int, into: str) -> list[str
 
 @functools.lru_cache(maxsize=1024)
 def _units_evaluator(n_cols: int, n_rows: int) -> Callable[..., int]:
-    """The spread numerator of :func:`_stats_loop` from line sums the caller keeps, for one shape.
+    """``units(parts, th_num, th_den)``: :func:`_stats_loop`'s spread numerator for one shape.
 
     Within the cap of :func:`_unrolls` it is compiled, once per shape, from
-    straight-line source: the slots and the line sums are unpacked into
-    locals, each column's products with the threshold are formed once, and
-    each cell is one block that tests its mass, cross-multiplies and
-    compares, so a call runs no Python loop.  The source is built from
-    integer indices alone.  Past the cap it is :func:`_units_loop`.  Callers
-    fetch the evaluator once, outside their loops.
+    straight-line source: the slots are unpacked into locals, the lines of
+    :func:`_line_locals` sum them, and each cell is one block of
+    :func:`_far_apart` that tests its mass, cross-multiplies and compares,
+    so a call runs no Python loop.  The source is built from integer
+    indices alone.  Past the cap it is :func:`_units_loop` with the shape
+    bound.  Callers fetch the evaluator once, outside their loops.
     """
     if not _unrolls(n_cols, n_rows):
-        return _units_loop
+        return functools.partial(_units_loop, n_cols, n_rows)
     src = [
-        "def units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den):",
+        "def units(parts, th_num, th_den):",
         f"    {_names('p', 2 * n_cols * n_rows)} = parts",
-        f"    {_names('ct', n_cols)} = col_t",
-        f"    {_names('ca', n_cols)} = col_a",
-        f"    {_names('t', n_rows)} = row_t",
-        f"    {_names('a', n_rows)} = row_a",
+        *_line_locals(n_cols, n_rows, "t", "a"),
         "    b_num = 0",
     ]
-    for k in range(n_cols):
-        src.append(f"    ctd{k}, cad{k}, ctn{k} = ct{k} * th_den, ca{k} * th_den, ct{k} * th_num")
-        for j in range(n_rows):
-            i = 2 * (k * n_rows + j)
-            src += [f"    mass = p{i} + p{i + 1}", *_far_apart("    ", "mass", k, j, "b_num")]
+    for i in range(n_cols * n_rows):
+        src += _far_apart("    ", f"m{i}", i // n_rows, i % n_rows, "b_num")
     src.append("    return b_num\n")
     return _compiled(f"spread units {n_cols}x{n_rows}", src, "units")[0]
 
@@ -686,8 +700,9 @@ def _stats_loop(
     past the cap of :func:`_unrolls`: for the memo in place of the kernels
     of :func:`_stats_evaluator`, and on grids with a zero-mass line; for
     the searches and :func:`expert_spread.discretize.threshold_probability`,
-    which need only the numerator, through :func:`_units_loop` and
-    :func:`expert_spread.search._walk_last_column`.  The tests in
+    which pass only the mass vector and need only the numerator, through
+    :func:`_units_loop` and :func:`expert_spread.search._walk_last_column`,
+    each summing the lines here.  The tests in
     ``tests/test_kernel.py`` tie each of them to it.
     """
     col_t, col_a, row_t, row_a = _line_sums(parts, n_cols, n_rows)

@@ -180,9 +180,7 @@ def threshold_probability(cfg: Configuration, threshold: RationalLike) -> Fracti
     """
     th_num, th_den = _as_ratio(threshold, "threshold")
     g = _grid_stats(cfg)
-    b_num = _units_evaluator(cfg.n_cols, cfg.n_rows)(
-        cfg._parts, cfg.n_rows, g.col_t, g.col_a, g.row_t, g.row_a, th_num, th_den
-    )
+    b_num = _units_evaluator(cfg.n_cols, cfg.n_rows)(cfg._parts, th_num, th_den)
     return Fraction(b_num, g.den)
 
 

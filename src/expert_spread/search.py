@@ -31,7 +31,7 @@ from .config import (
     _compiled,
     _far_apart,
     _grid_stats,
-    _line_sums,
+    _line_locals,
     _names,
     _normalized,
     _stats_loop,
@@ -98,13 +98,14 @@ def search_result_to_json_dict(result: SearchResult) -> dict:
 # configuration rather than its event-complement mirror image. This is the
 # layout of the statistics kernel, and both score its numerator over
 # occupied cells in integer arithmetic, in code compiled per grid shape
-# within the cap of config._unrolls: hill_climb calls config._units_evaluator's
-# evaluator once per move, and exhaustive_search runs _column_walker's
-# last-column walker, which scores every last column inline, once per
-# placement of the others. Past the cap both run config._stats_loop, the
-# loop that code is tested against: hill_climb through config._units_loop,
-# exhaustive_search through _walk_last_column. A Configuration object is
-# only built for the winner.
+# within the cap of config._unrolls: hill_climb passes the mass vector
+# alone to config._units_evaluator's evaluator once per move, which sums the
+# lines itself, and exhaustive_search runs _column_walker's last-column
+# walker, which scores every last column inline, once per placement of the
+# others. Both generators write their line sums with config._line_locals.
+# Past the cap both run config._stats_loop, the loop that code is tested
+# against: hill_climb through config._units_loop, exhaustive_search through
+# _walk_last_column. A Configuration object is only built for the winner.
 # Zero-mass lines carry no conditional value and no probability there,
 # which matches evaluating the configuration with its zero lines dropped.
 
@@ -263,18 +264,8 @@ def _column_walker(n_cols: int, n_rows: int) -> Callable[..., tuple]:
         f"    {_names('p', last * width)} = fixed" if last else "",
         # the lower bound: the last fixed column, or zeros
         f"    {_names('l', width)} = {f'fixed[-{width}:]' if last else (0,) * width}",
-        *[f"    m{i} = p{2 * i} + p{2 * i + 1}" for i in range(last * n)],
-    ]
-    for k in range(last):
-        col = range(k * n, k * n + n)
-        src.append(f"    ct{k} = 0" + "".join([f" + m{i}" for i in col]))
-        src.append(f"    ca{k} = 0" + "".join([f" + p{2 * i + 1}" for i in col]))
-        src.append(f"    ctd{k}, cad{k}, ctn{k} = ct{k} * th_den, ca{k} * th_den, ct{k} * th_num")
-    for j in range(n):
-        row = range(j, last * n, n)
-        src.append(f"    br{j} = 0" + "".join([f" + m{i}" for i in row]))
-        src.append(f"    ba{j} = 0" + "".join([f" + p{2 * i + 1}" for i in row]))
-    src += [
+        # the fixed columns' line sums; row j's t{j} and a{j} add the last column
+        *_line_locals(last, n, "br", "ba"),
         "    room = denom" + "".join([f" - ct{k}" for k in range(last)]),
         f"    first_equal = {f'ct{last - 1} == room' if last else False}",
         "    ctd, ctn = room * th_den, room * th_num",
@@ -447,14 +438,13 @@ def hill_climb(
     counts evaluations, so ``iters=1`` scores the initial configuration and
     stops.
 
-    A restart keeps its line sums and the sorted list of its positive slots
-    as running state: a move changes two slots, so it updates one column
-    and one row sum per slot, and a rejected move reverts them. Each
-    evaluation is one call on those sums to the evaluator that
-    :func:`~expert_spread.config._units_evaluator` gives for the grid's
-    shape, fetched once per call: compiled code within the cap of
-    :func:`~expert_spread.config._unrolls`, and past it the loop reference
-    :func:`~expert_spread.config._stats_loop`, which sums the lines again.
+    A restart keeps its mass vector and the sorted list of its positive
+    slots as running state: a move changes two slots, and a rejected move
+    restores those two. Each evaluation is one call on the vector alone to
+    the evaluator that :func:`~expert_spread.config._units_evaluator` gives
+    for the grid's shape, fetched once per climb, and it sums the lines:
+    compiled code within the cap of :func:`~expert_spread.config._unrolls`,
+    and past it the loop reference :func:`~expert_spread.config._stats_loop`.
     The source slot is drawn as ``rng.choice`` draws from the positive
     slots and the target offset as ``rng.randrange(slots - 1)`` does, by
     rejection sampling on ``rng.getrandbits``, so a seed gives the same run
@@ -472,10 +462,6 @@ def hill_climb(
     th = 1 - d
     th_num, th_den = th.numerator, th.denominator
     spread_units = _units_evaluator(n_cols, n_rows)
-    # slot i lies in column col_of[i] and row row_of[i]; odd slots hold
-    # event mass
-    col_of = [i // (2 * n_rows) for i in range(slots)]
-    row_of = [(i >> 1) % n_rows for i in range(slots)]
     others = slots - 1
     others_bits = others.bit_length()
 
@@ -489,9 +475,8 @@ def hill_climb(
     for r in range(restarts):
         budget = base + (leftover if r == 0 else 0)
         parts = _random_parts(rng, _CLIMB_DENOM, slots)
-        col_t, col_a, row_t, row_a = _line_sums(parts, n_cols, n_rows)
         positive = [i for i in range(slots) if parts[i] > 0]
-        cur = spread_units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den)
+        cur = spread_units(parts, th_num, th_den)
         if cur * lam_den > lam_num:
             raise _bound_broken(cur, _CLIMB_DENOM, lam)
         evaluated += 1
@@ -518,23 +503,9 @@ def hill_climb(
             amt = parts[src]
             if amt > quantum:
                 amt = quantum
-            sk = col_of[src]
-            sj = row_of[src]
-            dk = col_of[dst]
-            dj = row_of[dst]
-            col_t[sk] -= amt
-            row_t[sj] -= amt
-            col_t[dk] += amt
-            row_t[dj] += amt
-            if src & 1:
-                col_a[sk] -= amt
-                row_a[sj] -= amt
-            if dst & 1:
-                col_a[dk] += amt
-                row_a[dj] += amt
             parts[src] -= amt
             parts[dst] += amt
-            prob = spread_units(parts, n_rows, col_t, col_a, row_t, row_a, th_num, th_den)
+            prob = spread_units(parts, th_num, th_den)
             if prob * lam_den > lam_num:
                 raise _bound_broken(prob, _CLIMB_DENOM, lam)
             evaluated += 1
@@ -550,16 +521,6 @@ def hill_climb(
             else:
                 parts[src] += amt
                 parts[dst] -= amt
-                col_t[sk] += amt
-                row_t[sj] += amt
-                col_t[dk] -= amt
-                row_t[dj] -= amt
-                if src & 1:
-                    col_a[sk] += amt
-                    row_a[sj] += amt
-                if dst & 1:
-                    col_a[dk] -= amt
-                    row_a[dj] -= amt
     assert best_parts is not None
     cfg = _normalized(d, n_cols, n_rows, best_parts, _CLIMB_DENOM)
     return SearchResult(

@@ -246,6 +246,14 @@ def test_search_past_the_caps_writes_the_pinned_bytes(capsys, name, argv):
     assert out == (FIXTURES / f"{name}.expected").read_text()
 
 
+def test_climb_on_a_compiled_evaluator_writes_the_pinned_bytes(capsys):
+    """A 4x4 climb, the benchmark's largest, on a compiled evaluator, byte for byte; CI runs it too."""
+    argv = ["2/5", "--cols", "4", "--rows", "4", "--iters", "1250", "--seed", "1"]
+    code, out = run_main(capsys, "search", *argv)
+    assert code == 0
+    assert out == (FIXTURES / "search_4x4_seed1.expected").read_text()
+
+
 def test_reduce_rejects_bad_epsilon(tmp_path, capsys):
     cfg_path = tmp_path / "ext.json"
     assert cli.main(["extremal", "1/4", "--out", str(cfg_path)]) == 0

@@ -226,9 +226,10 @@ def has_spread_tie(parts, n_rows, col_t, col_a, row_t, row_a, th):
 
 
 def test_search_spread_units_match_the_kernel():
-    """The searches' spread numerator, from line sums they keep, is the loop reference's.
+    """The searches' spread numerator, from the mass vector alone, is the loop reference's.
 
-    The grids are 6x6 or smaller, so each shape's evaluator is compiled.
+    The grids are 6x6 or smaller, so each shape's evaluator is compiled. The
+    extremal witnesses, which tie exactly, are among the inputs.
     """
     rng = random.Random(8128)
     cases = [(cfg._parts, cfg.n_cols, cfg.n_rows, 1 - cfg.delta)
@@ -243,11 +244,9 @@ def test_search_spread_units_match_the_kernel():
         cases.append((parts, n_cols, n_rows, th))
     zero_lines = ties = 0
     for parts, n_cols, n_rows, th in cases:
-        sums = _line_sums(parts, n_cols, n_rows)
         want = _stats_loop(parts, n_cols, n_rows, th.numerator, th.denominator)[5]
-        units = _units_evaluator(n_cols, n_rows)
-        got = units(parts, n_rows, *sums, th.numerator, th.denominator)
-        assert got == want
+        assert _units_evaluator(n_cols, n_rows)(parts, th.numerator, th.denominator) == want
+        sums = _line_sums(parts, n_cols, n_rows)
         zero_lines += 0 in sums[0] or 0 in sums[2]
         ties += has_spread_tie(parts, n_rows, *sums, th)
     assert zero_lines > 1000
@@ -255,7 +254,10 @@ def test_search_spread_units_match_the_kernel():
 
 
 def test_units_evaluator_matches_the_kernel_and_the_loop():
-    """Each shape's evaluator, straight-line up to the cap and the loop past it."""
+    """Each shape's evaluator, straight-line up to the cap and the loop past it.
+
+    It reads only the mass vector and the threshold.
+    """
     # the shapes below straddle the cap
     assert UNROLL_CELLS == 64
     shapes = [(m, n) for m in range(1, 9) for n in range(1, 9)]
@@ -265,17 +267,19 @@ def test_units_evaluator_matches_the_kernel_and_the_loop():
     zero_lines = ties = 0
     for n_cols, n_rows in shapes:
         units = _units_evaluator(n_cols, n_rows)
-        assert (units is _units_loop) == (n_cols * n_rows > UNROLL_CELLS)
         assert _units_evaluator(n_cols, n_rows) is units
+        if n_cols * n_rows <= UNROLL_CELLS:
+            assert units.__code__.co_filename == f"<spread units {n_cols}x{n_rows}>"
+        else:
+            assert (units.func, units.args, units.keywords) == (_units_loop, (n_cols, n_rows), {})
         for _ in range(60):
             th = 1 - rng.choice(DELTAS)
             # threshold-aligned denominators make exact ties common
             denom = th.denominator * rng.randint(1, 4)
             parts = _random_parts(rng, denom, 2 * n_cols * n_rows)
-            sums = _line_sums(parts, n_cols, n_rows)
-            args = (parts, n_rows, *sums, th.numerator, th.denominator)
             want = _stats_loop(parts, n_cols, n_rows, th.numerator, th.denominator)[5]
-            assert units(*args) == want
+            assert units(parts, th.numerator, th.denominator) == want
+            sums = _line_sums(parts, n_cols, n_rows)
             zero_lines += 0 in sums[0] or 0 in sums[2]
             ties += has_spread_tie(parts, n_rows, *sums, th)
     assert zero_lines > 1500

@@ -417,6 +417,8 @@ def test_exhaustive_does_not_recurse_per_column(n_cols, n_rows, denom):
 @pytest.mark.parametrize("search_run", [
     lambda: exhaustive_search(F(1, 4), 2, 2, 5),
     lambda: hill_climb(F(1, 4), 2, 2, 400, seed=0),
+    # one evaluation: the check on a restart's first state, which scores 31/512
+    lambda: hill_climb(F(2, 5), 2, 2, 1, seed=1),
 ])
 def test_searches_check_every_evaluation_against_the_bound(monkeypatch, search_run):
     # the bound is a theorem, so only a bound broken on purpose, just below
