@@ -628,13 +628,14 @@ def _line_locals(n_cols: int, n_rows: int, row_t: str, row_a: str) -> list[str]:
     src = [f"    m{i} = p{2 * i} + p{2 * i + 1}" for i in range(n_cols * n)]
     for k in range(n_cols):
         col = range(k * n, k * n + n)
-        src.append(f"    ct{k} = 0" + "".join([f" + m{i}" for i in col]))
-        src.append(f"    ca{k} = 0" + "".join([f" + p{2 * i + 1}" for i in col]))
+        src.append(f"    ct{k} = " + " + ".join([f"m{i}" for i in col]))
+        src.append(f"    ca{k} = " + " + ".join([f"p{2 * i + 1}" for i in col]))
         src.append(f"    ctd{k}, cad{k}, ctn{k} = ct{k} * th_den, ca{k} * th_den, ct{k} * th_num")
+    # a row over no columns, as in a one-column walker, sums to 0
     for j in range(n):
         row = range(j, n_cols * n, n)
-        src.append(f"    {row_t}{j} = 0" + "".join([f" + m{i}" for i in row]))
-        src.append(f"    {row_a}{j} = 0" + "".join([f" + p{2 * i + 1}" for i in row]))
+        src.append(f"    {row_t}{j} = " + (" + ".join([f"m{i}" for i in row]) or "0"))
+        src.append(f"    {row_a}{j} = " + (" + ".join([f"p{2 * i + 1}" for i in row]) or "0"))
     return src
 
 

@@ -3,10 +3,10 @@
 The closed form for the largest spread probability is attacked here from
 below, without assuming it: enumerate every configuration on a small
 rational grid, or hill-climb through mass space with random restarts, and
-report the best value found. Every single evaluation is compared against
-the closed form, so the searches double as a falsification harness: a
-configuration beating the bound would surface as a hard error, not a
-silently kept "discovery".
+report the best value found. The best value, the maximum over every
+evaluation, is compared against the closed form, so the searches double as
+a falsification harness: a configuration beating the bound would surface
+as a hard error, not a silently kept "discovery".
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ class SearchResult:
 
     ``best_prob_B`` always equals the exact spread probability of
     ``best_config``, and never exceeds the closed-form bound for the run's
-    threshold parameter; both facts are enforced at construction time by
-    the search functions. ``seed`` is ``None`` for deterministic methods.
+    threshold parameter, and as the largest value evaluated, neither does
+    any evaluation; the search functions check both on the winner.
+    ``seed`` is ``None`` for deterministic methods.
     """
 
     delta: Fraction
@@ -105,22 +106,24 @@ def search_result_to_json_dict(result: SearchResult) -> dict:
 # others. Both generators write their line sums with config._line_locals.
 # Past the cap both run config._stats_loop, the loop that code is tested
 # against: hill_climb through config._units_loop, exhaustive_search through
-# _walk_last_column. A Configuration object is only built for the winner.
+# _walk_last_column. Both only score: _check_winner compares the winner, the
+# one Configuration built, with the closed form, once.
 # Zero-mass lines carry no conditional value and no probability there,
 # which matches evaluating the configuration with its zero lines dropped.
 
 
-def _bound_broken(b_num: int, denom: int, lam: Fraction) -> InternalStateError:
-    """The error for an evaluation of ``b_num/denom`` above the bound ``lam``."""
-    return InternalStateError(
-        f"evaluated spread probability {Fraction(b_num, denom)} exceeds the "
-        f"closed-form bound {lam}; the evaluator or the bound is broken"
-    )
-
-
 def _check_winner(cfg: Configuration, b_num: int, denom: int) -> Fraction:
-    """The winner's spread probability, re-derived from its configuration."""
+    """The winner's spread probability, checked against the bound and re-derived.
+
+    It is the largest value evaluated, so every evaluation obeys the bound if it does.
+    """
     prob = Fraction(b_num, denom)
+    lam = lambda_sharp(cfg.delta)
+    if prob > lam:
+        raise InternalStateError(
+            f"evaluated spread probability {prob} exceeds the closed-form bound "
+            f"{lam}; the evaluator or the bound is broken"
+        )
     if _grid_stats(cfg).prob_B != prob:
         raise InternalStateError(
             "the winner's configuration statistics disagree with its integer "
@@ -207,7 +210,7 @@ def _raise_column(
 
 
 def _walk_last_column(
-    n_rows: int, fixed: Sequence[int], denom: int, th_num: int, th_den: int, lam_num: int, lam_den: int
+    n_rows: int, fixed: Sequence[int], denom: int, th_num: int, th_den: int
 ) -> tuple[int, bool, int, Optional[tuple[int, ...]]]:
     """Score, in ascending order, every last column at or above the last of ``fixed``.
 
@@ -216,8 +219,7 @@ def _walk_last_column(
     last fixed column with total at most ``room``, then each time the
     smallest strictly above the one before; topped up in its last slot to
     ``room``, each is the next column with total exactly ``room``. Each
-    class is scored by :func:`_stats_loop` on the whole grid and checked
-    against the bound ``lam_num / (lam_den * denom)`` before it counts.
+    class is only scored, by :func:`_stats_loop` on the whole grid.
     Returns the class count, whether the first class equals the last fixed
     column, the best spread numerator (-1 for none) and the first column
     reaching it. This is the reference for :func:`_column_walker`'s
@@ -234,8 +236,6 @@ def _walk_last_column(
         if not leaves:
             first_equal = o > 0 and parts[o:] == parts[o - width : o]
         prob = _stats_loop(parts, n_cols, n_rows, th_num, th_den)[5]
-        if prob * lam_den > lam_num:
-            raise _bound_broken(prob, denom, Fraction(lam_num, lam_den * denom))
         leaves += 1
         if prob > best:
             best, best_column = prob, tuple(parts[o:])
@@ -244,7 +244,7 @@ def _walk_last_column(
 
 @functools.lru_cache(maxsize=1024)
 def _column_walker(n_cols: int, n_rows: int) -> Callable[..., tuple]:
-    """``walk(fixed, denom, th_num, th_den, lam_num, lam_den)`` as :func:`_walk_last_column`.
+    """``walk(fixed, denom, th_num, th_den)`` as :func:`_walk_last_column`.
 
     Where :func:`config._unrolls` holds for the shape and for the memo
     kernel's square of side ``n_rows``, it is compiled once per shape from
@@ -253,14 +253,15 @@ def _column_walker(n_cols: int, n_rows: int) -> Callable[..., tuple]:
     is one nested ``for`` (15 at the cap; CPython allows 20 nested blocks).
     Each level keeps whether the column so far equals its lower bound, and
     the level completing a row tests that row's fixed cells, so a class
-    tests the last row's fixed cells and the last column's, with no call
-    and no list store. Past the cap it is :func:`_walk_last_column` itself.
+    tests the last row's fixed cells and the last column's, with no call,
+    no global and no list store. Past the cap it is
+    :func:`_walk_last_column` itself.
     """
     if not (_unrolls(n_rows, n_rows) and _unrolls(n_cols, n_rows)):
         return functools.partial(_walk_last_column, n_rows)
     n, last, width = n_rows, n_cols - 1, 2 * n_rows
     src = [
-        "def walk(fixed, denom, th_num, th_den, lam_num, lam_den):",
+        "def walk(fixed, denom, th_num, th_den):",
         f"    {_names('p', last * width)} = fixed" if last else "",
         # the lower bound: the last fixed column, or zeros
         f"    {_names('l', width)} = {f'fixed[-{width}:]' if last else (0,) * width}",
@@ -302,15 +303,12 @@ def _column_walker(n_cols: int, n_rows: int) -> Callable[..., tuple]:
     for j in range(n):
         src += _far_apart(pad, f"lm{j}", "", j, b)
     src += [
-        f"{pad}if {b} * lam_den > lam_num:",
-        f"{pad}    raise _bound_broken({b}, denom, Fraction(lam_num, lam_den * denom))",
         f"{pad}leaves += 1",
         f"{pad}if {b} > best:",
         f"{pad}    best, best_column = {b}, ({_names('x', width)})",
         "    return leaves, first_equal, best, best_column\n",
     ]
-    env = {"_bound_broken": _bound_broken, "Fraction": Fraction}
-    return _compiled(f"column walker {n_cols}x{n_rows}", src, "walk", **env)[0]
+    return _compiled(f"column walker {n_cols}x{n_rows}", src, "walk")[0]
 
 
 def exhaustive_search(
@@ -335,7 +333,8 @@ def exhaustive_search(
     :func:`_raise_column`; the last holds all the mass left, and the walker
     :func:`_column_walker` gives for the grid's shape scores each of its
     compositions at or above the column before. The weights must sum to
-    the vector count, which is reported as ``configs_evaluated``.
+    the vector count, which is reported as ``configs_evaluated``. The
+    winner's value, the best over every class, is checked against the bound.
     """
     d = validate_delta(delta)
     _validate_dims(n_cols, n_rows)
@@ -350,8 +349,6 @@ def exhaustive_search(
             f"above the cap of {cap}; lower denom or the grid, or raise "
             f"{ENUM_CAP_ENV}"
         )
-    lam = lambda_sharp(d)
-    lam_num, lam_den = lam.numerator * denom, lam.denominator
     th = 1 - d
     th_num, th_den = th.numerator, th.denominator
     walk = _column_walker(n_cols, n_rows)
@@ -385,7 +382,7 @@ def exhaustive_search(
                 parts[o + width : o + 2 * width] = column
                 found = _raise_column(parts, o + width, width, room[k], last - k, False)
                 continue
-        leaves, equal, best, tail = walk(parts, denom, th_num, th_den, lam_num, lam_den)
+        leaves, equal, best, tail = walk(parts, denom, th_num, th_den)
         # a class weighs n_cols! / prod(mult!); only the first last column
         # can equal the column before it and so lengthen its run
         w = weight[last] * n_cols
@@ -448,7 +445,9 @@ def hill_climb(
     The source slot is drawn as ``rng.choice`` draws from the positive
     slots and the target offset as ``rng.randrange(slots - 1)`` does, by
     rejection sampling on ``rng.getrandbits``, so a seed gives the same run
-    as those calls would.
+    as those calls would. A rejected move scores below the current value,
+    never above the best, so the winner's is the best of every evaluation,
+    and it is the one checked against the bound.
     """
     d = validate_delta(delta)
     _validate_dims(n_cols, n_rows)
@@ -457,8 +456,6 @@ def hill_climb(
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     slots = 2 * n_cols * n_rows
-    lam = lambda_sharp(d)
-    lam_num, lam_den = lam.numerator * _CLIMB_DENOM, lam.denominator
     th = 1 - d
     th_num, th_den = th.numerator, th.denominator
     spread_units = _units_evaluator(n_cols, n_rows)
@@ -477,8 +474,6 @@ def hill_climb(
         parts = _random_parts(rng, _CLIMB_DENOM, slots)
         positive = [i for i in range(slots) if parts[i] > 0]
         cur = spread_units(parts, th_num, th_den)
-        if cur * lam_den > lam_num:
-            raise _bound_broken(cur, _CLIMB_DENOM, lam)
         evaluated += 1
         if cur > best_prob:
             best_prob = cur
@@ -506,8 +501,6 @@ def hill_climb(
             parts[src] -= amt
             parts[dst] += amt
             prob = spread_units(parts, th_num, th_den)
-            if prob * lam_den > lam_num:
-                raise _bound_broken(prob, _CLIMB_DENOM, lam)
             evaluated += 1
             if prob >= cur:
                 cur = prob

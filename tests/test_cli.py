@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from expert_spread import cli
-from expert_spread.search import exhaustive_search, hill_climb
+from expert_spread.search import _column_walker, exhaustive_search, hill_climb
 from expert_spread.config import (
     InternalStateError,
     ReduceContradictionError,
@@ -244,6 +244,14 @@ def test_search_past_the_caps_writes_the_pinned_bytes(capsys, name, argv):
     code, out = run_main(capsys, "search", *argv)
     assert code == 0
     assert out == (FIXTURES / f"{name}.expected").read_text()
+
+
+def test_exhaustive_on_a_compiled_walker_writes_the_pinned_bytes(capsys):
+    """A 3x3 enumeration, whose last columns a compiled walker scores, byte for byte; CI runs it too."""
+    assert _column_walker(3, 3).__code__.co_filename == "<column walker 3x3>"
+    code, out = run_main(capsys, "search", "2/5", "--denom", "5", "--cols", "3", "--rows", "3")
+    assert code == 0
+    assert out == (FIXTURES / "search_3x3_denom5.expected").read_text()
 
 
 def test_climb_on_a_compiled_evaluator_writes_the_pinned_bytes(capsys):

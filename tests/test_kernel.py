@@ -292,7 +292,7 @@ def test_column_walker_matches_the_loop():
     assert UNROLL_CELLS == 64
     shapes = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(9, 8), (1, 9), (3, 9)]
     rng = random.Random(6173)
-    counts = dict.fromkeys(("no class", "first equal", "tie", "broken"), 0)
+    counts = dict.fromkeys(("no class", "first equal", "tie"), 0)
     for n_cols, n_rows in shapes:
         walk = _column_walker(n_cols, n_rows)
         assert _column_walker(n_cols, n_rows) is walk
@@ -320,9 +320,8 @@ def test_column_walker_matches_the_loop():
                 room = rng.randint(0, cap)
             denom = sum(fixed) + room
             args = (fixed, denom, th.numerator, th.denominator)
-            # a bound of 1 is never broken
-            got = walk(*args, denom, 1)
-            assert got == loop(*args, denom, 1)
+            got = walk(*args)
+            assert got == loop(*args)
             leaves, first_equal, best, column = got
             counts["no class"] += not leaves
             counts["first equal"] += first_equal
@@ -332,16 +331,6 @@ def test_column_walker_matches_the_loop():
             counts["tie"] += has_spread_tie(
                 parts, n_rows, *_line_sums(parts, n_cols, n_rows), th
             )
-            # a bound just below the best value breaks on a class that reaches it
-            lam = F(best, denom) - F(1, 10**9)
-            raised = []
-            for run in (walk, loop):
-                with pytest.raises(config.InternalStateError) as err:
-                    run(*args, lam.numerator * denom, lam.denominator)
-                raised.append(str(err.value))
-            assert raised[0] == raised[1]
-            assert raised[0].startswith(f"evaluated spread probability {F(best, denom)} ")
-            counts["broken"] += 1
     assert min(counts.values()) > 150, counts
 
 

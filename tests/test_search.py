@@ -417,24 +417,26 @@ def test_exhaustive_does_not_recurse_per_column(n_cols, n_rows, denom):
 @pytest.mark.parametrize("search_run", [
     lambda: exhaustive_search(F(1, 4), 2, 2, 5),
     lambda: hill_climb(F(1, 4), 2, 2, 400, seed=0),
-    # one evaluation: the check on a restart's first state, which scores 31/512
+    # one evaluation, a restart's first state, which scores 31/512
     lambda: hill_climb(F(2, 5), 2, 2, 1, seed=1),
 ])
 def test_searches_check_every_evaluation_against_the_bound(monkeypatch, search_run):
-    # the bound is a theorem, so only a bound broken on purpose, just below
-    # the best value the search reaches, can trip the check
+    # the bound is a theorem, so only a bound broken on purpose can trip the
+    # check: just below the best value the search reaches, or 0, which every
+    # positive evaluation breaks. The best value is the largest evaluated,
+    # so checking it checks them all, and the message names it, not the
+    # first evaluation above the bound; the whole message is matched, so
+    # any change to its text fails here
     best = search_run().best_prob_B
     assert best > 0
-    lam = best - F(1, 10**9)
-    monkeypatch.setattr(search, "lambda_sharp", lambda delta: lam)
-    # the first evaluation above the bound is one at the best value, and
-    # the whole message is matched, so any change to its text fails here
-    message = (
-        f"evaluated spread probability {best} exceeds the closed-form bound "
-        f"{lam}; the evaluator or the bound is broken"
-    )
-    with pytest.raises(InternalStateError, match=f"^{re.escape(message)}$"):
-        search_run()
+    for lam in (best - F(1, 10**9), F(0)):
+        monkeypatch.setattr(search, "lambda_sharp", lambda delta: lam)
+        message = (
+            f"evaluated spread probability {best} exceeds the closed-form bound "
+            f"{lam}; the evaluator or the bound is broken"
+        )
+        with pytest.raises(InternalStateError, match=f"^{re.escape(message)}$"):
+            search_run()
 
 
 @pytest.mark.parametrize("search_run, denom", [

@@ -805,10 +805,20 @@ def exercise(cfg, rng, counts, seed):
                     cfg, "diagonal_swap", ref_diagonal_swap, (k1, j1), (k2, j2), complement
                 )
                 counts["swap moved" if out is not cfg else "swap kept"] += 1
+                # the other diagonal, then a same-column and a same-row
+                # pair, which both refuse
                 same(
                     cfg, transforms._diagonal_swap_any, ref_diagonal_swap_any,
                     (k2, j2), (k1, j1), complement,
                 )
+                for c2 in ((k1, j2), (k2, j1)):
+                    refused = same(
+                        cfg, transforms._diagonal_swap_any, ref_diagonal_swap_any,
+                        (k1, j1), c2, complement,
+                    )
+                    assert refused == (
+                        ConfigError, "swap sources must differ in both column and row"
+                    )
     same(cfg, "corner_fill", ref_corner_fill)
     eps = F(1, rng.choice((3, 50, 1000)))
     grown = same(cfg, "augment", ref_augment, eps)

@@ -4,7 +4,9 @@ import hashlib
 import io
 import json
 import random
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -438,6 +440,43 @@ def test_augment_needs_positive_spread():
         augment(no_spread_square(), F(1, 100))
     with pytest.raises(DomainError, match="^epsilon must be positive, got 0$"):
         augment(extremal_config(F(1, 4)), 0)
+
+
+def test_augment_guards_its_theorems(monkeypatch):
+    """The three guards no input fires, each tripped by a helper broken on purpose."""
+    # spread 1/5 with the high corner empty, so augment adds slivers
+    cfg = make_configuration(
+        F(1, 4), 1, 2, {(1, 1): (0, F(4, 5)), (1, 2): (F(1, 5), 0)}
+    )
+    b_num = _grid_stats(cfg).b_num
+    cases = [
+        # positive spread probability with neither corner occupied
+        (
+            "_grid_stats",
+            lambda c: SimpleNamespace(b_num=b_num, occupied=(False, False)),
+            InternalStateError,
+            "positive spread probability requires at least one occupied corner",
+        ),
+        # slivers that lose the whole spread probability
+        (
+            "_augmented",
+            lambda c, g, eps, low_missing: no_spread_square(),
+            TransformContractError,
+            "augmentation dropped the spread probability from 1/5 to 0, more than 1/100",
+        ),
+        # slivers that leave the grid as it was, its high corner still empty
+        (
+            "_augmented",
+            lambda c, g, eps, low_missing: c,
+            TransformContractError,
+            "augmentation failed to occupy both corners",
+        ),
+    ]
+    for name, broken, error, message in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(transforms, name, broken)
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                augment(cfg, F(1, 100))
 
 
 def test_canonicalize_requires_corners_below_one_half():
