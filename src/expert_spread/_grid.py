@@ -26,7 +26,6 @@ from .config import (
     ConfigError,
     InternalStateError,
     TransformContractError,
-    _grid_stats,
     _GridStats,
     _line_orders,
     _line_sums,
@@ -245,8 +244,9 @@ class _Grid:
     derivation of :func:`~expert_spread.config._stats_evaluator`, run again
     only after the sides change.  ``moves`` counts the moves, so a caller
     can tell a pass that changed nothing; ``settled`` says the merge sweep
-    has run and nothing moved since, as the memo's fixpoint mark says of a
-    configuration.
+    has run and nothing moved since.  A grid starts unsettled, memo entry or
+    not; :func:`~expert_spread.transforms.canonicalize` sets ``settled``
+    from the memo's fixpoint mark, which no code here reads.
     """
 
     __slots__ = (
@@ -260,32 +260,28 @@ class _Grid:
     _index = Configuration._index
 
     def __init__(self, cfg: Configuration, g: Optional[_GridStats] = None) -> None:
-        """Load ``cfg``; with its memo entry ``g``, take the statistics from it."""
+        """Load ``cfg``; with its memo entry ``g``, take its statistics, not its mark."""
         self.delta = cfg.delta
         self.dn, self.dd = cfg.delta.numerator, cfg.delta.denominator
         self.up = self.dd - self.dn  # the threshold 1 - delta is up/dd
         self.n_cols, self.n_rows = cfg.n_cols, cfg.n_rows
         self._parts, self._den = list(cfg._parts), cfg._den
         self.moves = 0
+        self.settled = False
         if g is None:
             self.col_t, self.col_a, self.row_t, self.row_a = _line_sums(
                 self._parts, cfg.n_cols, cfg.n_rows
             )
             self.side = None
-            self.derived = self.settled = False
+            self.derived = False
         else:
             self.col_t, self.col_a = g.col_t[:], g.col_a[:]
             self.row_t, self.row_a = g.row_t[:], g.row_a[:]
-            self._adopt(g)
-
-    def _adopt(self, g: _GridStats) -> None:
-        """Take the sides, the derived fields and the fixpoint mark of memo entry ``g``."""
-        self.side = list(g.side)
-        self.b_mask, self.d_minus, self.d_plus = g.b_mask, g.d_minus, g.d_plus
-        self.m_minus_G, self.m_plus_G = g.m_minus_G, g.m_plus_G
-        self.m_minus_H, self.m_plus_H = g.m_minus_H, g.m_plus_H
-        self.derived = True
-        self.settled = g.fixpoint
+            self.side = list(g.side)
+            self.b_mask, self.d_minus, self.d_plus = g.b_mask, g.d_minus, g.d_plus
+            self.m_minus_G, self.m_plus_G = g.m_minus_G, g.m_plus_G
+            self.m_minus_H, self.m_plus_H = g.m_minus_H, g.m_plus_H
+            self.derived = True
 
     def _result(self, cfg: Configuration) -> Configuration:
         """``cfg`` itself when nothing moved since it was loaded, else the grid built once."""
@@ -644,15 +640,3 @@ class _Grid:
             ac, a = self._parts[i], self._parts[i + 1]
             self._shift(i, -ac, -a)
             self._shift(d, 0 if species else ac + a, ac + a if species else 0)
-
-
-def _loaded(cfg: Configuration) -> _Grid:
-    """A grid of ``cfg`` taking the memo entry only when ``cfg`` is strictly sorted.
-
-    Only a strictly sorted grid can carry the memo's fixpoint mark, and an
-    unsorted one is sorted in the grid, so it leaves no memo entry.
-    """
-    grid = _Grid(cfg)
-    if _sorted_problem(grid.col_t, grid.col_a, grid.row_t, grid.row_a) is None:
-        grid._adopt(_grid_stats(cfg))
-    return grid

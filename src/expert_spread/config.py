@@ -883,11 +883,11 @@ class _GridStats:
     whether the low and the high side of the spread region carry positive
     mass; ``stats`` holds the :class:`Stats` once :func:`compute_stats` has
     built it.  ``fixpoint`` is set once
-    :func:`expert_spread.transforms.zigzag_normalize` or
     :func:`expert_spread.transforms.canonicalize` has returned this
     configuration (or an equal one) with its shape checked, or the
     reduction driver has transposed a configuration so marked, so a later
-    merge sweep on it returns at once.
+    merge sweep of ``canonicalize`` on it returns at once.  No other
+    function reads the mark.
     """
 
     __slots__ = (

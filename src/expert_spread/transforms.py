@@ -29,7 +29,6 @@ from ._grid import (
     _below_half,
     _cell,
     _Grid,
-    _loaded,
     _mass,
     _rational,
     _rounds,
@@ -215,12 +214,9 @@ def zigzag_normalize(cfg: Configuration) -> Configuration:
     integers: a merge adds the two lines' sums and recomputes the sides of
     the merged line alone, and each merge is decided by the same test as
     the public merges.  So a call builds one configuration, the result, and
-    none when nothing moved, so the input itself comes back; it adds no
-    memo entry for the grids in between.  The result's memo entry is
-    marked as a fixpoint once its shape is checked.  Only a strictly sorted
-    input, the only kind that can carry the mark, is looked up in the memo
-    (the test reads the input's line sums), so an unsorted one leaves no
-    memo entry behind; an input that carries the mark comes back at once.
+    none when nothing moved, so the input itself comes back.  It neither
+    reads nor writes the statistics memo, so it leaves no entry behind, not
+    even for its input or its result.
 
     Below threshold one half, the fixpoint's spread region forms two
     staircases with unit steps: in the low corner, column ``k`` pairs exactly
@@ -229,11 +225,9 @@ def zigzag_normalize(cfg: Configuration) -> Configuration:
     can overlap and only strict sorting is guaranteed.  Equal-valued
     neighbours always merge, so the result is strictly sorted on both axes.
     """
-    grid = _loaded(cfg)
+    grid = _Grid(cfg)
     grid._zigzag()
-    out = grid._result(cfg)
-    _grid_stats(out).fixpoint = True
-    return out
+    return grid._result(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +317,10 @@ def purify_all_borders(cfg: Configuration) -> Configuration:
     shift; merges strictly shrink the grid, so this still terminates.
 
     The purifications and normalizations run in place on one working grid,
-    as in :func:`zigzag_normalize`, and only the result is built.
+    as in :func:`zigzag_normalize`, and only the result is built; like it,
+    this leaves the statistics memo alone.
     """
-    grid = _loaded(cfg)
+    grid = _Grid(cfg)
     grid._purify_all_borders()
     return grid._result(cfg)
 
@@ -484,14 +479,16 @@ def canonicalize(cfg: Configuration) -> Configuration:
     merges blocked by opposite-side pairs, and chaining the two can cycle
     forever.
 
-    The cycle runs on one working grid, loaded from the input's memo entry:
+    Both run on one working grid, loaded from the input's memo entry:
     the four transforms' in-place forms keep its line sums, sides and
     derived fields current, and its move count tells a cycle that changed
     nothing, so no configuration is built or looked up between steps.  A
     cycle whose moves lead back to the grid it started from changes nothing
     either.  One configuration is built, the result, and none when the
-    input comes back; its memo entry is marked as a merge fixpoint, as
-    :func:`zigzag_normalize` marks its results.
+    input comes back.  The result's memo entry is marked as a merge
+    fixpoint, and an input so marked starts its grid settled, so the merge
+    sweep on it returns at once.  Only this function and the reduction
+    driver, which carries the mark across a transpose, touch the mark.
 
     Requires positive mass in both extreme spread corners
     (:class:`ConfigError` otherwise).  The cycle's steps keep both corners
@@ -502,10 +499,11 @@ def canonicalize(cfg: Configuration) -> Configuration:
     """
     g = _grid_stats(cfg)
     _need_both_corners(g)
+    grid = _Grid(cfg, g)
+    grid.settled = g.fixpoint
     if not _below_half(cfg):
-        cfg = zigzag_normalize(cfg)
+        grid._zigzag()
     else:
-        grid = _Grid(cfg, g)
         for _ in _rounds(16 * (cfg.n_cols + cfg.n_rows) ** 2, "canonicalization"):
             moves, start = grid.moves, (grid.n_cols, grid._den, tuple(grid._parts))
             grid._purify_all_borders()
@@ -514,10 +512,10 @@ def canonicalize(cfg: Configuration) -> Configuration:
             grid._empty_corner_rectangles()
             if grid.moves == moves or grid._same(start):
                 break
-        cfg = grid._result(cfg)
-        if grid.settled:
-            # swept with nothing moved since, as zigzag_normalize marks its results
-            _grid_stats(cfg).fixpoint = True
+    cfg = grid._result(cfg)
+    if grid.settled:
+        # swept with nothing moved since, so a later sweep returns at once
+        _grid_stats(cfg).fixpoint = True
     # is_canonical leaves the result's memo entry behind, so its corners
     # cost no second kernel run
     if not is_canonical(cfg) or not all(_grid_stats(cfg).occupied):

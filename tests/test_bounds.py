@@ -24,6 +24,9 @@ from expert_spread.config import (
     _GridStats,
     compute_stats,
     make_configuration,
+    overlap_violations,
+    pitman_inclusion_violations,
+    separation_violations,
 )
 from expert_spread.search import _random_parts
 from expert_spread.transforms import reduce
@@ -303,6 +306,40 @@ def tampered(cfg, **fields):
     for name, value in fields.items():
         setattr(copy, name, value)
     return copy
+
+
+def test_violation_scanners_report_a_tampered_cell(monkeypatch):
+    """Each verify scan's report line, reached by a tampered memo entry."""
+    cfg = extremal_config(F(1, 4))
+    # over 5, cell (1, 1) holds 3, cells (1, 2) and (2, 1) hold 1 each, and
+    # both axes have line values 1/4 and 1
+    flagged = tampered(cfg, side=((1, -1), (1, 0)))
+    for scan, entry in (
+        # (1, 1) flagged, though neither of its lines' values 1/4 reaches 3/4
+        (pitman_inclusion_violations, flagged),
+        # (1, 1) flagged, and its mass 3 is over 1/5 of its lines' 8
+        (overlap_violations, flagged),
+        # (1, 1) as its whole column and row, of values 2/3 and 1/3: its
+        # separation bound is 0
+        (separation_violations, tampered(cfg, col_t=[3, 1], col_a=[2, 1], row_t=[3, 1])),
+    ):
+        assert scan(cfg) == []
+        with monkeypatch.context() as patch:
+            patch.setattr(config, "_grid_stats", lambda c: entry)
+            assert scan(cfg) == [(1, 1)]
+
+
+def test_correlation_example_refuses_unequal_marginals(monkeypatch):
+    # the witness is symmetric in its two axes; this grid is not, so its
+    # marginal variances are 1/4 and 1/12
+    lopsided = make_configuration(
+        F(1, 4), 2, 2, {(1, 1): (0, F(1, 2)), (2, 1): (F(1, 4), 0), (2, 2): (F(1, 4), 0)}
+    )
+    monkeypatch.setattr(bounds, "extremal_config", lambda delta: lopsided)
+    with pytest.raises(
+        InternalStateError, match="^marginals of the correlation example must match$"
+    ):
+        correlation_example(F(1, 4))
 
 
 def test_certificate_guards_fire_on_broken_statistics(monkeypatch):

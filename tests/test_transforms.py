@@ -196,10 +196,10 @@ def test_zigzag_contract_on_random_inputs():
 
 
 def test_zigzag_builds_only_the_sorted_grid_and_the_fixpoint(monkeypatch):
-    # the sweep merges on a list of integers, so the grids between the
-    # sorted input and the fixpoint are neither built nor memoised, an
-    # unsorted input is not memoised either, and the fixpoint's memo entry
-    # is marked so that it comes back at once
+    # the public sweeps merge and purify on a list of integers, so the grids
+    # between the input and the result are neither built nor memoised, and
+    # they leave no memo entry, the input's and the result's included: only
+    # canonicalize reads and writes the memo's fixpoint mark
     rng = random.Random(23)
     inputs = []
     while len(inputs) < 40:
@@ -220,21 +220,45 @@ def test_zigzag_builds_only_the_sorted_grid_and_the_fixpoint(monkeypatch):
     monkeypatch.setattr(Configuration, "_from_parts", counted)
     unsorted = 0
     for cfg in inputs:
-        compute_stats.cache_clear()
-        built.clear()
-        out = zigzag_normalize(cfg)
-        # normalize and the result; an entry for the result, and one for
-        # the input only when the input is already sorted
-        assert len(built) <= 2
-        entries = compute_stats.cache_info().currsize
-        in_order = normalize(cfg) == cfg
-        assert entries <= 2 if in_order else entries == 1
-        unsorted += not in_order
-        built.clear()
-        assert zigzag_normalize(out) is out
-        assert built == []
-        assert compute_stats.cache_info().currsize == entries
+        unsorted += normalize(cfg) != cfg
+        for sweep in (zigzag_normalize, purify_all_borders):
+            compute_stats.cache_clear()
+            built.clear()
+            out = sweep(cfg)
+            # at most normalize and the result
+            assert len(built) <= 2
+            assert compute_stats.cache_info().currsize == 0
+            built.clear()
+            assert zigzag_normalize(out) is out
+            assert built == []
+            assert compute_stats.cache_info().currsize == 0
     assert unsorted > 30
+
+    # from one half on canonicalize is the merge sweep; it marks its result,
+    # so a second call returns it at once, with no merge tried
+    merged = []
+    merge_columns_in_place = _grid._Grid._merge_columns
+
+    def counted_merge(grid, k):
+        merged.append(k)
+        return merge_columns_in_place(grid, k)
+
+    monkeypatch.setattr(_grid._Grid, "_merge_columns", counted_merge)
+    grown = [
+        augment(cfg, F(1, 100))
+        for cfg in inputs
+        if cfg.delta == F(3, 5) and compute_stats(cfg).prob_B > 0
+    ]
+    assert grown
+    for cfg in grown:
+        merged.clear()
+        out = canonicalize(cfg)
+        # the first call sweeps, and the result has columns left to merge
+        assert merged and out.n_cols > 1
+        assert _grid_stats(out).fixpoint
+        merged.clear()
+        assert canonicalize(out) is out
+        assert merged == []
 
 
 def test_zigzag_keeps_full_spread_above_one_half():
@@ -270,6 +294,24 @@ def test_purify_rejects_non_border_cell():
         purify_border_cell(cfg, 1, 1)
     with pytest.raises(ConfigError):
         purify_border_cell(cfg, 3, 1)
+
+
+def test_grid_guards_name_a_broken_staircase_and_a_stalled_purification(monkeypatch):
+    # both are theorem guards: below one half the merge fixpoint is a
+    # staircase and a border purification always moves mass
+    with monkeypatch.context() as patch:
+        patch.setattr(_grid, "_staircase_problem", lambda cfg, g: "a crafted problem")
+        with pytest.raises(
+            InternalStateError, match="^merge fixpoint is not a staircase: a crafted problem$"
+        ):
+            zigzag_normalize(extremal_config(F(1, 4)))
+    cfg = impure_border_example()
+    assert _grid_stats(cfg).d_minus == ((1, 2),)
+    monkeypatch.setattr(_grid._Grid, "_purify", lambda grid, k, j: False)
+    with pytest.raises(
+        InternalStateError, match=r"^purification stalled on impure border cell \(1, 2\)$"
+    ):
+        purify_all_borders(cfg)
 
 
 def test_purification_guard_names_a_spread_pair_it_lost():
