@@ -201,7 +201,7 @@ def _find_corner_move(
         for k in range(1, g.m_minus_G + 1):
             for j in range(g.m_plus_H, cfg.n_rows + 1):
                 a, ac = _cell(cfg, k, j)
-                if g.b_mask[k - 1][j - 1] or a + ac == 0:
+                if g.side[k - 1][j - 1] or a + ac == 0:
                     continue
                 if a * dd < up * (a + ac):
                     return ((k, j), (k, 1), 0)
@@ -210,7 +210,7 @@ def _find_corner_move(
         for j in range(1, g.m_minus_H + 1):
             for k in range(g.m_plus_G, cfg.n_cols + 1):
                 a, ac = _cell(cfg, k, j)
-                if g.b_mask[k - 1][j - 1] or a + ac == 0:
+                if g.side[k - 1][j - 1] or a + ac == 0:
                     continue
                 if ac * dd < up * (a + ac):
                     return ((k, j), (k, cfg.n_rows), 1)
@@ -229,11 +229,12 @@ class _Grid:
     It holds what a :class:`Configuration` and its memo entry hold, under
     the same names: the flat column-major ``(ac, a)`` list ``_parts`` over
     ``_den``, the dimensions, the four line sums, the sides as a list of
-    column tuples, and the fields the memo's derivation gives (``b_mask``,
-    the four ``m_*`` extremes, ``d_minus`` and ``d_plus``).  So the readers
-    written for a configuration and its statistics, :func:`_cell`,
-    :func:`_find_corner_move` and :func:`_staircase_problem`, read a grid as
-    both.
+    column tuples, and the fields the memo's derivation gives (the four
+    ``m_*`` extremes, ``d_minus`` and ``d_plus``).  The sides are the
+    grid's only record of the spread region: a cell lies in it when its
+    side is not 0.  So the readers written for a configuration and its
+    statistics, :func:`_cell`, :func:`_find_corner_move` and
+    :func:`_staircase_problem`, read a grid as both.
 
     A mass move (:meth:`_shift`), a purification's included, updates its
     cell's two line sums by addition and leaves the sides to the memo's
@@ -251,9 +252,9 @@ class _Grid:
 
     __slots__ = (
         "delta", "dn", "dd", "up", "n_cols", "n_rows", "_parts", "_den",
-        "col_t", "col_a", "row_t", "row_a", "side", "b_mask", "m_minus_G",
-        "m_plus_G", "m_minus_H", "m_plus_H", "d_minus", "d_plus", "derived",
-        "settled", "moves",
+        "col_t", "col_a", "row_t", "row_a", "side", "m_minus_G", "m_plus_G",
+        "m_minus_H", "m_plus_H", "d_minus", "d_plus", "derived", "settled",
+        "moves",
     )
 
     # the bounds check and offset of a cell, as a configuration has them
@@ -278,7 +279,7 @@ class _Grid:
             self.col_t, self.col_a = g.col_t[:], g.col_a[:]
             self.row_t, self.row_a = g.row_t[:], g.row_a[:]
             self.side = list(g.side)
-            self.b_mask, self.d_minus, self.d_plus = g.b_mask, g.d_minus, g.d_plus
+            self.d_minus, self.d_plus = g.d_minus, g.d_plus
             self.m_minus_G, self.m_plus_G = g.m_minus_G, g.m_plus_G
             self.m_minus_H, self.m_plus_H = g.m_minus_H, g.m_plus_H
             self.derived = True
@@ -306,11 +307,11 @@ class _Grid:
         return self.side
 
     def _derive(self) -> None:
-        """Bring ``b_mask``, the extremes and the corner lists up to date."""
+        """Bring the extremes and the corner lists up to date with the sides."""
         if not self.derived:
             (
-                self.b_mask, self.m_minus_G, self.m_plus_G, self.m_minus_H,
-                self.m_plus_H, self.d_minus, self.d_plus,
+                self.m_minus_G, self.m_plus_G, self.m_minus_H, self.m_plus_H,
+                self.d_minus, self.d_plus,
             ) = _stats_evaluator(self.n_rows)[1](self._sides())
             self.derived = True
 

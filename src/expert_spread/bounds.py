@@ -168,13 +168,13 @@ def certify_upper_bound(cfg: Configuration) -> Fraction:
 
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
     num = dn * sum([g.col_t[k] + g.row_t[j] for k, j in positive])
-    cert = Fraction(num, (dd + dn) * g.den)
+    cert = Fraction(num, (dd + dn) * cfg._den)
     # cert < b_num/den and cert > 2*dn/(dd + dn), multiplied out
     if num < g.b_num * (dd + dn):
         raise InternalStateError(
             f"certificate {cert} fell below the spread probability {g.prob_B}"
         )
-    if num > 2 * dn * g.den:
+    if num > 2 * dn * cfg._den:
         raise InternalStateError(
             f"certificate {cert} exceeded the sharp bound at delta={cfg.delta}"
         )

@@ -539,8 +539,9 @@ class Stats:
     ``p``/``q`` are column/row masses, ``x``/``y`` the conditional
     probabilities of the tracked event given a column/row.  ``b_mask`` marks
     cells where the two conditionals differ by at least ``1 - delta`` (weak
-    inequality).  The four ``m_*`` indices locate the extreme columns and rows
-    that participate in such a pair: ``m_minus_G`` is the largest column index
+    inequality); it is built from the memo's cell sides, the cells whose
+    side is not 0.  The four ``m_*`` indices locate the extreme columns and
+    rows that participate in such a pair: ``m_minus_G`` is the largest column index
     whose conditional sits far below some row's (0 if none), ``m_plus_G`` the
     smallest column index sitting far above some row's (+inf if none), and
     ``m_minus_H``/``m_plus_H`` are the row-side analogues.  ``d_minus`` and
@@ -732,12 +733,13 @@ def _stats_loop(
 
 
 def _derive_loop(side: Sequence[tuple[int, ...]]) -> tuple:
-    """``b_mask``, the four ``m_*`` extremes, ``d_minus`` and ``d_plus`` of the sides.
+    """The four ``m_*`` extremes, ``d_minus`` and ``d_plus`` of the sides.
 
     ``side`` holds one tuple of cell sides per column, as the memo's
-    kernels give them; the fields are those of :class:`Stats`.  This is the
-    reference for the derivations of :func:`_stats_evaluator` and the one it
-    hands out past its cap.
+    kernels give them; the fields are those of :class:`Stats` and of the
+    memo entry, and the spread region itself is read from the sides.  This
+    is the reference for the derivations of :func:`_stats_evaluator` and
+    the one it hands out past its cap.
     """
     m, n = len(side), len(side[0])
     # Below, -1 means the row value sits far above the column value (the low
@@ -763,8 +765,7 @@ def _derive_loop(side: Sequence[tuple[int, ...]]) -> tuple:
                 if left_off and above_off:
                     d_plus.append((k + 1, j + 1))
 
-    b_mask = tuple([tuple([v != 0 for v in col]) for col in side])
-    return b_mask, m_minus_G, m_plus_G, m_minus_H, m_plus_H, tuple(d_minus), tuple(d_plus)
+    return m_minus_G, m_plus_G, m_minus_H, m_plus_H, tuple(d_minus), tuple(d_plus)
 
 
 @functools.lru_cache(maxsize=128)
@@ -779,7 +780,8 @@ def _stats_evaluator(n_rows: int) -> tuple[Callable[..., tuple], Callable[..., t
     line to :func:`_stats_loop`, forms each column's products with the
     threshold once and compares every cell; the derivation walks the
     columns once, each beside its two neighbours, to find the corners, and
-    reads the four extremes off them.  The source is built from integer
+    reads the four extremes off them.  Callers read the spread region
+    itself from the kernel's sides.  The source is built from integer
     indices alone.  Past the cap the two are the loops themselves.
     """
     if not _unrolls(n_rows, n_rows):
@@ -836,7 +838,6 @@ def _stats_evaluator(n_rows: int) -> tuple[Callable[..., tuple], Callable[..., t
         f"        side.append(({_names('s', n)}))",
         f"    return col_t, col_a, row_t, [{_names('ra', n)}], side, low + high, low > 0, high > 0",
         "def derive(side):",
-        "    b_mask = []",
         "    d_minus = []",
         "    d_plus = []",
         "    k = 0",
@@ -844,7 +845,6 @@ def _stats_evaluator(n_rows: int) -> tuple[Callable[..., tuple], Callable[..., t
         "    for before, col, after in zip([pad] + side, side, side[1:] + [pad]):",
         "        k += 1",
         f"        {_names('s', n)} = col",
-        "        b_mask.append((" + "".join([f"s{j} != 0, " for j in rows]) + "))",
     ]
     for j in rows:
         # d_minus needs no -1 to the right and none below, d_plus no +1 to
@@ -864,7 +864,7 @@ def _stats_evaluator(n_rows: int) -> tuple[Callable[..., tuple], Callable[..., t
     # one, are both in d_minus, which lists its cells column by column;
     # d_plus mirrors this with the leftmost column and the highest row.
     src.append(
-        "    return (tuple(b_mask), d_minus[-1][0] if d_minus else 0,"
+        "    return (d_minus[-1][0] if d_minus else 0,"
         " d_plus[0][0] if d_plus else inf, max([j for _, j in d_plus], default=0),"
         " min([j for _, j in d_minus], default=inf), tuple(d_minus), tuple(d_plus))\n"
     )
@@ -876,13 +876,15 @@ class _GridStats:
     """The statistics of one configuration on its integer lattice.
 
     ``col_t``/``col_a``/``row_t``/``row_a`` are the line totals and event
-    masses over ``den``; ``side[k][j]`` is the kernel's side of the 0-based
-    cell (+1 when the column value sits far above the row value, -1 for the
-    mirror, 0 outside the spread region).  The remaining fields are those of
-    :class:`Stats`, ``prob_B`` being the only rational.  ``occupied`` says
-    whether the low and the high side of the spread region carry positive
-    mass; ``stats`` holds the :class:`Stats` once :func:`compute_stats` has
-    built it.  ``fixpoint`` is set once
+    masses over the configuration's ``_den``, which the entry does not
+    copy; ``side[k][j]`` is the kernel's side of the 0-based cell (+1 when
+    the column value sits far above the row value, -1 for the mirror, 0
+    outside the spread region), the entry's only record of that region.
+    ``b_num`` is the spread numerator over ``_den``.  The remaining fields
+    are those of :class:`Stats` but its mask of the region, ``prob_B``
+    being the only rational.  ``occupied`` says whether the low and the high side of the
+    spread region carry positive mass; ``stats`` holds the :class:`Stats`
+    once :func:`compute_stats` has built it.  ``fixpoint`` is set once
     :func:`expert_spread.transforms.canonicalize` has returned this
     configuration (or an equal one) with its shape checked, or the
     reduction driver has transposed a configuration so marked, so a later
@@ -891,9 +893,9 @@ class _GridStats:
     """
 
     __slots__ = (
-        "den", "col_t", "col_a", "row_t", "row_a", "side", "b_mask", "b_num",
-        "prob_B", "m_minus_G", "m_plus_G", "m_minus_H", "m_plus_H", "d_minus",
-        "d_plus", "occupied", "stats", "fixpoint",
+        "col_t", "col_a", "row_t", "row_a", "side", "b_num", "prob_B",
+        "m_minus_G", "m_plus_G", "m_minus_H", "m_plus_H", "d_minus", "d_plus",
+        "occupied", "stats", "fixpoint",
     )
 
 
@@ -902,7 +904,9 @@ def _grid_stats(cfg: Configuration) -> _GridStats:
     """The memoised integer statistics of ``cfg``; see :func:`compute_stats`.
 
     Every field comes from the kernel and the derivation that
-    :func:`_stats_evaluator` gives for the grid's row count.
+    :func:`_stats_evaluator` gives for the grid's row count.  The sides
+    stand for the spread region and ``cfg._den`` for the denominator; the
+    entry holds no copy of either.
     """
     m, n = cfg.n_cols, cfg.n_rows
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
@@ -910,10 +914,8 @@ def _grid_stats(cfg: Configuration) -> _GridStats:
     col_t, col_a, row_t, row_a, side, b_num, low, high = kernel(cfg._parts, m, n, dd - dn, dd)
     _refuse_zero_lines(col_t, row_t)
     g = _GridStats()
-    (
-        g.b_mask, g.m_minus_G, g.m_plus_G, g.m_minus_H, g.m_plus_H, g.d_minus, g.d_plus
-    ) = derive(side)
-    g.den, g.col_t, g.col_a, g.row_t, g.row_a = cfg._den, col_t, col_a, row_t, row_a
+    g.m_minus_G, g.m_plus_G, g.m_minus_H, g.m_plus_H, g.d_minus, g.d_plus = derive(side)
+    g.col_t, g.col_a, g.row_t, g.row_a = col_t, col_a, row_t, row_a
     # a tuple, so no reader can change a memoised entry's sides
     g.side = tuple(side)
     g.b_num = b_num
@@ -944,10 +946,11 @@ def compute_stats(cfg: Configuration) -> Stats:
     The far-apart test runs on the configuration's integer tuple by
     cross-multiplication, in the kernel that :func:`_stats_evaluator` gives
     for the grid's row count, which gives every cell's side; a companion
-    function derives the mask, the extremes and the corners from the sides.
-    :class:`~fractions.Fraction` objects are built only for the returned
-    fields, once per memo entry.  The searches count only the spread
-    numerator; see :func:`_stats_loop`.
+    function derives the extremes and the corners from the sides.
+    :class:`~fractions.Fraction` objects and ``b_mask``, the cells whose
+    side is not 0, are built only for the returned fields, once per memo
+    entry.  The searches count only the spread numerator; see
+    :func:`_stats_loop`.
 
     Configurations are immutable, so results are memoised.  The memo keys
     on the hash each :class:`Configuration` keeps in a slot, and an equal
@@ -959,7 +962,7 @@ def compute_stats(cfg: Configuration) -> Stats:
     g = _grid_stats(cfg)
     stats = g.stats
     if stats is None:
-        den = g.den
+        den = cfg._den
         # The memo keeps these tuples alive; built from lists, they are
         # allocated at their exact size, where tuple(<generator>) may keep
         # spare slots.
@@ -968,7 +971,7 @@ def compute_stats(cfg: Configuration) -> Stats:
             q=tuple([Fraction(t, den) for t in g.row_t]),
             x=tuple([Fraction(a, t) for a, t in zip(g.col_a, g.col_t)]),
             y=tuple([Fraction(a, t) for a, t in zip(g.row_a, g.row_t)]),
-            b_mask=g.b_mask,
+            b_mask=tuple([tuple([s != 0 for s in col]) for col in g.side]),
             m_minus_G=g.m_minus_G,
             m_plus_G=g.m_plus_G,
             m_minus_H=g.m_minus_H,

@@ -179,9 +179,9 @@ def threshold_probability(cfg: Configuration, threshold: RationalLike) -> Fracti
     read as in :func:`spread_probability`.
     """
     th_num, th_den = _as_ratio(threshold, "threshold")
-    g = _grid_stats(cfg)
+    _grid_stats(cfg)  # refuses a zero-mass line, as compute_stats does
     b_num = _units_evaluator(cfg.n_cols, cfg.n_rows)(cfg._parts, th_num, th_den)
-    return Fraction(b_num, g.den)
+    return Fraction(b_num, cfg._den)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def make_trace(
         prob_B_after=ga.prob_B,
         dims_before=before.dims,
         dims_after=after.dims,
-        prob_b_nondecreasing=ga.b_num * gb.den >= gb.b_num * ga.den,
+        prob_b_nondecreasing=ga.b_num * before._den >= gb.b_num * after._den,
         dims_nonincreasing=(
             after.n_cols <= before.n_cols and after.n_rows <= before.n_rows
         ),
@@ -245,22 +245,19 @@ def absorb_empty_border_cell(cfg: Configuration, k: int, i: int) -> Configuratio
     direction exists.  Out-of-range indices raise :class:`ConfigError`.
     """
     mass = _mass(cfg, k, i)
-    b = _grid_stats(cfg).b_mask
-    if not b[k - 1][i - 1] or mass != 0:
+    g = _grid_stats(cfg)
+    side = g.side
+    if not side[k - 1][i - 1] or mass != 0:
         return cfg
-    attempts: list[Callable[[], Configuration]] = []
-    if k + 1 <= cfg.n_cols and not b[k][i - 1]:
-        attempts.append(lambda: merge_columns(cfg, k))
-    if k - 1 >= 1 and not b[k - 2][i - 1]:
-        attempts.append(lambda: merge_columns(cfg, k - 1))
-    if i + 1 <= cfg.n_rows and not b[k - 1][i]:
-        attempts.append(lambda: merge_rows(cfg, i))
-    if i - 1 >= 1 and not b[k - 1][i - 2]:
-        attempts.append(lambda: merge_rows(cfg, i - 1))
-    for attempt in attempts:
-        out = attempt()
-        if out is not cfg:
-            return out
+    # a blocked merge leaves the grid as it was, so the next one is tried on cfg
+    grid = _Grid(cfg, g)
+    if (
+        (k + 1 <= cfg.n_cols and not side[k][i - 1] and grid._merge_columns(k))
+        or (k - 1 >= 1 and not side[k - 2][i - 1] and grid._merge_columns(k - 1))
+        or (i + 1 <= cfg.n_rows and not side[k - 1][i] and grid._merge_rows(i))
+        or (i - 1 >= 1 and not side[k - 1][i - 2] and grid._merge_rows(i - 1))
+    ):
+        return grid._result(cfg)
     return cfg
 
 
@@ -370,29 +367,13 @@ def _diagonal_swap_any(
     k2, j2 = c2
     if k1 == k2 or j1 == j2:
         raise ConfigError("swap sources must differ in both column and row")
-    b = _grid_stats(cfg).b_mask
-
-    def in_b(k: int, j: int) -> bool:
-        return b[k - 1][j - 1]
-
-    kl, kr = min(k1, k2), max(k1, k2)
-    jb, jt = min(j1, j2), max(j1, j2)
-    col_l_in = in_b(kl, jb) and in_b(kl, jt)
-    col_l_out = not in_b(kl, jb) and not in_b(kl, jt)
-    col_r_in = in_b(kr, jb) and in_b(kr, jt)
-    col_r_out = not in_b(kr, jb) and not in_b(kr, jt)
-    row_b_in = in_b(kl, jb) and in_b(kr, jb)
-    row_b_out = not in_b(kl, jb) and not in_b(kr, jb)
-    row_t_in = in_b(kl, jt) and in_b(kr, jt)
-    row_t_out = not in_b(kl, jt) and not in_b(kr, jt)
-    pattern_ok = (
-        (col_l_in and col_r_in)
-        or (col_l_in and col_r_out)
-        or (col_r_in and col_l_out)
-        or (row_t_in and row_b_out)
-        or (row_b_in and row_t_out)
-    )
-    if not pattern_ok:
+    side = _grid_stats(cfg).side
+    left, right = side[min(k1, k2) - 1], side[max(k1, k2) - 1]
+    jb, jt = min(j1, j2) - 1, max(j1, j2) - 1
+    # whether each corner, left or right and bottom or top, is in the region
+    lb, lt, rb, rt = left[jb] != 0, left[jt] != 0, right[jb] != 0, right[jt] != 0
+    # both columns wholly in or out with one in, or both rows with exactly one in
+    if not ((lb == lt and rb == rt and (lb or rb)) or (lb == rb and lt == rt and lb != lt)):
         return cfg
 
     # the moved species sits at a cell's index, or one further for the event
@@ -548,10 +529,10 @@ def is_canonical(cfg: Configuration) -> bool:
         if all(_cell(cfg, *pos)):
             return False
     parts, i = cfg._parts, 0
-    for k, col in enumerate(g.b_mask, 1):
+    for k, col in enumerate(g.side, 1):
         low_col, high_col = k <= g.m_minus_G, k >= g.m_plus_G
-        for j, in_region in enumerate(col, 1):
-            if not in_region:
+        for j, side in enumerate(col, 1):
+            if not side:
                 if parts[i + 1] and (low_col or j <= g.m_minus_H):
                     return False
                 if parts[i] and (high_col or j >= g.m_plus_H):
@@ -623,12 +604,12 @@ def _augmented(
     list is sorted once and built once.
     """
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
-    e_num, e_den = eps.numerator * g.den, eps.denominator * g.b_num
+    e_num, e_den = eps.numerator * cfg._den, eps.denominator * g.b_num
     if 2 * e_num > e_den:
         e_num, e_den = 1, 2
     whole = 4 * dd * e_den
     scale = whole - 2 * dd * e_num - dn * e_num
-    m, n, den = cfg.n_cols, cfg.n_rows, g.den
+    m, n, den = cfg.n_cols, cfg.n_rows, cfg._den
     parts = cfg._parts[::-1] if low_missing else cfg._parts
     out: list[int] = []
     for k in range(m):
@@ -751,10 +732,10 @@ class _ReduceDriver:
     def _jump_now(self) -> bool:
         """True when value structure changed and the attack must restart.
 
-        A value tie between neighbouring lines or any change to the spread
-        membership mask means a merge is now available, so re-normalizing
-        strictly shrinks the grid.  Swaps never change values; only
-        purifications can trigger this.
+        A value tie between neighbouring lines or any change to the cells'
+        sides, which mark the spread region, means a merge is now available,
+        so re-normalizing strictly shrinks the grid.  Swaps never change
+        values; only purifications can trigger this.
         """
         g = self._stats()
         tie = any(
@@ -762,7 +743,8 @@ class _ReduceDriver:
             for a, t in ((g.col_a, g.col_t), (g.row_a, g.row_t))
             for i in range(len(t) - 1)
         )
-        return tie or g.b_mask != self._mask0
+        # the region's test: a sign flip moves x - y by 2(1 - delta) > 1, past one purification
+        return tie or g.side != self._mask0
 
     # -- the moves of an attack ---------------------------------------------
 
@@ -825,7 +807,7 @@ class _ReduceDriver:
             s = self._stats()
             if _low_side_done(self.cfg, s):
                 return
-            self._mask0 = s.b_mask
+            self._mask0 = s.side
             try:
                 self._attack(s)
             except _Jump:
@@ -866,13 +848,13 @@ class _ReduceDriver:
         """Run an attack fragment on the reflected-transposed configuration."""
         self._step("complement_reflect", (), complement_reflect(self.cfg))
         self._step("transpose", (), transpose(self.cfg))
-        self._mask0 = self._stats().b_mask
+        self._mask0 = self._stats().side
         try:
             body()
         finally:
             self._step("transpose", (), transpose(self.cfg))
             self._step("complement_reflect", (), complement_reflect(self.cfg))
-            self._mask0 = self._stats().b_mask
+            self._mask0 = self._stats().side
 
     def _corner_sweep(self) -> None:
         """Concentrate the extreme column's complement mass in the corner.

@@ -93,6 +93,13 @@ def test_bound_above_one_half_blanks_the_linear_bound(capsys):
     report = json.loads(out)
     assert report["lambda_sharp"] == "1"
     assert report["pitman_upper"] is None
+    # one half itself is the first threshold with no linear bound
+    code, out = run_main(capsys, "bound", "1/2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["lambda_sharp"] == "1"
+    assert report["pitman_upper"] is None
+    assert report["achieved"] == report["certified_upper"] == "2/3"
 
 
 def test_bound_rejects_bad_threshold(capsys):

@@ -406,6 +406,11 @@ def test_diagonal_swap_orientation_contract():
         diagonal_swap(cfg, (1, 1), (2, 2))
     with pytest.raises(ConfigError):
         diagonal_swap(cfg, (0, 2), (2, 1))
+    # a pair on one column or one row gets the public text, not the internal one
+    for c1, c2 in (((1, 2), (1, 1)), ((1, 1), (2, 1))):
+        message = f"swap sources must run from upper-left to lower-right, got {c1} and {c2}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            diagonal_swap(cfg, c1, c2)
 
 
 def swap_rectangle():
@@ -485,7 +490,11 @@ def test_augment_needs_positive_spread():
 
 
 def test_augment_guards_its_theorems(monkeypatch):
-    """The three guards no input fires, each tripped by a helper broken on purpose."""
+    """The three guards no input fires, each tripped by a helper broken on purpose.
+
+    The loss guard is tripped twice: by a loss past epsilon, and by one of
+    exactly epsilon, which is as much a breach as more.
+    """
     # spread 1/5 with the high corner empty, so augment adds slivers
     cfg = make_configuration(
         F(1, 4), 1, 2, {(1, 1): (0, F(4, 5)), (1, 2): (F(1, 5), 0)}
@@ -496,6 +505,7 @@ def test_augment_guards_its_theorems(monkeypatch):
         (
             "_grid_stats",
             lambda c: SimpleNamespace(b_num=b_num, occupied=(False, False)),
+            F(1, 100),
             InternalStateError,
             "positive spread probability requires at least one occupied corner",
         ),
@@ -503,22 +513,32 @@ def test_augment_guards_its_theorems(monkeypatch):
         (
             "_augmented",
             lambda c, g, eps, low_missing: no_spread_square(),
+            F(1, 100),
             TransformContractError,
             "augmentation dropped the spread probability from 1/5 to 0, more than 1/100",
+        ),
+        # the same slivers, losing exactly epsilon
+        (
+            "_augmented",
+            lambda c, g, eps, low_missing: no_spread_square(),
+            F(1, 5),
+            TransformContractError,
+            "augmentation dropped the spread probability from 1/5 to 0, more than 1/5",
         ),
         # slivers that leave the grid as it was, its high corner still empty
         (
             "_augmented",
             lambda c, g, eps, low_missing: c,
+            F(1, 100),
             TransformContractError,
             "augmentation failed to occupy both corners",
         ),
     ]
-    for name, broken, error, message in cases:
+    for name, broken, epsilon, error, message in cases:
         with monkeypatch.context() as patch:
             patch.setattr(transforms, name, broken)
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
-                augment(cfg, F(1, 100))
+                augment(cfg, epsilon)
 
 
 def test_canonicalize_requires_corners_below_one_half():
