@@ -193,28 +193,28 @@ def _find_corner_move(
     """Locate the first evacuation move, scanning the low rectangle first.
 
     Returns the source cell, the receiving cell and the species it receives:
-    0 for complement, 1 for event mass.
+    0 for complement, 1 for event mass.  A side with no cell has its first
+    paired line at ``inf`` and its depth at 0, so its rectangle's outer
+    range is empty and the infinite bound is never read.
     """
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
     up = dd - dn  # the threshold 1 - delta is up/dd
-    if isinstance(g.m_plus_H, int):
-        for k in range(1, g.m_minus_G + 1):
-            for j in range(g.m_plus_H, cfg.n_rows + 1):
-                a, ac = _cell(cfg, k, j)
-                if g.side[k - 1][j - 1] or a + ac == 0:
-                    continue
-                if a * dd < up * (a + ac):
-                    return ((k, j), (k, 1), 0)
-                return ((k, j), (cfg.n_cols, j), 1)
-    if isinstance(g.m_plus_G, int):
-        for j in range(1, g.m_minus_H + 1):
-            for k in range(g.m_plus_G, cfg.n_cols + 1):
-                a, ac = _cell(cfg, k, j)
-                if g.side[k - 1][j - 1] or a + ac == 0:
-                    continue
-                if ac * dd < up * (a + ac):
-                    return ((k, j), (k, cfg.n_rows), 1)
-                return ((k, j), (1, j), 0)
+    for k in range(1, g.m_minus_G + 1):
+        for j in range(g.m_plus_H, cfg.n_rows + 1):
+            a, ac = _cell(cfg, k, j)
+            if g.side[k - 1][j - 1] or a + ac == 0:
+                continue
+            if a * dd < up * (a + ac):
+                return ((k, j), (k, 1), 0)
+            return ((k, j), (cfg.n_cols, j), 1)
+    for j in range(1, g.m_minus_H + 1):
+        for k in range(g.m_plus_G, cfg.n_cols + 1):
+            a, ac = _cell(cfg, k, j)
+            if g.side[k - 1][j - 1] or a + ac == 0:
+                continue
+            if ac * dd < up * (a + ac):
+                return ((k, j), (k, cfg.n_rows), 1)
+            return ((k, j), (1, j), 0)
     return None
 
 
@@ -488,6 +488,8 @@ class _Grid:
         and a low one whose row is the heavier line in the reflected
         transpose; there each is a low border cell whose column is the
         heavier line.  The grid is turned into that view and back in place.
+        A pure cell, and from one half on every border cell, is left alone
+        before any view is applied.
         """
         a, ac = _cell(self, k, j)
         self._derive()
@@ -504,7 +506,7 @@ class _Grid:
             k, j = m + 1 - k, n + 1 - j
         elif (k, j) not in self.d_minus:
             raise ConfigError(f"cell ({k}, {j}) is not on the border of the spread region")
-        if a == 0 or ac == 0:
+        if a == 0 or ac == 0 or not _below_half(self):
             return False
         if row_heavy:
             views.append(self._reflected_transpose)
@@ -519,7 +521,7 @@ class _Grid:
     def _purify_low(self, k: int, j: int) -> bool:
         """Purify low border cell ``(k, j)``, whose column outweighs its row or ties."""
         col_t, col_a, row_t, row_a = self.col_t, self.col_a, self.row_t, self.row_a
-        dn, dd, up = self.dn, self.dd, self.up
+        dn, dd = self.dn, self.dd
         # with x = A/P and y = R/Q the two lines' values, p = P and q = Q their
         # masses in units, a cap p*(x' - x) is (P*x' - A), and so on
         P, A = col_t[k - 1], col_a[k - 1]
@@ -531,19 +533,12 @@ class _Grid:
             x_cap = (dn, dd)
         y_cap = (row_a[j], row_t[j]) if j < self.n_rows else (1, 1)
         i = self._index(k, j)
+        # below one half no high-side pair shares the row: x_c >= y + th >= x + 2 * th > 1
         terms = [
             (P * x_cap[0] - A * x_cap[1], x_cap[1]),
             (Q * y_cap[0] - R * y_cap[1], y_cap[1]),
             (self._parts[i], 1),
         ]
-        # From threshold one half on, the rising row value could break a
-        # high-side pair in the same row; below one half no such pair exists.
-        for c, col in enumerate(self.side):
-            if col[j - 1] == 1:
-                # q * (x_c - th - y)
-                terms.append(
-                    (Q * (col_a[c] * dd - up * col_t[c]) - R * col_t[c] * dd, col_t[c] * dd)
-                )
         shift, den = _least(terms)  # event mass gained, in units of 1/(den * _den)
         if shift <= 0:
             return False
@@ -583,29 +578,20 @@ class _Grid:
                     )
 
     def _purify_all_borders(self) -> None:
-        """:func:`purify_all_borders` in place."""
+        """:func:`purify_all_borders` in place, below one half."""
         # the cap is sized on the grid as given, before merges shrink it
         rounds = _rounds(16 * (self.n_cols + self.n_rows) ** 2, "border purification")
         self._zigzag()
-        pinned: set[tuple[int, int]] = set()
         for _ in rounds:
             self._derive()
             for target in sorted(set(self.d_minus) | set(self.d_plus)):
-                if target not in pinned and all(_cell(self, *target)):
+                if all(_cell(self, *target)):
                     break
             else:
                 return
-            dims = self.n_cols, self.n_rows
             if not self._purify(*target):
-                if _below_half(self):
-                    raise InternalStateError(
-                        f"purification stalled on impure border cell {target}"
-                    )
-                pinned.add(target)
-                continue
+                raise InternalStateError(f"purification stalled on impure border cell {target}")
             self._zigzag()
-            if (self.n_cols, self.n_rows) != dims:
-                pinned.clear()
 
     def _corner_fill(self) -> None:
         """:func:`corner_fill` in place, below one half."""
@@ -628,9 +614,7 @@ class _Grid:
                     self._shift(i, -d_a, d_a)
 
     def _empty_corner_rectangles(self) -> None:
-        """:func:`empty_corner_rectangles` in place."""
-        if not _below_half(self):
-            return
+        """:func:`empty_corner_rectangles` in place, below one half."""
         for _ in _rounds(16 * (self.n_cols + self.n_rows) ** 2, "corner evacuation"):
             self._derive()
             move = _find_corner_move(self, self)

@@ -186,33 +186,27 @@ class BoundReport:
     """Bundle of bound values at a single ``delta``.
 
     ``pitman_upper`` is ``None`` from one half on, where the linear bound is
-    undefined.  ``certified_upper`` is only present when a reduced
-    configuration was certified.
+    undefined.  ``certified_upper`` is the certificate of the extremal
+    configuration whose spread probability is ``achieved``.
     """
 
     delta: Fraction
     lambda_sharp: Fraction
     pitman_upper: Optional[Fraction]
     achieved: Fraction
-    certified_upper: Optional[Fraction] = None
+    certified_upper: Fraction
 
 
-def make_report(
-    delta: RationalLike,
-    cfg: Optional[Configuration] = None,
-    certify: bool = False,
-) -> BoundReport:
-    """Build a :class:`BoundReport`, defaulting to the extremal configuration."""
+def make_report(delta: RationalLike) -> BoundReport:
+    """Build the :class:`BoundReport` of the extremal configuration, certified."""
     d = validate_delta(delta)
-    if cfg is None:
-        cfg = extremal_config(d)
-    s = compute_stats(cfg)
+    cfg = extremal_config(d)
     return BoundReport(
         delta=d,
         lambda_sharp=lambda_sharp(d),
         pitman_upper=pitman_upper(d) if d < HALF else None,
-        achieved=s.prob_B,
-        certified_upper=certify_upper_bound(cfg) if certify else None,
+        achieved=compute_stats(cfg).prob_B,
+        certified_upper=certify_upper_bound(cfg),
     )
 
 

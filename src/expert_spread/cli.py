@@ -93,7 +93,7 @@ def _print_json(data: dict) -> None:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    report = make_report(args.delta, certify=True)
+    report = make_report(args.delta)
     _print_json(report_to_json_dict(report))
     return 0
 

@@ -16,7 +16,8 @@ verify scans compare those integers by cross-multiplying; rationals
 the :class:`Stats` fields, :class:`Cell` masses and error messages.
 Configuration files are read into the integers and written from them; only
 a mass written in another form than ``"p"`` or ``"p/q"`` is parsed as a
-rational.  Floats are not used anywhere in this module.
+rational.  Floats appear only as ``math.inf``, for a missing extreme: the
+first paired line of a side of the spread region that has no cell.
 """
 
 from __future__ import annotations

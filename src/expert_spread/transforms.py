@@ -270,18 +270,20 @@ def purify_border_cell(cfg: Configuration, k: int, j: int) -> Configuration:
     """Push a border cell toward a pure state without losing spread pairs.
 
     The cell must be a border cell of the spread region (raises
-    :class:`ConfigError` otherwise); a cell that is already pure is left
-    alone.  For a cell in the low-corner border whose column mass is at
-    least its row mass, the move grows the smaller of the two conditional
-    shifts: complement mass turns into event mass, capped so the column
-    conditional stays below both its right neighbour and the threshold
-    ``delta`` and the row conditional stays below its upper neighbour.
-    The other cells are handled by conjugation, so they meet the same caps
-    mirrored: a high-corner border cell through :func:`complement_reflect`,
-    and a low one whose row mass is the larger through
-    ``transpose(complement_reflect(.))``, where its row is a column.  Both
-    maps are applied to a working grid in place and undone after the move,
-    so a call builds one configuration, the result.
+    :class:`ConfigError` otherwise, at every threshold); a cell that is
+    already pure is left alone, and from one half on, where :func:`reduce`
+    does not run, so is every border cell.  For a cell in the low-corner
+    border whose column mass is at least its row mass, the move grows the
+    smaller of the two conditional shifts: complement mass turns into
+    event mass, capped so the column conditional stays below both its right
+    neighbour and the threshold ``delta`` and the row conditional stays
+    below its upper neighbour.  No high-side pair shares that row below one
+    half, so none needs a cap of its own.  The other cells are handled by
+    conjugation, so they meet the same caps mirrored: a high-corner border
+    cell through :func:`complement_reflect`, and a low one whose row mass
+    is the larger through ``transpose(complement_reflect(.))``, where its
+    row is a column.  Both maps are applied to a working grid in place and
+    undone after the move, so a call builds one configuration, the result.
 
     On strictly sorted configurations the moved amount is positive and the
     result is either pure or exhibits a value tie with a neighbouring line;
@@ -301,22 +303,20 @@ def purify_border_cell(cfg: Configuration, k: int, j: int) -> Configuration:
 def purify_all_borders(cfg: Configuration) -> Configuration:
     """Purify border cells, folding and renormalizing between steps.
 
-    Iterates until every positive border cell is pure.  Each purification
-    either settles its cell or creates a value tie that the next
-    normalization merges away, so the loop terminates; a generous iteration
-    cap guards against bugs.
-
-    Below one half a stalled purification is a hard error.  From one half
-    on, a border cell can be pinned by a tight opposite-side pair on its
-    own line (the shift caps that protect that pair allow no movement at
-    all), so pinned cells are skipped and may stay impure.  The skip list
-    is reset whenever a normalization merges lines, since cell coordinates
-    shift; merges strictly shrink the grid, so this still terminates.
+    Below threshold one half, iterates until every positive border cell is
+    pure.  Each purification either settles its cell or creates a value tie
+    that the next normalization merges away, so the loop terminates; a
+    generous iteration cap guards against bugs, and a purification that
+    moves nothing on an impure border cell is an
+    :class:`InternalStateError`.  From one half on, where :func:`reduce`
+    does not run, this is the identity.
 
     The purifications and normalizations run in place on one working grid,
     as in :func:`zigzag_normalize`, and only the result is built; like it,
     this leaves the statistics memo alone.
     """
+    if not _below_half(cfg):
+        return cfg
     grid = _Grid(cfg)
     grid._purify_all_borders()
     return grid._result(cfg)
@@ -424,11 +424,14 @@ def empty_corner_rectangles(cfg: Configuration) -> Configuration:
     its event share is below ``1 - delta``, otherwise to the last column of
     its own row as pure event mass.  The high rectangle mirrors this.  Either
     way the receiving line's conditional moves away from the threshold, so
-    the spread region only grows.  Identity from one half on.  The moves
-    are made in place on a working grid and only the result is built.
+    the spread region only grows.  Identity from one half on, after the
+    corners are checked.  The moves are made in place on a working grid and
+    only the result is built.
     """
     g = _grid_stats(cfg)
     _need_both_corners(g)
+    if not _below_half(cfg):
+        return cfg
     grid = _Grid(cfg, g)
     grid._empty_corner_rectangles()
     return grid._result(cfg)
@@ -455,10 +458,9 @@ def canonicalize(cfg: Configuration) -> Configuration:
     merges and sorts first), fill corners, re-sort, evacuate corner
     rectangles until a cycle changes nothing.  The sort between filling and
     evacuation restores value order, which corner filling can disturb; at
-    the fixpoint it is a no-op.  From one half on the canonical shape is
-    just the sorted merge fixpoint, because purification can be pinned and
-    merges blocked by opposite-side pairs, and chaining the two can cycle
-    forever.
+    the fixpoint it is a no-op.  From one half on, where :func:`reduce`
+    does not run, the purifications and corner steps are the identity, and
+    the canonical shape is just the sorted merge fixpoint.
 
     Both run on one working grid, loaded from the input's memo entry:
     the four transforms' in-place forms keep its line sums, sides and

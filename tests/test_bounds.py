@@ -187,8 +187,7 @@ def test_certificate_rejects_shared_row():
 
 
 def test_report_with_certificate():
-    cfg = extremal_config(F(1, 4))
-    rep = make_report(F(1, 4), cfg, certify=True)
+    rep = make_report(F(1, 4))
     wire = report_to_json_dict(rep)
     assert wire == {
         "delta": "1/4",
@@ -209,11 +208,6 @@ def test_report_blanks_linear_bound_above_one_half():
     assert wire["lambda_sharp"] == "1"
     assert wire["pitman_upper"] is None
     assert wire["pitman_upper_dec"] is None
-
-
-def test_report_without_certification_leaves_it_unset():
-    wire = report_to_json_dict(make_report(F(1, 4)))
-    assert wire["certified_upper"] is None
 
 
 def reference_certificate(cfg):
