@@ -34,6 +34,7 @@ from .config import (
     compute_stats,
     dump_config,
     load_config,
+    normalize,
     overlap_violations,
     parse_rational,
     pitman_inclusion_violations,
@@ -118,7 +119,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
                 fp.write("\n")
     _print_json(
         {
-            "before": rational_to_str(compute_stats(cfg).prob_B),
+            # reduce runs on the normalized input: a zero-mass line, which
+            # compute_stats refuses, is dropped there without changing the spread
+            "before": rational_to_str(compute_stats(normalize(cfg)).prob_B),
             "after": rational_to_str(compute_stats(out).prob_B),
             "certificate": rational_to_str(certify_upper_bound(out)),
             "steps": len(result["trace"]),

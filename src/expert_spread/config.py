@@ -77,6 +77,9 @@ MAX_DIGITS = 1000
 # The most cells the generated evaluators unroll; see _unrolls.
 UNROLL_CELLS = 64
 
+# Significant digits of a non-terminating decimal companion; see rational_to_decimal.
+DECIMAL_DIGITS = 15
+
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -1128,16 +1131,16 @@ def parse_rational(text: RationalLike) -> Fraction:
     return _as_fraction(text, "rational")
 
 
-def rational_to_decimal(value: Fraction, sig_digits: int = 15) -> str:
+def rational_to_decimal(value: Fraction) -> str:
     """Render a rational as a decimal string via exact long division.
 
     Terminating expansions are emitted exactly ("0.4" for 2/5).  Otherwise the
-    expansion is truncated after ``sig_digits`` significant digits, counted
-    from the first non-zero digit.
+    expansion is truncated after 15 (``DECIMAL_DIGITS``) significant digits,
+    counted from the first non-zero digit.
     """
     value = Fraction(value)
     if value < 0:
-        return "-" + rational_to_decimal(-value, sig_digits)
+        return "-" + rational_to_decimal(-value)
     num, den = value.numerator, value.denominator
     whole, rem = divmod(num, den)
     digits = str(whole)
@@ -1145,7 +1148,7 @@ def rational_to_decimal(value: Fraction, sig_digits: int = 15) -> str:
     if rem == 0:
         return digits
     out = [digits, "."]
-    while rem != 0 and significant < sig_digits:
+    while rem != 0 and significant < DECIMAL_DIGITS:
         rem *= 10
         d, rem = divmod(rem, den)
         out.append(str(d))

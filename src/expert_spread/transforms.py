@@ -709,9 +709,6 @@ class _ReduceDriver:
         self.trace.append(make_trace(name, params, self.cfg, after))
         self.cfg = after
 
-    def _stats(self) -> _GridStats:
-        return _grid_stats(self.cfg)
-
     def _fail(self, message: str) -> InternalStateError:
         return InternalStateError(f"{message} (after {len(self.trace)} steps)")
 
@@ -737,14 +734,14 @@ class _ReduceDriver:
         A value tie between neighbouring lines or any change to the cells'
         sides, which mark the spread region, means a merge is now available,
         so re-normalizing strictly shrinks the grid.  Swaps never change
-        values; only purifications can trigger this.
+        values; only purifications can trigger this.  A tie is read as the
+        lines failing the strict sort check.
         """
-        g = self._stats()
-        tie = any(
-            a[i] * t[i + 1] == a[i + 1] * t[i]
-            for a, t in ((g.col_a, g.col_t), (g.row_a, g.row_t))
-            for i in range(len(t) - 1)
-        )
+        g = _grid_stats(self.cfg)
+        # the lines are strictly sorted before a purification (a canonical
+        # start, swaps move no value, a tie jumps), and one purification
+        # moves a value at most up to its neighbour's: "not strictly" is "tied"
+        tie = _sorted_problem(g.col_t, g.col_a, g.row_t, g.row_a) is not None
         # the region's test: a sign flip moves x - y by 2(1 - delta) > 1, past one purification
         return tie or g.side != self._mask0
 
@@ -772,7 +769,7 @@ class _ReduceDriver:
     # -- outer loop ---------------------------------------------------------
 
     def run(self) -> Configuration:
-        initial = self._stats().prob_B
+        initial = _grid_stats(self.cfg).prob_B
         self._step("augment", (rational_to_str(self.eps),), augment(self.cfg, self.eps))
         m0, n0 = self.cfg.dims
         for _ in _rounds(4 * (m0 + n0 + 2), "reduction", self._fail):
@@ -783,14 +780,14 @@ class _ReduceDriver:
             if _grid_stats(before).fixpoint:
                 # the transpose of a merge fixpoint is one: the merge test
                 # and the staircase check are symmetric in the two axes
-                self._stats().fixpoint = True
+                _grid_stats(self.cfg).fixpoint = True
             self._phase()
             # transposing is an involution, so an untouched transpose goes
             # back to the configuration before it
             self._step("transpose", (), before if self.cfg is flipped else transpose(self.cfg))
             if reduced_shape_problem(self.cfg) is None:
                 break
-        final = self._stats().prob_B
+        final = _grid_stats(self.cfg).prob_B
         if not (final > initial - self.eps):
             raise TransformContractError(
                 f"reduction dropped the spread probability from {initial} to "
@@ -806,7 +803,7 @@ class _ReduceDriver:
             if prev_sum is not None and dsum >= prev_sum:
                 raise self._fail("revisited the canonical state without shrinking")
             prev_sum = dsum
-            s = self._stats()
+            s = _grid_stats(self.cfg)
             if _low_side_done(self.cfg, s):
                 return
             self._mask0 = s.side
@@ -846,17 +843,18 @@ class _ReduceDriver:
         else:
             self._with_chi(self._middle_cell_attack)
 
-    def _with_chi(self, body: Callable[[], None]) -> None:
-        """Run an attack fragment on the reflected-transposed configuration."""
+    def _with_chi(self, *fragments: Callable[[], None]) -> None:
+        """Run attack fragments, in order, on the reflected-transposed configuration."""
         self._step("complement_reflect", (), complement_reflect(self.cfg))
         self._step("transpose", (), transpose(self.cfg))
-        self._mask0 = self._stats().side
+        self._mask0 = _grid_stats(self.cfg).side
         try:
-            body()
+            for fragment in fragments:
+                fragment()
         finally:
             self._step("transpose", (), transpose(self.cfg))
             self._step("complement_reflect", (), complement_reflect(self.cfg))
-            self._mask0 = self._stats().side
+            self._mask0 = _grid_stats(self.cfg).side
 
     def _corner_sweep(self) -> None:
         """Concentrate the extreme column's complement mass in the corner.
@@ -868,7 +866,7 @@ class _ReduceDriver:
         from sound input and raises :class:`ReduceContradictionError`.  On
         success the whole top row is free of complement mass.
         """
-        s = self._stats()
+        s = _grid_stats(self.cfg)
         mm = s.m_minus_G
         mG, mH = self.cfg.dims
         if not isinstance(s.m_plus_H, int) or s.m_plus_H < 2:
@@ -902,10 +900,10 @@ class _ReduceDriver:
         purification that changes value structure jumps; each remaining
         terminal is impossible from sound input.
         """
-        s = self._stats()
+        s = _grid_stats(self.cfg)
         mG, mH = self.cfg.dims
         mm = s.m_minus_G
-        if mm != 3 or not isinstance(s.m_plus_H, int) or s.m_plus_H != mH - 2:
+        if mm != 3 or s.m_plus_H != mH - 2:
             raise self._fail("depth-three attack entered with the wrong shape")
         mp_h = s.m_plus_H
         for k in range(4, mG + 1):
@@ -936,7 +934,7 @@ class _ReduceDriver:
         mid_a, mid_ac = self._purify(2, mH - 1)
         if mid_a > 0 and mid_ac > 0:
             raise self._fail("second purification left the middle cell impure")
-        s2 = self._stats()
+        s2 = _grid_stats(self.cfg)
         extra = {
             "middle_a": _rational(self.cfg, mid_a),
             "middle_ac": _rational(self.cfg, mid_ac),
@@ -961,8 +959,9 @@ class _ReduceDriver:
         Any value-structure change along the way jumps back instead.
         """
         self._foothold_sweep()
-        self._with_chi(self._chi_foothold)
-        s = self._stats()
+        # the corner sweep has not run in the reflected view yet; it clears the top row first
+        self._with_chi(self._corner_sweep, self._foothold_sweep)
+        s = _grid_stats(self.cfg)
         mG, mH = self.cfg.dims
         mm = s.m_minus_G
         if not isinstance(s.m_plus_H, int):
@@ -1015,10 +1014,10 @@ class _ReduceDriver:
 
     def _foothold_sweep(self) -> None:
         """Like the corner sweep, one line in from the corner on both axes."""
-        s = self._stats()
+        s = _grid_stats(self.cfg)
         mG, mH = self.cfg.dims
         mm = s.m_minus_G
-        if mm < 4 or not isinstance(s.m_plus_H, int):
+        if mm < 4:
             raise self._fail("two-sided sweep expects a deep low corner")
         mp_h = s.m_plus_H
         for k in range(1, mm - 1):
@@ -1038,15 +1037,6 @@ class _ReduceDriver:
         if _ac(self.cfg, mm, mH) != 0 or near_a != 0:
             raise self._fail("footholds are not in the expected pure state")
 
-    def _chi_foothold(self) -> None:
-        """Foothold preparation in the reflected-transposed view.
-
-        The corner sweep has not run in this view yet, so run it first to
-        make the top row complement-free, then the near-corner sweep.
-        """
-        self._corner_sweep()
-        self._foothold_sweep()
-
     def _overloaded_cell_contradiction(
         self, k: int, j: int
     ) -> ReduceContradictionError:
@@ -1060,18 +1050,17 @@ class _ReduceDriver:
         failed premise raises :class:`InternalStateError`; once the premises
         hold, the contradiction is returned for the caller to raise.
         """
-        g = self._stats()
+        g = _grid_stats(self.cfg)
         a, ac = _cell(self.cfg, k, j)
         mass = a + ac
         if mass == 0:
             raise self._fail("overloaded cell lost its mass")
-        col_ac = sum(_ac(self.cfg, k, r) for r in range(1, self.cfg.n_rows + 1))
-        row_a = sum(_a(self.cfg, c, j) for c in range(1, self.cfg.n_cols + 1))
-        if col_ac != ac or row_a != a:
-            raise self._fail("overloaded cell does not dominate its lines")
-        dn, dd = self.cfg.delta.numerator, self.cfg.delta.denominator
         P, A = g.col_t[k - 1], g.col_a[k - 1]
         Q, R = g.row_t[j - 1], g.row_a[j - 1]
+        # the column's complement mass is P - A, the row's event mass R
+        if P - A != ac or R != a:
+            raise self._fail("overloaded cell does not dominate its lines")
+        dn, dd = self.cfg.delta.numerator, self.cfg.delta.denominator
         # x = A/P above delta, or y = R/Q below 1 - delta
         if A * dd > dn * P or R * dd < (dd - dn) * Q:
             raise self._fail("overloaded cell's lines left their value bands")

@@ -209,6 +209,28 @@ def test_reduce_pipeline(tmp_path, capsys):
     assert run_main(capsys, "verify", "-", stdin=json.dumps(reduced))[0] == 0
 
 
+def test_reduce_drops_a_zero_mass_line_that_verify_refuses(tmp_path, capsys):
+    """reduce reports the spread of its normalized input; verify exits 2."""
+    cells = [
+        {"col": 1, "row": 1, "a": "0", "ac": "3/5"},
+        {"col": 1, "row": 2, "a": "1/5", "ac": "0"},
+        {"col": 3, "row": 1, "a": "1/5", "ac": "0"},
+    ]
+    # column 2 holds no mass
+    cfg_path = tmp_path / "zero_column.json"
+    cfg_path.write_text(json.dumps({"delta": "1/4", "cols": 3, "rows": 2, "cells": cells}))
+    out_path = tmp_path / "reduced.json"
+    trace_path = tmp_path / "trace.jsonl"
+    argv = ["reduce", "--eps", "1/100", "--out", str(out_path), "--trace", str(trace_path)]
+    code, out = run_main(capsys, *argv, str(cfg_path))
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["before"] == summary["after"] == summary["certificate"] == "2/5"
+    assert summary["steps"] == len(trace_path.read_text().splitlines()) == 5
+    assert json.loads(out_path.read_text())["cols"] == 2
+    assert_one_error_line(*main_exit(capsys, "verify", str(cfg_path)))
+
+
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 

@@ -785,13 +785,12 @@ def exercise(cfg, rng, counts, seed):
         if cfg.delta < HALF:
             out = same(cfg, "purify_border_cell", ref_purify_border_cell, k, j)
             counts["purify moved" if out is not cfg else "purify kept"] += 1
+            # purify_all_borders merges what a purification leaves tied, which
+            # can take a second round of sweeps
+            same_zigzag(out, counts)
         else:
             # from one half on, where reduce does not run, no border cell moves
-            out = transforms.purify_border_cell(cfg, k, j)
-            assert out is cfg, (k, j, cfg)
-        # purify_all_borders merges what a purification leaves tied, which
-        # can take a second round of sweeps
-        same_zigzag(out, counts)
+            assert transforms.purify_border_cell(cfg, k, j) is cfg, (k, j, cfg)
         same(cfg, "absorb_empty_border_cell", ref_absorb_empty_border_cell, k, j)
     k, j = rng.randint(1, m), rng.randint(1, n)
     # from one half on, only a cell off the border, which both refuse

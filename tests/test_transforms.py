@@ -969,6 +969,27 @@ def test_reduce_driver_guards_name_their_broken_premise(guard, message):
         guard(driver)
 
 
+def test_corner_sweep_refuses_a_spread_region_without_two_sides():
+    # below one half the halfpoint example has no spread region, so no
+    # first paired row
+    driver = transforms._ReduceDriver(halfpoint_example(F(1, 4)), F(1, 1000))
+    message = r"^corner sweep needs a two-sided spread region \(after 0 steps\)$"
+    with pytest.raises(InternalStateError, match=message):
+        driver._corner_sweep()
+
+
+def test_phase_refuses_a_restart_that_does_not_shrink(monkeypatch):
+    # an attack that jumps without changing anything brings the phase back
+    # to the same canonical state
+    def jump(self, s):
+        raise transforms._Jump
+
+    monkeypatch.setattr(transforms._ReduceDriver, "_attack", jump)
+    message = r"^revisited the canonical state without shrinking \(after 3 steps\)$"
+    with pytest.raises(InternalStateError, match=message):
+        reduce(depth_three_input(), F(1, 1000))
+
+
 def test_bounded_loops_fail_past_their_cap():
     rounds = transforms._rounds(3, "settling")
     assert [next(rounds) for _ in range(3)] == [1, 2, 3]
