@@ -625,17 +625,23 @@ def _line_locals(n_cols: int, n_rows: int, row_t: str, row_a: str) -> list[str]:
     """Lines summing the first ``n_cols`` columns of the unpacked slots ``p0, p1, ...``.
 
     They set each cell's mass ``m{i}``; each column's total ``ct{k}`` and
-    event mass ``ca{k}``, with the products :func:`_far_apart` reads; and
-    each row's total ``{row_t}{j}`` and event mass ``{row_a}{j}`` over those
-    columns.  The threshold is read from ``th_num`` and ``th_den``.
+    event mass ``ca{k}``, with the terms :func:`_far_apart` reads, named as
+    in the memo kernel: ``ctd{k}``, the total times the threshold's
+    denominator, and ``above{k}`` and ``below{k}``, the event mass times the
+    denominator less and plus the total times the numerator; and each row's
+    total ``{row_t}{j}`` and event mass ``{row_a}{j}`` over those columns.
+    The threshold is read from ``th_num`` and ``th_den``.
     """
     n = n_rows
     src = [f"    m{i} = p{2 * i} + p{2 * i + 1}" for i in range(n_cols * n)]
     for k in range(n_cols):
         col = range(k * n, k * n + n)
-        src.append(f"    ct{k} = " + " + ".join([f"m{i}" for i in col]))
-        src.append(f"    ca{k} = " + " + ".join([f"p{2 * i + 1}" for i in col]))
-        src.append(f"    ctd{k}, cad{k}, ctn{k} = ct{k} * th_den, ca{k} * th_den, ct{k} * th_num")
+        src += [
+            f"    ct{k} = " + " + ".join([f"m{i}" for i in col]),
+            f"    ca{k} = " + " + ".join([f"p{2 * i + 1}" for i in col]),
+            f"    ctd{k}, cad{k}, ctn{k} = ct{k} * th_den, ca{k} * th_den, ct{k} * th_num",
+            f"    above{k}, below{k} = cad{k} - ctn{k}, cad{k} + ctn{k}",
+        ]
     # a row over no columns, as in a one-column walker, sums to 0
     for j in range(n):
         row = range(j, n_cols * n, n)
@@ -644,20 +650,44 @@ def _line_locals(n_cols: int, n_rows: int, row_t: str, row_a: str) -> list[str]:
     return src
 
 
-def _far_apart(pad: str, mass: str, k: int | str, j: int, into: str) -> list[str]:
-    """Lines adding ``mass`` to ``into`` when column ``k`` and row ``j`` are far apart.
+def _gates(k: int | str) -> tuple[str, str]:
+    """The conditions under which column ``k`` can hold a cell on the high, and on the low side.
 
-    :func:`_stats_loop`'s test on locals: the row's total ``t{j}`` and event
-    mass ``a{j}``; the column's total and event mass times the threshold's
-    denominator, ``ctd{k}`` and ``cad{k}``, and its total times the
-    numerator, ``ctn{k}``, as :func:`_line_locals` names them.
+    A cell of row ``j`` is on the high side when ``above{k} * t{j} >=
+    a{j} * ctd{k}``, which needs ``above{k} >= 0``, a column value of at
+    least the threshold, and on the low side when ``below{k} * t{j} <=
+    a{j} * ctd{k}``, which needs ``below{k} <= ctd{k}``, a column value of
+    at most one minus the threshold, because ``a{j} <= t{j}``.
     """
-    return [
-        f"{pad}if {mass}:",
-        f"{pad}    g = cad{k} * t{j} - a{j} * ctd{k}",
-        f"{pad}    if (g if g >= 0 else -g) >= ctn{k} * t{j}:",
-        f"{pad}        {into} += {mass}",
-    ]
+    return f"above{k} >= 0", f"below{k} <= ctd{k}"
+
+
+def _far_apart(
+    pad: str, k: int | str, high: Sequence[tuple[str, int]], low: Sequence[tuple[str, int]],
+    into: str, gated: bool = True,
+) -> list[str]:
+    """Lines adding to ``into`` the masses of column ``k``'s cells far apart from their rows.
+
+    :func:`_stats_loop`'s test on locals, one side at a time, with the terms
+    in the row's total ``t{j}`` gathered as in the memo kernel: ``high`` and
+    ``low`` pair the name of a cell's mass with its row ``j``, and a mass is
+    added when its cell is on that side, compared with the row's total and
+    event mass ``a{j}`` and the column's ``ctd{k}``, ``above{k}`` and
+    ``below{k}`` of :func:`_line_locals`.  Each side's tests sit behind that
+    side's gate of :func:`_gates`, or, unless ``gated``, the masses named
+    are already 0 where the gate fails.  The threshold must be positive, so
+    that no cell is on both sides.
+    """
+    src = []
+    tests = (f"above{k} * t{{j}} >= a{{j}} * ctd{k}", f"below{k} * t{{j}} <= a{{j}} * ctd{k}")
+    for gate, test, cells in zip(_gates(k), tests, (high, low)):
+        inner = pad
+        if gated:
+            src.append(f"{pad}if {gate}:")
+            inner += "    "
+        for mass, j in cells:
+            src += [f"{inner}if {mass} and {test.format(j=j)}:", f"{inner}    {into} += {mass}"]
+    return src
 
 
 @functools.lru_cache(maxsize=1024)
@@ -666,11 +696,12 @@ def _units_evaluator(n_cols: int, n_rows: int) -> Callable[..., int]:
 
     Within the cap of :func:`_unrolls` it is compiled, once per shape, from
     straight-line source: the slots are unpacked into locals, the lines of
-    :func:`_line_locals` sum them, and each cell is one block of
-    :func:`_far_apart` that tests its mass, cross-multiplies and compares,
-    so a call runs no Python loop.  The source is built from integer
-    indices alone.  Past the cap it is :func:`_units_loop` with the shape
-    bound.  Callers fetch the evaluator once, outside their loops.
+    :func:`_line_locals` sum them, and each column is the two gated blocks
+    of :func:`_far_apart`, each testing its cells' masses and cross-
+    multiplying for one side, so a call runs no Python loop.  The threshold
+    must be positive.  The source is built from integer indices alone.
+    Past the cap it is :func:`_units_loop` with the shape bound.  Callers
+    fetch the evaluator once, outside their loops.
     """
     if not _unrolls(n_cols, n_rows):
         return functools.partial(_units_loop, n_cols, n_rows)
@@ -680,8 +711,9 @@ def _units_evaluator(n_cols: int, n_rows: int) -> Callable[..., int]:
         *_line_locals(n_cols, n_rows, "t", "a"),
         "    b_num = 0",
     ]
-    for i in range(n_cols * n_rows):
-        src += _far_apart("    ", f"m{i}", i // n_rows, i % n_rows, "b_num")
+    for k in range(n_cols):
+        cells = [(f"m{k * n_rows + j}", j) for j in range(n_rows)]
+        src += _far_apart("    ", k, cells, cells, "b_num")
     src.append("    return b_num\n")
     return _compiled(f"spread units {n_cols}x{n_rows}", src, "units")[0]
 

@@ -175,11 +175,15 @@ def threshold_probability(cfg: Configuration, threshold: RationalLike) -> Fracti
     With ``threshold = 1 - delta`` this is the configuration's spread
     probability; other thresholds support the coarsening comparison, whose
     right-hand side uses a threshold lowered by 2/n. A non-positive
-    threshold makes every cell count, so the result is 1. The threshold is
-    read as in :func:`spread_probability`.
+    threshold makes every cell count, so the result is 1, returned without
+    running the evaluator, which tests each side of the spread region apart
+    and needs a positive threshold. The threshold is read as in
+    :func:`spread_probability`.
     """
     th_num, th_den = _as_ratio(threshold, "threshold")
     _grid_stats(cfg)  # refuses a zero-mass line, as compute_stats does
+    if th_num <= 0:
+        return Fraction(1)
     b_num = _units_evaluator(cfg.n_cols, cfg.n_rows)(cfg._parts, th_num, th_den)
     return Fraction(b_num, cfg._den)
 

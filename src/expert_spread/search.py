@@ -30,6 +30,7 @@ from .config import (
     _cap_cells,
     _compiled,
     _far_apart,
+    _gates,
     _grid_stats,
     _line_locals,
     _names,
@@ -103,7 +104,12 @@ def search_result_to_json_dict(result: SearchResult) -> dict:
 # alone to config._units_evaluator's evaluator once per move, which sums the
 # lines itself, and exhaustive_search runs _column_walker's last-column
 # walker, which scores every last column inline, once per placement of the
-# others. Both generators write their line sums with config._line_locals.
+# others. Both generators write their line sums with config._line_locals
+# and their far-apart tests with config._far_apart: the spread event is the
+# union of two disjoint one-sided events, since the threshold 1 - delta is
+# positive, and a column with value x reaches the high one only when
+# x >= 1 - delta and the low one only when x <= delta, so each column's
+# cells are tested one side at a time, each side behind its column gate.
 # Past the cap both run config._stats_loop, the loop that code is tested
 # against: hill_climb through config._units_loop, exhaustive_search through
 # _walk_last_column. Both only score: _check_winner compares the winner, the
@@ -254,8 +260,12 @@ def _column_walker(n_cols: int, n_rows: int) -> Callable[..., tuple]:
     Each level keeps whether the column so far equals its lower bound, and
     the level completing a row tests that row's fixed cells, so a class
     tests the last row's fixed cells and the last column's, with no call,
-    no global and no list store. Past the cap it is
-    :func:`_walk_last_column` itself.
+    no global and no list store. The fixed columns' gates of
+    :func:`config._gates` are read once per walk, into each fixed cell's
+    mass on either side, 0 where its column's gate fails; the last
+    column's are read once per class, ahead of its two blocks of
+    :func:`config._far_apart`. The threshold must be positive. Past the
+    cap it is :func:`_walk_last_column` itself.
     """
     if not (_unrolls(n_rows, n_rows) and _unrolls(n_cols, n_rows)):
         return functools.partial(_walk_last_column, n_rows)
@@ -272,6 +282,10 @@ def _column_walker(n_cols: int, n_rows: int) -> Callable[..., tuple]:
         "    ctd, ctn = room * th_den, room * th_num",
         "    leaves, best, best_column = 0, -1, None",
     ]
+    # each fixed cell's mass on either side, 0 where its column's gate fails
+    for i in range(last * n):
+        high, low = _gates(i // n)
+        src += [f"    hi{i} = m{i} if {high} else 0", f"    lo{i} = m{i} if {low} else 0"]
 
     pad, left = "    ", "room"
     for i in range(width):
@@ -297,11 +311,13 @@ def _column_walker(n_cols: int, n_rows: int) -> Callable[..., tuple]:
                 f"{pad}f{j} = {f'f{j - 1}' if j else 0}",
             ]
             for k in range(last):
-                src += _far_apart(pad, f"m{k * n + j}", k, j, f"f{j}")
+                high, low = [(f"hi{k * n + j}", j)], [(f"lo{k * n + j}", j)]
+                src += _far_apart(pad, k, high, low, f"f{j}", gated=False)
     b = f"f{n - 1}"
     src.append(f"{pad}cad = c{n - 1} * th_den")
-    for j in range(n):
-        src += _far_apart(pad, f"lm{j}", "", j, b)
+    src.append(f"{pad}above, below = cad - ctn, cad + ctn")
+    cells = [(f"lm{j}", j) for j in range(n)]
+    src += _far_apart(pad, "", cells, cells, b)
     src += [
         f"{pad}leaves += 1",
         f"{pad}if {b} > best:",
@@ -433,15 +449,21 @@ def hill_climb(
     shrinks geometrically from 1/8 to 1/1024 over each restart, and a move
     is kept exactly when the spread probability does not decrease. ``iters``
     counts evaluations, so ``iters=1`` scores the initial configuration and
-    stops.
+    stops. An ``iters`` above :func:`enumeration_cap` raises
+    :class:`SearchSpaceError` before any work happens.
 
     A restart keeps its mass vector and the sorted list of its positive
     slots as running state: a move changes two slots, and a rejected move
-    restores those two. Each evaluation is one call on the vector alone to
+    restores those two. Its moves run in eight phases, the quantum halving
+    from one to the next: the move at step ``s`` of ``moves`` has quantum
+    ``128 >> (8 * s // moves)``, set once per phase, and the count of
+    positive slots, which the source draw reads, is re-read only when a
+    move is kept. Each evaluation is one call on the vector alone to
     the evaluator that :func:`~expert_spread.config._units_evaluator` gives
     for the grid's shape, fetched once per climb, and it sums the lines:
     compiled code within the cap of :func:`~expert_spread.config._unrolls`,
-    and past it the loop reference :func:`~expert_spread.config._stats_loop`.
+    which tests each column only on the sides its value can reach, and past
+    it the loop reference :func:`~expert_spread.config._stats_loop`.
     The source slot is drawn as ``rng.choice`` draws from the positive
     slots and the target offset as ``rng.randrange(slots - 1)`` does, by
     rejection sampling on ``rng.getrandbits``, so a seed gives the same run
@@ -453,6 +475,12 @@ def hill_climb(
     _validate_dims(n_cols, n_rows)
     if iters < 1:
         raise DomainError(f"iters must be at least 1, got {iters}")
+    cap = enumeration_cap()
+    if iters > cap:
+        raise SearchSpaceError(
+            f"hill climb would evaluate {iters} configurations, above the cap "
+            f"of {cap}; lower iters, or raise {ENUM_CAP_ENV}"
+        )
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     slots = 2 * n_cols * n_rows
@@ -471,49 +499,54 @@ def hill_climb(
     evaluated = 0
     for r in range(restarts):
         budget = base + (leftover if r == 0 else 0)
+        evaluated += budget
         parts = _random_parts(rng, _CLIMB_DENOM, slots)
         positive = [i for i in range(slots) if parts[i] > 0]
+        n = len(positive)
+        bits = n.bit_length()
         cur = spread_units(parts, th_num, th_den)
-        evaluated += 1
         if cur > best_prob:
             best_prob = cur
             best_parts = tuple(parts)
         moves = budget - 1
-        for step in range(moves):
-            # step < moves, so the quantum runs from 128 down to 1
-            quantum = _CLIMB_START_QUANTUM >> (8 * step // moves)
-            # k random bits, drawn again while they name no element, with
-            # k the bit length of the element count, as Random._randbelow
-            n = len(positive)
-            bits = n.bit_length()
-            src = getrandbits(bits)
-            while src >= n:
+        start = 0
+        # phase p runs the steps with 8 * step // moves == p, quantum 128 >> p
+        for phase in range(8):
+            quantum = _CLIMB_START_QUANTUM >> phase
+            end = -(-(phase + 1) * moves // 8)
+            for _ in range(end - start):
+                # k random bits, drawn again while they name no element, with
+                # k the bit length of the element count, as Random._randbelow
                 src = getrandbits(bits)
-            src = positive[src]
-            dst = getrandbits(others_bits)
-            while dst >= others:
+                while src >= n:
+                    src = getrandbits(bits)
+                src = positive[src]
                 dst = getrandbits(others_bits)
-            if dst >= src:
-                dst += 1
-            amt = parts[src]
-            if amt > quantum:
-                amt = quantum
-            parts[src] -= amt
-            parts[dst] += amt
-            prob = spread_units(parts, th_num, th_den)
-            evaluated += 1
-            if prob >= cur:
-                cur = prob
-                if prob > best_prob:
-                    best_prob = prob
-                    best_parts = tuple(parts)
-                if not parts[src]:
-                    positive.remove(src)
-                if parts[dst] == amt:
-                    bisect.insort(positive, dst)
-            else:
-                parts[src] += amt
-                parts[dst] -= amt
+                while dst >= others:
+                    dst = getrandbits(others_bits)
+                if dst >= src:
+                    dst += 1
+                amt = parts[src]
+                if amt > quantum:
+                    amt = quantum
+                parts[src] -= amt
+                parts[dst] += amt
+                prob = spread_units(parts, th_num, th_den)
+                if prob >= cur:
+                    cur = prob
+                    if prob > best_prob:
+                        best_prob = prob
+                        best_parts = tuple(parts)
+                    if not parts[src]:
+                        positive.remove(src)
+                    if parts[dst] == amt:
+                        bisect.insort(positive, dst)
+                    n = len(positive)
+                    bits = n.bit_length()
+                else:
+                    parts[src] += amt
+                    parts[dst] -= amt
+            start = end
     assert best_parts is not None
     cfg = _normalized(d, n_cols, n_rows, best_parts, _CLIMB_DENOM)
     return SearchResult(

@@ -291,6 +291,17 @@ def test_climb_on_a_compiled_evaluator_writes_the_pinned_bytes(capsys):
     assert out == (FIXTURES / "search_4x4_seed1.expected").read_text()
 
 
+def test_climb_above_one_half_writes_the_pinned_bytes(capsys):
+    """A 4x4 climb at delta 3/4, where a column can pass both gates, byte for byte; CI runs it too.
+
+    Its 149 moves cross every quantum phase of the restart.
+    """
+    argv = ["3/4", "--cols", "4", "--rows", "4", "--iters", "150", "--seed", "1"]
+    code, out = run_main(capsys, "search", *argv)
+    assert code == 0
+    assert out == (FIXTURES / "search_4x4_delta3_4.expected").read_text()
+
+
 def test_reduce_rejects_bad_epsilon(tmp_path, capsys):
     cfg_path = tmp_path / "ext.json"
     assert cli.main(["extremal", "1/4", "--out", str(cfg_path)]) == 0
@@ -313,6 +324,15 @@ def test_search_hill_climb(capsys):
     assert result["method"] == "hill_climb"
     assert result["seed"] == 9
     assert result["configs_evaluated"] == 300
+
+
+def test_search_refuses_a_climb_past_the_cap(monkeypatch, capsys):
+    """An oversized climb exits 2 at once, as an oversized enumeration does."""
+    monkeypatch.delenv("EXPERT_SPREAD_ENUM_CAP", raising=False)
+    argv = ["1/4", "--iters", "99999999999999999999", "--cols", "2", "--rows", "2"]
+    code, err = main_exit(capsys, "search", *argv)
+    assert_one_error_line(code, err)
+    assert "EXPERT_SPREAD_ENUM_CAP" in err
 
 
 def test_curve_csv(tmp_path, capsys):

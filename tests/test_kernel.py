@@ -225,6 +225,25 @@ def has_spread_tie(parts, n_rows, col_t, col_a, row_t, row_a, th):
     )
 
 
+def gate_edges(parts, n_cols, n_rows, th):
+    """Whether some column holding a high cell, and some holding a low one, sits on that gate.
+
+    A column can hold a cell with mass on the high side only when ``above >=
+    0`` and on the low side only when ``below <= ctd`` (``config._gates``);
+    a column exactly on a gate holds such a cell only where the row's value
+    is exactly 0 or 1.
+    """
+    col_t, col_a, _, _, side = _stats_loop(parts, n_cols, n_rows, th.numerator, th.denominator)[:5]
+    high = low = False
+    for k, (ct, ca) in enumerate(zip(col_t, col_a)):
+        i = 2 * k * n_rows
+        held = {s for j, s in enumerate(side[k]) if parts[i + 2 * j] + parts[i + 2 * j + 1]}
+        cad, ctn = ca * th.denominator, ct * th.numerator
+        high |= 1 in held and cad == ctn
+        low |= -1 in held and cad + ctn == ct * th.denominator
+    return high, low
+
+
 def test_search_spread_units_match_the_kernel():
     """The searches' spread numerator, from the mass vector alone, is the loop reference's.
 
@@ -264,7 +283,7 @@ def test_units_evaluator_matches_the_kernel_and_the_loop():
     # tall grids within the cell cap are compiled too
     shapes += [(9, 8), (1, 9), (2, 32), (7, 9), (1, 64), (1, 65)]
     rng = random.Random(4099)
-    zero_lines = ties = 0
+    zero_lines = ties = high_edges = low_edges = 0
     for n_cols, n_rows in shapes:
         units = _units_evaluator(n_cols, n_rows)
         assert _units_evaluator(n_cols, n_rows) is units
@@ -282,8 +301,13 @@ def test_units_evaluator_matches_the_kernel_and_the_loop():
             sums = _line_sums(parts, n_cols, n_rows)
             zero_lines += 0 in sums[0] or 0 in sums[2]
             ties += has_spread_tie(parts, n_rows, *sums, th)
+            high, low = gate_edges(parts, n_cols, n_rows, th)
+            high_edges += high
+            low_edges += low
     assert zero_lines > 1500
     assert ties > 500
+    # a gate that refused its edge would drop these cases' far cells
+    assert min(high_edges, low_edges) > 150
 
 
 def test_column_walker_matches_the_loop():
@@ -292,7 +316,7 @@ def test_column_walker_matches_the_loop():
     assert UNROLL_CELLS == 64
     shapes = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(9, 8), (1, 9), (3, 9)]
     rng = random.Random(6173)
-    counts = dict.fromkeys(("no class", "first equal", "tie"), 0)
+    counts = dict.fromkeys(("no class", "first equal", "tie", "high edge", "low edge"), 0)
     for n_cols, n_rows in shapes:
         walk = _column_walker(n_cols, n_rows)
         assert _column_walker(n_cols, n_rows) is walk
@@ -331,7 +355,12 @@ def test_column_walker_matches_the_loop():
             counts["tie"] += has_spread_tie(
                 parts, n_rows, *_line_sums(parts, n_cols, n_rows), th
             )
+            high, low = gate_edges(parts, n_cols, n_rows, th)
+            counts["high edge"] += high
+            counts["low edge"] += low
+    edges = [counts.pop("high edge"), counts.pop("low edge")]
     assert min(counts.values()) > 150, counts
+    assert min(edges) > 50, edges
 
 
 def loop_grid_stats(monkeypatch, cfg):

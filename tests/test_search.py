@@ -104,6 +104,10 @@ def test_enumeration_cap_env_override(monkeypatch):
     with pytest.raises(SearchSpaceError) as err:
         exhaustive_search(F(1, 4), 2, 2, 5)
     assert "792" in str(err.value)
+    # a climb's evaluations are held to the same cap
+    assert hill_climb(F(1, 4), 2, 2, 100, seed=1).configs_evaluated == 100
+    with pytest.raises(SearchSpaceError, match="101 configurations"):
+        hill_climb(F(1, 4), 2, 2, 101, seed=1)
     monkeypatch.setenv("EXPERT_SPREAD_ENUM_CAP", "not a number")
     with pytest.raises(ConfigError):
         enumeration_cap()
