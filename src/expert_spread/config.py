@@ -253,7 +253,8 @@ def _json_exact(value: object, what: str) -> object:
 def validate_delta(value: RationalLike) -> Fraction:
     """Parse and range-check a spread threshold, which must lie in (0, 1)."""
     delta = _as_fraction(value, "delta")
-    if not (0 < delta < 1):
+    # a rational's sign is its numerator's, and its denominator is positive
+    if not 0 < delta.numerator < delta.denominator:
         raise DomainError(f"delta must lie strictly between 0 and 1, got {_shown(delta)}")
     return delta
 
@@ -308,7 +309,19 @@ def _lattice(masses: Sequence[Fraction]) -> tuple[list[int], int]:
 _set = object.__setattr__
 
 
-class Configuration:
+class _Frozen:
+    """Refuses assignment and deletion; subclasses set their slots with ``_set``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Configuration(_Frozen):
     """An immutable grid of cells with a per-configuration spread threshold.
 
     ``cell(k, j)`` and ``cells[k - 1][j - 1]`` are the cell in column ``k``,
@@ -392,12 +405,6 @@ class Configuration:
         _set(self, "_den", den // g)
         _set(self, "_hash", hash((delta.numerator, delta.denominator, n_cols, parts)))
         _set(self, "_cells", cells)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Configuration:

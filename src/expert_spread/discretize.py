@@ -5,12 +5,17 @@ that weight on which the event holds, and one label per expert. Grouping
 atoms by label pair turns the space into a configuration; binning the
 per-label conditional probabilities onto a 1/n grid coarsens it while
 moving every conditional by at most 1/n. Both steps are exact.
+
+A space keeps its atoms as integer records over one denominator, and every
+step here reads those records. The loader reads each weight straight into
+an integer numerator and denominator, so a loaded space builds its
+:class:`Atom` objects only when :attr:`RawSpace.atoms` is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Mapping, Sequence
 
@@ -19,6 +24,7 @@ from .config import (
     ConfigError,
     DomainError,
     RationalLike,
+    _Frozen,
     _JSON_PLAIN,
     _as_ratio,
     _cap_cells,
@@ -26,9 +32,9 @@ from .config import (
     _json_exact,
     _load_json,
     _normalized,
+    _set,
     _shown,
     _units_evaluator,
-    parse_rational,
     validate_delta,
 )
 
@@ -36,6 +42,27 @@ from .config import (
 # ---------------------------------------------------------------------------
 # Raw spaces
 # ---------------------------------------------------------------------------
+
+
+def _check_atom(w_num: int, w_den: int, a_num: int, a_den: int, g: object, h: object) -> None:
+    """Refuse an atom whose labels are not strings or whose weights are out of range.
+
+    The weights are ``w_num / w_den`` and ``a_num / a_den`` with positive
+    denominators, not necessarily in lowest terms: signs are the
+    numerators', and ``a <= w`` is cross-multiplied.
+    """
+    for label in (g, h):
+        if not isinstance(label, str):
+            raise ConfigError(f"atom labels must be strings, got {type(label).__name__}")
+    if w_num < 0:
+        raise ConfigError(
+            f"atom weight must be non-negative, got {_shown(Fraction(w_num, w_den))}"
+        )
+    if a_num < 0 or a_num * w_den > w_num * a_den:
+        raise ConfigError(
+            f"atom event share must lie in [0, weight], got "
+            f"{_shown(Fraction(a_num, a_den))} with weight {_shown(Fraction(w_num, w_den))}"
+        )
 
 
 @dataclass(frozen=True)
@@ -59,75 +86,131 @@ class Atom:
                 raise ConfigError(
                     f"atom weights must be ints or Fractions, got {type(value).__name__}"
                 )
-        for label in (self.g_label, self.h_label):
-            if not isinstance(label, str):
-                raise ConfigError(f"atom labels must be strings, got {type(label).__name__}")
-        # signs are the numerators'; a <= w is cross-multiplied
-        if w.numerator < 0:
-            raise ConfigError(f"atom weight must be non-negative, got {_shown(w)}")
-        if a.numerator < 0 or a.numerator * w.denominator > w.numerator * a.denominator:
-            raise ConfigError(
-                f"atom event share must lie in [0, weight], got "
-                f"{_shown(a)} with weight {_shown(w)}"
-            )
+        _check_atom(
+            w.numerator, w.denominator, a.numerator, a.denominator, self.g_label, self.h_label
+        )
+
+
+# One atom as read: weight and event share as (numerator, positive
+# denominator) pairs, flattened, then the two labels.
+_Ratios = tuple[int, int, int, int, str, str]
 
 
 def _group(
-    atoms: Sequence[Atom],
-) -> tuple[int, list[tuple[int, int]], dict[str, list[int]], dict[str, list[int]]]:
-    """The atoms as integers over the lcm of their denominators, summed per label.
+    ratios: Sequence[_Ratios],
+) -> tuple[int, tuple[tuple[int, int, str, str], ...], dict[str, list[int]], dict[str, list[int]]]:
+    """The atoms as integer records over one denominator, and their sums per label.
 
-    Returns the common denominator, each atom's (weight, event mass) in
-    those units, and per column label and per row label the summed
-    ``[weight, event mass]``, in dicts ordered by first appearance; labels
-    carried only by zero-weight atoms are kept with zero sums.
+    Returns the denominator, each atom's record ``(w, a, g, h)`` (weight
+    and event mass in those units, then the labels), and per column label
+    and per row label the summed ``[weight, event mass]``, in dicts ordered
+    by first appearance; labels carried only by zero-weight atoms are kept
+    with zero sums. The denominator is the lcm of the given ones, divided
+    by its gcd with every weight, which is the lcm of the weights'
+    lowest-term denominators: equal atoms give equal records however their
+    ratios were written.
     """
-    # a list, not a generator: star-arguments from a generator build an
+    # lists, not generators: star-arguments from a generator build an
     # over-sized tuple and shrink it, which leaves one tuple per call in the
     # interpreter's free lists (up to 2000 of each size) until a full collection
-    den = math.lcm(*[v.denominator for atom in atoms for v in (atom.weight, atom.a_weight)])
-    parts = []
+    den = math.lcm(*[d for r in ratios for d in (r[1], r[3])])
+    records = [(wn * (den // wd), an * (den // ad), g, h) for wn, wd, an, ad, g, h in ratios]
+    common = math.gcd(den, *[v for w, a, _, _ in records for v in (w, a)])
+    if common > 1:
+        den //= common
+        records = [(w // common, a // common, g, h) for w, a, g, h in records]
     cols: dict[str, list[int]] = {}
     rows: dict[str, list[int]] = {}
-    for atom in atoms:
-        w = atom.weight.numerator * (den // atom.weight.denominator)
-        a = atom.a_weight.numerator * (den // atom.a_weight.denominator)
-        parts.append((w, a))
-        for sums, label in ((cols, atom.g_label), (rows, atom.h_label)):
+    for w, a, g, h in records:
+        for sums, label in ((cols, g), (rows, h)):
             line = sums.get(label)
             if line is None:
                 sums[label] = [w, a]
             else:
                 line[0] += w
                 line[1] += a
-    return den, parts, cols, rows
+    return den, tuple(records), cols, rows
 
 
-@dataclass(frozen=True)
-class RawSpace:
+class RawSpace(_Frozen):
     """A finite labeled probability space.
 
     Atoms may repeat label pairs freely; weights must sum to one exactly.
-    Construction groups the atoms once (see :func:`_group`): every weight
-    is scaled to an integer over the lcm of the denominators, the total is
-    checked as ``sum(weights) == den`` on every construction, and the
-    per-label sums are kept for :func:`label_values`,
+    Construction groups the atoms once (see :func:`_group`) into integer
+    records over one denominator, checks the total as ``sum(weights) ==
+    den``, and keeps per-label sums for :func:`label_values`,
     :func:`spread_probability` and :func:`grid_coarsen`, and their label
-    order for :func:`to_configuration`.
+    order for :func:`to_configuration`; those steps read the records only.
+
+    ``RawSpace(atoms=...)`` keeps the atoms it is given; a space read by
+    :func:`space_from_json_dict` builds its ``atoms``, with
+    :class:`~fractions.Fraction` weights, from the records on first access
+    and then keeps them. Both constructors end in ``_init``, which groups.
+    Spaces with equal atoms are equal and hash alike, and a space is
+    immutable.
     """
 
-    atoms: tuple[Atom, ...]
-    _grouped: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("_grouped", "_atoms")
 
-    def __post_init__(self) -> None:
-        grouped = _group(self.atoms)
-        den, parts, _, _ = grouped
-        total = sum(w for w, _ in parts)
+    def __init__(self, atoms: Sequence[Atom]) -> None:
+        atoms = tuple(atoms)
+        ratios = [
+            (
+                atom.weight.numerator,
+                atom.weight.denominator,
+                atom.a_weight.numerator,
+                atom.a_weight.denominator,
+                atom.g_label,
+                atom.h_label,
+            )
+            for atom in atoms
+        ]
+        self._init(ratios, atoms)
+
+    @classmethod
+    def _from_ratios(cls, ratios: Sequence[_Ratios]) -> RawSpace:
+        """Build from atoms already read and checked as :func:`_check_atom` checks them."""
+        space = cls.__new__(cls)
+        space._init(ratios, None)
+        return space
+
+    def _init(self, ratios: Sequence[_Ratios], atoms: tuple[Atom, ...] | None) -> None:
+        """Group, check the total and store; both constructors end here."""
+        grouped = _group(ratios)
+        den, records, _, _ = grouped
+        total = sum([w for w, _, _, _ in records])
         if total != den:
             raise ConfigError(
                 f"atom weights must sum to 1, got {_shown(Fraction(total, den))}"
             )
-        object.__setattr__(self, "_grouped", grouped)
+        _set(self, "_grouped", grouped)
+        _set(self, "_atoms", atoms)
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The atoms, built from the integer records once on demand."""
+        atoms = self._atoms
+        if atoms is None:
+            den, records, _, _ = self._grouped
+            atoms = tuple(
+                [Atom(Fraction(w, den), Fraction(a, den), g, h) for w, a, g, h in records]
+            )
+            _set(self, "_atoms", atoms)
+        return atoms
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RawSpace:
+            return NotImplemented
+        return self._grouped[:2] == other._grouped[:2]
+
+    def __hash__(self) -> int:
+        return hash(self._grouped[:2])
+
+    def __reduce__(self) -> tuple:
+        return RawSpace, (self.atoms,)
+
+    def __repr__(self) -> str:
+        return f"RawSpace(atoms={self.atoms!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +239,14 @@ def spread_probability(space: RawSpace, threshold: RationalLike) -> Fraction:
     label pairs they span. The threshold is read as an exact rational; a
     float or a boolean raises :class:`ConfigError`.
     """
-    den, parts, cols, rows = space._grouped
+    den, records, cols, rows = space._grouped
     th_num, th_den = _as_ratio(threshold, "threshold")
     total = 0
-    for atom, (w, _) in zip(space.atoms, parts):
+    for w, _, g, h in records:
         if not w:
             continue
-        gw, ga = cols[atom.g_label]
-        hw, ha = rows[atom.h_label]
+        gw, ga = cols[g]
+        hw, ha = rows[h]
         if abs(ga * hw - ha * gw) * th_den >= th_num * gw * hw:
             total += w
     return Fraction(total, den)
@@ -204,14 +287,14 @@ def to_configuration(space: RawSpace, delta: RationalLike) -> Configuration:
     :class:`ConfigError` before it is allocated.
     """
     d = validate_delta(delta)
-    den, parts, cols, rows = space._grouped
+    den, records, cols, rows = space._grouped
     n_cols, n_rows = len(cols), len(rows)
     _cap_cells(n_cols, n_rows)
     g_index = {g: i for i, g in enumerate(cols)}
     h_index = {h: i for i, h in enumerate(rows)}
     grid = [0] * (2 * n_cols * n_rows)
-    for atom, (w, a) in zip(space.atoms, parts):
-        i = 2 * (g_index[atom.g_label] * n_rows + h_index[atom.h_label])
+    for w, a, g, h in records:
+        i = 2 * (g_index[g] * n_rows + h_index[h])
         grid[i] += w - a
         grid[i + 1] += a
     return _normalized(d, n_cols, n_rows, grid, den)
@@ -238,20 +321,24 @@ def grid_coarsen(space: RawSpace, n: int, delta: RationalLike) -> dict:
     d = validate_delta(delta)
     if n < 2:
         raise DomainError(f"grid resolution must be at least 2, got {n}")
-    den, parts, cols, rows = space._grouped
+    den, records, cols, rows = space._grouped
     g_line, n_cols, g_shift = _bin_lines(cols, n)
     h_line, n_rows, h_shift = _bin_lines(rows, n)
     _cap_cells(n_cols, n_rows)
     grid = [0] * (2 * n_cols * n_rows)
-    for atom, (w, a) in zip(space.atoms, parts):
+    for w, a, g, h in records:
         if w:
-            i = 2 * (g_line[atom.g_label] * n_rows + h_line[atom.h_label])
+            i = 2 * (g_line[g] * n_rows + h_line[h])
             grid[i] += w - a
             grid[i + 1] += a
     return {
         "cfg": Configuration._from_parts(d, n_cols, n_rows, grid, den),
         "report": {"max_x_shift": g_shift, "max_y_shift": h_shift},
     }
+
+
+# the largest move when no label moves, the common case: one shared value
+_NO_MOVE = Fraction(0)
 
 
 def _bin_lines(
@@ -262,7 +349,9 @@ def _bin_lines(
     Lines are the occupied bins in ascending order. A label with sums
     ``w, a`` in a bin with totals ``W, A`` moves by
     ``|a/w - A/W| = |a*W - A*w| / (w*W)``; the running maximum is kept as
-    an integer pair, compared by cross-multiplying.
+    an integer pair, compared by cross-multiplying. A label alone in its
+    bin (``w == W``, as every weight in a bin is positive) does not move,
+    and when no label moves the move is the shared :data:`_NO_MOVE`.
     """
     bin_of = {}
     totals: dict[int, list[int]] = {}
@@ -281,11 +370,12 @@ def _bin_lines(
     for label, b in bin_of.items():
         w, a = sums[label]
         bin_w, bin_a = totals[b]
-        num, move_den = abs(a * bin_w - bin_a * w), w * bin_w
-        if num * top_den > top_num * move_den:
-            top_num, top_den = num, move_den
+        if w != bin_w:
+            num, move_den = abs(a * bin_w - bin_a * w), w * bin_w
+            if num * top_den > top_num * move_den:
+                top_num, top_den = num, move_den
         line_of[label] = index[b]
-    return line_of, len(index), Fraction(top_num, top_den)
+    return line_of, len(index), Fraction(top_num, top_den) if top_num else _NO_MOVE
 
 
 # ---------------------------------------------------------------------------
@@ -294,30 +384,40 @@ def _bin_lines(
 
 
 def space_from_json_dict(data: Mapping) -> RawSpace:
+    """Load a raw space from the file schema, validating every atom and the total.
+
+    Each ``w`` and ``a`` is read into an integer numerator and denominator
+    as :func:`~expert_spread.config.make_configuration` reads a mass, with
+    no :class:`~fractions.Fraction` built for an ``int`` or a plain
+    ``"p/q"`` string, and a bad one is reported as
+    :func:`~expert_spread.config.parse_rational` reports it. The labels, the
+    signs and ``a <= w`` are checked on those integers in document order,
+    with :class:`Atom`'s checks and texts, and the space is grouped from
+    them, so its atoms are built only when read.
+    """
     try:
         raw_atoms = data["atoms"]
     except (KeyError, TypeError) as exc:
         raise ConfigError("space JSON must be an object with an 'atoms' list") from exc
     if not isinstance(raw_atoms, (list, tuple)):
         raise ConfigError("space JSON must be an object with an 'atoms' list")
-    atoms = []
+    ratios = []
     for entry in raw_atoms:
         try:
-            atoms.append(
-                Atom(
-                    weight=parse_rational(
-                        w if (w := entry["w"]).__class__ in _JSON_PLAIN else _json_exact(w, "w")
-                    ),
-                    a_weight=parse_rational(
-                        a if (a := entry["a"]).__class__ in _JSON_PLAIN else _json_exact(a, "a")
-                    ),
-                    g_label=entry["g"],
-                    h_label=entry["h"],
-                )
+            w_num, w_den = _as_ratio(
+                w if (w := entry["w"]).__class__ in _JSON_PLAIN else _json_exact(w, "w"),
+                "rational",
             )
+            a_num, a_den = _as_ratio(
+                a if (a := entry["a"]).__class__ in _JSON_PLAIN else _json_exact(a, "a"),
+                "rational",
+            )
+            g, h = entry["g"], entry["h"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed atom entry: {entry!r}") from exc
-    return RawSpace(atoms=tuple(atoms))
+        _check_atom(w_num, w_den, a_num, a_den, g, h)
+        ratios.append((w_num, w_den, a_num, a_den, g, h))
+    return RawSpace._from_ratios(ratios)
 
 
 def load_space(fp: IO[str]) -> RawSpace:

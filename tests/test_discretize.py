@@ -1,8 +1,13 @@
 """Raw labeled spaces, grid conversion, and resolution coarsening."""
 
+import copy
+import io
 import json
+import math
+import pickle
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -16,6 +21,7 @@ from expert_spread.config import (
     compute_stats,
     make_configuration,
     normalize,
+    parse_rational,
     rational_to_str,
 )
 from expert_spread.discretize import (
@@ -508,3 +514,172 @@ def test_label_indexing_is_linear():
         counts[n_labels] = seen[0]
     # four times the labels, fewer than five times the comparisons
     assert 0 < counts[20_000] < 5 * counts[5_000]
+
+
+# ---------------------------------------------------------------------------
+# The Fraction loader: every weight parsed into a Fraction, each Atom checked
+# on Fractions, then the space grouped, as raw spaces were read before the
+# loader read integer pairs. The differential test keeps it as its oracle.
+# ---------------------------------------------------------------------------
+
+
+def reference_space_from_json_dict(data):
+    try:
+        raw_atoms = data["atoms"]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError("space JSON must be an object with an 'atoms' list") from exc
+    if not isinstance(raw_atoms, (list, tuple)):
+        raise ConfigError("space JSON must be an object with an 'atoms' list")
+    atoms = []
+    for entry in raw_atoms:
+        try:
+            atoms.append(
+                Atom(
+                    weight=parse_rational(config._json_exact(entry["w"], "w")),
+                    a_weight=parse_rational(config._json_exact(entry["a"], "a")),
+                    g_label=entry["g"],
+                    h_label=entry["h"],
+                )
+            )
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed atom entry: {entry!r}") from exc
+    return RawSpace(atoms=tuple(atoms))
+
+
+def written(rng, value):
+    """``value``, a Fraction in [0, 1], as one of the spellings a file may use."""
+    kind = rng.randrange(7)
+    if kind == 0 and value.denominator == 1:
+        return int(value)  # a JSON integer
+    if kind == 1:
+        k = rng.randint(2, 9)  # "p/q" not in lowest terms
+        return f"{value.numerator * k}/{value.denominator * k}"
+    if kind in (2, 3) and 10**12 % value.denominator == 0:
+        digits = value.numerator * 10**12 // value.denominator
+        if kind == 2:
+            return f"{digits}e-12"  # an exponent
+        return f"{digits // 10**12}.{digits % 10**12:012d}"  # a decimal point
+    if kind == 4:
+        return f" {value} "  # surrounding blanks, left to Fraction's parser
+    return str(value)
+
+
+def random_space_document(rng):
+    """A valid space document, before any damage: atoms summing to one."""
+    denom = rng.choice((1, 2, 3, 4, 5, 8, 12, 16, 1000, 1024))
+    atoms = []
+    for w in _random_parts(rng, denom, rng.randint(1, 8)):
+        a = rng.randint(0, w)
+        atoms.append(
+            {
+                "w": written(rng, F(w, denom)),
+                "a": written(rng, F(a, denom)),
+                "g": f"g{rng.randint(1, 4)}",
+                "h": f"h{rng.randint(1, 4)}",
+            }
+        )
+    return {"atoms": atoms}
+
+
+def damaged(rng, doc):
+    """``doc`` with one atom broken in one of the ways a file can be malformed."""
+    atoms = [dict(atom) for atom in doc["atoms"]]
+    atom = rng.choice(atoms)
+    kind = rng.randrange(10)
+    if kind == 0:
+        del atom[rng.choice("wagh")]  # a missing key
+    elif kind == 1:
+        atom[rng.choice("wa")] = rng.choice((0.5, 1.0, True, False))  # a JSON float or boolean
+    elif kind == 2:
+        atom[rng.choice("gh")] = rng.choice((1, None, [], True))  # a non-string label
+    elif kind == 3:
+        atom["w"] = rng.choice(("-1/4", -1, "-0.5"))  # a negative weight
+    elif kind == 4:
+        atom["a"] = f"{rng.randint(2, 5)}/{rng.choice((1, 2))}"  # a > w
+    elif kind == 5:
+        atoms.append({"w": "1/7", "a": "0", "g": "g9", "h": "h9"})  # a sum that is not 1
+    elif kind == 6:
+        atom[rng.choice("wa")] = "1" * 1001 + "/" + "3" * 1001  # more than 1000 digits
+    elif kind == 7:
+        atom[rng.choice("wa")] = rng.choice(("1/0", "x", "", None, [1], "1/2/3"))  # not a rational
+    elif kind == 8:
+        atoms[atoms.index(atom)] = rng.choice(("atom", 3, None, ["w"]))  # not an object
+    else:
+        return rng.choice(({}, [], {"atoms": 5}, {"atoms": None}, {"atoms": []}))
+    return {"atoms": atoms}
+
+
+def loaded_or_refused(load, doc):
+    try:
+        return load(doc)
+    except ConfigError as exc:
+        return type(exc), str(exc)
+
+
+def test_space_loader_matches_the_fraction_loader():
+    rng = random.Random(1403)
+    loaded, refusals, reduced = 0, [], 0
+    for draw in range(3000):
+        doc = random_space_document(rng)
+        if draw % 2:
+            doc = damaged(rng, doc)
+        got = loaded_or_refused(space_from_json_dict, doc)
+        want = loaded_or_refused(reference_space_from_json_dict, doc)
+        assert got == want, doc
+        if isinstance(got, RawSpace):
+            loaded += 1
+            assert hash(got) == hash(want)
+            assert got.atoms == want.atoms
+            assert {type(v) for a in got.atoms for v in (a.weight, a.a_weight)} == {F}
+            # the written denominators' lcm shares a factor with every weight
+            written_den = math.lcm(
+                *[config._as_ratio(atom[k], "rational")[1] for atom in doc["atoms"] for k in "wa"]
+            )
+            reduced += written_den != got._grouped[0]
+        else:
+            refusals.append(got[1])
+    assert loaded > 1200 and reduced > 100
+    # every refusal of the loader, each reached many times
+    for start in (
+        "space JSON must be an object",
+        "malformed atom entry: {",
+        "malformed atom entry: 'atom'",
+        "w must be a string or an integer",
+        "a must be a string or an integer",
+        "atom labels must be strings",
+        "atom weight must be non-negative",
+        "atom event share must lie in [0, weight]",
+        "atom weights must sum to 1",
+        "rational '1111111111",
+        "cannot parse rational",
+    ):
+        assert sum(text.startswith(start) for text in refusals) >= 10, start
+
+
+def test_loaded_spaces_build_their_atoms_only_when_read(monkeypatch):
+    built = [0]
+    check = Atom.__post_init__
+
+    def counted(atom):
+        built[0] += 1
+        check(atom)
+
+    monkeypatch.setattr(Atom, "__post_init__", counted)
+    text = json.dumps(random_space_document(random.Random(35)))
+    space = load_space(io.StringIO(text))
+    label_values(space)
+    spread_probability(space, F(3, 4))
+    to_configuration(space, F(1, 4))
+    for n in (2, 16):
+        grid_coarsen(space, n, F(1, 4))
+    assert built[0] == 0
+    atoms = space.atoms
+    assert built[0] == len(atoms) and space.atoms is atoms
+    # a space built from atoms keeps them and equals the loaded one
+    same = RawSpace(atoms=list(atoms))
+    assert built[0] == len(atoms) and same.atoms == atoms
+    assert same == space and hash(same) == hash(space)
+    assert load_space(io.StringIO(text)) == same
+    with pytest.raises(FrozenInstanceError):
+        space.atoms = ()
+    assert copy.copy(space) == space == pickle.loads(pickle.dumps(space))
