@@ -335,6 +335,17 @@ def _delta_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _search_options(p: argparse.ArgumentParser, iters: int) -> None:
+    """The options of both searches, with ``iters`` as the climb's default budget."""
+    p.add_argument("--cols", type=int, default=2)
+    p.add_argument("--rows", type=int, default=2)
+    p.add_argument("--denom", type=int, default=None,
+                   help="exhaustive search over masses in units of 1/denom")
+    p.add_argument("--iters", type=int, default=iters,
+                   help="hill-climb evaluation budget (ignored with --denom)")
+    p.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expert-spread",
@@ -361,13 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search for high-spread configurations")
     p.add_argument("delta", type=_delta_arg)
-    p.add_argument("--cols", type=int, default=2)
-    p.add_argument("--rows", type=int, default=2)
-    p.add_argument("--denom", type=int, default=None,
-                   help="exhaustive search over masses in units of 1/denom")
-    p.add_argument("--iters", type=int, default=10_000,
-                   help="hill-climb evaluation budget (ignored with --denom)")
-    p.add_argument("--seed", type=int, default=0)
+    _search_options(p, 10_000)
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("verify", help="check every configuration invariant")
@@ -383,11 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", default=None, help="optional SVG plot path")
     p.add_argument("--empirical", action="store_true",
                    help="add a searched best-value column")
-    p.add_argument("--cols", type=int, default=2)
-    p.add_argument("--rows", type=int, default=2)
-    p.add_argument("--denom", type=int, default=None)
-    p.add_argument("--iters", type=int, default=2_000)
-    p.add_argument("--seed", type=int, default=0)
+    _search_options(p, 2_000)
     p.set_defaults(handler=_cmd_curve)
 
     p = sub.add_parser("discretize", help="convert or coarsen a raw labeled space")

@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import IO, Callable, Iterable, Mapping, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "Rational",
@@ -250,13 +250,17 @@ def _json_exact(value: object, what: str) -> object:
     return value
 
 
-def validate_delta(value: RationalLike) -> Fraction:
-    """Parse and range-check a spread threshold, which must lie in (0, 1)."""
-    delta = _as_fraction(value, "delta")
+def _check_delta(delta: Fraction) -> Fraction:
+    """Refuse a threshold outside (0, 1) with :class:`DomainError`."""
     # a rational's sign is its numerator's, and its denominator is positive
     if not 0 < delta.numerator < delta.denominator:
         raise DomainError(f"delta must lie strictly between 0 and 1, got {_shown(delta)}")
     return delta
+
+
+def validate_delta(value: RationalLike) -> Fraction:
+    """Parse and range-check a spread threshold, which must lie in (0, 1)."""
+    return _check_delta(_as_fraction(value, "delta"))
 
 
 def _negative_masses(a: Fraction, ac: Fraction) -> ConfigError:
@@ -337,23 +341,24 @@ class Configuration(_Frozen):
     and the hash compare and hash ``(delta, dims, tuple)``; the hash is kept
     in a slot.  ``cells`` is built from the integers on first access and
     then kept; the transforms never read it.  Construction from ``cells``
-    checks the shape and that the masses sum to exactly 1; the package's
-    own transforms build from integers, checking signs and the sum there.
+    reads ``delta`` as :func:`validate_delta` does and checks the shape and
+    that the masses sum to exactly 1; the package's own transforms build
+    from integers, checking signs and the sum there.
     """
 
     __slots__ = ("delta", "n_cols", "n_rows", "_parts", "_den", "_hash", "_cells")
 
     def __init__(
         self,
-        delta: Fraction,
+        delta: RationalLike,
         n_cols: int,
         n_rows: int,
         cells: tuple[tuple[Cell, ...], ...],
     ) -> None:
-        if n_cols < 1 or n_rows < 1:
-            raise ConfigError(f"grid must be at least 1x1, got {n_cols}x{n_rows}")
+        _cap_cells(n_cols, n_rows)
         if len(cells) != n_cols or any(len(col) != n_rows for col in cells):
             raise ConfigError("cells array shape does not match n_cols x n_rows")
+        delta = validate_delta(delta)
         parts, den = _lattice([m for col in cells for c in col for m in (c.ac_mass, c.a_mass)])
         self._init(delta, n_cols, n_rows, parts, den, cells)
 
@@ -379,11 +384,7 @@ class Configuration(_Frozen):
         cells: tuple[tuple[Cell, ...], ...] | None,
     ) -> None:
         """Check and store; both constructors end here."""
-        # a rational's sign is its numerator's, and its denominator is positive
-        if not 0 < delta.numerator < delta.denominator:
-            raise DomainError(
-                f"delta must lie strictly between 0 and 1, got {_shown(delta)}"
-            )
+        _check_delta(delta)
         if n_cols < 1 or n_rows < 1 or len(parts) != 2 * n_cols * n_rows:
             raise ConfigError(
                 f"{len(parts)} masses do not fill a {n_cols}x{n_rows} grid"
@@ -505,8 +506,6 @@ def _configuration(
     denominator)`` pairs, as :func:`config_from_json_dict` reads them.
     """
     delta_f = validate_delta(delta)
-    if n_cols < 1 or n_rows < 1:
-        raise ConfigError(f"grid must be at least 1x1, got {n_cols}x{n_rows}")
     _cap_cells(n_cols, n_rows)
     nums = [0] * (2 * n_cols * n_rows)
     dens = [1] * len(nums)
@@ -530,12 +529,16 @@ def _configuration(
 def _cap_cells(
     n_cols: int, n_rows: int, error: type[ExpertSpreadError] = ConfigError
 ) -> None:
-    """Refuse a grid of more than :data:`MAX_CELLS` cells with ``error``.
+    """Refuse, with ``error``, an empty grid or one of more than :data:`MAX_CELLS` cells.
 
     Every grid allocator of the package calls this before it allocates.
     """
+    if n_cols < 1 or n_rows < 1:
+        raise error(f"grid must be at least 1x1, got {_shown(n_cols)}x{_shown(n_rows)}")
     if n_cols * n_rows > MAX_CELLS:
-        raise error(f"a {n_cols}x{n_rows} grid exceeds the limit of {MAX_CELLS} cells")
+        raise error(
+            f"a {_shown(n_cols)}x{_shown(n_rows)} grid exceeds the limit of {MAX_CELLS} cells"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1212,26 +1215,25 @@ def _ratio_str(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def config_to_json_dict(cfg: Configuration) -> dict:
-    """Serialize to the configuration file schema (empty cells omitted).
+def _cell_strs(cfg: Configuration) -> Iterator[tuple[int, int, str, str]]:
+    """``(col, row, a, ac)`` for each non-empty cell, in column-major order.
 
     Each mass is written as :func:`rational_to_str` would write it, formatted
     from the integers without building a :class:`~fractions.Fraction`.
     """
     parts, den, n = cfg._parts, cfg._den, cfg.n_rows
-    cells = []
     for i in range(0, len(parts), 2):
         ac, a = parts[i], parts[i + 1]
         if ac or a:
             k, j = divmod(i // 2, n)
-            cells.append(
-                {
-                    "col": k + 1,
-                    "row": j + 1,
-                    "a": _ratio_str(a, den),
-                    "ac": _ratio_str(ac, den),
-                }
-            )
+            yield k + 1, j + 1, _ratio_str(a, den), _ratio_str(ac, den)
+
+
+def config_to_json_dict(cfg: Configuration) -> dict:
+    """Serialize to the configuration file schema (empty cells omitted)."""
+    cells = [
+        {"col": k, "row": j, "a": a, "ac": ac} for k, j, a, ac in _cell_strs(cfg)
+    ]
     return {
         "delta": rational_to_str(cfg.delta),
         "cols": cfg.n_cols,
@@ -1289,19 +1291,14 @@ def dump_config(cfg: Configuration, fp: IO[str]) -> None:
     :mod:`json` to its pure-Python encoder, which took several times as
     long.  A configuration has mass, so its cell list is never empty.
     """
-    parts, den, n = cfg._parts, cfg._den, cfg.n_rows
-    cells = []
-    for i in range(0, len(parts), 2):
-        ac, a = parts[i], parts[i + 1]
-        if ac or a:
-            k, j = divmod(i // 2, n)
-            cells.append(
-                f'    {{\n      "col": {k + 1},\n      "row": {j + 1},\n'
-                f'      "a": "{_ratio_str(a, den)}",\n      "ac": "{_ratio_str(ac, den)}"\n    }}'
-            )
+    cells = [
+        f'    {{\n      "col": {k},\n      "row": {j},\n'
+        f'      "a": "{a}",\n      "ac": "{ac}"\n    }}'
+        for k, j, a, ac in _cell_strs(cfg)
+    ]
     fp.write(
         f'{{\n  "delta": "{rational_to_str(cfg.delta)}",\n  "cols": {cfg.n_cols},\n'
-        f'  "rows": {n},\n  "cells": [\n' + ",\n".join(cells) + "\n  ]\n}\n"
+        f'  "rows": {cfg.n_rows},\n  "cells": [\n' + ",\n".join(cells) + "\n  ]\n}\n"
     )
 
 

@@ -27,6 +27,7 @@ from .config import (
     InternalStateError,
     RationalLike,
     SearchSpaceError,
+    _SHOWN_BITS,
     _cap_cells,
     _compiled,
     _far_apart,
@@ -35,6 +36,7 @@ from .config import (
     _line_locals,
     _names,
     _normalized,
+    _shown,
     _stats_loop,
     _units_evaluator,
     _unrolls,
@@ -136,18 +138,6 @@ def _check_winner(cfg: Configuration, b_num: int, denom: int) -> Fraction:
             "evaluation"
         )
     return prob
-
-
-def _validate_dims(n_cols: int, n_rows: int) -> None:
-    """Refuse an empty grid, or one past the cell cap of :func:`config._cap_cells`.
-
-    The searches allocate per cell, so the limit is checked first.
-    """
-    if n_cols < 1 or n_rows < 1:
-        raise DomainError(
-            f"grid dimensions must be at least 1x1, got {n_cols}x{n_rows}"
-        )
-    _cap_cells(n_cols, n_rows, DomainError)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +322,13 @@ def exhaustive_search(
 ) -> SearchResult:
     """Evaluate every configuration with cell masses in units of 1/denom.
 
-    The number of mass vectors is C(denom + 2mn - 1, denom); it is computed
-    and compared against :func:`enumeration_cap` before any work happens,
-    and a :class:`SearchSpaceError` naming the count refuses oversized
-    requests. The returned witness is the lexicographically smallest
-    maximizer in column-major (complement, event) slot order, with zero
-    lines dropped.
+    The number of mass vectors is C(denom + 2mn - 1, denom); it is
+    compared against :func:`enumeration_cap` before any work happens, by a
+    running product that stops once it passes the cap, and a
+    :class:`SearchSpaceError` refuses oversized requests, naming the count
+    when it is short enough to print. The returned witness is the
+    lexicographically smallest maximizer in column-major (complement,
+    event) slot order, with zero lines dropped.
 
     The spread probability does not change when columns are permuted, so
     the vectors are covered by column classes: each multiset of columns is
@@ -353,18 +344,28 @@ def exhaustive_search(
     winner's value, the best over every class, is checked against the bound.
     """
     d = validate_delta(delta)
-    _validate_dims(n_cols, n_rows)
+    _cap_cells(n_cols, n_rows, DomainError)
     if denom < 1:
-        raise DomainError(f"denominator must be at least 1, got {denom}")
+        raise DomainError(f"denominator must be at least 1, got {_shown(denom)}")
     slots = 2 * n_cols * n_rows
-    count = math.comb(denom + slots - 1, denom)
+    # the count C(n, k) as the running product C(n - k + i, i), i = 1..k:
+    # as n - k >= k, each step at least doubles it, so an oversized count
+    # passes the cap within cap.bit_length() + 1 steps
+    n, k = denom + slots - 1, min(denom, slots - 1)
     cap = enumeration_cap()
-    if count > cap:
-        raise SearchSpaceError(
-            f"exhaustive enumeration would evaluate {count} configurations, "
-            f"above the cap of {cap}; lower denom or the grid, or raise "
-            f"{ENUM_CAP_ENV}"
-        )
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (n - k + i) // i
+        if count > cap:
+            # the exact count is named only when it is short enough to print
+            if k * n.bit_length() <= _SHOWN_BITS:
+                over = f"{math.comb(n, k)} configurations, above"
+            else:
+                over = "more configurations than"
+            raise SearchSpaceError(
+                f"exhaustive enumeration would evaluate {over} the cap of {cap}; "
+                f"lower denom or the grid, or raise {ENUM_CAP_ENV}"
+            )
     th = 1 - d
     th_num, th_den = th.numerator, th.denominator
     walk = _column_walker(n_cols, n_rows)
@@ -472,13 +473,13 @@ def hill_climb(
     and it is the one checked against the bound.
     """
     d = validate_delta(delta)
-    _validate_dims(n_cols, n_rows)
+    _cap_cells(n_cols, n_rows, DomainError)
     if iters < 1:
-        raise DomainError(f"iters must be at least 1, got {iters}")
+        raise DomainError(f"iters must be at least 1, got {_shown(iters)}")
     cap = enumeration_cap()
     if iters > cap:
         raise SearchSpaceError(
-            f"hill climb would evaluate {iters} configurations, above the cap "
+            f"hill climb would evaluate {_shown(iters)} configurations, above the cap "
             f"of {cap}; lower iters, or raise {ENUM_CAP_ENV}"
         )
     rng = random.Random(seed)

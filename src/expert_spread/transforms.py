@@ -48,6 +48,7 @@ from .config import (
     _GridStats,
     _as_fraction,
     _normalized,
+    _shown,
     compute_stats,
     normalize,
     rational_to_str,
@@ -107,18 +108,13 @@ def make_trace(
 def trace_to_json_dict(trace: TransformTrace) -> dict:
     """Serialize one trace entry with exact rational strings.
 
-    The reduce driver records its parameters as integers and strings, the
-    swap's cells as ``(k, j)`` tuples, so only the tuples need converting.
+    The reduce driver records its parameters as integers, strings and
+    ``(k, j)`` tuples, which :mod:`json` writes as lists, so they are kept
+    as recorded.
     """
-
-    def enc(value):
-        if isinstance(value, (tuple, list)):
-            return [enc(v) for v in value]
-        return value
-
     return {
         "name": trace.name,
-        "params": enc(trace.params),
+        "params": trace.params,
         "prob_B_before": rational_to_str(trace.prob_B_before),
         "prob_B_after": rational_to_str(trace.prob_B_after),
         "dims_before": list(trace.dims_before),
@@ -548,6 +544,14 @@ def is_canonical(cfg: Configuration) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _epsilon(value: RationalLike) -> Fraction:
+    """Parse an allowed spread loss; a non-positive one raises :class:`DomainError`."""
+    eps = _as_fraction(value, "epsilon")
+    if eps <= 0:
+        raise DomainError(f"epsilon must be positive, got {_shown(eps)}")
+    return eps
+
+
 def augment(cfg: Configuration, epsilon: RationalLike) -> Configuration:
     """Seed both extreme spread corners, giving up at most ``epsilon``.
 
@@ -563,9 +567,7 @@ def augment(cfg: Configuration, epsilon: RationalLike) -> Configuration:
     strictly less than ``epsilon``; this is re-verified exactly and a
     violation raises :class:`TransformContractError`.
     """
-    eps = _as_fraction(epsilon, "epsilon")
-    if eps <= 0:
-        raise DomainError(f"epsilon must be positive, got {eps}")
+    eps = _epsilon(epsilon)
     g = _grid_stats(cfg)
     if g.b_num == 0:
         raise DomainError("cannot augment a configuration with zero spread probability")
@@ -641,9 +643,7 @@ def reduce(cfg: Configuration, epsilon: RationalLike) -> dict:
     probability drops by strictly less than ``epsilon``, all of it during the
     initial augmentation; every other step preserves or grows it.
     """
-    eps = _as_fraction(epsilon, "epsilon")
-    if eps <= 0:
-        raise DomainError(f"epsilon must be positive, got {eps}")
+    eps = _epsilon(epsilon)
     if not _below_half(cfg):
         raise DomainError(f"reduction requires delta < 1/2, got {cfg.delta}")
     start = normalize(cfg)

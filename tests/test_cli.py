@@ -335,6 +335,15 @@ def test_search_refuses_a_climb_past_the_cap(monkeypatch, capsys):
     assert "EXPERT_SPREAD_ENUM_CAP" in err
 
 
+def test_search_refuses_an_enumeration_too_large_to_count(monkeypatch, capsys):
+    """A count of mass vectors too long to print is refused in one line."""
+    monkeypatch.delenv("EXPERT_SPREAD_ENUM_CAP", raising=False)
+    argv = ["1/4", "--cols", "100", "--rows", "100", "--denom", "100000"]
+    code, err = main_exit(capsys, "search", *argv)
+    assert_one_error_line(code, err)
+    assert err.startswith("error: exhaustive enumeration would evaluate more configurations")
+
+
 def test_curve_csv(tmp_path, capsys):
     csv_path = tmp_path / "curve.csv"
     code, _ = run_main(

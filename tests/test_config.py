@@ -184,7 +184,7 @@ def test_parse_rational_reads_plain_digits_like_fraction(monkeypatch):
     ]
     near_misses = [
         "/3", "3/", "/", " 1/2", "1/2 ", "+1/2", "-1/2", "1_0/3", "0.5", "1e3",
-        "1/2/3", "1 /2", "١/٢", "1/٢", "²", "0x10", "\t7",
+        "1/2/3", "1 /2", "١/٢", "1/٢", "²", "0x10", "\t7", "x" * 40, "x" * 41,
         "1" * 1001, "1/" + "3" * 999, "1/" + "3" * 997 + "x",
     ]
     for text in plain + near_misses:
@@ -229,6 +229,12 @@ def test_construction_validation():
         Configuration(F(1, 4), 0, 1, ())
     with pytest.raises(ConfigError, match="^cells array shape does not match"):
         Configuration(F(1, 4), 2, 1, ((Cell(1, 0),),))
+    # the threshold is read as validate_delta reads it
+    for bad in (0.25, True):
+        with pytest.raises(ConfigError, match="^cannot parse delta"):
+            Configuration(bad, 1, 1, ((Cell(1, 0),),))
+    quarter = Configuration("1/4", 1, 1, ((Cell(1, 0),),)).delta
+    assert quarter.__class__ is Fraction and quarter == F(1, 4)
     # masses are exact rationals: a float, a bool or a string is refused when
     # the cell is built, not when statistics first read its denominator
     for bad in (0.5, True, "1/2", None):
@@ -249,6 +255,10 @@ def test_errors_abbreviate_values_too_long_to_print():
         make_configuration(F(1, 4), 1, 2, {(1, 1): (0, 1 + tiny), (1, 2): (-tiny, 0)})
     with pytest.raises(DomainError, match="about 5000 digits"):
         validate_delta(1 + tiny)
+    with pytest.raises(ConfigError, match="^grid must be at least 1x1, got <a rational"):
+        make_configuration(F(1, 4), -(10**5000), 1, {})
+    with pytest.raises(ConfigError, match="^a <a rational of about 5000 digits>x1 grid exceeds"):
+        make_configuration(F(1, 4), 10**5000, 1, {})
 
 
 def test_stats_reject_empty_lines():

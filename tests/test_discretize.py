@@ -679,6 +679,8 @@ def test_loaded_spaces_build_their_atoms_only_when_read(monkeypatch):
     same = RawSpace(atoms=list(atoms))
     assert built[0] == len(atoms) and same.atoms == atoms
     assert same == space and hash(same) == hash(space)
+    assert space.__eq__(atoms) is NotImplemented and space != atoms
+    assert repr(space) == f"RawSpace(atoms={atoms!r})"
     assert load_space(io.StringIO(text)) == same
     with pytest.raises(FrozenInstanceError):
         space.atoms = ()

@@ -80,9 +80,13 @@ def test_oversized_searches_are_refused_before_allocating():
         for run in (
             lambda: hill_climb(F(1, 4), 1001, 1000, 1, 0),
             lambda: exhaustive_search(F(1, 4), 1001, 1000, 5),
+            lambda: exhaustive_search(F(1, 4), 1000, 1001, 0),
         ):
             with pytest.raises(DomainError, match="exceeds the limit of 1000000 cells"):
                 run()
+        # exactly the limit passes the cell cap and meets the next check
+        with pytest.raises(DomainError, match="^denominator must be at least 1, got 0$"):
+            exhaustive_search(F(1, 4), 1000, 1000, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -96,6 +100,31 @@ def test_enumeration_cap_guards_the_loop(monkeypatch):
     with pytest.raises(SearchSpaceError) as err:
         exhaustive_search(F(1, 4), 4, 4, 64)
     assert str(count) in str(err.value)
+
+
+def test_an_oversized_enumeration_is_refused_without_its_count(monkeypatch):
+    # the exact count has about 2.75 million bits: computing it takes tens
+    # of seconds and printing it raises Python's 4300-digit ValueError
+    monkeypatch.delenv("EXPERT_SPREAD_ENUM_CAP", raising=False)
+    comb = math.comb
+
+    def small_comb(n, k):
+        assert k <= 10**4, f"math.comb asked for C({n}, {k})"
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", small_comb)
+    with pytest.raises(
+        SearchSpaceError,
+        match="^exhaustive enumeration would evaluate more configurations than "
+        "the cap of 100000000;",
+    ):
+        exhaustive_search(F(1, 4), 1000, 1000, 10**6)
+    # a climb's budget past the cap is shown by its size
+    with pytest.raises(
+        SearchSpaceError,
+        match="^hill climb would evaluate <a rational of about 5000 digits> configurations",
+    ):
+        hill_climb(F(1, 4), 2, 2, 10**5000, 0)
 
 
 def test_enumeration_cap_env_override(monkeypatch):
