@@ -34,9 +34,7 @@ from .config import (
     compute_stats,
     dump_config,
     load_config,
-    normalize,
     overlap_violations,
-    parse_rational,
     pitman_inclusion_violations,
     rational_to_decimal,
     rational_to_str,
@@ -107,24 +105,24 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     cfg = _read(args.config, load_config)
-    eps = parse_rational(args.eps)
-    result = reduce_config(cfg, eps)
-    out = result["out"]
+    result = reduce_config(cfg, args.eps)
+    out, trace = result["out"], result["trace"]
     if args.out is not None:
         _write_config(out, args.out)
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fp:
-            for trace in result["trace"]:
-                fp.write(json.dumps(trace_to_json_dict(trace)))
+            for step in trace:
+                fp.write(json.dumps(trace_to_json_dict(step)))
                 fp.write("\n")
     _print_json(
         {
-            # reduce runs on the normalized input: a zero-mass line, which
-            # compute_stats refuses, is dropped there without changing the spread
-            "before": rational_to_str(compute_stats(normalize(cfg)).prob_B),
-            "after": rational_to_str(compute_stats(out).prob_B),
+            # the first step, augment, starts at the normalized input: a
+            # zero-mass line, which compute_stats refuses, is dropped there
+            # without changing the spread; the last step ends at the output
+            "before": rational_to_str(trace[0].prob_B_before),
+            "after": rational_to_str(trace[-1].prob_B_after),
             "certificate": rational_to_str(certify_upper_bound(out)),
-            "steps": len(result["trace"]),
+            "steps": len(trace),
         }
     )
     return 0
@@ -205,27 +203,22 @@ def _cmd_discretize(args: argparse.Namespace) -> int:
     d = validate_delta(args.delta)
     if args.n is None:
         cfg = discretize_mod.to_configuration(space, d)
-        if args.out is not None:
-            _write_config(cfg, args.out)
-        _print_json(
-            {"prob_B": rational_to_str(compute_stats(cfg).prob_B)}
-        )
-        return 0
-    result = discretize_mod.grid_coarsen(space, args.n, d)
-    cfg = result["cfg"]
-    if args.out is not None:
-        _write_config(cfg, args.out)
-    raw = discretize_mod.spread_probability(space, 1 - d)
-    coarse = discretize_mod.threshold_probability(cfg, 1 - d - Fraction(2, args.n))
-    _print_json(
-        {
+        report = {"prob_B": rational_to_str(compute_stats(cfg).prob_B)}
+    else:
+        result = discretize_mod.grid_coarsen(space, args.n, d)
+        cfg = result["cfg"]
+        raw = discretize_mod.spread_probability(space, 1 - d)
+        coarse = discretize_mod.threshold_probability(cfg, 1 - d - Fraction(2, args.n))
+        report = {
             "max_x_shift": rational_to_str(result["report"]["max_x_shift"]),
             "max_y_shift": rational_to_str(result["report"]["max_y_shift"]),
             "raw_spread": rational_to_str(raw),
             "coarse_spread": rational_to_str(coarse),
             "comparison_holds": raw <= coarse,
         }
-    )
+    if args.out is not None:
+        _write_config(cfg, args.out)
+    _print_json(report)
     return 0
 
 

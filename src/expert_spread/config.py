@@ -150,7 +150,8 @@ def _shown(value: object) -> str:
 
     Python refuses to turn an integer of more than 4300 digits into a
     string, so formatting such an exact value would replace the intended
-    one-line error with a ``ValueError``; it is shown by its size instead.
+    one-line error with a ``ValueError``; it is shown by its sign, its kind
+    (integer or rational) and its size instead.
     """
     if isinstance(value, str):
         if len(value) <= _SHOWN_CHARS:
@@ -159,7 +160,11 @@ def _shown(value: object) -> str:
     if isinstance(value, (int, Fraction)):
         bits = max(value.numerator.bit_length(), value.denominator.bit_length())
         if bits > _SHOWN_BITS:
-            return f"<a rational of about {bits * 30103 // 100000} digits>"
+            kind = "integer" if isinstance(value, int) else "rational"
+            if value < 0:
+                kind = f"negative {kind}"
+            article = "an" if kind == "integer" else "a"
+            return f"<{article} {kind} of about {bits * 30103 // 100000} digits>"
     return str(value)
 
 

@@ -114,19 +114,26 @@ def search_result_to_json_dict(result: SearchResult) -> dict:
 # cells are tested one side at a time, each side behind its column gate.
 # Past the cap both run config._stats_loop, the loop that code is tested
 # against: hill_climb through config._units_loop, exhaustive_search through
-# _walk_last_column. Both only score: _check_winner compares the winner, the
-# one Configuration built, with the closed form, once.
+# _walk_last_column. Both only score: _search_result builds the winner, the
+# one Configuration built, and compares it with the closed form, once.
 # Zero-mass lines carry no conditional value and no probability there,
 # which matches evaluating the configuration with its zero lines dropped.
 
 
-def _check_winner(cfg: Configuration, b_num: int, denom: int) -> Fraction:
-    """The winner's spread probability, checked against the bound and re-derived.
+def _search_result(
+    d: Fraction, n_cols: int, n_rows: int, parts: Optional[tuple[int, ...]], best: int,
+    denom: int, evaluated: int, method: str, seed: Optional[int],
+) -> SearchResult:
+    """The result whose winner is ``parts`` over ``denom``, with spread numerator ``best``.
 
-    It is the largest value evaluated, so every evaluation obeys the bound if it does.
+    The winner's spread probability is checked against the bound and
+    re-derived from its configuration. It is the largest value evaluated,
+    so every evaluation obeys the bound if it does.
     """
-    prob = Fraction(b_num, denom)
-    lam = lambda_sharp(cfg.delta)
+    assert parts is not None
+    cfg = _normalized(d, n_cols, n_rows, parts, denom)
+    prob = Fraction(best, denom)
+    lam = lambda_sharp(d)
     if prob > lam:
         raise InternalStateError(
             f"evaluated spread probability {prob} exceeds the closed-form bound "
@@ -137,7 +144,7 @@ def _check_winner(cfg: Configuration, b_num: int, denom: int) -> Fraction:
             "the winner's configuration statistics disagree with its integer "
             "evaluation"
         )
-    return prob
+    return SearchResult(d, prob, cfg, evaluated, method, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +373,8 @@ def exhaustive_search(
                 f"exhaustive enumeration would evaluate {over} the cap of {cap}; "
                 f"lower denom or the grid, or raise {ENUM_CAP_ENV}"
             )
-    th = 1 - d
-    th_num, th_den = th.numerator, th.denominator
+    # the threshold 1 - d, in lowest terms as d is
+    th_num, th_den = d.denominator - d.numerator, d.denominator
     walk = _column_walker(n_cols, n_rows)
     width = 2 * n_rows
     last = n_cols - 1
@@ -414,15 +421,8 @@ def exhaustive_search(
         raise InternalStateError(
             f"the column classes cover {covered} mass vectors, not {count}"
         )
-    assert best_parts is not None
-    cfg = _normalized(d, n_cols, n_rows, best_parts, denom)
-    return SearchResult(
-        delta=d,
-        best_prob_B=_check_winner(cfg, best_prob, denom),
-        best_config=cfg,
-        configs_evaluated=count,
-        method="exhaustive",
-        seed=None,
+    return _search_result(
+        d, n_cols, n_rows, best_parts, best_prob, denom, count, "exhaustive", None
     )
 
 
@@ -449,9 +449,10 @@ def hill_climb(
     a quantum of mass between two uniformly chosen slots; the quantum
     shrinks geometrically from 1/8 to 1/1024 over each restart, and a move
     is kept exactly when the spread probability does not decrease. ``iters``
-    counts evaluations, so ``iters=1`` scores the initial configuration and
-    stops. An ``iters`` above :func:`enumeration_cap` raises
-    :class:`SearchSpaceError` before any work happens.
+    counts evaluations and is reported as ``configs_evaluated``, so
+    ``iters=1`` scores the initial configuration and stops. An ``iters``
+    above :func:`enumeration_cap` raises :class:`SearchSpaceError` before
+    any work happens.
 
     A restart keeps its mass vector and the sorted list of its positive
     slots as running state: a move changes two slots, and a rejected move
@@ -485,8 +486,8 @@ def hill_climb(
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     slots = 2 * n_cols * n_rows
-    th = 1 - d
-    th_num, th_den = th.numerator, th.denominator
+    # the threshold 1 - d, in lowest terms as d is
+    th_num, th_den = d.denominator - d.numerator, d.denominator
     spread_units = _units_evaluator(n_cols, n_rows)
     others = slots - 1
     others_bits = others.bit_length()
@@ -497,10 +498,8 @@ def hill_climb(
 
     best_prob = -1
     best_parts: Optional[tuple[int, ...]] = None
-    evaluated = 0
     for r in range(restarts):
         budget = base + (leftover if r == 0 else 0)
-        evaluated += budget
         parts = _random_parts(rng, _CLIMB_DENOM, slots)
         positive = [i for i in range(slots) if parts[i] > 0]
         n = len(positive)
@@ -548,13 +547,6 @@ def hill_climb(
                     parts[src] += amt
                     parts[dst] -= amt
             start = end
-    assert best_parts is not None
-    cfg = _normalized(d, n_cols, n_rows, best_parts, _CLIMB_DENOM)
-    return SearchResult(
-        delta=d,
-        best_prob_B=_check_winner(cfg, best_prob, _CLIMB_DENOM),
-        best_config=cfg,
-        configs_evaluated=evaluated,
-        method="hill_climb",
-        seed=seed,
+    return _search_result(
+        d, n_cols, n_rows, best_parts, best_prob, _CLIMB_DENOM, iters, "hill_climb", seed
     )

@@ -17,13 +17,18 @@ import pytest
 
 from expert_spread import cli
 from expert_spread.search import _column_walker, exhaustive_search, hill_climb
+from expert_spread.bounds import certify_upper_bound
 from expert_spread.config import (
     InternalStateError,
     ReduceContradictionError,
     TransformContractError,
+    compute_stats,
     dump_config,
+    load_config,
+    normalize,
 )
 from expert_spread.discretize import load_space, to_configuration
+from expert_spread.transforms import reduce as reduce_config
 
 CLI = [sys.executable, "-m", "expert_spread.cli"]
 # the subprocess imports the same package as this test process
@@ -234,6 +239,32 @@ def test_reduce_drops_a_zero_mass_line_that_verify_refuses(tmp_path, capsys):
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
+def test_reduce_without_out_prints_the_report_alone(tmp_path, monkeypatch, capsys):
+    """``before`` and ``after`` are the spreads of the normalized input and of the output."""
+    zero_column = tmp_path / "zero_column.json"
+    zero_column.write_text(json.dumps({"delta": "1/4", "cols": 3, "rows": 2, "cells": [
+        {"col": 1, "row": 1, "a": "0", "ac": "3/5"},
+        {"col": 1, "row": 2, "a": "1/5", "ac": "0"},
+        {"col": 3, "row": 1, "a": "1/5", "ac": "0"},
+    ]}))
+    monkeypatch.chdir(tmp_path)
+    for path in (FIXTURES / "reduce_6x6.json", zero_column):
+        code, out = run_main(capsys, "reduce", "--eps", "1/1000", str(path))
+        assert code == 0
+        # the report is the whole of stdout: no configuration precedes it
+        report = json.loads(out)
+        with open(path, encoding="utf-8") as fp:
+            cfg = load_config(fp)
+        result = reduce_config(cfg, "1/1000")
+        assert report == {
+            "before": str(compute_stats(normalize(cfg)).prob_B),
+            "after": str(compute_stats(result["out"]).prob_B),
+            "certificate": str(certify_upper_bound(result["out"])),
+            "steps": len(result["trace"]),
+        }, path
+    assert os.listdir(tmp_path) == ["zero_column.json"]
+
+
 def test_reduce_writes_the_pinned_bytes(capsys):
     """The reduced 6x6 fixture and its report, byte for byte; CI runs the same line."""
     fixture = FIXTURES / "reduce_6x6.json"
@@ -306,6 +337,11 @@ def test_reduce_rejects_bad_epsilon(tmp_path, capsys):
     cfg_path = tmp_path / "ext.json"
     assert cli.main(["extremal", "1/4", "--out", str(cfg_path)]) == 0
     assert_one_error_line(*main_exit(capsys, "reduce", "--eps", "0", str(cfg_path)))
+
+
+def test_reduce_refuses_an_unreadable_epsilon_in_the_library_text(capsys):
+    code, err = main_exit(capsys, "reduce", "--eps", "x", str(FIXTURES / "reduce_6x6.json"))
+    assert (code, err) == (2, "error: cannot parse epsilon 'x' as an exact rational\n")
 
 
 def test_search_exhaustive(capsys):
@@ -417,6 +453,18 @@ def test_curve_empirical_runs_either_search(tmp_path, capsys):
         assert svg_path.read_text().count('fill="#c23b22"') == 5
 
 
+def test_curve_empirical_without_svg_writes_the_csv_alone(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["curve", "--from", "1/10", "--to", "9/10", "--steps", "3", "--empirical", "--denom", "2"]
+    assert run_main(capsys, *argv, "--out", "curve.csv") == (0, "")
+    assert os.listdir(tmp_path) == ["curve.csv"]
+    rows = (tmp_path / "curve.csv").read_text().splitlines()
+    assert rows[0].endswith(",empirical_best,empirical_best_dec")
+    for row in rows[1:]:
+        best = exhaustive_search(Fraction(row.split(",")[0]), 2, 2, 2).best_prob_B
+        assert row.split(",")[-2] == str(best), row
+
+
 def test_curve_refuses_an_empty_range_or_one_step(tmp_path, capsys):
     csv_path = tmp_path / "curve.csv"
     for args, message in (
@@ -505,6 +553,19 @@ def test_discretize_without_n_writes_the_grouped_grid(tmp_path, capsys):
     buf = io.StringIO()
     dump_config(to_configuration(space, Fraction(1, 4)), buf)
     assert out_path.read_bytes() == buf.getvalue().encode()
+
+
+def test_discretize_coarsens_without_out_printing_the_report_alone(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    fixture = FIXTURES / "coarsen_12.json"
+    code, out = run_main(capsys, "discretize", "--delta", "1/4", "--n", "16", str(fixture))
+    assert code == 0
+    # the pinned output with --out - is the configuration, then this report
+    assert (FIXTURES / "coarsen_12.expected").read_text().endswith(out)
+    assert set(json.loads(out)) == {
+        "max_x_shift", "max_y_shift", "raw_spread", "coarse_spread", "comparison_holds"
+    }
+    assert os.listdir(tmp_path) == []
 
 
 def test_usage_errors_exit_two(capsys):

@@ -255,10 +255,16 @@ def test_errors_abbreviate_values_too_long_to_print():
         make_configuration(F(1, 4), 1, 2, {(1, 1): (0, 1 + tiny), (1, 2): (-tiny, 0)})
     with pytest.raises(DomainError, match="about 5000 digits"):
         validate_delta(1 + tiny)
-    with pytest.raises(ConfigError, match="^grid must be at least 1x1, got <a rational"):
+    with pytest.raises(ConfigError, match="^grid must be at least 1x1, got <a negative integer"):
         make_configuration(F(1, 4), -(10**5000), 1, {})
-    with pytest.raises(ConfigError, match="^a <a rational of about 5000 digits>x1 grid exceeds"):
+    with pytest.raises(ConfigError, match="^a <an integer of about 5000 digits>x1 grid exceeds"):
         make_configuration(F(1, 4), 10**5000, 1, {})
+    # the sign and the kind are shown with the size
+    with pytest.raises(
+        ConfigError,
+        match="^cell masses must be non-negative, got a=0, ac=<a negative rational of about 5000 digits>$",
+    ):
+        make_configuration(F(1, 4), 1, 1, {(1, 1): (0, -tiny)})
 
 
 def test_stats_reject_empty_lines():

@@ -122,9 +122,19 @@ def test_an_oversized_enumeration_is_refused_without_its_count(monkeypatch):
     # a climb's budget past the cap is shown by its size
     with pytest.raises(
         SearchSpaceError,
-        match="^hill climb would evaluate <a rational of about 5000 digits> configurations",
+        match="^hill climb would evaluate <an integer of about 5000 digits> configurations",
     ):
         hill_climb(F(1, 4), 2, 2, 10**5000, 0)
+    # a huge negative count is shown with its sign
+    with pytest.raises(
+        DomainError, match="^iters must be at least 1, got <a negative integer of about 5000 digits>$"
+    ):
+        hill_climb(F(1, 4), 2, 2, -(10**5000), 0)
+    with pytest.raises(
+        DomainError,
+        match="^denominator must be at least 1, got <a negative integer of about 5000 digits>$",
+    ):
+        exhaustive_search(F(1, 4), 2, 2, -(10**5000))
 
 
 def test_enumeration_cap_env_override(monkeypatch):

@@ -267,6 +267,28 @@ def test_zigzag_builds_only_the_sorted_grid_and_the_fixpoint(monkeypatch):
         assert merged == []
 
 
+def test_canonicalize_marks_only_a_grid_unmoved_since_its_sweep(monkeypatch):
+    # a cycle that moves after its merge sweep and comes back to the grid it
+    # started from leaves by its same-grid exit unsettled; its result must
+    # not be marked a merge fixpoint. No unpatched input in the suite takes
+    # this exit after such a move, so one step is made to count a move that
+    # leaves the grid as it was.
+    cfg = extremal_config(F(1, 4))
+    empty_corners = _grid._Grid._empty_corner_rectangles
+
+    def moved_back(grid):
+        empty_corners(grid)
+        grid._changed()
+
+    monkeypatch.setattr(_grid._Grid, "_empty_corner_rectangles", moved_back)
+    _grid_stats.cache_clear()
+    assert canonicalize(cfg) == cfg
+    assert not _grid_stats(cfg).fixpoint
+    monkeypatch.undo()
+    assert canonicalize(cfg) == cfg
+    assert _grid_stats(cfg).fixpoint
+
+
 def test_zigzag_keeps_full_spread_above_one_half():
     hp = halfpoint_example(F(3, 4))
     out = zigzag_normalize(hp)
